@@ -1,0 +1,174 @@
+// Golden plan-format bytes: the serialized form of a fixed set of compile
+// results must not change.
+//
+// Covered payloads: the four paper kernels at their default sizes, one ME and
+// one matmul result served by the runtime binder at a second size, and one
+// .emmfam family payload (tile plan plus size-generic record). Each is
+// recorded in tests/golden/plan_bytes.txt as its byte length and digestBytes
+// value. Wall-clock values (PassTiming::millis, the tile search's
+// planBuildMillis/evalMillis, and the "N ms" figures the tile-search note
+// prints) are zeroed first; everything else in the payload is a
+// deterministic function of the input.
+//
+// A change that alters any serialized byte fails here. A deliberate format
+// change regenerates the file:
+//
+//   EMM_UPDATE_GOLDEN=1 ./build/emmap_tests --gtest_filter='GoldenPlanBytes.*'
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <regex>
+#include <sstream>
+
+#include <unistd.h>
+
+#include "driver/compiler.h"
+#include "driver/family_plan.h"
+#include "driver/plan_cache.h"
+#include "kernels/blocks.h"
+#include "support/serialize.h"
+
+namespace emm {
+namespace {
+
+namespace fs = std::filesystem;
+
+const char* const kGoldenFile = EMM_GOLDEN_DIR "/plan_bytes.txt";
+
+/// The options a plain request for a built-in kernel carries.
+CompileOptions builtinOptions(const std::string& kernel, const IntVec& params) {
+  CompileOptions o;
+  o.paramValues = params;
+  o.kernelName = kernel + "_kernel";
+  return o;
+}
+
+CompileResult compileBuiltin(const std::string& kernel, const std::vector<i64>& sizes,
+                             PlanCache* cache) {
+  IntVec params;
+  Compiler c(buildKernelByName(kernel, sizes, params));
+  c.options(builtinOptions(kernel, params));
+  if (cache != nullptr) c.cache(cache);
+  return c.compile();
+}
+
+void zeroTimings(CompileResult& r) {
+  for (PassTiming& t : r.timings) t.millis = 0;
+  r.search.planBuildMillis = 0;
+  r.search.evalMillis = 0;
+  static const std::regex millis("[0-9]+\\.[0-9]+ ms");
+  for (Diagnostic& d : r.diagnostics) d.message = std::regex_replace(d.message, millis, "0 ms");
+}
+
+std::string resultBytes(CompileResult r) {
+  zeroTimings(r);
+  return serializeCompileResult(r);
+}
+
+/// Reads the raw FamilyPlan payload out of the one .emmfam file in `dir`,
+/// stripping the disk-tier envelope (magic, version, schema fingerprint, key
+/// echo, collision digests, length prefix and trailing checksum).
+std::string familyPayload(const fs::path& dir) {
+  std::string file;
+  for (const fs::directory_entry& de : fs::directory_iterator(dir))
+    if (de.path().extension() == ".emmfam") {
+      EXPECT_TRUE(file.empty()) << "more than one .emmfam record";
+      std::ifstream f(de.path(), std::ios::binary);
+      std::ostringstream os;
+      os << f.rdbuf();
+      file = os.str();
+    }
+  if (file.size() <= 8) return {};
+  ByteReader header(std::string_view(file).substr(8));
+  header.u32v();                              // format version
+  for (int i = 0; i < 6; ++i) header.u64v();  // schema, key echo, digests
+  const u64 len = header.u64v();
+  if (len + 8 > header.remaining()) return {};
+  return file.substr(8 + header.position(), len);
+}
+
+/// Every golden payload, by name, in file order.
+std::vector<std::pair<std::string, std::string>> goldenPayloads() {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const char* kernel : {"me", "jacobi", "jacobi2d", "matmul"}) {
+    CompileResult r = compileBuiltin(kernel, {}, nullptr);
+    EXPECT_TRUE(r.ok) << kernel << ": " << r.firstError();
+    out.emplace_back(kernel, resultBytes(std::move(r)));
+  }
+
+  // Bound results: the cold compile at the default size publishes the
+  // family record; the second size is served by the binder.
+  const std::vector<std::pair<std::string, std::vector<i64>>> bound = {
+      {"me", {272, 128, 16}}, {"matmul", {160, 132, 144}}};
+  for (const auto& [kernel, sizes] : bound) {
+    PlanCache cache;
+    EXPECT_TRUE(compileBuiltin(kernel, {}, &cache).ok);
+    CompileResult r = compileBuiltin(kernel, sizes, &cache);
+    EXPECT_TRUE(r.ok && r.artifactBound) << kernel << " was not served by the binder";
+    out.emplace_back(kernel + "_bound", resultBytes(std::move(r)));
+  }
+
+  // The .emmfam payload of ME, with its record's timings zeroed.
+  const fs::path dir =
+      fs::temp_directory_path() / ("emm_golden_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  {
+    IntVec params;
+    Compiler c(buildKernelByName("me", {}, params));
+    c.options(builtinOptions("me", params)).diskCache(dir.string());
+    EXPECT_TRUE(c.compile().ok);
+  }
+  const std::string payload = familyPayload(dir);
+  fs::remove_all(dir);
+  EXPECT_FALSE(payload.empty());
+  if (!payload.empty()) {
+    FamilyPlan plan = *deserializeFamilyPlan(payload);
+    if (plan.record != nullptr) {
+      CompileResult record = plan.record->clone();
+      zeroTimings(record);
+      plan.record = std::make_shared<const CompileResult>(std::move(record));
+    }
+    out.emplace_back("me_family", serializeFamilyPlan(plan));
+  }
+  return out;
+}
+
+std::string goldenLine(const std::string& name, const std::string& bytes) {
+  char digest[17];
+  std::snprintf(digest, sizeof digest, "%016llx",
+                static_cast<unsigned long long>(digestBytes(bytes)));
+  return name + " " + std::to_string(bytes.size()) + " " + digest;
+}
+
+TEST(GoldenPlanBytes, SerializedResultsMatchTheRecordedDigests) {
+  const auto payloads = goldenPayloads();
+  ASSERT_EQ(payloads.size(), 7u);
+
+  if (std::getenv("EMM_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream f(kGoldenFile);
+    f << "# name byte-length digestBytes (see tests/golden_bytes_test.cpp)\n";
+    for (const auto& [name, bytes] : payloads) f << goldenLine(name, bytes) << "\n";
+    GTEST_SKIP() << "rewrote " << kGoldenFile;
+  }
+
+  std::ifstream f(kGoldenFile);
+  ASSERT_TRUE(f.good()) << "missing " << kGoldenFile;
+  std::map<std::string, std::string> recorded;
+  for (std::string line; std::getline(f, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    recorded[line.substr(0, line.find(' '))] = line;
+  }
+  EXPECT_EQ(recorded.size(), payloads.size());
+  for (const auto& [name, bytes] : payloads) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(recorded.count(name)) << "no golden entry";
+    EXPECT_EQ(goldenLine(name, bytes), recorded[name]);
+  }
+}
+
+}  // namespace
+}  // namespace emm
