@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "support/diagnostics.h"
+#include "support/serialize.h"
 
 namespace emm {
 
@@ -40,6 +41,14 @@ size_t resolveShardCount(size_t requested, size_t capacity) {
   n = nextPow2(std::min<size_t>(n, 256));
   while (n > capacity) n >>= 1;
   return std::max<size_t>(1, n);
+}
+
+/// Settles the derived answers of a plan about to become a result-tier
+/// snapshot, so every hit's clone inherits them (see settleDerivedAnswers).
+/// A binder result is a clone of an already-settled family record that the
+/// bind touched no polyhedron of, so it is skipped.
+void settleForSnapshot(const CompileResult& result) {
+  if (!result.artifactBound) settleDerivedAnswers(result);
 }
 
 }  // namespace
@@ -136,6 +145,7 @@ void PlanCache::touchFamilyLockFree(Shard& shard, const FamilyKey& key) {
 }
 
 void PlanCache::insert(const PlanKey& key, const CompileResult& result) {
+  settleForSnapshot(result);
   auto snapshot = std::make_shared<const CompileResult>(result.clone());
   Shard& shard = shardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
@@ -225,7 +235,11 @@ CompileResult PlanCache::getOrCompute(const PlanKey& key,
     throw;
   }
   std::shared_ptr<const CompileResult> snapshot;
-  if (result.ok) snapshot = std::make_shared<const CompileResult>(result.clone());
+  if (result.ok) {
+    // Settled before the clone, so the caller's copy carries the answers too.
+    settleForSnapshot(result);
+    snapshot = std::make_shared<const CompileResult>(result.clone());
+  }
   finishFlight(shard, key, flight, std::move(snapshot));
   return result;
 }

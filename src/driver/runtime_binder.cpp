@@ -4,6 +4,7 @@
 
 #include "driver/family_plan.h"
 #include "support/diagnostics.h"
+#include "support/serialize.h"
 
 namespace emm {
 
@@ -31,6 +32,9 @@ void attachFamilyRecord(FamilyPlan& family, const CompileResult& result,
   if (result.artifact.empty() || result.unit() == nullptr) return;
   family.recordOptions = options;
   family.record = std::make_shared<CompileResult>(result.clone());
+  // Every bind clones the record and the daemon encodes each clone; settle
+  // the derived answers once so no clone re-derives them.
+  settleDerivedAnswers(*family.record);
   family.haveRecord = true;
 }
 

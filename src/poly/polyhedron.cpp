@@ -38,11 +38,13 @@ i64 DimBounds::evalUpper(const IntVec& vals) const {
 void Polyhedron::addEquality(const IntVec& row) {
   EMM_CHECK(static_cast<int>(row.size()) == cols(), "constraint width mismatch");
   eqs_.appendRow(row);
+  forgetEmptiness();
 }
 
 void Polyhedron::addInequality(const IntVec& row) {
   EMM_CHECK(static_cast<int>(row.size()) == cols(), "constraint width mismatch");
   ineqs_.appendRow(row);
+  forgetEmptiness();
 }
 
 void Polyhedron::addRange(int var, i64 lo, i64 hi) {
@@ -82,7 +84,8 @@ bool isZeroButConst(const IntVec& row) {
 }  // namespace
 
 bool Polyhedron::simplify() {
-  if (markedEmpty_) return false;
+  forgetEmptiness();
+  if (markedEmpty_) return markEmpty();
   // Equalities: gcd-normalize; an equality a.x + c == 0 with gcd(a) not
   // dividing c has no integer solution.
   IntMat newEqs(0, cols());
@@ -90,18 +93,12 @@ bool Polyhedron::simplify() {
   for (int r = 0; r < eqs_.rows(); ++r) {
     IntVec row = eqs_.row(r);
     if (isZeroButConst(row)) {
-      if (row.back() != 0) {
-        markedEmpty_ = true;
-        return false;
-      }
+      if (row.back() != 0) return markEmpty();
       continue;
     }
     i64 g = 0;
     for (size_t i = 0; i + 1 < row.size(); ++i) g = gcd64(g, row[i]);
-    if (g > 0 && row.back() % g != 0) {
-      markedEmpty_ = true;  // integer-infeasible equality
-      return false;
-    }
+    if (g > 0 && row.back() % g != 0) return markEmpty();  // integer-infeasible equality
     if (g > 1)
       for (i64& x : row) x /= g;
     // Canonical sign: first nonzero coefficient positive.
@@ -117,16 +114,12 @@ bool Polyhedron::simplify() {
 
   // Inequalities: gcd-tighten (a.x + c >= 0 -> a/g.x + floor(c/g) >= 0),
   // drop tautologies, detect contradictions, dedupe keeping the tightest.
-  std::set<IntVec> keptCoeffs;
   IntMat newIneqs(0, cols());
   std::vector<IntVec> rows;
   for (int r = 0; r < ineqs_.rows(); ++r) {
     IntVec row = ineqs_.row(r);
     if (isZeroButConst(row)) {
-      if (row.back() < 0) {
-        markedEmpty_ = true;
-        return false;
-      }
+      if (row.back() < 0) return markEmpty();
       continue;
     }
     i64 g = 0;
@@ -153,12 +146,17 @@ bool Polyhedron::simplify() {
 bool Polyhedron::contains(const IntVec& point) const {
   EMM_CHECK(static_cast<int>(point.size()) == dim_ + nparam_, "point arity mismatch");
   if (markedEmpty_) return false;
-  IntVec hom = point;
-  hom.push_back(1);
+  // row . [point, 1], exactly as dot() computes it, without copying rows.
+  const int n = dim_ + nparam_;
+  auto value = [&](const IntMat& m, int r) {
+    i128 acc = m.at(r, n);
+    for (int j = 0; j < n; ++j) acc += static_cast<i128>(m.at(r, j)) * point[j];
+    return narrow(acc);
+  };
   for (int r = 0; r < eqs_.rows(); ++r)
-    if (dot(eqs_.row(r), hom) != 0) return false;
+    if (value(eqs_, r) != 0) return false;
   for (int r = 0; r < ineqs_.rows(); ++r)
-    if (dot(ineqs_.row(r), hom) < 0) return false;
+    if (value(ineqs_, r) < 0) return false;
   return true;
 }
 
@@ -186,7 +184,7 @@ Polyhedron Polyhedron::eliminated(int var) const {
   if (!work.simplify()) {
     // Empty set: the projection is the empty set in the smaller space.
     Polyhedron out(dim_ - 1, nparam_);
-    out.markedEmpty_ = true;
+    out.markEmpty();
     return out;
   }
 
@@ -354,17 +352,23 @@ Polyhedron Polyhedron::preimage(const IntMat& f, int newDim) const {
 }
 
 bool Polyhedron::isEmpty() const {
-  Polyhedron work = *this;
-  if (!work.simplify()) return true;
-  // Eliminate every variable and parameter; what remains are constant rows
-  // whose satisfiability simplify() decides.
-  // Treat parameters as variables for the feasibility check.
-  Polyhedron all = work.paramsAsVars();
-  while (all.dim() > 0) {
-    all = all.eliminated(all.dim() - 1);
-    if (all.markedEmpty_) return true;
-  }
-  return !all.simplify();
+  const std::int8_t known = emptiness_.load(std::memory_order_relaxed);
+  if (known != kUnknown) return known == kEmpty;
+  const bool empty = [&] {
+    Polyhedron work = *this;
+    if (!work.simplify()) return true;
+    // Eliminate every variable and parameter; what remains are constant
+    // rows whose satisfiability simplify() decides.
+    // Treat parameters as variables for the feasibility check.
+    Polyhedron all = work.paramsAsVars();
+    while (all.dim() > 0) {
+      all = all.eliminated(all.dim() - 1);
+      if (all.markedEmpty_) return true;
+    }
+    return !all.simplify();
+  }();
+  emptiness_.store(empty ? kEmpty : kNonEmpty, std::memory_order_relaxed);
+  return empty;
 }
 
 Polyhedron Polyhedron::paramsAsVars() const {

@@ -11,6 +11,8 @@
 // Equalities mean row . v == 0, inequalities mean row . v >= 0.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -53,6 +55,35 @@ public:
     EMM_CHECK(dim >= 0 && nparam >= 0, "negative polyhedron shape");
   }
 
+  /// Copies and moves carry the stored isEmpty() answer.
+  Polyhedron(const Polyhedron& o)
+      : markedEmpty_(o.markedEmpty_),
+        dim_(o.dim_),
+        nparam_(o.nparam_),
+        eqs_(o.eqs_),
+        ineqs_(o.ineqs_),
+        emptiness_(o.emptiness_.load(std::memory_order_relaxed)) {}
+  Polyhedron(Polyhedron&& o) noexcept
+      : markedEmpty_(o.markedEmpty_),
+        dim_(o.dim_),
+        nparam_(o.nparam_),
+        eqs_(std::move(o.eqs_)),
+        ineqs_(std::move(o.ineqs_)),
+        emptiness_(o.emptiness_.load(std::memory_order_relaxed)) {}
+  Polyhedron& operator=(const Polyhedron& o) {
+    if (this != &o) *this = Polyhedron(o);
+    return *this;
+  }
+  Polyhedron& operator=(Polyhedron&& o) noexcept {
+    markedEmpty_ = o.markedEmpty_;
+    dim_ = o.dim_;
+    nparam_ = o.nparam_;
+    eqs_ = std::move(o.eqs_);
+    ineqs_ = std::move(o.ineqs_);
+    emptiness_.store(o.emptiness_.load(std::memory_order_relaxed), std::memory_order_relaxed);
+    return *this;
+  }
+
   /// The universe polyhedron (no constraints).
   static Polyhedron universe(int dim, int nparam) { return Polyhedron(dim, nparam); }
 
@@ -87,7 +118,18 @@ public:
   /// regime; a rational-feasible, integer-empty set would only weaken
   /// (never break) downstream decisions, since callers use emptiness to
   /// prune overlap/dependence candidates.
+  ///
+  /// The answer is computed once and stored; every member that changes the
+  /// constraints forgets it. Concurrent calls on one shared const
+  /// polyhedron are safe (they at worst compute the same answer twice).
   bool isEmpty() const;
+  /// The stored isEmpty() answer, without computing one: nullopt until
+  /// isEmpty() (or simplify() finding a contradiction) has decided it.
+  std::optional<bool> storedEmptiness() const {
+    const std::int8_t known = emptiness_.load(std::memory_order_relaxed);
+    if (known == kUnknown) return std::nullopt;
+    return known == kEmpty;
+  }
 
   /// True if this polyhedron contains the point (vars, params are given as
   /// one concatenated vector of length dim + nparam).
@@ -135,13 +177,27 @@ public:
   std::string str() const;
 
 private:
+  /// States of the stored isEmpty() answer.
+  enum : std::int8_t { kUnknown = 0, kEmpty = 1, kNonEmpty = 2 };
+
+  void forgetEmptiness() { emptiness_.store(kUnknown, std::memory_order_relaxed); }
+  /// Marks the set empty (and stores that answer); returns false, the
+  /// value simplify() reports for an empty set.
+  bool markEmpty() {
+    markedEmpty_ = true;
+    emptiness_.store(kEmpty, std::memory_order_relaxed);
+    return false;
+  }
+
   bool markedEmpty_ = false;
   int dim_ = 0;
   int nparam_ = 0;
   IntMat eqs_;
   IntMat ineqs_;
-
-  friend class PolyBuilder;
+  /// isEmpty()'s answer once computed. A fact about the constraints alone,
+  /// so relaxed ordering suffices: a reader sees either kUnknown (and
+  /// recomputes) or the one answer every thread computes.
+  mutable std::atomic<std::int8_t> emptiness_{kUnknown};
 };
 
 /// Drops the leading `count` coefficient slots of a bound form. Used to

@@ -276,7 +276,8 @@ void writePoly(ByteWriter& w, const Polyhedron& p) {
   writeIntMat(w, p.equalities());
   writeIntMat(w, p.inequalities());
   // simplify() may have dropped the witness constraint after marking the
-  // set empty, so emptiness is carried explicitly.
+  // set empty, so emptiness is carried explicitly. isEmpty() answers from
+  // the polyhedron's stored answer once settleDerivedAnswers has run.
   w.boolean(p.isEmpty());
 }
 
@@ -293,6 +294,10 @@ Polyhedron readPoly(ByteReader& r) {
   Polyhedron p(dim, nparam);
   for (int i = 0; i < eqs.rows(); ++i) p.addEquality(eqs.row(i));
   for (int i = 0; i < ineqs.rows(); ++i) p.addInequality(ineqs.row(i));
+  // The byte is a claim, not an answer: the stored emptiness answer is
+  // always derived from the constraints read, so hostile bytes cannot plant
+  // a wrong one. A claimed-empty set that is not empty by the constraints
+  // is made empty explicitly.
   if (empty && !p.isEmpty()) {
     // Original was marked empty by an integer-infeasibility test the
     // rational relaxation cannot reproduce; reinstate with 0 >= 1.
@@ -1474,6 +1479,11 @@ std::string serializeCompileResult(const CompileResult& result) {
   return w.take();
 }
 
+void settleDerivedAnswers(const CompileResult& result) {
+  ByteWriter w;
+  writeCompileResultInto(w, result);
+}
+
 CompileResult deserializeCompileResult(std::string_view bytes) {
   ByteReader r(bytes);
   try {
@@ -1785,6 +1795,7 @@ ParametricTilePlan deserializeParametricPlanBody(ByteReader& r) {
     throw SerializeError("parametric plan binding arity mismatch");
   if (static_cast<int>(plan.analysis_.loopBounds.size()) != plan.depth_)
     throw SerializeError("parametric plan loop-bound arity mismatch");
+  plan.buildFootprintFormulas();  // derived from the validated boxes
   return plan;
 }
 
@@ -1843,6 +1854,8 @@ std::shared_ptr<const FamilyPlan> deserializeFamilyPlan(std::string_view bytes) 
       plan->recordOptions = readCompileOptionsFrom(r);
       plan->record = std::make_shared<const CompileResult>(readCompileResultFrom(r));
       plan->haveRecord = true;
+      // Every bind clones the record; settle its answers once, here.
+      settleDerivedAnswers(*plan->record);
     }
     r.expectEnd();
   } catch (const ApiError& e) {

@@ -136,6 +136,13 @@ std::string serializeCompileResult(const CompileResult& result);
 /// back-pointers. Throws SerializeError on any malformation.
 CompileResult deserializeCompileResult(std::string_view bytes);
 
+/// Computes and stores every derived answer the encoder consults — each
+/// polyhedron's emptiness (Polyhedron::isEmpty) — by running the
+/// serializeCompileResult walk once and dropping the bytes. Clones taken
+/// afterwards inherit the answers, so encoding them does no polyhedral
+/// work. The cache tiers call this on a plan before publishing it.
+void settleDerivedAnswers(const CompileResult& result);
+
 /// Canonical byte encodings used for the collision-guard digests in the
 /// .emmplan header: the 64-bit cache key has no collision resistance, so the
 /// disk cache stores digests of these encodings and re-derives them at

@@ -210,6 +210,7 @@ ParametricTilePlan::ParametricTilePlan(const ProgramBlock& block, const Parallel
       af.comps[keyed[g].second.first].globalIdx[keyed[g].second.second] = static_cast<int>(g);
     }
   }
+  buildFootprintFormulas();
 }
 
 void ParametricTilePlan::rebuildSymbols() {
@@ -302,57 +303,96 @@ bool ParametricTilePlan::pairOverlaps(const PairPredicate& p, const IntVec& full
 
 namespace {
 
-/// Union-find over `n` members; mirrors poly/overlapComponents: components
-/// are reported ordered by lowest member, members ascending.
+/// Union-find over `n` members in storage reused across calls; mirrors
+/// poly/overlapComponents: groups are reported ordered by lowest member,
+/// members ascending.
 struct Grouper {
   std::vector<int> parent;
-  explicit Grouper(int n) : parent(n) { std::iota(parent.begin(), parent.end(), 0); }
+  std::vector<int> label;    ///< per member (and per root): its group
+  std::vector<int> start;    ///< group g is members[start[g], start[g + 1])
+  std::vector<int> members;
+  std::vector<int> cursor;
+
+  void reset(int n) {
+    parent.resize(n);
+    std::iota(parent.begin(), parent.end(), 0);
+  }
   int find(int x) {
     while (parent[x] != x) x = parent[x] = parent[parent[x]];
     return x;
   }
   void unite(int a, int b) { parent[find(a)] = find(b); }
-  std::vector<std::vector<int>> groups() {
+  /// Forms the groups into start/members; returns how many there are.
+  int group() {
     const int n = static_cast<int>(parent.size());
-    std::vector<std::vector<int>> out;
-    std::vector<int> groupOf(n, -1);
+    label.assign(n, -1);
+    int count = 0;
     for (int i = 0; i < n; ++i) {
-      int root = find(i);
-      if (groupOf[root] < 0) {
-        groupOf[root] = static_cast<int>(out.size());
-        out.emplace_back();
-      }
-      out[groupOf[root]].push_back(i);
+      const int root = find(i);
+      if (label[root] < 0) label[root] = count++;
+      label[i] = label[root];
     }
-    return out;
+    start.assign(count + 1, 0);
+    for (int i = 0; i < n; ++i) ++start[label[i] + 1];
+    for (int g = 0; g < count; ++g) start[g + 1] += start[g];
+    cursor.assign(start.begin(), start.end() - 1);
+    members.resize(n);
+    for (int i = 0; i < n; ++i) members[cursor[label[i]]++] = i;
+    return count;
   }
 };
 
 }  // namespace
 
+/// One partition live at the evaluated tile sizes.
+struct ParametricTilePlan::LiveGroup {
+  const ArrayFormula* array = nullptr;
+  const ComponentFormula* comp = nullptr;
+  int partition = 0;     ///< naming index, as the concrete partitioner assigns
+  size_t begin = 0;      ///< members: local ref indices within comp, in
+  size_t end = 0;        ///< Scratch::members[begin, end)
+  int hoistLevel = 0;
+};
+
+struct ParametricTilePlan::Scratch::Buffers {
+  IntVec full;         ///< [sizes, origins, tiles]
+  Grouper refs;        ///< partition refinement of one array
+  Grouper sides;       ///< volume grouping of one group's reads or writes
+  std::vector<LiveGroup> groups;
+  std::vector<int> members;
+  std::vector<int> side;
+  std::vector<i64> lens;
+};
+
+ParametricTilePlan::Scratch::Scratch() : buffers(std::make_unique<Buffers>()) {}
+ParametricTilePlan::Scratch::~Scratch() = default;
+
 TileEvaluation ParametricTilePlan::evaluate(const SizeBinding& binding,
                                             const std::vector<i64>& subTile) const {
+  Scratch scratch;
+  return evaluate(binding, subTile, scratch, /*withNames=*/true);
+}
+
+TileEvaluation ParametricTilePlan::evaluate(const SizeBinding& binding,
+                                            const std::vector<i64>& subTile, Scratch& scratch,
+                                            bool withNames) const {
   EMM_REQUIRE(static_cast<int>(subTile.size()) == depth_, "subTile arity mismatch");
   EMM_REQUIRE(static_cast<int>(binding.ext.size()) == np_ + depth_,
               "size binding arity mismatch");
+  Scratch::Buffers& s = *scratch.buffers;
   TileEvaluation ev;
 
   // Full symbol binding [sizes, origins, tiles] for formula evaluation.
-  IntVec full = binding.ext;
+  IntVec& full = s.full;
+  full.assign(binding.ext.begin(), binding.ext.end());
   full.insert(full.end(), subTile.begin(), subTile.end());
 
   // ---- Recover the partition structure at these tile sizes. ----
   // Overlap grows with the tile, so the symbolic components are the
   // coarsest structure; evaluating the pairwise predicates refines them to
   // exactly what the concrete analysis would partition.
-  struct LiveGroup {
-    std::string name;
-    const ComponentFormula* comp = nullptr;
-    std::vector<int> members;  ///< local ref indices within comp
-    int hoistLevel = 0;
-    i64 footprint = 0;
-  };
-  std::vector<LiveGroup> groups;
+  s.groups.clear();
+  s.members.clear();
   int partitionCounter = 0;
   i64 footprint = 0;
   for (const ArrayFormula& af : arrays_) {
@@ -360,7 +400,8 @@ TileEvaluation ParametricTilePlan::evaluate(const SizeBinding& binding,
     // connect refs of one symbolic component): groups then come out in the
     // lowest-discovery-index order the concrete partitioner uses, even
     // when symbolic components interleave by reference index.
-    Grouper grouper(af.numRefs);
+    Grouper& grouper = s.refs;
+    grouper.reset(af.numRefs);
     for (const ComponentFormula& comp : af.comps) {
       const int n = static_cast<int>(comp.refs.size());
       for (int i = 0; i < n; ++i)
@@ -368,18 +409,26 @@ TileEvaluation ParametricTilePlan::evaluate(const SizeBinding& binding,
           if (pairOverlaps(comp.pairs[static_cast<size_t>(i) * n + j], full))
             grouper.unite(comp.globalIdx[i], comp.globalIdx[j]);
     }
-    for (const std::vector<int>& globalMembers : grouper.groups()) {
+    const int ngroups = grouper.group();
+    for (int gi = 0; gi < ngroups; ++gi) {
       LiveGroup g;
-      const ComponentFormula& comp = af.comps[af.refLoc[globalMembers[0]].first];
+      g.array = &af;
+      const ComponentFormula& comp =
+          af.comps[af.refLoc[grouper.members[grouper.start[gi]]].first];
       g.comp = &comp;
-      for (int m : globalMembers) g.members.push_back(af.refLoc[m].second);
+      g.begin = s.members.size();
+      for (int k = grouper.start[gi]; k < grouper.start[gi + 1]; ++k)
+        s.members.push_back(af.refLoc[grouper.members[k]].second);
+      g.end = s.members.size();
+      const auto membersBegin = s.members.begin() + static_cast<std::ptrdiff_t>(g.begin);
+      const auto membersEnd = s.members.end();
 
       // Algorithm-1 benefit verdict, mirroring analyzeBlock: order-of-
       // magnitude reuse passes outright; otherwise the capped constant-
       // reuse fraction must clear the threshold. Box point counts are
       // exact here (construction rejected non-box spaces) and capped per
       // space exactly like countPoints.
-      bool beneficial = std::any_of(g.members.begin(), g.members.end(),
+      bool beneficial = std::any_of(membersBegin, membersEnd,
                                     [&](int m) { return comp.refs[m].orderReuse; });
       if (!beneficial) {
         // min(true count, cap), exactly like countPoints. An empty
@@ -395,29 +444,30 @@ TileEvaluation ParametricTilePlan::evaluate(const SizeBinding& binding,
           return narrow(n);
         };
         auto boxCount = [&](const Box& box) -> i64 {
-          std::vector<i64> lens;
+          s.lens.clear();
           for (const auto& [lo, hi] : box)
-            lens.push_back(addChecked(subChecked(hi->eval(full), lo->eval(full)), 1));
-          return cappedProduct(lens);
+            s.lens.push_back(addChecked(subChecked(hi->eval(full), lo->eval(full)), 1));
+          return cappedProduct(s.lens);
         };
         auto interCount = [&](const Box& a, const Box& b) -> i64 {
-          std::vector<i64> lens;
+          s.lens.clear();
           for (size_t d = 0; d < a.size(); ++d) {
             i64 lo = std::max(a[d].first->eval(full), b[d].first->eval(full));
             i64 hi = std::min(a[d].second->eval(full), b[d].second->eval(full));
-            lens.push_back(addChecked(subChecked(hi, lo), 1));
+            s.lens.push_back(addChecked(subChecked(hi, lo), 1));
           }
-          return cappedProduct(lens);
+          return cappedProduct(s.lens);
         };
         i64 total = 0;
-        for (int m : g.members) total = addChecked(total, boxCount(comp.refs[m].rawBox));
+        for (auto m = membersBegin; m != membersEnd; ++m)
+          total = addChecked(total, boxCount(comp.refs[*m].rawBox));
         double frac = 0.0;
         if (total != 0) {
           i64 overlap = 0;
-          for (size_t i = 0; i < g.members.size(); ++i)
-            for (size_t j = i + 1; j < g.members.size(); ++j)
-              overlap = addChecked(overlap, interCount(comp.refs[g.members[i]].rawBox,
-                                                       comp.refs[g.members[j]].rawBox));
+          for (auto i = membersBegin; i != membersEnd; ++i)
+            for (auto j = i + 1; j != membersEnd; ++j)
+              overlap = addChecked(overlap, interCount(comp.refs[*i].rawBox,
+                                                       comp.refs[*j].rawBox));
           frac = static_cast<double>(overlap) / static_cast<double>(total);
         }
         beneficial = frac > benefitDelta_;
@@ -426,31 +476,31 @@ TileEvaluation ParametricTilePlan::evaluate(const SizeBinding& binding,
         // Not allocated: no buffer, no cost term — but the concrete
         // partitioner still consumes a naming index for it.
         ++partitionCounter;
+        s.members.resize(g.begin);
         continue;
       }
 
-      g.name = "L" + af.arrayName + std::to_string(partitionCounter++);
+      g.partition = partitionCounter++;
       g.hoistLevel = depth_;
       if (hoist_) {
         g.hoistLevel = 0;
         for (int l = 0; l < depth_; ++l)
-          for (int m : g.members)
-            if (comp.refs[m].usesOrigin[l]) g.hoistLevel = l + 1;
+          for (auto m = membersBegin; m != membersEnd; ++m)
+            if (comp.refs[*m].usesOrigin[l]) g.hoistLevel = l + 1;
       }
       // Buffer footprint: per-dimension bounding box of the group under
       // the analysis context (the optimum the geometry planner derives).
       i64 fp = 1;
-      for (int d = 0; d < static_cast<int>(comp.refs[g.members[0]].ctxBox.size()); ++d) {
+      for (int d = 0; d < static_cast<int>(comp.refs[*membersBegin].ctxBox.size()); ++d) {
         i64 lo = INT64_MAX, hi = INT64_MIN;
-        for (int m : g.members) {
-          lo = std::min(lo, comp.refs[m].ctxBox[d].first->eval(full));
-          hi = std::max(hi, comp.refs[m].ctxBox[d].second->eval(full));
+        for (auto m = membersBegin; m != membersEnd; ++m) {
+          lo = std::min(lo, comp.refs[*m].ctxBox[d].first->eval(full));
+          hi = std::max(hi, comp.refs[*m].ctxBox[d].second->eval(full));
         }
         fp = mulChecked(fp, std::max<i64>(0, addChecked(subChecked(hi, lo), 1)));
       }
-      g.footprint = fp;
       footprint = addChecked(footprint, fp);
-      groups.push_back(std::move(g));
+      s.groups.push_back(g);
     }
   }
 
@@ -466,11 +516,14 @@ TileEvaluation ParametricTilePlan::evaluate(const SizeBinding& binding,
   auto volumeOf = [&](const LiveGroup& g, bool writes) {
     // Section-3.1.3: group the (read resp. write) spaces into maximal
     // non-overlapping subsets, sum their bounding-box sizes.
-    std::vector<int> side;
-    for (int m : g.members)
-      if (g.comp->refs[m].isWrite == writes) side.push_back(m);
-    const int n = static_cast<int>(g.comp->refs.size());
-    Grouper grouper(static_cast<int>(side.size()));
+    const std::vector<RefFormula>& refs = g.comp->refs;
+    s.side.clear();
+    for (size_t k = g.begin; k < g.end; ++k)
+      if (refs[s.members[k]].isWrite == writes) s.side.push_back(s.members[k]);
+    const std::vector<int>& side = s.side;
+    const int n = static_cast<int>(refs.size());
+    Grouper& grouper = s.sides;
+    grouper.reset(static_cast<int>(side.size()));
     for (size_t i = 0; i < side.size(); ++i)
       for (size_t j = i + 1; j < side.size(); ++j) {
         int a = std::min(side[i], side[j]), b = std::max(side[i], side[j]);
@@ -478,13 +531,16 @@ TileEvaluation ParametricTilePlan::evaluate(const SizeBinding& binding,
           grouper.unite(static_cast<int>(i), static_cast<int>(j));
       }
     i64 total = 0;
-    for (const std::vector<int>& sub : grouper.groups()) {
+    const int nsub = grouper.group();
+    for (int gi = 0; gi < nsub; ++gi) {
+      const int* sub = grouper.members.data() + grouper.start[gi];
+      const int* subEnd = grouper.members.data() + grouper.start[gi + 1];
       i64 vol = 1;
-      const Box& first = g.comp->refs[side[sub[0]]].rawBox;
+      const Box& first = refs[side[*sub]].rawBox;
       for (int d = 0; d < static_cast<int>(first.size()); ++d) {
         i64 lo = INT64_MAX, hi = INT64_MIN;
-        for (int m : sub) {
-          const Box& box = g.comp->refs[side[m]].rawBox;
+        for (const int* m = sub; m != subEnd; ++m) {
+          const Box& box = refs[side[*m]].rawBox;
           lo = std::min(lo, box[d].first->eval(full));
           hi = std::max(hi, box[d].second->eval(full));
         }
@@ -501,7 +557,8 @@ TileEvaluation ParametricTilePlan::evaluate(const SizeBinding& binding,
 
   double P = static_cast<double>(options_.innerProcs);
   double cost = 0;
-  for (const LiveGroup& g : groups) {
+  ev.terms.reserve(s.groups.size());
+  for (const LiveGroup& g : s.groups) {
     i64 occ = 1;
     for (int l = 0; l < g.hoistLevel; ++l)
       occ = mulChecked(occ, ceilDiv(binding.loopRange[l], subTile[l]));
@@ -510,7 +567,9 @@ TileEvaluation ParametricTilePlan::evaluate(const SizeBinding& binding,
     double termIn = bufferCostTerm(occ, vin, P, options_.syncCost, options_.transferCost);
     double termOut = bufferCostTerm(occ, vout, P, options_.syncCost, options_.transferCost);
     cost += termIn + termOut;
-    ev.terms.push_back({g.name, occ, vin, vout, g.hoistLevel});
+    std::string name;
+    if (withNames) name = "L" + g.array->arrayName + std::to_string(g.partition);
+    ev.terms.push_back({std::move(name), occ, vin, vout, g.hoistLevel});
   }
   ev.feasible = true;
   ev.cost = cost;
@@ -562,11 +621,23 @@ SymInterval ParametricTilePlan::footprintInterval(const SizeBinding& binding,
   env.reserve(binding.ext.size() + tileBox.size());
   for (i64 v : binding.ext) env.push_back({v, v});
   env.insert(env.end(), tileBox.begin(), tileBox.end());
-  // Enclosure of the symbolic (coarsest-structure) footprint: per
-  // component, the interval of the per-dimension bounding-box product.
+  // Enclosure of the symbolic (coarsest-structure) footprint: the sum of
+  // the component footprint intervals.
   SymInterval total{0, 0};
   for (const ArrayFormula& af : arrays_) {
     for (const ComponentFormula& comp : af.comps) {
+      SymInterval fi = comp.footprint->evalInterval(env);
+      total.lo = addChecked(total.lo, fi.lo);
+      total.hi = addChecked(total.hi, fi.hi);
+    }
+  }
+  return total;
+}
+
+void ParametricTilePlan::buildFootprintFormulas() {
+  // Per component, the per-dimension bounding-box product over its refs.
+  for (ArrayFormula& af : arrays_) {
+    for (ComponentFormula& comp : af.comps) {
       SymPtr fp = SymExpr::constant(1);
       for (int d = 0; d < static_cast<int>(comp.refs[0].ctxBox.size()); ++d) {
         SymPtr lo = comp.refs[0].ctxBox[d].first;
@@ -579,12 +650,9 @@ SymInterval ParametricTilePlan::footprintInterval(const SizeBinding& binding,
                                      SymExpr::constant(1));
         fp = SymExpr::mul(std::move(fp), SymExpr::max(SymExpr::constant(0), std::move(extent)));
       }
-      SymInterval fi = fp->evalInterval(env);
-      total.lo = addChecked(total.lo, fi.lo);
-      total.hi = addChecked(total.hi, fi.hi);
+      comp.footprint = std::move(fp);
     }
   }
-  return total;
 }
 
 bool ParametricTilePlan::coarsestStructureAt(const SizeBinding& binding,

@@ -90,11 +90,26 @@ public:
   /// The binding of the problem size the plan was constructed at.
   const SizeBinding& defaultBinding() const { return defaultBinding_; }
 
+  /// Working storage for evaluate(), reused across calls so that a search
+  /// allocates only the evaluations it keeps. One per thread: a plan is
+  /// shared, its scratch is not.
+  struct Scratch {
+    Scratch();
+    ~Scratch();
+    struct Buffers;  ///< defined and used by evaluate() alone
+    std::unique_ptr<Buffers> buffers;
+  };
+
   /// Pure expression evaluation of one candidate at one size binding. The
   /// caller (TileEvaluator) has already applied the cheap range/volume
   /// constraints; this evaluates footprint feasibility and the Section-4.3
   /// objective.
   TileEvaluation evaluate(const SizeBinding& binding, const std::vector<i64>& subTile) const;
+  /// The same evaluation in caller-owned scratch. Buffer-term names are
+  /// filled in only when `withNames`: no solver decision reads them, so a
+  /// search names just the evaluation it returns.
+  TileEvaluation evaluate(const SizeBinding& binding, const std::vector<i64>& subTile,
+                          Scratch& scratch, bool withNames) const;
   /// Evaluation at the construction-time size binding.
   TileEvaluation evaluate(const std::vector<i64>& subTile) const {
     return evaluate(defaultBinding_, subTile);
@@ -165,6 +180,10 @@ private:
     int hoistLevel = 0;  ///< of the merged structure (validated vs analysis_)
     /// Per local ref: its per-array discovery index (see ArrayFormula).
     std::vector<int> globalIdx;
+    /// Derived from refs, not serialized: the component's footprint, the
+    /// product over dimensions of its bounding-box extent under the
+    /// analysis context (see buildFootprintFormulas).
+    SymPtr footprint;
   };
 
   struct ArrayFormula {
@@ -193,11 +212,16 @@ private:
     std::vector<std::vector<AffExpr>> upper;
   };
 
+  struct LiveGroup;  ///< a partition live at evaluated tile sizes
+
   ParametricTilePlan() = default;  ///< deserialization only
 
   /// Rebuilds the symbol table (one SymExpr parameter per size/origin/tile)
   /// from analysis_; used by the constructor and the deserializer.
   void rebuildSymbols();
+  /// Builds every component's footprint formula from its reference boxes;
+  /// used by the constructor and the deserializer.
+  void buildFootprintFormulas();
 
   SymPtr compileDiv(const DivExpr& e, bool ceil) const;
   Box compileBox(const Polyhedron& space) const;

@@ -1,7 +1,8 @@
 #include "tilesearch/tilesearch.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
+#include <deque>
 
 #include "tilesearch/tile_evaluator.h"
 
@@ -60,8 +61,8 @@ void solveDescent(const std::vector<std::vector<i64>>& cands, EvalFn&& evalTile,
                   TileSearchResult& result) {
   const int depth = static_cast<int>(cands.size());
 
+  std::vector<i64> tile(depth);
   auto evalPos = [&](const std::vector<size_t>& p) -> const TileEvaluation& {
-    std::vector<i64> tile(depth);
     for (int l = 0; l < depth; ++l) tile[l] = cands[l][p[l]];
     return evalTile(tile);
   };
@@ -69,8 +70,9 @@ void solveDescent(const std::vector<std::vector<i64>>& cands, EvalFn&& evalTile,
   // Coordinate descent over ladder positions from one seed. This plays the
   // role of the paper's relaxed continuous solve + rounding; multi-start
   // covers the non-convexity introduced by the constraint boundaries.
+  // Evaluations are held by pointer: evalTile's references outlive the solve.
   auto descend = [&](std::vector<size_t> pos) {
-    TileEvaluation cur = evalPos(pos);
+    const TileEvaluation* cur = &evalPos(pos);
     bool improved = true;
     int guard = 0;
     while (improved && guard++ < 64) {
@@ -80,19 +82,20 @@ void solveDescent(const std::vector<std::vector<i64>>& cands, EvalFn&& evalTile,
           while (true) {
             if (dir > 0 && pos[l] + 1 >= cands[l].size()) break;
             if (dir < 0 && pos[l] == 0) break;
-            std::vector<size_t> next = pos;
-            next[l] += dir;
-            const TileEvaluation& ev = evalPos(next);
-            bool better = ev.feasible && (!cur.feasible || ev.cost < cur.cost);
-            if (!better) break;
-            pos = std::move(next);
-            cur = ev;
+            pos[l] += dir;
+            const TileEvaluation& ev = evalPos(pos);
+            bool better = ev.feasible && (!cur->feasible || ev.cost < cur->cost);
+            if (!better) {
+              pos[l] -= dir;
+              break;
+            }
+            cur = &ev;
             improved = true;
           }
         }
       }
     }
-    return std::make_pair(pos, cur);
+    return std::make_pair(std::move(pos), cur);
   };
 
   // Seeds: midpoint, all-smallest, all-largest, and per-loop extremes.
@@ -114,18 +117,70 @@ void solveDescent(const std::vector<std::vector<i64>>& cands, EvalFn&& evalTile,
   }
 
   std::vector<size_t> bestPos;
+  const TileEvaluation* best = nullptr;
   for (const std::vector<size_t>& seed : seeds) {
     auto [pos, ev] = descend(seed);
-    if (ev.feasible && (!result.eval.feasible || ev.cost < result.eval.cost)) {
-      result.eval = ev;
-      bestPos = pos;
+    if (ev->feasible && (best == nullptr || ev->cost < best->cost)) {
+      best = ev;
+      bestPos = std::move(pos);
     }
   }
+  if (best != nullptr) result.eval = *best;
   if (result.eval.feasible) {
     result.subTile.resize(depth);
     for (int l = 0; l < depth; ++l) result.subTile[l] = cands[l][bestPos[l]];
   }
 }
+
+/// Value-keyed memo of tile evaluations in flat storage: keys packed
+/// back to back in one vector, open addressing over entry indices. Entries
+/// live in a deque, so the references handed to the solvers stay valid for
+/// the whole solve.
+class TileMemo {
+public:
+  explicit TileMemo(int depth) : depth_(static_cast<size_t>(depth)), slots_(64, -1) {}
+
+  const TileEvaluation* find(const std::vector<i64>& tile) const {
+    const int e = slots_[probe(tile.data())];
+    return e < 0 ? nullptr : &values_[static_cast<size_t>(e)];
+  }
+
+  /// Adds an entry for a tile find() just missed.
+  const TileEvaluation& insert(const std::vector<i64>& tile, TileEvaluation ev) {
+    if (2 * (values_.size() + 1) > slots_.size()) grow();
+    slots_[probe(tile.data())] = static_cast<int>(values_.size());
+    keys_.insert(keys_.end(), tile.begin(), tile.end());
+    values_.push_back(std::move(ev));
+    return values_.back();
+  }
+
+private:
+  static std::uint64_t hash(const i64* key, size_t n) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (size_t i = 0; i < n; ++i)
+      h = (h ^ static_cast<std::uint64_t>(key[i])) * 0x100000001b3ULL;
+    return h ^ (h >> 32);
+  }
+  /// The slot holding `key` (depth_ values), or the free slot it belongs in.
+  size_t probe(const i64* key) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t s = hash(key, depth_) & mask;; s = (s + 1) & mask) {
+      const int e = slots_[s];
+      if (e < 0 || std::equal(key, key + depth_, keys_.begin() + static_cast<size_t>(e) * depth_))
+        return s;
+    }
+  }
+  void grow() {
+    slots_.assign(slots_.size() * 2, -1);
+    for (size_t e = 0; e < values_.size(); ++e)
+      slots_[probe(keys_.data() + e * depth_)] = static_cast<int>(e);
+  }
+
+  size_t depth_;
+  std::vector<i64> keys_;
+  std::deque<TileEvaluation> values_;
+  std::vector<int> slots_;  ///< power-of-two table of entry indices, -1 = free
+};
 
 }  // namespace
 
@@ -228,15 +283,16 @@ TileSearchResult searchTileSizesWithPlan(const ParametricTilePlan& plan,
   }
 
   // Memoized plan-backed evaluation with the evaluator's cheap range and
-  // minimum-volume constraints in front.
-  std::map<std::vector<i64>, TileEvaluation> memo;
+  // minimum-volume constraints in front. Probes run unnamed in one scratch;
+  // only the returned evaluation gets its buffer names, below.
+  TileMemo memo(depth);
+  ParametricTilePlan::Scratch scratch;
   int evaluations = 0;
   int memoHits = 0;
   auto evalTile = [&](const std::vector<i64>& tile) -> const TileEvaluation& {
-    auto it = memo.find(tile);
-    if (it != memo.end()) {
+    if (const TileEvaluation* hit = memo.find(tile)) {
       ++memoHits;
-      return it->second;
+      return *hit;
     }
     ++evaluations;
     TileEvaluation ev;
@@ -249,8 +305,8 @@ TileSearchResult searchTileSizesWithPlan(const ParametricTilePlan& plan,
       if (tileVolume < options.innerProcs)
         ev.reason = "tile smaller than inner-level process count";
     }
-    if (ev.reason.empty()) ev = plan.evaluate(binding, tile);
-    return memo.emplace(tile, std::move(ev)).first->second;
+    if (ev.reason.empty()) ev = plan.evaluate(binding, tile, scratch, /*withNames=*/false);
+    return memo.insert(tile, std::move(ev));
   };
 
   TileSearchResult result;
@@ -259,6 +315,8 @@ TileSearchResult searchTileSizesWithPlan(const ParametricTilePlan& plan,
     solveExhaustive(cands, evalTile, result);
   else
     solveDescent(cands, evalTile, result);
+  if (result.eval.feasible)
+    result.eval = plan.evaluate(binding, result.subTile, scratch, /*withNames=*/true);
   result.evaluations = evaluations;
   result.memoHits = memoHits;
   result.parametric = true;

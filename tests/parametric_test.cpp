@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 
 #include "deps/dependence.h"
 #include "driver/compiler.h"
@@ -421,6 +422,50 @@ TEST(ParametricFallback, DisablingTheOptionPinsTheConcretePath) {
   evaluator.evaluate({8, 8, 8, 8});
   EXPECT_EQ(evaluator.parametricState(), TileEvaluator::ParametricState::Fallback);
   EXPECT_NE(evaluator.fallbackReason().find("disabled"), std::string::npos);
+}
+
+// ---- Plan-only search (the runtime binder's argmin re-check). ----
+
+TEST(PlanOnlySearch, MatchesTheEvaluatorBackedSearch) {
+  // Repeated ladder values exercise the value-keyed memo: a repeated tile
+  // is a memo hit, never a second evaluation.
+  ProgramBlock block = buildMeBlock(32, 32, 8);
+  std::vector<Dependence> deps = computeDependences(block);
+  ParallelismPlan plan = findParallelism(block, deps);
+  TileSearchOptions opts;
+  opts.paramValues = {32, 32, 8};
+  opts.memLimitElems = 2048;
+  opts.innerProcs = 4;
+  SmemOptions smem;
+  smem.sampleParams = opts.paramValues;
+  const int depth = TileEvaluator(block, plan, opts, smem).depth();
+  opts.candidates.assign(depth, {1, 2, 2, 4, 8, 8, 16});
+
+  for (bool exhaustive : {true, false}) {
+    SCOPED_TRACE(exhaustive ? "exhaustive" : "descent");
+    TileEvaluator evaluator(block, plan, opts, smem);
+    const TileSearchResult expected =
+        exhaustive ? exhaustiveTileSearch(evaluator) : searchTileSizes(evaluator);
+    ASSERT_TRUE(expected.parametric) << expected.parametricReason;
+    const ParametricTilePlan& symPlan = *evaluator.sharedPlan();
+    const TileSearchResult got = searchTileSizesWithPlan(
+        symPlan, symPlan.bindSizes(opts.paramValues), opts, exhaustive);
+
+    ASSERT_TRUE(got.eval.feasible);
+    EXPECT_EQ(got.subTile, expected.subTile);
+    expectSameEvaluation(got.eval, expected.eval, got.subTile);
+    EXPECT_EQ(got.prunedBoxes, expected.prunedBoxes);
+    // Same probes in the same order; the evaluator's validation probes may
+    // turn some of its misses into hits, so compare the totals.
+    EXPECT_EQ(got.evaluations + got.memoHits, expected.evaluations + expected.memoHits);
+    if (exhaustive) {
+      int distinct = 1;
+      for (const std::vector<i64>& ladder : evaluator.candidates())
+        distinct *= static_cast<int>(std::set<i64>(ladder.begin(), ladder.end()).size());
+      EXPECT_EQ(got.evaluations, distinct);
+      EXPECT_GT(got.memoHits, 0);
+    }
+  }
 }
 
 // ---- Full-pipeline equivalence (chosen tiles, geometry hints, artifacts). ----

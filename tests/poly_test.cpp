@@ -2,10 +2,15 @@
 // intersection/difference, emptiness, parametric bounds, enumeration.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <thread>
 
+#include "driver/compiler.h"
+#include "kernels/blocks.h"
 #include "poly/enumerate.h"
 #include "poly/polyhedron.h"
+#include "support/serialize.h"
 
 namespace emm {
 namespace {
@@ -36,6 +41,106 @@ TEST(Polyhedron, ContainsPoint) {
 TEST(Polyhedron, SimplifyDetectsContradiction) {
   Polyhedron p = box1(5, 3);  // empty
   EXPECT_TRUE(p.isEmpty());
+}
+
+// ---- The stored emptiness answer. ----
+
+TEST(PolyEmptiness, IsEmptyStoresItsAnswer) {
+  Polyhedron p = box1(0, 4);
+  EXPECT_EQ(p.storedEmptiness(), std::nullopt);
+  EXPECT_FALSE(p.isEmpty());
+  EXPECT_EQ(p.storedEmptiness(), std::optional<bool>(false));
+  Polyhedron q = box1(5, 3);
+  EXPECT_TRUE(q.isEmpty());
+  EXPECT_EQ(q.storedEmptiness(), std::optional<bool>(true));
+}
+
+TEST(PolyEmptiness, EveryMutatorForgetsTheAnswer) {
+  // Each mutator turns the non-empty 0 <= x <= 4 empty; a stale stored
+  // answer would still say non-empty.
+  const IntVec xAtLeast9 = {1, -9};  // x - 9 >= 0
+  const std::vector<std::pair<const char*, std::function<void(Polyhedron&)>>> mutators = {
+      {"addEquality", [](Polyhedron& p) { p.addEquality({1, -9}); }},
+      {"addInequality", [&](Polyhedron& p) { p.addInequality(xAtLeast9); }},
+      {"addRange", [](Polyhedron& p) { p.addRange(0, 9, 12); }},
+      {"addLowerBound", [](Polyhedron& p) { p.addLowerBound(0, {0, 9}); }},
+      {"addUpperBound", [](Polyhedron& p) { p.addUpperBound(0, {0, -1}); }},
+  };
+  for (const auto& [name, mutate] : mutators) {
+    SCOPED_TRACE(name);
+    Polyhedron p = box1(0, 4);
+    ASSERT_FALSE(p.isEmpty());
+    mutate(p);
+    EXPECT_EQ(p.storedEmptiness(), std::nullopt);
+    EXPECT_TRUE(p.isEmpty());
+  }
+  Polyhedron p = box1(0, 4);
+  ASSERT_FALSE(p.isEmpty());
+  EXPECT_TRUE(p.simplify());
+  EXPECT_EQ(p.storedEmptiness(), std::nullopt);
+  EXPECT_FALSE(p.isEmpty());
+}
+
+TEST(PolyEmptiness, CopiesAndMovesCarryTheAnswer) {
+  Polyhedron p = box2(0, 4, 2, 6);
+  ASSERT_FALSE(p.isEmpty());
+  Polyhedron copy(p);
+  EXPECT_EQ(copy.storedEmptiness(), std::optional<bool>(false));
+  Polyhedron assigned;
+  assigned = p;
+  EXPECT_EQ(assigned.storedEmptiness(), std::optional<bool>(false));
+  Polyhedron moved(std::move(copy));
+  EXPECT_EQ(moved.storedEmptiness(), std::optional<bool>(false));
+  Polyhedron moveAssigned;
+  moveAssigned = std::move(assigned);
+  EXPECT_EQ(moveAssigned.storedEmptiness(), std::optional<bool>(false));
+  // A copy's own mutation does not touch the original's answer.
+  moved.addRange(0, 9, 12);
+  EXPECT_TRUE(moved.isEmpty());
+  EXPECT_EQ(p.storedEmptiness(), std::optional<bool>(false));
+}
+
+TEST(PolyEmptiness, MarkedEmptyBySimplifyStaysEmpty) {
+  // 2x == 1 has no integer solution: simplify marks the set empty and may
+  // drop the witness row, so later answers must come from the mark.
+  Polyhedron p(1, 0);
+  p.addEquality({2, -1});
+  EXPECT_FALSE(p.simplify());
+  EXPECT_EQ(p.storedEmptiness(), std::optional<bool>(true));
+  EXPECT_TRUE(p.isEmpty());
+  Polyhedron copy = p;
+  EXPECT_TRUE(copy.isEmpty());
+  copy.addRange(0, -10, 10);
+  EXPECT_EQ(copy.storedEmptiness(), std::nullopt);
+  EXPECT_TRUE(copy.isEmpty());
+  EXPECT_FALSE(copy.simplify());
+  EXPECT_TRUE(copy.isEmpty());
+}
+
+TEST(PolyEmptiness, ConcurrentSerializeOfSharedRecord) {
+  // The family-record pattern: one shared const result whose polyhedra
+  // have no stored answers yet, cloned and encoded by several threads at
+  // once. Every thread must produce the bytes a single thread produces.
+  IntVec params;
+  Compiler c(buildKernelByName("me", {64, 32, 8}, params));
+  c.parameters(params);
+  const CompileResult compiled = c.compile();
+  ASSERT_TRUE(compiled.ok) << compiled.firstError();
+  const std::string expected = serializeCompileResult(compiled);
+  const auto shared = std::make_shared<const CompileResult>(
+      deserializeCompileResult(expected));  // answers not yet stored
+
+  constexpr int kThreads = 4;
+  std::vector<std::string> bytes(kThreads * 2);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      CompileResult clone = shared->clone();
+      bytes[2 * t] = serializeCompileResult(clone);
+      bytes[2 * t + 1] = serializeCompileResult(*shared);
+    });
+  for (std::thread& t : threads) t.join();
+  for (const std::string& b : bytes) EXPECT_EQ(b, expected);
 }
 
 TEST(Polyhedron, SimplifyGcdEquality) {
