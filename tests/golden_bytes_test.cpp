@@ -2,13 +2,20 @@
 // results must not change.
 //
 // Covered payloads: the four paper kernels at their default sizes, one ME and
-// one matmul result served by the runtime binder at a second size, and one
-// .emmfam family payload (tile plan plus size-generic record). Each is
-// recorded in tests/golden/plan_bytes.txt as its byte length and digestBytes
-// value. Wall-clock values (PassTiming::millis, the tile search's
+// one matmul result served by the runtime binder at a second size, one
+// .emmfam family payload (tile plan plus size-generic record), the request
+// options of the four kernels, and the first four generated programs of
+// seed 1. Each is recorded in tests/golden/plan_bytes.txt as its byte length
+// and digestBytes value. Wall-clock values (PassTiming::millis, the tile search's
 // planBuildMillis/evalMillis, and the "N ms" figures the tile-search note
 // prints) are zeroed first; everything else in the payload is a
 // deterministic function of the input.
+//
+// The file also records values derived from the schema rather than from a
+// payload: the schema fingerprint (the `schema` row) and the block and option
+// cache keys of the four kernels (the `key_*` rows). They are checked by a
+// separate test, because a change to the schema manifest or to the key walk
+// changes them without changing any payload byte.
 //
 // A change that alters any serialized byte fails here. A deliberate format
 // change regenerates the file:
@@ -30,7 +37,9 @@
 #include "driver/family_plan.h"
 #include "driver/plan_cache.h"
 #include "kernels/blocks.h"
+#include "support/fingerprint.h"
 #include "support/serialize.h"
+#include "testgen/generator.h"
 
 namespace emm {
 namespace {
@@ -134,39 +143,86 @@ std::vector<std::pair<std::string, std::string>> goldenPayloads() {
     }
     out.emplace_back("me_family", serializeFamilyPlan(plan));
   }
+
+  for (const char* kernel : {"me", "jacobi", "jacobi2d", "matmul"}) {
+    IntVec params;
+    buildKernelByName(kernel, {}, params);
+    out.emplace_back(std::string("options_") + kernel,
+                     serializeCompileOptions(builtinOptions(kernel, params)));
+  }
+  testgen::GeneratorOptions gen;
+  gen.seed = 1;
+  for (u64 index = 0; index < 4; ++index)
+    out.emplace_back("block_gen" + std::to_string(index),
+                     serializeProgramBlock(testgen::ProgramGenerator(gen).generate(index).block));
+  return out;
+}
+
+std::string hex(u64 v) {
+  char text[17];
+  std::snprintf(text, sizeof text, "%016llx", static_cast<unsigned long long>(v));
+  return text;
+}
+
+/// The schema- and key-derived rows, by name, in file order.
+std::vector<std::pair<std::string, std::string>> goldenValues() {
+  std::vector<std::pair<std::string, std::string>> out;
+  out.emplace_back("schema", "schema " + hex(serializeSchemaFingerprint()));
+  for (const char* kernel : {"me", "jacobi", "jacobi2d", "matmul"}) {
+    IntVec params;
+    const ProgramBlock block = buildKernelByName(kernel, {}, params);
+    const std::string name = std::string("key_") + kernel;
+    out.emplace_back(name, name + " " + hex(hashProgramBlock(block)) + " " +
+                               hex(hashCompileOptions(builtinOptions(kernel, params))));
+  }
   return out;
 }
 
 std::string goldenLine(const std::string& name, const std::string& bytes) {
-  char digest[17];
-  std::snprintf(digest, sizeof digest, "%016llx",
-                static_cast<unsigned long long>(digestBytes(bytes)));
-  return name + " " + std::to_string(bytes.size()) + " " + digest;
+  return name + " " + std::to_string(bytes.size()) + " " + hex(digestBytes(bytes));
 }
 
-TEST(GoldenPlanBytes, SerializedResultsMatchTheRecordedDigests) {
-  const auto payloads = goldenPayloads();
-  ASSERT_EQ(payloads.size(), 7u);
-
-  if (std::getenv("EMM_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream f(kGoldenFile);
-    f << "# name byte-length digestBytes (see tests/golden_bytes_test.cpp)\n";
-    for (const auto& [name, bytes] : payloads) f << goldenLine(name, bytes) << "\n";
-    GTEST_SKIP() << "rewrote " << kGoldenFile;
-  }
-
+/// The recorded rows, by name.
+std::map<std::string, std::string> recordedLines() {
   std::ifstream f(kGoldenFile);
-  ASSERT_TRUE(f.good()) << "missing " << kGoldenFile;
+  EXPECT_TRUE(f.good()) << "missing " << kGoldenFile;
   std::map<std::string, std::string> recorded;
   for (std::string line; std::getline(f, line);) {
     if (line.empty() || line[0] == '#') continue;
     recorded[line.substr(0, line.find(' '))] = line;
   }
-  EXPECT_EQ(recorded.size(), payloads.size());
+  return recorded;
+}
+
+TEST(GoldenPlanBytes, SerializedResultsMatchTheRecordedDigests) {
+  const auto payloads = goldenPayloads();
+  ASSERT_EQ(payloads.size(), 15u);
+
+  if (std::getenv("EMM_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream f(kGoldenFile);
+    f << "# name byte-length digestBytes (see tests/golden_bytes_test.cpp)\n";
+    for (const auto& [name, bytes] : payloads) f << goldenLine(name, bytes) << "\n";
+    f << "# schema fingerprint; key_<kernel> block-key options-key\n";
+    for (const auto& [name, line] : goldenValues()) f << line << "\n";
+    GTEST_SKIP() << "rewrote " << kGoldenFile;
+  }
+
+  std::map<std::string, std::string> recorded = recordedLines();
   for (const auto& [name, bytes] : payloads) {
     SCOPED_TRACE(name);
     ASSERT_TRUE(recorded.count(name)) << "no golden entry";
     EXPECT_EQ(goldenLine(name, bytes), recorded[name]);
+  }
+}
+
+TEST(GoldenPlanBytes, SchemaFingerprintAndCacheKeysMatchTheRecordedValues) {
+  if (std::getenv("EMM_UPDATE_GOLDEN") != nullptr)
+    GTEST_SKIP() << "rewritten by SerializedResultsMatchTheRecordedDigests";
+  std::map<std::string, std::string> recorded = recordedLines();
+  for (const auto& [name, line] : goldenValues()) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(recorded.count(name)) << "no golden entry";
+    EXPECT_EQ(line, recorded[name]);
   }
 }
 
