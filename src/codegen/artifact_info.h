@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "support/fields.h"
 #include "sym/sym_expr.h"
 
 namespace emm {
@@ -32,7 +33,17 @@ struct BindSlot {
   int a = 0;        ///< param index / array id
   int b = 0;        ///< dimension (ArrayExtent only)
   SymPtr formula;   ///< Formula only
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagBindSlot, "BindSlot");
+    v("name", &BindSlot::name);
+    v("kind", &BindSlot::kind);
+    v("a", &BindSlot::a);
+    v("b", &BindSlot::b);
+    v.nullable("formula", &BindSlot::formula);
+  }
 };
+constexpr BindSlot::Kind enumMax(BindSlot::Kind) { return BindSlot::Kind::Formula; }
 
 /// One validity predicate of a size-generic artifact. All symbolic guards
 /// are evaluated over [requested sizes..., 0 for every further parameter];
@@ -52,7 +63,19 @@ struct FamilyGuard {
   int dim = 0;          ///< BufExtentEq
   i64 expected = 0;     ///< BufExtentEq
   std::string what;     ///< diagnostic text on rejection
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagFamilyGuard, "FamilyGuard");
+    v("kind", &FamilyGuard::kind);
+    v.nullable("lhs", &FamilyGuard::lhs);
+    v.nullable("rhs", &FamilyGuard::rhs);
+    v("bufferIndex", &FamilyGuard::bufferIndex);
+    v("dim", &FamilyGuard::dim);
+    v("expected", &FamilyGuard::expected);
+    v("what", &FamilyGuard::what);
+  }
 };
+constexpr FamilyGuard::Kind enumMax(FamilyGuard::Kind) { return FamilyGuard::Kind::BufExtentEq; }
 
 /// Metadata a backend attaches to an emitted artifact. `sizeGeneric` false
 /// means the text bakes in concrete sizes (warm path stays bind-and-emit
@@ -62,6 +85,14 @@ struct ArtifactInfo {
   std::string note;
   std::vector<BindSlot> slots;
   std::vector<FamilyGuard> guards;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagArtifactInfo, "ArtifactInfo");
+    v("sizeGeneric", &ArtifactInfo::sizeGeneric);
+    v("note", &ArtifactInfo::note);
+    v("slots", &ArtifactInfo::slots);
+    v("guards", &ArtifactInfo::guards);
+  }
 };
 
 }  // namespace emm

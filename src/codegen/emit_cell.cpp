@@ -384,7 +384,7 @@ private:
     auto emitMoveIns = [&](const std::string& iterValue, int d) {
       for (size_t i = 0; i < n.children.size(); ++i) {
         if (!inPrefetch[i]) continue;
-        AstPtr copy = n.children[i]->clone();
+        AstPtr copy = n.children[i];
         renameVar(*copy, n.iter, iterValue);
         emitNode(*copy, os, d);
       }

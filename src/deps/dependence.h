@@ -22,6 +22,7 @@
 namespace emm {
 
 enum class DepKind { Flow, Anti, Output };  // RAW, WAR, WAW
+constexpr DepKind enumMax(DepKind) { return DepKind::Output; }
 
 struct Dependence {
   int srcStmt = -1;
@@ -35,6 +36,18 @@ struct Dependence {
   int dstDim = 0;
 
   std::string str(const ProgramBlock& block) const;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagDependence, "Dependence");
+    v("srcStmt", &Dependence::srcStmt);
+    v("dstStmt", &Dependence::dstStmt);
+    v("srcAccess", &Dependence::srcAccess);
+    v("dstAccess", &Dependence::dstAccess);
+    v("kind", &Dependence::kind);
+    v("poly", &Dependence::poly);
+    v("srcDim", &Dependence::srcDim);
+    v("dstDim", &Dependence::dstDim);
+  }
 };
 
 /// Sign summary of an integer quantity over a (possibly unbounded) set.
@@ -46,6 +59,7 @@ enum class SignRange {
   Negative,     ///< always <= -1
   Mixed,        ///< takes both signs (or unknown)
 };
+constexpr SignRange enumMax(SignRange) { return SignRange::Mixed; }
 
 /// All dependences of the block (self-dependences included).
 std::vector<Dependence> computeDependences(const ProgramBlock& block);

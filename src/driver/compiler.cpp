@@ -27,16 +27,8 @@ const PassTiming* CompileResult::timing(const std::string& pass) const {
 }
 
 CompileResult CompileResult::clone() const {
-  CompileResult out;
-  static_cast<PipelineProducts&>(out) = PipelineProducts::clone();
-  out.ok = ok;
-  out.cacheHit = cacheHit;
-  out.diskHit = diskHit;
-  out.familyHit = familyHit;
-  out.artifactBound = artifactBound;
-  out.boundArgs = boundArgs;
-  out.diagnostics = diagnostics;
-  out.timings = timings;
+  CompileResult out = *this;
+  out.rebindBlocks(*this);
   return out;
 }
 

@@ -42,13 +42,22 @@ struct PassTiming {
   double millis = 0;
   bool ran = false;      ///< run() was invoked
   bool skipped = false;  ///< user-skipped via Compiler::skipPass
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagPassTiming, "PassTiming");
+    v("pass", &PassTiming::pass);
+    v("millis", &PassTiming::millis);
+    v("ran", &PassTiming::ran);
+    v("skipped", &PassTiming::skipped);
+  }
 };
 
 /// Everything a compilation produced: the pipeline products (block, plan,
 /// search outcome, kernel/unit, artifact — see PipelineProducts) plus the
-/// verdict, ordered diagnostics, and per-pass timings. Move-only: program
-/// blocks live behind unique_ptr so internal back-pointers
-/// (CodeUnit::source, DataPlan::block) stay valid when the result moves.
+/// verdict, ordered diagnostics, and per-pass timings. Program blocks live
+/// behind DeepPtr so internal back-pointers (CodeUnit::source,
+/// DataPlan::block) stay valid when the result moves; copy through clone(),
+/// which rebinds them.
 struct CompileResult : PipelineProducts {
   bool ok = false;  ///< pipeline completed without error diagnostics
   /// True when this result came from the PlanCache instead of a pipeline
@@ -86,8 +95,22 @@ struct CompileResult : PipelineProducts {
   /// Timing entry for a pass, or nullptr.
   const PassTiming* timing(const std::string& pass) const;
 
-  /// Deep copy (results are otherwise move-only); used by the plan cache.
+  /// Deep copy with the back-pointers rebound to the copy's own blocks;
+  /// used by the plan cache and the runtime binder.
   CompileResult clone() const;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagCompileResult, "CompileResult");
+    v.template base<PipelineProducts>("products");
+    v("ok", &CompileResult::ok);
+    v.skip("cacheHit", "transport flag: set by the tier that served the result");
+    v.skip("diskHit", "transport flag: set by the tier that served the result");
+    v.skip("familyHit", "transport flag: set by the tier that served the result");
+    v.skip("artifactBound", "transport flag: set by the runtime binder");
+    v.skip("boundArgs", "transport: filled by the runtime binder per request");
+    v("diagnostics", &CompileResult::diagnostics);
+    v("timings", &CompileResult::timings);
+  }
 };
 
 /// Builder-style façade over the pass pipeline. Reusable: compile() may be

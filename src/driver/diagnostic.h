@@ -10,9 +10,12 @@
 #include <string>
 #include <vector>
 
+#include "support/fields.h"
+
 namespace emm {
 
 enum class Severity { Note, Warning, Error };
+constexpr Severity enumMax(Severity) { return Severity::Error; }
 
 const char* severityName(Severity s);
 
@@ -22,6 +25,13 @@ struct Diagnostic {
   std::string message;
 
   std::string str() const;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagDiagnostic, "Diagnostic");
+    v("severity", &Diagnostic::severity);
+    v("stage", &Diagnostic::stage);
+    v("message", &Diagnostic::message);
+  }
 };
 
 /// True when any diagnostic is an error.

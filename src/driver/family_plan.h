@@ -96,6 +96,21 @@ struct FamilyPlan {
   /// bind-and-emit on mismatch.
   CompileOptions recordOptions;
   std::shared_ptr<const CompileResult> record;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagFamilyPlan, "FamilyPlan");
+    v("haveDeps", &FamilyPlan::haveDeps);
+    v("deps", &FamilyPlan::deps);
+    v("haveTransform", &FamilyPlan::haveTransform);
+    v.when(&FamilyPlan::haveTransform, "transformedTemplate", &FamilyPlan::transformedTemplate);
+    v("plan", &FamilyPlan::plan);
+    v("appliedSkews", &FamilyPlan::appliedSkews);
+    v.nullable("tilePlan", &FamilyPlan::tilePlan);
+    v("parametricReason", &FamilyPlan::parametricReason);
+    v("haveRecord", &FamilyPlan::haveRecord);
+    v.when(&FamilyPlan::haveRecord, "recordOptions", &FamilyPlan::recordOptions);
+    v.when(&FamilyPlan::haveRecord, "record", &FamilyPlan::record);
+  }
 };
 
 /// The block with its concrete problem sizes canonicalized away (array

@@ -27,12 +27,14 @@ enum class PipelineMode {
   /// block as written, no transformation or tiling (the Figure-1 flow).
   ScratchpadOnly,
 };
+constexpr PipelineMode enumMax(PipelineMode) { return PipelineMode::ScratchpadOnly; }
 
 /// Tile-size search solver selection (Section 4.3).
 enum class TileSearchMode {
   CoordinateDescent,  ///< geometric seeding + projected descent (default)
   Exhaustive,         ///< full candidate-grid oracle (ablation/tests)
 };
+constexpr TileSearchMode enumMax(TileSearchMode) { return TileSearchMode::Exhaustive; }
 
 struct CompileOptions {
   // ---- problem binding ----
@@ -116,6 +118,38 @@ struct CompileOptions {
   TileSearchOptions tileSearchOptions() const;
   CudaEmitOptions cudaEmitOptions() const;
   CellEmitOptions cellEmitOptions() const;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagCompileOptions, "CompileOptions");
+    v("paramValues", &CompileOptions::paramValues);
+    v("mode", &CompileOptions::mode);
+    v("delta", &CompileOptions::delta);
+    v("partitionMode", &CompileOptions::partitionMode);
+    v("stageEverything", &CompileOptions::stageEverything);
+    v("optimizeCopySets", &CompileOptions::optimizeCopySets);
+    v("subTile", &CompileOptions::subTile);
+    v("blockTile", &CompileOptions::blockTile);
+    v("threadTile", &CompileOptions::threadTile);
+    v("hoistCopies", &CompileOptions::hoistCopies);
+    v("useScratchpad", &CompileOptions::useScratchpad);
+    v("searchMode", &CompileOptions::searchMode);
+    v("memLimitBytes", &CompileOptions::memLimitBytes);
+    v("elementBytes", &CompileOptions::elementBytes);
+    v("innerProcs", &CompileOptions::innerProcs);
+    v("syncCost", &CompileOptions::syncCost);
+    v("transferCost", &CompileOptions::transferCost);
+    v("tileCandidates", &CompileOptions::tileCandidates);
+    v("parametricTileAnalysis", &CompileOptions::parametricTileAnalysis);
+    v("packBuffers", &CompileOptions::packBuffers);
+    v("smemBanks", &CompileOptions::smemBanks);
+    v("smemBankWidthBytes", &CompileOptions::smemBankWidthBytes);
+    v("backendName", &CompileOptions::backendName);
+    v("kernelName", &CompileOptions::kernelName);
+    v("elementType", &CompileOptions::elementType);
+    v("numBoundParams", &CompileOptions::numBoundParams);
+    v("doubleBuffer", &CompileOptions::doubleBuffer);
+    v("runtimeSizeArgs", &CompileOptions::runtimeSizeArgs);
+  }
 };
 
 }  // namespace emm

@@ -8,71 +8,30 @@
 
 namespace emm {
 
-namespace {
-
-/// Deep copy of a CodeUnit with its source pointer rebound.
-CodeUnit cloneUnit(const CodeUnit& u, const ProgramBlock* source) {
-  CodeUnit out;
-  out.name = u.name;
-  out.source = source;
-  out.statements = u.statements;
-  out.localBuffers = u.localBuffers;
-  out.root = u.root ? u.root->clone() : nullptr;
-  return out;
+PipelineProducts::BlockRef PipelineProducts::blockRef(const ProgramBlock* block) const {
+  if (block != nullptr && block == input.get()) return BlockRef::Input;
+  if (block != nullptr && block == transformed.get()) return BlockRef::Transformed;
+  return BlockRef::None;
 }
 
-}  // namespace
+const ProgramBlock* PipelineProducts::blockAt(BlockRef ref) const {
+  switch (ref) {
+    case BlockRef::Input:
+      return input.get();
+    case BlockRef::Transformed:
+      return transformed.get();
+    default:
+      return nullptr;
+  }
+}
 
-// NOTE: field-by-field copy of PipelineProducts, TiledKernel, TileAnalysis
-// and (via cloneUnit) CodeUnit. A field added to any of those structs must
-// be added here too — and to the serializers (plus their schema manifest)
-// in support/serialize.cpp — or warm plan-cache hits and disk replays will
-// silently drop it; see the warning on the struct in pass.h.
-PipelineProducts PipelineProducts::clone() const {
-  PipelineProducts out;
-  if (input) out.input = std::make_unique<ProgramBlock>(*input);
-  if (transformed) out.transformed = std::make_unique<ProgramBlock>(*transformed);
-  // Rebinds a pointer into this object's blocks to the copy's blocks.
-  auto remapBlock = [&](const ProgramBlock* p) -> const ProgramBlock* {
-    if (p == input.get()) return out.input.get();
-    if (p == transformed.get()) return out.transformed.get();
-    return nullptr;
-  };
-  out.deps = deps;
-  out.haveDeps = haveDeps;
-  out.plan = plan;
-  out.havePlan = havePlan;
-  out.appliedSkews = appliedSkews;
-  out.search = search;
-  out.geometryHints = geometryHints;
+void PipelineProducts::rebindBlocks(const PipelineProducts& original) {
   if (kernel) {
-    TiledKernel k;
-    k.analysis.depth = kernel->analysis.depth;
-    k.analysis.subTile = kernel->analysis.subTile;
-    k.analysis.originParams = kernel->analysis.originParams;
-    k.analysis.tileParams = kernel->analysis.tileParams;
-    k.analysis.loopBounds = kernel->analysis.loopBounds;
-    k.analysis.hoistLevel = kernel->analysis.hoistLevel;
-    if (kernel->analysis.tileBlock)
-      k.analysis.tileBlock = std::make_unique<ProgramBlock>(*kernel->analysis.tileBlock);
-    k.analysis.plan = kernel->analysis.plan;
-    k.analysis.plan.block = k.analysis.tileBlock.get();
-    k.unit = cloneUnit(kernel->unit, k.analysis.tileBlock.get());
-    k.spaceLoops = kernel->spaceLoops;
-    k.blockTileSizes = kernel->blockTileSizes;
-    k.spaceLoopRange = kernel->spaceLoopRange;
-    out.kernel.emplace(std::move(k));
+    kernel->analysis.plan.block = kernel->analysis.tileBlock.get();
+    kernel->unit.source = kernel->analysis.tileBlock.get();
   }
-  if (scratchpadUnit)
-    out.scratchpadUnit.emplace(cloneUnit(*scratchpadUnit, remapBlock(scratchpadUnit->source)));
-  if (blockPlan) {
-    out.blockPlan = blockPlan;
-    out.blockPlan->block = remapBlock(blockPlan->block);
-  }
-  out.bufferLayout = bufferLayout;  // SymExpr nodes are immutable and shared
-  out.artifactInfo = artifactInfo;  // likewise: guards/slots share SymExpr nodes
-  out.artifact = artifact;
-  return out;
+  if (scratchpadUnit) scratchpadUnit->source = blockAt(original.blockRef(scratchpadUnit->source));
+  if (blockPlan) blockPlan->block = blockAt(original.blockRef(blockPlan->block));
 }
 
 void CompileState::note(const std::string& stage, const std::string& message) {

@@ -18,26 +18,26 @@
 #include "driver/family_plan.h"
 #include "driver/options.h"
 #include "smem/buffer_layout.h"
+#include "support/deep_ptr.h"
 #include "tiling/multilevel.h"
 
 namespace emm {
 
 /// Everything the pipeline produces. The working CompileState and the final
 /// CompileResult both embed this struct; Compiler::compile() moves it
-/// wholesale, so a field added here flows to results automatically — but
-/// clone() below copies field by field (the unique_ptr-held blocks make the
-/// struct non-copyable), so ADDING A FIELD REQUIRES EXTENDING clone() in
-/// pass.cpp AND the serializers (plus their schema manifest) in
-/// support/serialize.cpp, or warm plan-cache hits / disk replays will
-/// silently default-initialize it.
-/// Program blocks live behind unique_ptr so CodeUnit/DataPlan back-pointers
-/// into them survive those moves.
+/// wholesale. A field added here goes on the field list at the end of the
+/// struct (support/fields.h), which drives serialization, the disk and wire
+/// formats, the cache keys and the schema manifest; the build fails until
+/// it is listed or skipped with a reason. Program blocks live behind
+/// DeepPtr, so CodeUnit/DataPlan back-pointers into them survive moves and
+/// a copy is deep — but its back-pointers still name the original's blocks
+/// until rebindBlocks() runs (CompileResult::clone() does both).
 struct PipelineProducts {
   /// The block as given to the Compiler.
-  std::unique_ptr<ProgramBlock> input;
+  DeepPtr<ProgramBlock> input;
   /// After the transform pass: possibly shifted/skewed. block() returns
   /// this when present, else the input.
-  std::unique_ptr<ProgramBlock> transformed;
+  DeepPtr<ProgramBlock> transformed;
 
   std::vector<Dependence> deps;
   bool haveDeps = false;
@@ -95,10 +95,35 @@ struct PipelineProducts {
     return nullptr;
   }
 
-  /// Deep copy with internal back-pointers (CodeUnit::source, DataPlan::block)
-  /// rebound to the copied blocks. This is how the plan cache stores one
-  /// snapshot per key and hands out independently owned results.
-  PipelineProducts clone() const;
+  /// Which of this object's own blocks a back-pointer names; the wire form
+  /// of CodeUnit::source and DataPlan::block.
+  enum class BlockRef : unsigned char { None = 0, Input = 1, Transformed = 2 };
+  BlockRef blockRef(const ProgramBlock* block) const;
+  const ProgramBlock* blockAt(BlockRef ref) const;
+
+  /// Called on a copy: repoints the back-pointers (CodeUnit::source,
+  /// DataPlan::block), which still name `original`'s blocks, at this
+  /// object's own. A pointer to a block `original` does not own becomes null.
+  void rebindBlocks(const PipelineProducts& original);
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagPipelineProducts, "PipelineProducts");
+    v("input", &PipelineProducts::input);
+    v("transformed", &PipelineProducts::transformed);
+    v("deps", &PipelineProducts::deps);
+    v("haveDeps", &PipelineProducts::haveDeps);
+    v("plan", &PipelineProducts::plan);
+    v("havePlan", &PipelineProducts::havePlan);
+    v("appliedSkews", &PipelineProducts::appliedSkews);
+    v("search", &PipelineProducts::search);
+    v("geometryHints", &PipelineProducts::geometryHints);
+    v("kernel", &PipelineProducts::kernel);
+    v.backref("scratchpadUnit", &PipelineProducts::scratchpadUnit, &CodeUnit::source);
+    v.backref("blockPlan", &PipelineProducts::blockPlan, &DataPlan::block);
+    v("bufferLayout", &PipelineProducts::bufferLayout);
+    v("artifactInfo", &PipelineProducts::artifactInfo);
+    v("artifact", &PipelineProducts::artifact);
+  }
 };
 
 /// Mutable state threaded through the pipeline: the accumulated products

@@ -185,25 +185,4 @@ AstNode* AstNode::addChild(AstPtr child) {
   return children.back().get();
 }
 
-AstPtr AstNode::clone() const {
-  auto n = std::make_unique<AstNode>();
-  n->kind = kind;
-  n->iter = iter;
-  n->lb = lb;
-  n->ub = ub;
-  n->step = step;
-  n->loopKind = loopKind;
-  n->guards = guards;
-  n->stmtId = stmtId;
-  n->callArgs = callArgs;
-  n->dstArray = dstArray;
-  n->srcArray = srcArray;
-  n->dstIndex = dstIndex;
-  n->srcIndex = srcIndex;
-  n->text = text;
-  n->children.reserve(children.size());
-  for (const AstPtr& c : children) n->children.push_back(c->clone());
-  return n;
-}
-
 }  // namespace emm

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "ir/program.h"
+#include "support/deep_ptr.h"
 
 namespace emm {
 
@@ -41,6 +42,13 @@ struct AffExpr {
   i64 evalCeil(const std::vector<std::pair<std::string, i64>>& env) const;
 
   std::string str(bool ceilMode = false) const;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagAffExpr, "AffExpr");
+    v("terms", &AffExpr::terms);
+    v("cnst", &AffExpr::cnst);
+    v("den", &AffExpr::den);
+  }
 };
 
 /// max-of (for lower bounds) or min-of (for upper bounds) a list of AffExpr.
@@ -53,15 +61,23 @@ struct BoundExpr {
   i64 eval(const std::vector<std::pair<std::string, i64>>& env) const;
   bool mentions(const std::string& name) const;
   std::string str() const;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagBoundExpr, "BoundExpr");
+    v("parts", &BoundExpr::parts);
+    v("isMax", &BoundExpr::isMax);
+  }
 };
 
 /// Execution flavor of a For node. Parallelism markers are semantic
 /// annotations consumed by the machine mapper; the interpreter runs
 /// everything sequentially (the framework guarantees this is equivalent).
 enum class LoopKind { Sequential, BlockParallel, ThreadParallel };
+constexpr LoopKind enumMax(LoopKind) { return LoopKind::ThreadParallel; }
 
 struct AstNode;
-using AstPtr = std::unique_ptr<AstNode>;
+/// Owning child pointer; copying a node copies its subtree.
+using AstPtr = DeepPtr<AstNode>;
 
 /// One node of generated code.
 struct AstNode {
@@ -115,10 +131,27 @@ struct AstNode {
 
   AstNode* addChild(AstPtr child);
 
-  /// Deep copy of the subtree (used by the plan cache to hand out
-  /// independently owned results).
-  AstPtr clone() const;
+  static constexpr void fields(auto& v) {
+    v.tag(kTagAstNode, "AstNode");
+    v("kind", &AstNode::kind);
+    v("children", &AstNode::children);
+    v("iter", &AstNode::iter);
+    v("lb", &AstNode::lb);
+    v("ub", &AstNode::ub);
+    v("step", &AstNode::step);
+    v("loopKind", &AstNode::loopKind);
+    v("guards", &AstNode::guards);
+    v("stmtId", &AstNode::stmtId);
+    v("callArgs", &AstNode::callArgs);
+    v("dstArray", &AstNode::dstArray);
+    v("srcArray", &AstNode::srcArray);
+    v("dstIndex", &AstNode::dstIndex);
+    v("srcIndex", &AstNode::srcIndex);
+    v("text", &AstNode::text);
+  }
 };
+
+constexpr AstNode::Kind enumMax(AstNode::Kind) { return AstNode::Kind::Comment; }
 
 /// A local (scratchpad) buffer: per-dimension lower/upper bounds as affine
 /// expressions over block parameters. `sizeBounds` are the expressions valid
@@ -144,6 +177,15 @@ struct LocalBuffer {
     if (d < static_cast<int>(pad.size())) extent = addChecked(extent, pad[d]);
     return extent;
   }
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagLocalBuffer, "LocalBuffer");
+    v("name", &LocalBuffer::name);
+    v("ndim", &LocalBuffer::ndim);
+    v("offset", &LocalBuffer::offset);
+    v("sizeExpr", &LocalBuffer::sizeExpr);
+    v("pad", &LocalBuffer::pad);
+  }
 };
 
 /// A compilable unit: AST plus the statement table it references (possibly
@@ -159,6 +201,15 @@ struct CodeUnit {
 
   int numGlobalArrays() const {
     return source == nullptr ? 0 : static_cast<int>(source->arrays.size());
+  }
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagCodeUnit, "CodeUnit");
+    v("name", &CodeUnit::name);
+    v.skip("source", "back-pointer, rebound by the owner");
+    v("statements", &CodeUnit::statements);
+    v("localBuffers", &CodeUnit::localBuffers);
+    v("root", &CodeUnit::root);
   }
 };
 

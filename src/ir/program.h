@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "poly/polyhedron.h"
+#include "support/fields.h"
 
 namespace emm {
 
@@ -28,6 +29,12 @@ struct ArrayDecl {
     for (i64 e : extents) n = mulChecked(n, e);
     return n;
   }
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagArrayDecl, "ArrayDecl");
+    v("name", &ArrayDecl::name);
+    v("extents", &ArrayDecl::extents);
+  }
 };
 
 /// One affine reference to an array inside a statement.
@@ -35,6 +42,13 @@ struct Access {
   int arrayId = -1;  ///< index into ProgramBlock::arrays
   IntMat fn;         ///< rows = array ndim, cols = stmt dim + nparam + 1
   bool isWrite = false;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagAccess, "Access");
+    v("arrayId", &Access::arrayId);
+    v("fn", &Access::fn);
+    v("isWrite", &Access::isWrite);
+  }
 };
 
 /// Expression tree for statement bodies. Leaves load from the statement's
@@ -90,6 +104,16 @@ struct Statement {
   IntMat schedule;        ///< rows = time dims, cols = dim + nparam + 1
 
   int dim() const { return domain.dim(); }
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagStatement, "Statement");
+    v("name", &Statement::name);
+    v("domain", &Statement::domain);
+    v("accesses", &Statement::accesses);
+    v("writeAccess", &Statement::writeAccess);
+    v.nullable("rhs", &Statement::rhs);
+    v("schedule", &Statement::schedule);
+  }
 };
 
 /// A block of affine code: what Section 3's framework takes as input.
@@ -111,6 +135,14 @@ struct ProgramBlock {
   /// Validates internal consistency (access arity, schedule shape, ...).
   /// Throws ApiError on malformed blocks.
   void validate() const;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagProgramBlock, "ProgramBlock");
+    v("name", &ProgramBlock::name);
+    v("paramNames", &ProgramBlock::paramNames);
+    v("arrays", &ProgramBlock::arrays);
+    v("statements", &ProgramBlock::statements);
+  }
 };
 
 /// Flat storage for all arrays of a block, used by the interpreter and by

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "linalg/matrix.h"
+#include "support/fields.h"
 
 namespace emm {
 
@@ -31,6 +32,12 @@ struct DivExpr {
   /// applying floor (for upper bounds) or ceil (for lower bounds).
   i64 evalFloor(const IntVec& vals) const;
   i64 evalCeil(const IntVec& vals) const;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagDivExpr, "DivExpr");
+    v("coeffs", &DivExpr::coeffs);
+    v("den", &DivExpr::den);
+  }
 };
 
 /// Bounds of one dimension: lower = max over ceil-forms, upper = min over
@@ -43,6 +50,12 @@ struct DimBounds {
   i64 evalLower(const IntVec& vals) const;
   /// Evaluates min of upper bounds at a concrete point.
   i64 evalUpper(const IntVec& vals) const;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagDimBounds, "DimBounds");
+    v("lower", &DimBounds::lower);
+    v("upper", &DimBounds::upper);
+  }
 };
 
 /// A conjunction of affine equality/inequality constraints over integer

@@ -39,6 +39,12 @@ namespace emm {
 struct BankDescriptor {
   i64 banks = 16;
   i64 widthBytes = 4;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagNone, "BankDescriptor");
+    v("banks", &BankDescriptor::banks);
+    v("widthBytes", &BankDescriptor::widthBytes);
+  }
 };
 
 /// Placement of one local buffer inside the packed arena. All expressions
@@ -51,6 +57,15 @@ struct BufferLayoutEntry {
   i64 rowPadElems = 0;         ///< innermost-dimension conflict padding
   SymPtr offsetElems;          ///< arena base offset, elements
   SymPtr footprintElems;       ///< padded footprint, elements
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagBufferLayoutEntry, "BufferLayoutEntry");
+    v("name", &BufferLayoutEntry::name);
+    v("extent", &BufferLayoutEntry::extent);
+    v("rowPadElems", &BufferLayoutEntry::rowPadElems);
+    v("offsetElems", &BufferLayoutEntry::offsetElems);
+    v("footprintElems", &BufferLayoutEntry::footprintElems);
+  }
 };
 
 /// A packed arena layout for a CodeUnit's local buffers.
@@ -71,6 +86,16 @@ struct BufferLayout {
   i64 totalBytes(const std::vector<i64>& params) const;
   /// Interval enclosure of the arena size (elements) over a parameter box.
   SymInterval totalElemsInterval(const std::vector<SymInterval>& paramBox) const;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagBufferLayout, "BufferLayout");
+    v("bank", &BufferLayout::bank);
+    v("elementBytes", &BufferLayout::elementBytes);
+    v("padded", &BufferLayout::padded);
+    v("note", &BufferLayout::note);
+    v("buffers", &BufferLayout::buffers);
+    v.nullable("totalElems", &BufferLayout::totalElems);
+  }
 };
 
 struct BufferLayoutOptions {

@@ -44,6 +44,7 @@ namespace emm {
 /// are provided; MaximalDisjoint is the default and PerArrayUnion
 /// reproduces the figure exactly (see DESIGN.md).
 enum class PartitionMode { MaximalDisjoint, PerArrayUnion };
+constexpr PartitionMode enumMax(PartitionMode) { return PartitionMode::PerArrayUnion; }
 
 /// Precomputed buffer-bound candidates for one partition, instantiated from
 /// a parametric tile plan. A hint applies when a partition has the same
@@ -60,6 +61,14 @@ struct GeometryHint {
   /// order, already verified against every reference of the partition.
   std::vector<std::vector<AffExpr>> lower;
   std::vector<std::vector<AffExpr>> upper;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagGeometryHint, "GeometryHint");
+    v("arrayId", &GeometryHint::arrayId);
+    v("refs", &GeometryHint::refs);
+    v("lower", &GeometryHint::lower);
+    v("upper", &GeometryHint::upper);
+  }
 };
 
 /// Options controlling the framework.
@@ -90,6 +99,20 @@ struct SmemOptions {
   /// Buffer-geometry hints from a parametric tile plan (see GeometryHint).
   /// Unmatched or invalid hints are ignored and bounds are derived as usual.
   std::vector<GeometryHint> geometryHints;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagSmemOptions, "SmemOptions");
+    v("delta", &SmemOptions::delta);
+    v("partitionMode", &SmemOptions::partitionMode);
+    v("onlyBeneficial", &SmemOptions::onlyBeneficial);
+    v("optimizeCopySets", &SmemOptions::optimizeCopySets);
+    v("deadAfterBlock", &SmemOptions::deadAfterBlock);
+    v("blockLocalParams", &SmemOptions::blockLocalParams);
+    v("paramContext", &SmemOptions::paramContext);
+    v("sampleParams", &SmemOptions::sampleParams);
+    v("volumeCap", &SmemOptions::volumeCap);
+    v("geometryHints", &SmemOptions::geometryHints);
+  }
 };
 
 /// One reference of the analyzed array.
@@ -103,6 +126,16 @@ struct RefSummary {
 
   /// Algorithm 1's order-of-magnitude reuse condition (1): rank < dim.
   bool hasOrderReuse() const { return rank < iterDim; }
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagRefSummary, "RefSummary");
+    v("stmt", &RefSummary::stmt);
+    v("access", &RefSummary::access);
+    v("isWrite", &RefSummary::isWrite);
+    v("rank", &RefSummary::rank);
+    v("iterDim", &RefSummary::iterDim);
+    v("dataSpace", &RefSummary::dataSpace);
+  }
 };
 
 /// A maximal non-overlapping group of data spaces of one array, plus the
@@ -123,6 +156,19 @@ struct PartitionPlan {
   PolySet readSpaces() const;
   PolySet writeSpaces() const;
   PolySet allSpaces() const;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagPartitionPlan, "PartitionPlan");
+    v("arrayId", &PartitionPlan::arrayId);
+    v("refs", &PartitionPlan::refs);
+    v("orderReuse", &PartitionPlan::orderReuse);
+    v("constReuseFraction", &PartitionPlan::constReuseFraction);
+    v("beneficial", &PartitionPlan::beneficial);
+    v("hasBuffer", &PartitionPlan::hasBuffer);
+    v("bufferName", &PartitionPlan::bufferName);
+    v("offset", &PartitionPlan::offset);
+    v("sizeExpr", &PartitionPlan::sizeExpr);
+  }
 };
 
 /// Full analysis result for a block.
@@ -142,6 +188,14 @@ struct DataPlan {
   /// Buffer footprint in elements at a concrete binding (product of size
   /// expressions), 0 for partitions without buffers.
   i64 bufferFootprint(int p, const IntVec& paramValues) const;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagDataPlan, "DataPlan");
+    v.skip("block", "back-pointer, rebound by the owner");
+    v("options", &DataPlan::options);
+    v("partitions", &DataPlan::partitions);
+    v("partitionOf", &DataPlan::partitionOf);
+  }
 };
 
 /// Steps 1-4: analysis and buffer planning. Does not generate code.

@@ -3,7 +3,7 @@
 #include <cstring>
 
 #include "driver/options.h"
-#include "ir/program.h"
+#include "support/field_codec.h"
 
 namespace emm {
 
@@ -42,16 +42,6 @@ void Hasher::mix(const std::string& s) {
   bytes(s.data(), s.size());
 }
 
-void Hasher::mix(const std::vector<i64>& v) {
-  mix(static_cast<i64>(v.size()));
-  for (i64 x : v) mix(x);
-}
-
-void Hasher::mix(const std::vector<std::vector<i64>>& v) {
-  mix(static_cast<i64>(v.size()));
-  for (const std::vector<i64>& inner : v) mix(inner);
-}
-
 void Hasher::mix(const std::vector<std::string>& v) {
   mix(static_cast<i64>(v.size()));
   for (const std::string& s : v) mix(s);
@@ -66,99 +56,41 @@ u64 hashCombine(u64 a, u64 b) {
 
 namespace {
 
-void mixMatrix(Hasher& h, const IntMat& m) {
-  h.mix(m.rows());
-  h.mix(m.cols());
-  for (int r = 0; r < m.rows(); ++r)
-    for (int c = 0; c < m.cols(); ++c) h.mix(m.at(r, c));
-}
+/// Feeds the field writer's bytes straight into the digest, so a key is the
+/// FNV-1a digest of the value's encoding, less the derived answers.
+class HashSink {
+public:
+  void u8(unsigned char v) { h_.bytes(&v, 1); }
+  void u64v(u64 v) { h_.mix(v); }
+  void i64v(i64 v) { h_.mix(v); }
+  void intv(int v) { h_.mix(v); }
+  void boolean(bool v) { u8(v ? 1 : 0); }
+  void f64(double v) { h_.mix(v); }
+  void str(const std::string& s) { h_.mix(s); }
+  u64 digest() const { return h_.digest(); }
 
-void mixPolyhedron(Hasher& h, const Polyhedron& p) {
-  h.mix(p.dim());
-  h.mix(p.nparam());
-  mixMatrix(h, p.equalities());
-  mixMatrix(h, p.inequalities());
-}
+private:
+  Hasher h_;
+};
 
-void mixExpr(Hasher& h, const ExprPtr& e) {
-  if (e == nullptr) {
-    h.mix(i64{-1});
-    return;
-  }
-  h.mix(static_cast<i64>(e->kind()));
-  switch (e->kind()) {
-    case Expr::Kind::Const:
-      h.mix(e->constValue());
-      break;
-    case Expr::Kind::Load:
-      h.mix(e->accessIndex());
-      break;
-    default:
-      mixExpr(h, e->lhs());
-      mixExpr(h, e->rhs());
-      break;
-  }
+}  // namespace
+
+template <>
+inline constexpr bool kSinkTakesDerived<HashSink> = false;
+
+namespace {
+
+template <class T>
+u64 hashFields(const T& value) {
+  HashSink sink;
+  writeValue(sink, value);
+  return sink.digest();
 }
 
 }  // namespace
 
-u64 hashProgramBlock(const ProgramBlock& block) {
-  Hasher h;
-  h.mix(block.name);
-  h.mix(block.paramNames);
-  h.mix(static_cast<i64>(block.arrays.size()));
-  for (const ArrayDecl& a : block.arrays) {
-    h.mix(a.name);
-    h.mix(a.extents);
-  }
-  h.mix(static_cast<i64>(block.statements.size()));
-  for (const Statement& st : block.statements) {
-    h.mix(st.name);
-    mixPolyhedron(h, st.domain);
-    h.mix(static_cast<i64>(st.accesses.size()));
-    for (const Access& acc : st.accesses) {
-      h.mix(acc.arrayId);
-      h.mix(acc.isWrite);
-      mixMatrix(h, acc.fn);
-    }
-    h.mix(st.writeAccess);
-    mixExpr(h, st.rhs);
-    mixMatrix(h, st.schedule);
-  }
-  return h.digest();
-}
+u64 hashProgramBlock(const ProgramBlock& block) { return hashFields(block); }
 
-u64 hashCompileOptions(const CompileOptions& o) {
-  Hasher h;
-  h.mix(o.paramValues);
-  h.mix(static_cast<i64>(o.mode));
-  h.mix(o.delta);
-  h.mix(static_cast<i64>(o.partitionMode));
-  h.mix(o.stageEverything);
-  h.mix(o.optimizeCopySets);
-  h.mix(o.subTile);
-  h.mix(o.blockTile);
-  h.mix(o.threadTile);
-  h.mix(o.hoistCopies);
-  h.mix(o.useScratchpad);
-  h.mix(static_cast<i64>(o.searchMode));
-  h.mix(o.memLimitBytes);
-  h.mix(o.elementBytes);
-  h.mix(o.innerProcs);
-  h.mix(o.syncCost);
-  h.mix(o.transferCost);
-  h.mix(o.tileCandidates);
-  h.mix(o.parametricTileAnalysis);
-  h.mix(o.packBuffers);
-  h.mix(o.smemBanks);
-  h.mix(o.smemBankWidthBytes);
-  h.mix(o.backendName);
-  h.mix(o.kernelName);
-  h.mix(o.elementType);
-  h.mix(o.numBoundParams);
-  h.mix(o.doubleBuffer);
-  h.mix(o.runtimeSizeArgs);
-  return h.digest();
-}
+u64 hashCompileOptions(const CompileOptions& o) { return hashFields(o); }
 
 }  // namespace emm

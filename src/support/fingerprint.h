@@ -8,7 +8,10 @@
 // digest. hashCompileOptions does the same for the full option set, so
 // (block fingerprint, options fingerprint) keys the driver's PlanCache.
 //
-// The digest is 64-bit FNV-1a with length-prefixed fields, which keeps it
+// Both walk the structs' field lists (support/fields.h) with the plan
+// format's writer, digesting its bytes except the derived emptiness answer
+// of each polyhedron, so a key never runs Fourier-Motzkin elimination.
+// The digest is 64-bit FNV-1a over length-prefixed fields, which keeps it
 // stable across processes and platforms (no pointer or iteration-order
 // dependence). It is a cache key, not a cryptographic commitment.
 #pragma once
@@ -33,11 +36,8 @@ public:
   void mix(i64 v);
   void mix(u64 v);
   void mix(int v) { mix(static_cast<i64>(v)); }
-  void mix(bool v) { mix(static_cast<i64>(v ? 1 : 0)); }
   void mix(double v);  ///< bit-pattern digest (distinguishes -0.0 from 0.0)
   void mix(const std::string& s);
-  void mix(const std::vector<i64>& v);
-  void mix(const std::vector<std::vector<i64>>& v);
   void mix(const std::vector<std::string>& v);
 
   u64 digest() const { return state_; }

@@ -9,20 +9,25 @@
 // truncation throws SerializeError instead of crashing or fabricating a
 // plan.
 //
+// Each struct's wire layout is its field list (support/fields.h), walked by
+// one generic writer (support/field_codec.h) and one generic reader; the
+// same lists feed the cache keys (support/fingerprint.h) and the schema
+// manifest.
+//
 // Versioning has two layers (see docs/PLAN_FORMAT.md for the policy):
 //  - kPlanFormatVersion: the container framing (header layout, tag
 //    discipline). Bumped when the envelope changes shape.
-//  - serializeSchemaFingerprint(): a digest of the schema manifest string in
-//    serialize.cpp, which enumerates every serialized struct field by field.
-//    Changing any serializer requires editing the manifest, which changes
-//    the fingerprint, which makes older files reject cleanly. This is the
-//    "build fingerprint" of the .emmplan header.
+//  - serializeSchemaFingerprint(): a digest of the schema manifest, which
+//    is generated from the field lists and names every serialized struct
+//    field by field. Any change to a list changes the fingerprint, which
+//    makes older files reject cleanly. This is the "build fingerprint" of
+//    the .emmplan header.
 //
 // Round-trip guarantee: deserializeCompileResult(serializeCompileResult(r))
 // reproduces r field by field — same emitted artifact bytes, same costs and
 // tile choices, same diagnostics and timings — with the internal
 // back-pointers (CodeUnit::source, DataPlan::block) rebound to the
-// deserialized blocks, exactly as PipelineProducts::clone() rebinds them.
+// deserialized blocks, as CompileResult::clone() rebinds them.
 #pragma once
 
 #include <memory>
@@ -60,9 +65,12 @@ public:
 /// record embedded in .emmfam files) — see docs/PLAN_FORMAT.md.
 inline constexpr u32 kPlanFormatVersion = 4;
 
-/// Digest of the serialization schema compiled into this binary (the
-/// manifest string in serialize.cpp). Two binaries agree on this value iff
-/// they agree on every serialized struct layout.
+/// The schema manifest: every serialized struct as "Name@tag{field:type,...};"
+/// in wire order, generated from the field lists.
+const std::string& serializeSchemaManifest();
+
+/// Digest of the schema manifest compiled into this binary. Two binaries
+/// agree on this value iff they agree on every serialized struct layout.
 u64 serializeSchemaFingerprint();
 
 /// FNV-1a digest of a byte range; used for payload checksums and for the

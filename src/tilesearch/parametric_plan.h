@@ -57,9 +57,6 @@
 
 namespace emm {
 
-class ByteReader;
-class ByteWriter;
-
 class ParametricTilePlan {
 public:
   /// Everything evaluation derives from one concrete problem size: the
@@ -69,6 +66,12 @@ public:
   struct SizeBinding {
     IntVec ext;                  ///< [sizes, origins(sizes)] symbol binding
     std::vector<i64> loopRange;  ///< iteration range per common loop
+
+    static constexpr void fields(auto& v) {
+      v.tag(kTagSizeBinding, "SizeBinding");
+      v("ext", &SizeBinding::ext);
+      v("loopRange", &SizeBinding::loopRange);
+    }
   };
 
   /// Runs the symbolic Section-3 analysis and compiles the cost-model
@@ -158,6 +161,13 @@ private:
     bool always = false;  ///< overlap for every binding and T >= 1
     bool never = false;   ///< empty intersection everywhere
     Polyhedron cond;      ///< otherwise: dim = np + 2*depth vars, no params
+
+    static constexpr void fields(auto& v) {
+      v.tag(kTagPairPredicate, "PairPredicate");
+      v("always", &PairPredicate::always);
+      v("never", &PairPredicate::never);
+      v("cond", &PairPredicate::cond);
+    }
   };
 
   struct RefFormula {
@@ -170,6 +180,16 @@ private:
     Box ctxBox;  ///< bounds under the analysis context (buffer geometry)
     Box rawBox;  ///< raw bounds (Section-3.1.3 volume estimation)
     std::vector<bool> usesOrigin;  ///< per loop: Section-4.2 dependence bits
+
+    static constexpr void fields(auto& v) {
+      v.tag(kTagRefFormula, "RefFormula");
+      v("key", &RefFormula::key);
+      v("isWrite", &RefFormula::isWrite);
+      v("orderReuse", &RefFormula::orderReuse);
+      v("ctxBox", &RefFormula::ctxBox);
+      v("rawBox", &RefFormula::rawBox);
+      v("usesOrigin", &RefFormula::usesOrigin);
+    }
   };
 
   /// One symbolic (coarsest) overlap component of one array.
@@ -184,6 +204,15 @@ private:
     /// product over dimensions of its bounding-box extent under the
     /// analysis context (see buildFootprintFormulas).
     SymPtr footprint;
+
+    static constexpr void fields(auto& v) {
+      v.tag(kTagComponentFormula, "ComponentFormula");
+      v("refs", &ComponentFormula::refs);
+      v("pairs", &ComponentFormula::pairs);
+      v("hoistLevel", &ComponentFormula::hoistLevel);
+      v("globalIdx", &ComponentFormula::globalIdx);
+      v.skip("footprint", "derived from refs by buildFootprintFormulas");
+    }
   };
 
   struct ArrayFormula {
@@ -198,6 +227,15 @@ private:
     /// concrete analysis even when symbolic components interleave by
     /// reference index.
     std::vector<std::pair<int, int>> refLoc;
+
+    static constexpr void fields(auto& v) {
+      v.tag(kTagArrayFormula, "ArrayFormula");
+      v("arrayId", &ArrayFormula::arrayId);
+      v("arrayName", &ArrayFormula::arrayName);
+      v("comps", &ArrayFormula::comps);
+      v("numRefs", &ArrayFormula::numRefs);
+      v("refLoc", &ArrayFormula::refLoc);
+    }
   };
 
   /// Geometry record of one symbolic partition, for instantiateGeometry():
@@ -210,6 +248,14 @@ private:
     std::vector<std::pair<int, int>> refKeys;  ///< sorted (stmt, access)
     std::vector<std::vector<AffExpr>> lower;   ///< per dim, pool order
     std::vector<std::vector<AffExpr>> upper;
+
+    static constexpr void fields(auto& v) {
+      v.tag(kTagGeometryRecord, "GeometryRecord");
+      v("arrayId", &GeometryRecord::arrayId);
+      v("refKeys", &GeometryRecord::refKeys);
+      v("lower", &GeometryRecord::lower);
+      v("upper", &GeometryRecord::upper);
+    }
   };
 
   struct LiveGroup;  ///< a partition live at evaluated tile sizes
@@ -249,8 +295,27 @@ private:
   i64 volumeCap_ = 0;
   bool onlyBeneficial_ = false;
 
-  friend void serializeParametricPlanBody(ByteWriter& w, const ParametricTilePlan& plan);
-  friend ParametricTilePlan deserializeParametricPlanBody(ByteReader& r);
+  /// The plan format's field list (support/fields.h); symParams_ is rebuilt
+  /// from the decoded analysis, and finishDecode (support/serialize.cpp)
+  /// validates the decoded formulas before the plan is used.
+  static constexpr void fields(auto& v) {
+    v.tag(kTagParametricPlan, "ParametricTilePlan");
+    v("depth_", &ParametricTilePlan::depth_);
+    v("np_", &ParametricTilePlan::np_);
+    v("options_", &ParametricTilePlan::options_);
+    v.skip("symParams_", "derived by rebuildSymbols");
+    v("analysis_", &ParametricTilePlan::analysis_);
+    v("defaultBinding_", &ParametricTilePlan::defaultBinding_);
+    v("arrays_", &ParametricTilePlan::arrays_);
+    v("geometry_", &ParametricTilePlan::geometry_);
+    v("hoist_", &ParametricTilePlan::hoist_);
+    v("benefitDelta_", &ParametricTilePlan::benefitDelta_);
+    v("volumeCap_", &ParametricTilePlan::volumeCap_);
+    v("onlyBeneficial_", &ParametricTilePlan::onlyBeneficial_);
+  }
+
+  friend struct FieldAccess;
+  friend void finishDecode(ParametricTilePlan& plan);
 };
 
 /// Plan-only re-run of the tile-size solver at one size binding: ladder

@@ -47,23 +47,6 @@ std::string joinTile(const std::vector<i64>& tile) {
   return out;
 }
 
-/// Field-by-field equivalence used by probe validation. Costs are compared
-/// exactly: both paths combine identical integers with identical
-/// floating-point expressions, so any difference is a real model mismatch.
-bool sameEvaluation(const TileEvaluation& a, const TileEvaluation& b) {
-  if (a.feasible != b.feasible || a.reason != b.reason) return false;
-  if (a.footprint != b.footprint || a.cost != b.cost) return false;
-  if (a.terms.size() != b.terms.size()) return false;
-  for (size_t i = 0; i < a.terms.size(); ++i) {
-    const TileEvaluation::BufferTerm& x = a.terms[i];
-    const TileEvaluation::BufferTerm& y = b.terms[i];
-    if (x.name != y.name || x.occurrences != y.occurrences || x.volumeIn != y.volumeIn ||
-        x.volumeOut != y.volumeOut || x.hoistLevel != y.hoistLevel)
-      return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 TileEvaluator::TileEvaluator(const ProgramBlock& block, const ParallelismPlan& plan,
@@ -226,7 +209,7 @@ void TileEvaluator::ensurePlan() {
       ParametricTilePlan::SizeBinding binding = plan->bindSizes(options_.paramValues);
       bool agree = true;
       for (const auto& [tile, concrete] : probes) {
-        if (!sameEvaluation(concrete, plan->evaluate(binding, tile))) {
+        if (concrete != plan->evaluate(binding, tile)) {
           agree = false;
           reason = std::string(family ? "family plan" : "symbolic plan") +
                    " disagrees with the concrete analysis at tile (" + joinTile(tile) + ")";

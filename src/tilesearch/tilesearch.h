@@ -48,6 +48,18 @@ struct TileSearchOptions {
   /// evaluations and falls back to the per-candidate path — with a
   /// diagnostic reason — when the block is not parametrically analyzable.
   bool parametric = true;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagTileSearchOptions, "TileSearchOptions");
+    v("memLimitElems", &TileSearchOptions::memLimitElems);
+    v("innerProcs", &TileSearchOptions::innerProcs);
+    v("syncCost", &TileSearchOptions::syncCost);
+    v("transferCost", &TileSearchOptions::transferCost);
+    v("paramValues", &TileSearchOptions::paramValues);
+    v("candidates", &TileSearchOptions::candidates);
+    v("hoistCopies", &TileSearchOptions::hoistCopies);
+    v("parametric", &TileSearchOptions::parametric);
+  }
 };
 
 /// One buffer's Section-4.3 data-movement cost term,
@@ -74,8 +86,33 @@ struct TileEvaluation {
     i64 volumeIn = 0;
     i64 volumeOut = 0;
     int hoistLevel = 0;
+
+    bool operator==(const BufferTerm&) const = default;
+
+    static constexpr void fields(auto& v) {
+      v.tag(kTagBufferTerm, "BufferTerm");
+      v("name", &BufferTerm::name);
+      v("occurrences", &BufferTerm::occurrences);
+      v("volumeIn", &BufferTerm::volumeIn);
+      v("volumeOut", &BufferTerm::volumeOut);
+      v("hoistLevel", &BufferTerm::hoistLevel);
+    }
   };
   std::vector<BufferTerm> terms;
+
+  /// Field-by-field equivalence, used by probe validation. Costs compare
+  /// exactly: both evaluators combine identical integers with identical
+  /// floating-point expressions, so any difference is a real model mismatch.
+  bool operator==(const TileEvaluation&) const = default;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagTileEvaluation, "TileEvaluation");
+    v("feasible", &TileEvaluation::feasible);
+    v("reason", &TileEvaluation::reason);
+    v("cost", &TileEvaluation::cost);
+    v("footprint", &TileEvaluation::footprint);
+    v("terms", &TileEvaluation::terms);
+  }
 };
 
 struct TileSearchResult {
@@ -99,6 +136,20 @@ struct TileSearchResult {
   double planBuildMillis = 0;
   /// Cumulative candidate evaluation time (memo misses only), in ms.
   double evalMillis = 0;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagTileSearchResult, "TileSearchResult");
+    v("subTile", &TileSearchResult::subTile);
+    v("eval", &TileSearchResult::eval);
+    v("evaluations", &TileSearchResult::evaluations);
+    v("memoHits", &TileSearchResult::memoHits);
+    v("parametric", &TileSearchResult::parametric);
+    v("familyAdopted", &TileSearchResult::familyAdopted);
+    v("prunedBoxes", &TileSearchResult::prunedBoxes);
+    v("parametricReason", &TileSearchResult::parametricReason);
+    v("planBuildMillis", &TileSearchResult::planBuildMillis);
+    v("evalMillis", &TileSearchResult::evalMillis);
+  }
 };
 
 /// Evaluates the Section-4.3 objective for one concrete tile-size vector.

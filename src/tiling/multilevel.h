@@ -27,6 +27,7 @@
 #include <memory>
 
 #include "smem/data_manage.h"
+#include "support/deep_ptr.h"
 #include "transform/transform.h"
 
 namespace emm {
@@ -35,7 +36,7 @@ namespace emm {
 /// the sub-tile program block (origins as parameters), its scratchpad plan,
 /// and the hoisted placement level of every buffer's copy code.
 struct TileAnalysis {
-  std::unique_ptr<ProgramBlock> tileBlock;
+  DeepPtr<ProgramBlock> tileBlock;
   DataPlan plan;                          ///< empty partitions when scratchpad off
   std::vector<std::string> originParams;  ///< one per common loop
   /// Symbolic tile-size parameter names (one per common loop) when the
@@ -47,6 +48,18 @@ struct TileAnalysis {
   /// Per partition index: sub-tile nesting level (0..depth) the copy code is
   /// placed at; `depth` = innermost. Only meaningful for buffered partitions.
   std::vector<int> hoistLevel;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagTileAnalysis, "TileAnalysis");
+    v("tileBlock", &TileAnalysis::tileBlock);
+    v("plan", &TileAnalysis::plan);
+    v("originParams", &TileAnalysis::originParams);
+    v("tileParams", &TileAnalysis::tileParams);
+    v("loopBounds", &TileAnalysis::loopBounds);
+    v("subTile", &TileAnalysis::subTile);
+    v("depth", &TileAnalysis::depth);
+    v("hoistLevel", &TileAnalysis::hoistLevel);
+  }
 };
 
 /// Runs the Section-3 analysis on the sub-tile block induced by `subTile`
@@ -102,6 +115,15 @@ struct TiledKernel {
   i64 numBlockTiles(const IntVec& paramValues) const;
   /// Scratchpad elements needed per block instance.
   i64 footprintPerBlock(const IntVec& paramValues) const;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagTiledKernel, "TiledKernel");
+    v("analysis", &TiledKernel::analysis);
+    v("unit", &TiledKernel::unit);
+    v("spaceLoops", &TiledKernel::spaceLoops);
+    v("blockTileSizes", &TiledKernel::blockTileSizes);
+    v("spaceLoopRange", &TiledKernel::spaceLoopRange);
+  }
 };
 
 /// Builds the multi-level tiled kernel (Figure 3).

@@ -26,6 +26,12 @@ struct LoopDepSummary {
   int loop = 0;
   SignRange sign = SignRange::Zero;  ///< combined distance sign
   bool carriesDependence() const { return sign != SignRange::Zero; }
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagLoopDepSummary, "LoopDepSummary");
+    v("loop", &LoopDepSummary::loop);
+    v("sign", &LoopDepSummary::sign);
+  }
 };
 
 /// Result of parallelism detection.
@@ -42,6 +48,15 @@ struct ParallelismPlan {
   bool needsInterBlockSync = false;
   /// Per-loop summaries for diagnostics and tests.
   std::vector<LoopDepSummary> summaries;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagParallelismPlan, "ParallelismPlan");
+    v("band", &ParallelismPlan::band);
+    v("spaceLoops", &ParallelismPlan::spaceLoops);
+    v("timeLoops", &ParallelismPlan::timeLoops);
+    v("needsInterBlockSync", &ParallelismPlan::needsInterBlockSync);
+    v("summaries", &ParallelismPlan::summaries);
+  }
 };
 
 /// Number of outer loops every statement of the block shares.
