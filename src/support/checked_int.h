@@ -36,8 +36,11 @@ inline i64 mulAddChecked(i64 a, i64 b, i64 c, i64 d) {
   return narrow(static_cast<i128>(a) * b + static_cast<i128>(c) * d);
 }
 
-/// Non-negative gcd; gcd(0,0) == 0.
+/// Non-negative gcd; gcd(0,0) == 0. INT64_MIN has no int64 magnitude, so
+/// like an overflow in narrow() it throws ApiError (hostile plan bytes can
+/// carry it into a polyhedron that is later simplified).
 inline i64 gcd64(i64 a, i64 b) {
+  EMM_REQUIRE(a != INT64_MIN && b != INT64_MIN, "int64 overflow in gcd");
   if (a < 0) a = -a;
   if (b < 0) b = -b;
   while (b != 0) {
