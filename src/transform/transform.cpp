@@ -62,6 +62,32 @@ ParallelismPlan findParallelism(const ProgramBlock& block, const std::vector<Dep
   return plan;
 }
 
+namespace {
+
+/// Rewrites `st` over new iterators z related to the old ones x by x = M z,
+/// where `m` is d x (d + nparam + 1) over [z, params, 1]: the domain is the
+/// preimage under M and every access function F becomes F(M z).
+void substituteIterators(Statement& st, const IntMat& m) {
+  const int d = st.dim();
+  const int cols = m.cols();
+  st.domain = st.domain.preimage(m, d);
+  for (Access& acc : st.accesses) {
+    IntMat composed(acc.fn.rows(), cols);
+    for (int r = 0; r < acc.fn.rows(); ++r) {
+      // Row over [x, p, 1] composed with x = M z.
+      for (int c = 0; c < cols; ++c) {
+        i128 v = 0;
+        for (int j = 0; j < d; ++j) v += static_cast<i128>(acc.fn.at(r, j)) * m.at(j, c);
+        if (c >= d) v += acc.fn.at(r, c);
+        composed.at(r, c) = narrow(v);
+      }
+    }
+    acc.fn = composed;
+  }
+}
+
+}  // namespace
+
 ProgramBlock skewLoop(const ProgramBlock& block, int targetLoop, int sourceLoop, i64 factor) {
   EMM_REQUIRE(targetLoop != sourceLoop, "skew target equals source");
   ProgramBlock out = block;
@@ -69,28 +95,12 @@ ProgramBlock skewLoop(const ProgramBlock& block, int targetLoop, int sourceLoop,
     EMM_REQUIRE(targetLoop < st.dim() && sourceLoop < st.dim(),
                 "skewLoop: loops must be common to all statements");
     int d = st.dim();
-    int np = out.nparam();
     // New iterators z relate to old x by: x = M z where M is identity except
     // x[target] = z[target] - factor * z[source].
-    IntMat m(d, d + np + 1);
+    IntMat m(d, d + out.nparam() + 1);
     for (int i = 0; i < d; ++i) m.at(i, i) = 1;
     m.at(targetLoop, sourceLoop) = narrow(-static_cast<i128>(factor));
-    // Domain: substitute x = M z.
-    st.domain = st.domain.preimage(m, d);
-    // Accesses: F'(z) = F(M z).
-    for (Access& acc : st.accesses) {
-      IntMat composed(acc.fn.rows(), d + np + 1);
-      for (int r = 0; r < acc.fn.rows(); ++r) {
-        // Row over [x, p, 1] composed with x = M z.
-        for (int c = 0; c < d + np + 1; ++c) {
-          i128 v = 0;
-          for (int j = 0; j < d; ++j) v += static_cast<i128>(acc.fn.at(r, j)) * m.at(j, c);
-          if (c >= d) v += acc.fn.at(r, c);
-          composed.at(r, c) = narrow(v);
-        }
-      }
-      acc.fn = composed;
-    }
+    substituteIterators(st, m);
     // Schedules in canonical interleaved form refer to iterators by
     // position, which is unchanged by an in-place skew (iteration order of
     // the skewed nest is exactly the lexicographic order of z).
@@ -110,19 +120,7 @@ ProgramBlock shiftStatementLoop(const ProgramBlock& block, int stmtIdx, int loop
   IntMat m(d, d + np + 1);
   for (int i = 0; i < d; ++i) m.at(i, i) = 1;
   m.at(loop, d + np) = narrow(-static_cast<i128>(offset));
-  st.domain = st.domain.preimage(m, d);
-  for (Access& acc : st.accesses) {
-    IntMat composed(acc.fn.rows(), d + np + 1);
-    for (int r = 0; r < acc.fn.rows(); ++r) {
-      for (int c = 0; c < d + np + 1; ++c) {
-        i128 v = 0;
-        for (int j = 0; j < d; ++j) v += static_cast<i128>(acc.fn.at(r, j)) * m.at(j, c);
-        if (c >= d) v += acc.fn.at(r, c);
-        composed.at(r, c) = narrow(v);
-      }
-    }
-    acc.fn = composed;
-  }
+  substituteIterators(st, m);
   return out;
 }
 
