@@ -26,13 +26,6 @@ using namespace emm;
 
 namespace {
 
-void require(bool cond, const char* what) {
-  if (!cond) {
-    std::fprintf(stderr, "FIG4 SHARED-PLAN CHECK FAILED: %s\n", what);
-    std::exit(1);
-  }
-}
-
 double millisSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -102,13 +95,13 @@ int main() {
     const std::uint64_t emitsBefore = emitterInvocations();
     CompileResult warm = compileMe(ni, nj, w, &cache, &warmMs);
     warmEmits += emitterInvocations() - emitsBefore;
-    require(cold.ok && warm.ok, "compile failed");
-    require(warm.artifact == cold.artifact, "per-size artifact mismatch");
-    require(warm.search.subTile == cold.search.subTile, "chosen tile mismatch");
-    require(warm.familyHit == !first, first ? "first size must build the family"
+    bench::require(cold.ok && warm.ok, "compile failed");
+    bench::require(warm.artifact == cold.artifact, "per-size artifact mismatch");
+    bench::require(warm.search.subTile == cold.search.subTile, "chosen tile mismatch");
+    bench::require(warm.familyHit == !first, first ? "first size must build the family"
                                             : "missing family hit");
-    require(warm.search.familyAdopted == !first, "family plan not adopted");
-    require(warm.artifactBound == !first, first ? "first size must emit the record"
+    bench::require(warm.search.familyAdopted == !first, "family plan not adopted");
+    bench::require(warm.artifactBound == !first, first ? "first size must emit the record"
                                                 : "warm size must bind, not re-emit");
     coldTotal += coldMs;
     warmTotal += warmMs;
@@ -119,9 +112,9 @@ int main() {
     first = false;
   }
   PlanCache::Stats s = cache.stats();
-  require(s.familyMisses == 1, "sweep must perform exactly one cold pipeline run");
-  require(s.familyHits == static_cast<i64>(sizes.size()) - 1, "family hit per warm size");
-  require(warmEmits == 1, "warm sweep must invoke the emitter exactly once per family");
+  bench::require(s.familyMisses == 1, "sweep must perform exactly one cold pipeline run");
+  bench::require(s.familyHits == static_cast<i64>(sizes.size()) - 1, "family hit per warm size");
+  bench::require(warmEmits == 1, "warm sweep must invoke the emitter exactly once per family");
   std::printf("  sweep totals: %.1f ms cold vs %.1f ms shared-plan (%.1fx); "
               "%lld family hits / %lld misses; %llu artifact emitted for %zu sizes\n",
               coldTotal, warmTotal, coldTotal / warmTotal, s.familyHits, s.familyMisses,

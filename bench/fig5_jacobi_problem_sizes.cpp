@@ -31,13 +31,6 @@ using namespace emm;
 
 namespace {
 
-void require(bool cond, const char* what) {
-  if (!cond) {
-    std::fprintf(stderr, "FIG5 SHARED-PLAN CHECK FAILED: %s\n", what);
-    std::exit(1);
-  }
-}
-
 double millisSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -117,12 +110,12 @@ int main() {
     const std::uint64_t emitsBefore = emitterInvocations();
     CompileResult warm = compileJacobi(kSweepN, t, &cache, &warmMs);
     warmEmits += emitterInvocations() - emitsBefore;
-    require(cold.ok && warm.ok, "compile failed");
-    require(!cold.artifact.empty(), "scratchpad-only flow must emit an artifact");
-    require(warm.artifact == cold.artifact, "per-size artifact mismatch");
-    require(warm.familyHit == !first, first ? "first size must build the family"
+    bench::require(cold.ok && warm.ok, "compile failed");
+    bench::require(!cold.artifact.empty(), "scratchpad-only flow must emit an artifact");
+    bench::require(warm.artifact == cold.artifact, "per-size artifact mismatch");
+    bench::require(warm.familyHit == !first, first ? "first size must build the family"
                                             : "missing family hit");
-    require(warm.artifactBound == !first, first ? "first size must emit the record"
+    bench::require(warm.artifactBound == !first, first ? "first size must emit the record"
                                                 : "warm size must bind, not re-emit");
     coldTotal += coldMs;
     warmTotal += warmMs;
@@ -131,9 +124,9 @@ int main() {
     first = false;
   }
   PlanCache::Stats s = cache.stats();
-  require(s.familyMisses == 1, "sweep must perform exactly one cold pipeline run");
-  require(s.familyHits == static_cast<i64>(steps.size()) - 1, "family hit per warm size");
-  require(warmEmits == 1, "warm sweep must invoke the emitter exactly once per family");
+  bench::require(s.familyMisses == 1, "sweep must perform exactly one cold pipeline run");
+  bench::require(s.familyHits == static_cast<i64>(steps.size()) - 1, "family hit per warm size");
+  bench::require(warmEmits == 1, "warm sweep must invoke the emitter exactly once per family");
   std::printf("  sweep totals: %.1f ms cold vs %.1f ms shared-plan; "
               "%lld family hits / %lld misses; %llu artifact emitted for %zu sizes\n",
               coldTotal, warmTotal, s.familyHits, s.familyMisses,

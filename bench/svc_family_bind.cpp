@@ -25,7 +25,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <sys/resource.h>
 #include <vector>
 
 #include "bench_util.h"
@@ -39,41 +38,11 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-void require(bool cond, const char* what) {
-  if (!cond) {
-    std::fprintf(stderr, "SVC_FAMILY_BIND CHECK FAILED: %s\n", what);
-    std::exit(1);
-  }
-}
-
-long maxRssKb() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return ru.ru_maxrss;
-}
-
-double percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0;
-  const size_t i = std::min(sorted.size() - 1,
-                            static_cast<size_t>(p * static_cast<double>(sorted.size())));
-  return sorted[i];
-}
-
-struct RunResult {
-  double opsPerSec = 0;
-  double p50us = 0, p99us = 0, p999us = 0;
-  i64 ops = 0;
-  double secs = 0;
-};
+using bench::require;
+using bench::RunResult;
 
 void jsonLine(const char* mode, const RunResult& r) {
-  std::printf("JSON {\"bench\":\"svc_family_bind\",\"mode\":\"%s\",\"shards\":1,"
-              "\"dist\":\"rotate\",\"threads\":1,\"ops\":%lld,\"secs\":%.3f,"
-              "\"ops_per_sec\":%.0f,\"p50_us\":%.2f,\"p99_us\":%.2f,"
-              "\"p999_us\":%.2f,\"hit_rate\":1.0000,\"entries\":1,"
-              "\"maxrss_kb\":%ld}\n",
-              mode, static_cast<long long>(r.ops), r.secs, r.opsPerSec, r.p50us, r.p99us,
-              r.p999us, maxRssKb());
+  bench::jsonLine("svc_family_bind", mode, 1, "rotate", 1, r, 1.0, 1);
 }
 
 /// The ME family at (ni, nj, w): same pipeline configuration as the Figure-4
@@ -96,15 +65,8 @@ RunResult timeSweep(size_t ops, const Fn& oneCompile) {
     oneCompile(i);
     lat.push_back(std::chrono::duration<double, std::micro>(Clock::now() - t0).count());
   }
-  RunResult r;
-  r.secs = std::chrono::duration<double>(Clock::now() - start).count();
-  std::sort(lat.begin(), lat.end());
-  r.ops = static_cast<i64>(lat.size());
-  r.opsPerSec = r.secs > 0 ? static_cast<double>(r.ops) / r.secs : 0;
-  r.p50us = percentile(lat, 0.50);
-  r.p99us = percentile(lat, 0.99);
-  r.p999us = percentile(lat, 0.999);
-  return r;
+  return bench::summarize(std::move(lat),
+                          std::chrono::duration<double>(Clock::now() - start).count());
 }
 
 }  // namespace

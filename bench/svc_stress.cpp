@@ -17,19 +17,22 @@
 //  3. daemon stress — the same load shapes against a live service over its
 //     real unix socket (an in-process ServiceServer by default, or any
 //     external daemon via --connect=SOCK), mixing warm compile requests
-//     with STATS probes, which after this PR never contend with replies.
+//     with STATS probes, which never contend with replies. Before the load,
+//     a fresh client asks for a never-seen size of the warmed kernel family
+//     and must be served from the daemon's family tier.
 //
-// Every measured config also emits one machine-readable JSON line
-// (`{"bench":"svc_stress",...}`) so future PRs can track the scaling curve
-// the way the fig-style benches track the paper's plots.
+// Every measured config runs for at least 250 ms (--quick) or 1 s, and
+// emits one machine-readable JSON line (`{"bench":"svc_stress",...}`) so
+// changes can track the scaling curve the way the fig-style benches track
+// the paper's plots.
 //
-// Exit status covers CORRECTNESS only (single-flight, byte-identity, clean
-// daemon). Scaling is reported but only enforced under --assert-scaling
-// (needs >= 8 hardware threads to be meaningful; CI boxes vary).
+// Exit status covers CORRECTNESS only (single-flight, byte-identity, the
+// fresh-client family hit, clean daemon). Scaling is reported but only
+// enforced under --assert-scaling (needs >= 8 hardware threads to be
+// meaningful; CI boxes vary).
 //
 // Flags: --quick (CI-sized run), --threads=a,b,... (override the sweep),
 //        --no-daemon, --connect=SOCK, --assert-scaling, --keys=N, --ops=N.
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -84,67 +87,48 @@ private:
 
 // ---- measurement helpers ---------------------------------------------------
 
-double percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0;
-  size_t at = static_cast<size_t>(p * static_cast<double>(sorted.size() - 1));
-  return sorted[at];
-}
+using bench::RunResult;
 
-long maxRssKb() {
-  rusage ru{};
-  ::getrusage(RUSAGE_SELF, &ru);
-  return ru.ru_maxrss;
-}
-
-struct RunResult {
-  double opsPerSec = 0;
-  double p50us = 0, p99us = 0, p999us = 0;
-  i64 ops = 0;
-  double secs = 0;
+/// How much load one measured config gets: every worker makes at least
+/// `opsPerThread` calls and keeps going until `minTime` has passed, so the
+/// throughput and tails rest on enough operations to resolve (a few
+/// thousand warm hits alone take only milliseconds).
+struct LoadSize {
+  i64 opsPerThread = 0;
+  std::chrono::milliseconds minTime{0};
 };
 
-/// Runs `threads` workers, each performing `opsPerThread` calls of `op(rng)`
-/// and recording per-op latency; returns aggregate throughput + tails.
+/// Runs `threads` workers, worker t calling `op(t, rng, i)` for i = 0, 1, ...
+/// as `size` asks, recording per-op latency; returns aggregate throughput +
+/// tails.
 template <typename Op>
-RunResult runLoad(int threads, i64 opsPerThread, const Op& op) {
+RunResult runLoad(int threads, LoadSize size, const Op& op) {
   std::vector<std::vector<double>> lat(static_cast<size_t>(threads));
   std::vector<std::thread> workers;
   const auto start = Clock::now();
+  const auto deadline = start + size.minTime;
   for (int t = 0; t < threads; ++t)
     workers.emplace_back([&, t] {
       std::mt19937_64 rng(0x5eed5eedULL + static_cast<u64>(t));
       std::vector<double>& mine = lat[static_cast<size_t>(t)];
-      mine.reserve(static_cast<size_t>(opsPerThread));
-      for (i64 i = 0; i < opsPerThread; ++i) {
+      mine.reserve(static_cast<size_t>(size.opsPerThread));
+      for (i64 i = 0;; ++i) {
         const auto t0 = Clock::now();
-        op(rng);
+        if (i >= size.opsPerThread && t0 >= deadline) break;
+        op(t, rng, i);
         mine.push_back(std::chrono::duration<double, std::micro>(Clock::now() - t0).count());
       }
     });
   for (std::thread& w : workers) w.join();
-  RunResult r;
-  r.secs = std::chrono::duration<double>(Clock::now() - start).count();
   std::vector<double> all;
   for (const std::vector<double>& v : lat) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end());
-  r.ops = static_cast<i64>(all.size());
-  r.opsPerSec = r.secs > 0 ? static_cast<double>(r.ops) / r.secs : 0;
-  r.p50us = percentile(all, 0.50);
-  r.p99us = percentile(all, 0.99);
-  r.p999us = percentile(all, 0.999);
-  return r;
+  return bench::summarize(std::move(all),
+                          std::chrono::duration<double>(Clock::now() - start).count());
 }
 
 void jsonLine(const char* mode, size_t shards, const char* dist, int threads,
               const RunResult& r, double hitRate, i64 entries) {
-  std::printf("JSON {\"bench\":\"svc_stress\",\"mode\":\"%s\",\"shards\":%zu,"
-              "\"dist\":\"%s\",\"threads\":%d,\"ops\":%lld,\"secs\":%.3f,"
-              "\"ops_per_sec\":%.0f,\"p50_us\":%.2f,\"p99_us\":%.2f,"
-              "\"p999_us\":%.2f,\"hit_rate\":%.4f,\"entries\":%lld,"
-              "\"maxrss_kb\":%ld}\n",
-              mode, shards, dist, threads, static_cast<long long>(r.ops), r.secs,
-              r.opsPerSec, r.p50us, r.p99us, r.p999us, hitRate,
-              static_cast<long long>(entries), maxRssKb());
+  bench::jsonLine("svc_stress", mode, shards, dist, threads, r, hitRate, entries);
 }
 
 /// A tiny but clonable CompileResult whose artifact witnesses its key, so
@@ -175,7 +159,7 @@ struct Phase1Outcome {
   int topThreads = 1;
 };
 
-void warmHitScaling(const std::vector<int>& threadSweep, size_t keys, i64 opsPerThread,
+void warmHitScaling(const std::vector<int>& threadSweep, size_t keys, LoadSize load,
                     size_t shardsOverride, Phase1Outcome& out) {
   for (int t : threadSweep)
     if (t <= 8) out.topThreads = std::max(out.topThreads, t);
@@ -197,7 +181,7 @@ void warmHitScaling(const std::vector<int>& threadSweep, size_t keys, i64 opsPer
       for (int threads : threadSweep) {
         const PlanCache::Stats before = cache.stats();
         std::atomic<bool> mismatch{false};
-        RunResult r = runLoad(threads, opsPerThread, [&](std::mt19937_64& rng) {
+        RunResult r = runLoad(threads, load, [&](int, std::mt19937_64& rng, i64) {
           const size_t i = useZipf ? zipf(rng)
                                    : std::uniform_int_distribution<size_t>(0, keys - 1)(rng);
           std::optional<CompileResult> hit = cache.lookup(keyAt(i));
@@ -223,7 +207,7 @@ void warmHitScaling(const std::vector<int>& threadSweep, size_t keys, i64 opsPer
 
 // ---- phase 2: single-flight hammer ----------------------------------------
 
-bool singleFlightHammer(int threads, size_t keys, i64 opsPerThread) {
+bool singleFlightHammer(int threads, size_t keys, LoadSize load) {
   std::printf("\n-- single-flight hammer: %d threads, Zipfian over %zu cold keys --\n",
               threads, keys);
   PlanCache cache(4096, 0);
@@ -232,7 +216,7 @@ bool singleFlightHammer(int threads, size_t keys, i64 opsPerThread) {
   std::vector<std::atomic<int>> computes(keys);
   std::atomic<bool> mismatch{false};
   ZipfSampler zipf(keys);
-  RunResult r = runLoad(threads, opsPerThread, [&](std::mt19937_64& rng) {
+  RunResult r = runLoad(threads, load, [&](int, std::mt19937_64& rng, i64) {
     const size_t i = zipf(rng);
     CompileResult got = cache.getOrCompute(keyAt(i), [&] {
       computes[i].fetch_add(1);
@@ -279,7 +263,7 @@ svc::CompileRequest meRequest(const std::vector<i64>& sizes) {
 }
 
 bool daemonStress(const std::string& connectTo, const std::vector<int>& threadSweep,
-                  i64 requestsPerClient) {
+                  LoadSize load) {
   std::printf("\n-- daemon stress: warm compiles + STATS probes over the socket --\n");
   std::unique_ptr<svc::ServiceServer> server;
   std::string sock = connectTo;
@@ -304,46 +288,34 @@ bool daemonStress(const std::string& connectTo, const std::vector<int>& threadSw
       if (sz == sizes[0]) warmArtifact = rep.result.artifact;
     }
   }
+  // A brand-new connection asking for a size the daemon has never seen:
+  // the kernel FAMILY is warm, so it must be served from the family tier.
+  svc::ServiceClient fresh(sock);
+  const bool freshFamilyHit = fresh.compile(meRequest({768, 128, 16})).serverFamilyHit;
+  std::printf("  fresh client, new size: family hit: %s\n", freshFamilyHit ? "yes" : "NO");
   std::atomic<bool> failed{false}, mismatch{false};
   for (int threads : threadSweep) {
-    std::vector<std::vector<double>> lat(static_cast<size_t>(threads));
-    std::vector<std::thread> clients;
-    const auto start = Clock::now();
+    std::vector<std::unique_ptr<svc::ServiceClient>> clients;
     for (int t = 0; t < threads; ++t)
-      clients.emplace_back([&, t] {
-        svc::ServiceClient client(sock);
-        std::vector<double>& mine = lat[static_cast<size_t>(t)];
-        for (i64 i = 0; i < requestsPerClient; ++i) {
-          const auto t0 = Clock::now();
-          // One STATS probe per 8 compiles: the reply path and the counter
-          // snapshot must not contend.
-          if (i % 8 == 7) {
-            client.stats();
-          } else {
-            const std::vector<i64>& sz = sizes[static_cast<size_t>(t + i) % sizes.size()];
-            svc::WireCompileReply rep = client.compile(meRequest(sz));
-            if (!rep.result.ok) failed.store(true);
-            if (sz == sizes[0] && rep.result.artifact != warmArtifact) mismatch.store(true);
-          }
-          mine.push_back(std::chrono::duration<double, std::micro>(Clock::now() - t0).count());
-        }
-      });
-    for (std::thread& c : clients) c.join();
-    RunResult r;
-    r.secs = std::chrono::duration<double>(Clock::now() - start).count();
-    std::vector<double> all;
-    for (const std::vector<double>& v : lat) all.insert(all.end(), v.begin(), v.end());
-    std::sort(all.begin(), all.end());
-    r.ops = static_cast<i64>(all.size());
-    r.opsPerSec = r.secs > 0 ? static_cast<double>(r.ops) / r.secs : 0;
-    r.p50us = percentile(all, 0.50);
-    r.p99us = percentile(all, 0.99);
-    r.p999us = percentile(all, 0.999);
+      clients.push_back(std::make_unique<svc::ServiceClient>(sock));
+    RunResult r = runLoad(threads, load, [&](int t, std::mt19937_64&, i64 i) {
+      svc::ServiceClient& client = *clients[static_cast<size_t>(t)];
+      // One STATS probe per 8 compiles: the reply path and the counter
+      // snapshot must not contend.
+      if (i % 8 == 7) {
+        client.stats();
+        return;
+      }
+      const std::vector<i64>& sz = sizes[static_cast<size_t>(t + i) % sizes.size()];
+      svc::WireCompileReply rep = client.compile(meRequest(sz));
+      if (!rep.result.ok) failed.store(true);
+      if (sz == sizes[0] && rep.result.artifact != warmArtifact) mismatch.store(true);
+    });
     std::printf("  clients=%-3d %10.0f req/sec   p50 %8.0f us  p99 %8.0f us  p999 %8.0f us\n",
                 threads, r.opsPerSec, r.p50us, r.p99us, r.p999us);
     jsonLine("daemon", 0, "rotate", threads, r, 1.0, 0);
   }
-  bool clean = !failed.load() && !mismatch.load();
+  bool clean = freshFamilyHit && !failed.load() && !mismatch.load();
   if (server != nullptr) {
     svc::WireStats s = server->stats();
     clean = clean && s.protocolErrors == 0 && s.compileErrors == 0;
@@ -366,6 +338,7 @@ int main(int argc, char** argv) {
   const std::string connectTo = args.str("connect");
   const size_t keys = static_cast<size_t>(args.integer("keys", quick ? 512 : 2048));
   const i64 ops = args.integer("ops", quick ? 4000 : 50000);
+  const std::chrono::milliseconds minTime(quick ? 250 : 1000);
   // 0 = the library default (next pow2 of the hardware concurrency).
   const size_t shards = static_cast<size_t>(args.integer("shards", 0));
   std::vector<int> threadSweep;
@@ -384,7 +357,7 @@ int main(int argc, char** argv) {
   std::printf("   hardware threads: %u\n", std::thread::hardware_concurrency());
 
   Phase1Outcome p1;
-  warmHitScaling(threadSweep, keys, ops, shards, p1);
+  warmHitScaling(threadSweep, keys, {ops, minTime}, shards, p1);
   const double shardedScale = p1.sharded1 > 0 ? p1.shardedTop / p1.sharded1 : 0;
   const double baselineScale = p1.baseline1 > 0 ? p1.baselineTop / p1.baseline1 : 0;
   std::printf("\n  warm-hit scaling 1 -> %d threads (uniform): sharded %.2fx, baseline %.2fx\n",
@@ -392,12 +365,12 @@ int main(int argc, char** argv) {
 
   const int hammerThreads = std::min(threadSweep.back(), 16);
   const bool flightOk = singleFlightHammer(std::max(hammerThreads, 4), quick ? 128 : 512,
-                                           quick ? 500 : 4000);
+                                           {quick ? 500 : 4000, minTime});
 
   bool daemonOk = true;
   if (!noDaemon) {
     std::vector<int> daemonSweep = {1, std::min(4, threadSweep.back())};
-    daemonOk = daemonStress(connectTo, daemonSweep, quick ? 24 : 96);
+    daemonOk = daemonStress(connectTo, daemonSweep, {quick ? 24 : 96, minTime});
   }
 
   bool ok = p1.identical && flightOk && daemonOk;
