@@ -208,6 +208,8 @@ TEST(GoldenPlanBytes, SerializedResultsMatchTheRecordedDigests) {
   }
 
   std::map<std::string, std::string> recorded = recordedLines();
+  // A stale row (a payload renamed or dropped) fails here.
+  EXPECT_EQ(recorded.size(), payloads.size() + goldenValues().size());
   for (const auto& [name, bytes] : payloads) {
     SCOPED_TRACE(name);
     ASSERT_TRUE(recorded.count(name)) << "no golden entry";
