@@ -26,12 +26,6 @@ const PassTiming* CompileResult::timing(const std::string& pass) const {
   return nullptr;
 }
 
-CompileResult CompileResult::clone() const {
-  CompileResult out = *this;
-  out.rebindBlocks(*this);
-  return out;
-}
-
 Compiler& Compiler::source(ProgramBlock block) {
   block.validate();
   source_ = std::move(block);

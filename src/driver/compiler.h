@@ -54,10 +54,9 @@ struct PassTiming {
 
 /// Everything a compilation produced: the pipeline products (block, plan,
 /// search outcome, kernel/unit, artifact — see PipelineProducts) plus the
-/// verdict, ordered diagnostics, and per-pass timings. Program blocks live
-/// behind DeepPtr so internal back-pointers (CodeUnit::source,
-/// DataPlan::block) stay valid when the result moves; copy through clone(),
-/// which rebinds them.
+/// verdict, ordered diagnostics, and per-pass timings. Moves and copies
+/// keep the internal back-pointers (CodeUnit::source, DataPlan::block)
+/// naming the result's own blocks (see PipelineProducts).
 struct CompileResult : PipelineProducts {
   bool ok = false;  ///< pipeline completed without error diagnostics
   /// True when this result came from the PlanCache instead of a pipeline
@@ -95,9 +94,9 @@ struct CompileResult : PipelineProducts {
   /// Timing entry for a pass, or nullptr.
   const PassTiming* timing(const std::string& pass) const;
 
-  /// Deep copy with the back-pointers rebound to the copy's own blocks;
-  /// used by the plan cache and the runtime binder.
-  CompileResult clone() const;
+  /// A deep copy (the same as copying); used by the plan cache and the
+  /// runtime binder.
+  CompileResult clone() const { return *this; }
 
   static constexpr void fields(auto& v) {
     v.tag(kTagCompileResult, "CompileResult");

@@ -8,13 +8,14 @@
 
 namespace emm {
 
-PipelineProducts::BlockRef PipelineProducts::blockRef(const ProgramBlock* block) const {
+PipelineProductsMembers::BlockRef PipelineProductsMembers::blockRef(
+    const ProgramBlock* block) const {
   if (block != nullptr && block == input.get()) return BlockRef::Input;
   if (block != nullptr && block == transformed.get()) return BlockRef::Transformed;
   return BlockRef::None;
 }
 
-const ProgramBlock* PipelineProducts::blockAt(BlockRef ref) const {
+const ProgramBlock* PipelineProductsMembers::blockAt(BlockRef ref) const {
   switch (ref) {
     case BlockRef::Input:
       return input.get();
@@ -25,11 +26,7 @@ const ProgramBlock* PipelineProducts::blockAt(BlockRef ref) const {
   }
 }
 
-void PipelineProducts::rebindBlocks(const PipelineProducts& original) {
-  if (kernel) {
-    kernel->analysis.plan.block = kernel->analysis.tileBlock.get();
-    kernel->unit.source = kernel->analysis.tileBlock.get();
-  }
+void PipelineProductsMembers::rebindBlocks(const PipelineProductsMembers& original) {
   if (scratchpadUnit) scratchpadUnit->source = blockAt(original.blockRef(scratchpadUnit->source));
   if (blockPlan) blockPlan->block = blockAt(original.blockRef(blockPlan->block));
 }

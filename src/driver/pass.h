@@ -23,16 +23,11 @@
 
 namespace emm {
 
-/// Everything the pipeline produces. The working CompileState and the final
-/// CompileResult both embed this struct; Compiler::compile() moves it
-/// wholesale. A field added here goes on the field list at the end of the
-/// struct (support/fields.h), which drives serialization, the disk and wire
-/// formats, the cache keys and the schema manifest; the build fails until
-/// it is listed or skipped with a reason. Program blocks live behind
-/// DeepPtr, so CodeUnit/DataPlan back-pointers into them survive moves and
-/// a copy is deep — but its back-pointers still name the original's blocks
-/// until rebindBlocks() runs (CompileResult::clone() does both).
-struct PipelineProducts {
+/// The members of PipelineProducts (below). A field added here goes on the
+/// field list at the end of the struct (support/fields.h), which drives
+/// serialization, the disk and wire formats, the cache keys and the schema
+/// manifest; the build fails until it is listed or skipped with a reason.
+struct PipelineProductsMembers {
   /// The block as given to the Compiler.
   DeepPtr<ProgramBlock> input;
   /// After the transform pass: possibly shifted/skewed. block() returns
@@ -101,30 +96,38 @@ struct PipelineProducts {
   BlockRef blockRef(const ProgramBlock* block) const;
   const ProgramBlock* blockAt(BlockRef ref) const;
 
-  /// Called on a copy: repoints the back-pointers (CodeUnit::source,
-  /// DataPlan::block), which still name `original`'s blocks, at this
-  /// object's own. A pointer to a block `original` does not own becomes null.
-  void rebindBlocks(const PipelineProducts& original);
+  /// Called on a copy: repoints the back-pointers of scratchpadUnit and
+  /// blockPlan, which still name `original`'s blocks, at this object's own.
+  /// A pointer to a block `original` does not own becomes null. (The
+  /// kernel's own copy rebinds the kernel's.)
+  void rebindBlocks(const PipelineProductsMembers& original);
 
   static constexpr void fields(auto& v) {
     v.tag(kTagPipelineProducts, "PipelineProducts");
-    v("input", &PipelineProducts::input);
-    v("transformed", &PipelineProducts::transformed);
-    v("deps", &PipelineProducts::deps);
-    v("haveDeps", &PipelineProducts::haveDeps);
-    v("plan", &PipelineProducts::plan);
-    v("havePlan", &PipelineProducts::havePlan);
-    v("appliedSkews", &PipelineProducts::appliedSkews);
-    v("search", &PipelineProducts::search);
-    v("geometryHints", &PipelineProducts::geometryHints);
-    v("kernel", &PipelineProducts::kernel);
-    v.backref("scratchpadUnit", &PipelineProducts::scratchpadUnit, &CodeUnit::source);
-    v.backref("blockPlan", &PipelineProducts::blockPlan, &DataPlan::block);
-    v("bufferLayout", &PipelineProducts::bufferLayout);
-    v("artifactInfo", &PipelineProducts::artifactInfo);
-    v("artifact", &PipelineProducts::artifact);
+    v("input", &PipelineProductsMembers::input);
+    v("transformed", &PipelineProductsMembers::transformed);
+    v("deps", &PipelineProductsMembers::deps);
+    v("haveDeps", &PipelineProductsMembers::haveDeps);
+    v("plan", &PipelineProductsMembers::plan);
+    v("havePlan", &PipelineProductsMembers::havePlan);
+    v("appliedSkews", &PipelineProductsMembers::appliedSkews);
+    v("search", &PipelineProductsMembers::search);
+    v("geometryHints", &PipelineProductsMembers::geometryHints);
+    v("kernel", &PipelineProductsMembers::kernel);
+    v.backref("scratchpadUnit", &PipelineProductsMembers::scratchpadUnit, &CodeUnit::source);
+    v.backref("blockPlan", &PipelineProductsMembers::blockPlan, &DataPlan::block);
+    v("bufferLayout", &PipelineProductsMembers::bufferLayout);
+    v("artifactInfo", &PipelineProductsMembers::artifactInfo);
+    v("artifact", &PipelineProductsMembers::artifact);
   }
 };
+
+/// Everything the pipeline produces. The working CompileState and the final
+/// CompileResult both embed this struct; Compiler::compile() moves it
+/// wholesale. Program blocks live behind DeepPtr, so the CodeUnit::source
+/// and DataPlan::block back-pointers into them survive moves, and a copy
+/// is deep with its back-pointers naming its own blocks.
+using PipelineProducts = RebindOnCopy<PipelineProductsMembers>;
 
 /// Mutable state threaded through the pipeline: the accumulated products
 /// plus the option set and the diagnostics channel.

@@ -17,6 +17,7 @@
 //   DeepPtr<T>
 //   std::shared_ptr<T>    T, never null (v.nullable adds a presence byte)
 //   field-listed struct   its tag (unless kTagNone), then its fields
+//   RebindOnCopy<M>       as M
 // Hand-written, because their wire form is not a plain field list: IntMat,
 // Polyhedron (its emptiness byte), the Expr and SymExpr trees (rebuilt
 // through their factories on read), and AstNode children (non-null
@@ -188,6 +189,8 @@ void writeValue(S& s, const T& value) {
   } else if constexpr (kIsA<std::shared_ptr, T>) {
     if (value == nullptr) throw SerializeError("null shared value");
     writeValue(s, *value);
+  } else if constexpr (kIsA<RebindOnCopy, T>) {
+    writeValue(s, static_cast<const typename T::Members&>(value));
   } else {
     static_assert(HasFields<T>, "type has neither a field list nor a hand-written codec");
     static_assert(fieldListComplete<T>(),

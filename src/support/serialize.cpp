@@ -203,16 +203,12 @@ void readValue(Decoder& d, std::vector<AstPtr>& children) {
 }
 
 // ---- post-read hooks -------------------------------------------------------
-// Run after a struct's listed fields are read: back-pointers a struct owns
-// are rebound, and fields whose values depend on each other are validated,
-// so hostile bytes fail here instead of where the value is used.
+// Run after a struct's listed fields are read: fields whose values depend
+// on each other are validated, so hostile bytes fail here instead of where
+// the value is used. (Back-pointers are rebound by readValue.)
 
 template <class T>
 void finishDecode(T&) {}
-
-void finishDecode(TileAnalysis& a) { a.plan.block = a.tileBlock.get(); }
-
-void finishDecode(TiledKernel& k) { k.unit.source = k.analysis.tileBlock.get(); }
 
 void finishDecode(BindSlot& s) {
   // A Formula slot with no formula would make the binder's argument fill
@@ -395,6 +391,9 @@ void readValue(Decoder& d, T& value) {
     E decoded = FieldAccess::make<E>();
     readValue(d, decoded);
     value = std::make_shared<const E>(std::move(decoded));
+  } else if constexpr (kIsA<RebindOnCopy, T>) {
+    readValue(d, static_cast<typename T::Members&>(value));
+    value.rebindBlocks(value);  // a decoded value's back-pointers name its own blocks
   } else {
     FieldReader<T> reader{d, value};
     FieldAccess::visit<T>(reader);
@@ -548,6 +547,8 @@ std::string Manifest::type() {
                            ",Const:i64|Param:int,str|lhs:SymExpr,rhs:SymExpr");
   } else if constexpr (kIsA<std::shared_ptr, T>) {
     return type<std::remove_const_t<typename T::element_type>>();
+  } else if constexpr (kIsA<RebindOnCopy, T>) {
+    return type<typename T::Members>();
   } else {
     static const char key = 0;  // one per listed type
     if (auto it = names.find(&key); it != names.end()) return it->second;

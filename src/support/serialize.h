@@ -27,7 +27,7 @@
 // reproduces r field by field — same emitted artifact bytes, same costs and
 // tile choices, same diagnostics and timings — with the internal
 // back-pointers (CodeUnit::source, DataPlan::block) rebound to the
-// deserialized blocks, as CompileResult::clone() rebinds them.
+// deserialized blocks, as a copy rebinds them (support/deep_ptr.h).
 #pragma once
 
 #include <memory>

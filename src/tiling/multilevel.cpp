@@ -250,7 +250,7 @@ TileAnalysis analyzeTileSymbolic(const ProgramBlock& block, const ParallelismPla
                          /*symbolic=*/true);
 }
 
-i64 TiledKernel::numBlockTiles(const IntVec& paramValues) const {
+i64 TiledKernelMembers::numBlockTiles(const IntVec& paramValues) const {
   std::vector<std::pair<std::string, i64>> env;
   const ProgramBlock& b = *analysis.tileBlock;
   for (size_t j = 0; j < paramValues.size(); ++j) env.emplace_back(b.paramNames[j], paramValues[j]);
@@ -264,7 +264,7 @@ i64 TiledKernel::numBlockTiles(const IntVec& paramValues) const {
   return tiles;
 }
 
-i64 TiledKernel::footprintPerBlock(const IntVec& paramValues) const {
+i64 TiledKernelMembers::footprintPerBlock(const IntVec& paramValues) const {
   if (analysis.plan.block == nullptr) return 0;
   IntVec extended = paramValues;
   extended.resize(analysis.tileBlock->paramNames.size(), 0);

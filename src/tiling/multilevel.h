@@ -32,12 +32,10 @@
 
 namespace emm {
 
-/// Tile-level analysis shared by code generation and the tile-size search:
-/// the sub-tile program block (origins as parameters), its scratchpad plan,
-/// and the hoisted placement level of every buffer's copy code.
-struct TileAnalysis {
+/// The members of TileAnalysis (below).
+struct TileAnalysisMembers {
   DeepPtr<ProgramBlock> tileBlock;
-  DataPlan plan;                          ///< empty partitions when scratchpad off
+  DataPlan plan;  ///< plan.block points at tileBlock; empty partitions when scratchpad off
   std::vector<std::string> originParams;  ///< one per common loop
   /// Symbolic tile-size parameter names (one per common loop) when the
   /// analysis ran in parametric mode (analyzeTileSymbolic); empty otherwise.
@@ -49,18 +47,26 @@ struct TileAnalysis {
   /// placed at; `depth` = innermost. Only meaningful for buffered partitions.
   std::vector<int> hoistLevel;
 
+  void rebindBlocks(const TileAnalysisMembers&) { plan.block = tileBlock.get(); }
+
   static constexpr void fields(auto& v) {
     v.tag(kTagTileAnalysis, "TileAnalysis");
-    v("tileBlock", &TileAnalysis::tileBlock);
-    v("plan", &TileAnalysis::plan);
-    v("originParams", &TileAnalysis::originParams);
-    v("tileParams", &TileAnalysis::tileParams);
-    v("loopBounds", &TileAnalysis::loopBounds);
-    v("subTile", &TileAnalysis::subTile);
-    v("depth", &TileAnalysis::depth);
-    v("hoistLevel", &TileAnalysis::hoistLevel);
+    v("tileBlock", &TileAnalysisMembers::tileBlock);
+    v("plan", &TileAnalysisMembers::plan);
+    v("originParams", &TileAnalysisMembers::originParams);
+    v("tileParams", &TileAnalysisMembers::tileParams);
+    v("loopBounds", &TileAnalysisMembers::loopBounds);
+    v("subTile", &TileAnalysisMembers::subTile);
+    v("depth", &TileAnalysisMembers::depth);
+    v("hoistLevel", &TileAnalysisMembers::hoistLevel);
   }
 };
+
+/// Tile-level analysis shared by code generation and the tile-size search:
+/// the sub-tile program block (origins as parameters), its scratchpad plan,
+/// and the hoisted placement level of every buffer's copy code. A copy's
+/// plan points at the copy's own tile block.
+using TileAnalysis = RebindOnCopy<TileAnalysisMembers>;
 
 /// Runs the Section-3 analysis on the sub-tile block induced by `subTile`
 /// sizes and computes copy-code placement levels (Section 4.2; pass
@@ -103,8 +109,8 @@ struct TileConfig {
   bool useScratchpad = true;
 };
 
-/// A fully mapped kernel: executable CodeUnit plus the analysis artifacts.
-struct TiledKernel {
+/// The members of TiledKernel (below).
+struct TiledKernelMembers {
   TileAnalysis analysis;  ///< owns the tile block; unit.source points at it
   CodeUnit unit;
   std::vector<int> spaceLoops;
@@ -116,15 +122,21 @@ struct TiledKernel {
   /// Scratchpad elements needed per block instance.
   i64 footprintPerBlock(const IntVec& paramValues) const;
 
+  void rebindBlocks(const TiledKernelMembers&) { unit.source = analysis.tileBlock.get(); }
+
   static constexpr void fields(auto& v) {
     v.tag(kTagTiledKernel, "TiledKernel");
-    v("analysis", &TiledKernel::analysis);
-    v("unit", &TiledKernel::unit);
-    v("spaceLoops", &TiledKernel::spaceLoops);
-    v("blockTileSizes", &TiledKernel::blockTileSizes);
-    v("spaceLoopRange", &TiledKernel::spaceLoopRange);
+    v("analysis", &TiledKernelMembers::analysis);
+    v("unit", &TiledKernelMembers::unit);
+    v("spaceLoops", &TiledKernelMembers::spaceLoops);
+    v("blockTileSizes", &TiledKernelMembers::blockTileSizes);
+    v("spaceLoopRange", &TiledKernelMembers::spaceLoopRange);
   }
 };
+
+/// A fully mapped kernel: executable CodeUnit plus the analysis artifacts.
+/// A copy's unit points at the copy's own tile block.
+using TiledKernel = RebindOnCopy<TiledKernelMembers>;
 
 /// Builds the multi-level tiled kernel (Figure 3).
 TiledKernel buildTiledKernel(const ProgramBlock& block, const ParallelismPlan& plan,

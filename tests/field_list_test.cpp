@@ -45,8 +45,8 @@ static_assert(listsEveryMember<SmemOptions>());
 static_assert(listsEveryMember<RefSummary>());
 static_assert(listsEveryMember<PartitionPlan>());
 static_assert(listsEveryMember<DataPlan>());
-static_assert(listsEveryMember<TileAnalysis>());
-static_assert(listsEveryMember<TiledKernel>());
+static_assert(listsEveryMember<TileAnalysis::Members>());
+static_assert(listsEveryMember<TiledKernel::Members>());
 static_assert(listsEveryMember<Diagnostic>());
 static_assert(listsEveryMember<PassTiming>());
 static_assert(listsEveryMember<BankDescriptor>());
@@ -55,7 +55,7 @@ static_assert(listsEveryMember<BufferLayout>());
 static_assert(listsEveryMember<BindSlot>());
 static_assert(listsEveryMember<FamilyGuard>());
 static_assert(listsEveryMember<ArtifactInfo>());
-static_assert(listsEveryMember<PipelineProducts>());
+static_assert(listsEveryMember<PipelineProducts::Members>());
 static_assert(listsEveryMember<CompileResult>());
 static_assert(listsEveryMember<CompileOptions>());
 static_assert(listsEveryMember<FamilyPlan>());
@@ -63,7 +63,7 @@ static_assert(listsEveryMember<FamilyPlan>());
 // The comparison counts members; it is not vacuous. CompileResult's base
 // counts as one member, listed as `products`.
 static_assert(detail::memberCount<Dependence>() == 8);
-static_assert(detail::memberCount<PipelineProducts>() == 15);
+static_assert(detail::memberCount<PipelineProducts::Members>() == 15);
 static_assert(detail::memberCount<CompileResult>() == 9);
 
 struct OneMemberUnlisted {

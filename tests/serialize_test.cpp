@@ -180,6 +180,41 @@ TEST(PlanRoundTrip, EveryBuiltinKernelReplaysByteIdentically) {
   }
 }
 
+/// Every back-pointer of `r` names one of r's own blocks (or is null).
+void expectOwnBlocks(const CompileResult& r) {
+  const auto own = [&](const ProgramBlock* b) {
+    return b == nullptr || b == r.input.get() || b == r.transformed.get();
+  };
+  if (r.kernel) {
+    EXPECT_EQ(r.kernel->unit.source, r.kernel->analysis.tileBlock.get());
+    EXPECT_EQ(r.kernel->analysis.plan.block, r.kernel->analysis.tileBlock.get());
+  }
+  if (r.scratchpadUnit) EXPECT_TRUE(own(r.scratchpadUnit->source));
+  if (r.blockPlan) EXPECT_TRUE(own(r.blockPlan->block));
+}
+
+TEST(PlanCopy, CopiesPointAtTheirOwnBlocks) {
+  // Built-ins cover the tiled kernel, the scratchpad-only unit (figure1)
+  // and the block-plan fallback (jacobi). A copy outlives its original.
+  for (const std::string& name : builtinKernelNames()) {
+    SCOPED_TRACE(name);
+    auto original = std::make_unique<CompileResult>(compileKernel(name, "c"));
+    ASSERT_TRUE(original->ok) << original->firstError();
+    const std::string bytes = serializeCompileResult(*original);
+    CompileResult constructed = *original;
+    CompileResult assigned;
+    assigned = *original;
+    std::optional<TiledKernel> kernel = original->kernel;
+    original.reset();
+    for (const CompileResult* copy : {&constructed, &assigned}) {
+      expectOwnBlocks(*copy);
+      EXPECT_EQ(serializeCompileResult(*copy), bytes);
+    }
+    if (kernel) EXPECT_EQ(kernel->unit.source, kernel->analysis.tileBlock.get());
+    if (kernel) EXPECT_EQ(kernel->analysis.plan.block, kernel->analysis.tileBlock.get());
+  }
+}
+
 TEST(PlanRoundTrip, CudaAndCellArtifactsSurvive) {
   for (const std::string& backend : {std::string("cuda"), std::string("cell")}) {
     SCOPED_TRACE(backend);
