@@ -11,15 +11,17 @@
 //     pre-sharding implementation). Reports throughput, p50/p99/p999
 //     latency, hit rate, entry count and peak RSS per config.
 //  2. single-flight hammer — threads race getOrCompute over a Zipfian
-//     keyspace with a deliberately slow compute; asserts exactly ONE cold
-//     compute per unique key, byte-identical artifacts on every path, and
-//     exact hit/miss counter totals.
+//     keyspace with a deliberately slow compute, in rounds that each start
+//     on a fresh cache; asserts exactly ONE cold compute per unique key per
+//     round, byte-identical artifacts on every path, and exact hit/miss
+//     counter totals.
 //  3. daemon stress — the same load shapes against a live service over its
 //     real unix socket (an in-process ServiceServer by default, or any
 //     external daemon via --connect=SOCK), mixing warm compile requests
 //     with STATS probes, which never contend with replies. Before the load,
-//     a fresh client asks for a never-seen size of the warmed kernel family
-//     and must be served from the daemon's family tier.
+//     a fresh client asks for a new size of the warmed kernel family and
+//     must be served from the daemon's family tier (or, on an external
+//     daemon that saw the size before, from its result cache).
 //
 // Every measured config runs for at least 250 ms (--quick) or 1 s, and
 // emits one machine-readable JSON line (`{"bench":"svc_stress",...}`) so
@@ -99,10 +101,10 @@ struct LoadSize {
 };
 
 /// Runs `threads` workers, worker t calling `op(t, rng, i)` for i = 0, 1, ...
-/// as `size` asks, recording per-op latency; returns aggregate throughput +
-/// tails.
+/// as `size` asks; appends each op's latency (us) to `latUs` and returns the
+/// wall time in seconds.
 template <typename Op>
-RunResult runLoad(int threads, LoadSize size, const Op& op) {
+double timeLoad(int threads, LoadSize size, const Op& op, std::vector<double>& latUs) {
   std::vector<std::vector<double>> lat(static_cast<size_t>(threads));
   std::vector<std::thread> workers;
   const auto start = Clock::now();
@@ -120,10 +122,16 @@ RunResult runLoad(int threads, LoadSize size, const Op& op) {
       }
     });
   for (std::thread& w : workers) w.join();
-  std::vector<double> all;
-  for (const std::vector<double>& v : lat) all.insert(all.end(), v.begin(), v.end());
-  return bench::summarize(std::move(all),
-                          std::chrono::duration<double>(Clock::now() - start).count());
+  for (const std::vector<double>& v : lat) latUs.insert(latUs.end(), v.begin(), v.end());
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// timeLoad's aggregate throughput and tails.
+template <typename Op>
+RunResult runLoad(int threads, LoadSize size, const Op& op) {
+  std::vector<double> latUs;
+  const double secs = timeLoad(threads, size, op, latUs);
+  return bench::summarize(std::move(latUs), secs);
 }
 
 void jsonLine(const char* mode, size_t shards, const char* dist, int threads,
@@ -207,44 +215,63 @@ void warmHitScaling(const std::vector<int>& threadSweep, size_t keys, LoadSize l
 
 // ---- phase 2: single-flight hammer ----------------------------------------
 
+/// Rounds of `load.opsPerThread` calls per thread, each on a fresh cache
+/// so every round starts on cold keys, repeated until `load.minTime` has
+/// passed: the row measures cold-key contention however long it runs.
 bool singleFlightHammer(int threads, size_t keys, LoadSize load) {
   std::printf("\n-- single-flight hammer: %d threads, Zipfian over %zu cold keys --\n",
               threads, keys);
-  PlanCache cache(4096, 0);
   std::vector<std::string> expected(keys);
   for (size_t i = 0; i < keys; ++i) expected[i] = syntheticResult(i).artifact;
-  std::vector<std::atomic<int>> computes(keys);
-  std::atomic<bool> mismatch{false};
   ZipfSampler zipf(keys);
-  RunResult r = runLoad(threads, load, [&](int, std::mt19937_64& rng, i64) {
-    const size_t i = zipf(rng);
-    CompileResult got = cache.getOrCompute(keyAt(i), [&] {
-      computes[i].fetch_add(1);
-      // Widen the race window: a broken latch would let two leaders in.
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      return syntheticResult(i);
-    });
-    if (!got.ok || got.artifact != expected[i]) mismatch.store(true);
-  });
-  i64 uniqueComputed = 0, doubleComputed = 0;
-  for (size_t i = 0; i < keys; ++i) {
-    if (computes[i].load() > 0) ++uniqueComputed;
-    if (computes[i].load() > 1) ++doubleComputed;
-  }
-  const PlanCache::Stats s = cache.stats();
-  const bool exactCounts =
-      s.misses == uniqueComputed && s.hits + s.misses == r.ops && s.entries == uniqueComputed;
-  std::printf("  %lld ops, %lld unique keys computed, %lld computed twice\n",
-              static_cast<long long>(r.ops), static_cast<long long>(uniqueComputed),
-              static_cast<long long>(doubleComputed));
+  std::atomic<bool> mismatch{false};
+  std::vector<double> latUs;
+  double secs = 0;
+  i64 rounds = 0, uniqueComputed = 0, doubleComputed = 0, hits = 0, misses = 0, entries = 0;
+  size_t shards = 0;
+  bool exactCounts = true;
+  const auto deadline = Clock::now() + load.minTime;
+  do {
+    PlanCache cache(4096, 0);
+    std::vector<std::atomic<int>> computes(keys);
+    const size_t before = latUs.size();
+    secs += timeLoad(threads, {load.opsPerThread, {}}, [&](int, std::mt19937_64& rng, i64) {
+      const size_t i = zipf(rng);
+      CompileResult got = cache.getOrCompute(keyAt(i), [&] {
+        computes[i].fetch_add(1);
+        // Widen the race window: a broken latch would let two leaders in.
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        return syntheticResult(i);
+      });
+      if (!got.ok || got.artifact != expected[i]) mismatch.store(true);
+    }, latUs);
+    i64 unique = 0;
+    for (size_t i = 0; i < keys; ++i) {
+      if (computes[i].load() > 0) ++unique;
+      if (computes[i].load() > 1) ++doubleComputed;
+    }
+    const PlanCache::Stats s = cache.stats();
+    exactCounts = exactCounts && s.misses == unique && s.entries == unique &&
+                  s.hits + s.misses == static_cast<i64>(latUs.size() - before);
+    uniqueComputed += unique;
+    hits += s.hits;
+    misses += s.misses;
+    entries = s.entries;
+    shards = cache.shardCount();
+    ++rounds;
+  } while (Clock::now() < deadline);
+  const RunResult r = bench::summarize(std::move(latUs), secs);
+  std::printf("  %lld ops in %lld rounds, %lld cold computes, %lld computed twice\n",
+              static_cast<long long>(r.ops), static_cast<long long>(rounds),
+              static_cast<long long>(uniqueComputed), static_cast<long long>(doubleComputed));
   std::printf("  exactly one cold compute per key: %s\n", doubleComputed == 0 ? "yes" : "NO");
   std::printf("  artifacts byte-identical: %s\n", !mismatch.load() ? "yes" : "NO");
   std::printf("  counter totals exact (hits %lld + misses %lld == ops, entries == uniques): "
               "%s\n",
-              static_cast<long long>(s.hits), static_cast<long long>(s.misses),
+              static_cast<long long>(hits), static_cast<long long>(misses),
               exactCounts ? "yes" : "NO");
-  jsonLine("hammer", cache.shardCount(), "zipf", threads, r,
-           static_cast<double>(s.hits) / static_cast<double>(s.hits + s.misses), s.entries);
+  jsonLine("hammer", shards, "zipf", threads, r,
+           static_cast<double>(hits) / static_cast<double>(hits + misses), entries);
   return doubleComputed == 0 && !mismatch.load() && exactCounts;
 }
 
@@ -288,11 +315,16 @@ bool daemonStress(const std::string& connectTo, const std::vector<int>& threadSw
       if (sz == sizes[0]) warmArtifact = rep.result.artifact;
     }
   }
-  // A brand-new connection asking for a size the daemon has never seen:
-  // the kernel FAMILY is warm, so it must be served from the family tier.
+  // A brand-new connection asking for a size this run has not sent: the
+  // kernel FAMILY is warm, so it must be served from the family tier. An
+  // external daemon (--connect) may have served that size on an earlier
+  // run, in which case the result cache answers it instead.
   svc::ServiceClient fresh(sock);
-  const bool freshFamilyHit = fresh.compile(meRequest({768, 128, 16})).serverFamilyHit;
-  std::printf("  fresh client, new size: family hit: %s\n", freshFamilyHit ? "yes" : "NO");
+  const svc::WireCompileReply freshReply = fresh.compile(meRequest({768, 128, 16}));
+  const bool freshFamilyHit =
+      freshReply.serverFamilyHit || (server == nullptr && freshReply.serverCacheHit);
+  std::printf("  fresh client, new size: family hit: %s%s\n", freshFamilyHit ? "yes" : "NO",
+              freshReply.serverCacheHit ? " (result-cache replay)" : "");
   std::atomic<bool> failed{false}, mismatch{false};
   for (int threads : threadSweep) {
     std::vector<std::unique_ptr<svc::ServiceClient>> clients;
