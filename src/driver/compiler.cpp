@@ -245,8 +245,8 @@ CompileResult Compiler::computeWithDiskTier(const PlanKey& key) {
   fkey.block = hashProgramBlock(famBlock);
   fkey.options = hashCompileOptions(famOptions);
   fkey.passes = familyPassesDigest(skipped_);
-  const u64 famBlockDigest = digestBytes(serializeProgramBlock(famBlock));
-  const u64 famOptionsDigest = digestBytes(serializeCompileOptions(famOptions));
+  const u64 famBlockDigest = digestProgramBlock(famBlock);
+  const u64 famOptionsDigest = digestCompileOptions(famOptions);
   const u64 fdigest = hashCombine(famBlockDigest, famOptionsDigest);
   std::shared_ptr<const FamilyPlan> family;
   if (cache_ != nullptr) family = cache_->lookupFamily(fkey, fdigest);
@@ -299,8 +299,8 @@ std::optional<CompileResult> Compiler::tryBindFamily(const ProgramBlock& block) 
   fkey.block = hashProgramBlock(famBlock);
   fkey.options = hashCompileOptions(famOptions);
   fkey.passes = familyPassesDigest(skipped_);
-  const u64 fdigest = hashCombine(digestBytes(serializeProgramBlock(famBlock)),
-                                  digestBytes(serializeCompileOptions(famOptions)));
+  const u64 fdigest =
+      hashCombine(digestProgramBlock(famBlock), digestCompileOptions(famOptions));
   std::shared_ptr<const FamilyPlan> family = cache_->lookupFamily(fkey, fdigest);
   if (family == nullptr || !family->haveRecord) return std::nullopt;
   return bindFamilyArtifact(*family, block, opts, nullptr);

@@ -12,6 +12,7 @@
 
 #include "driver/family_plan.h"
 #include "support/diagnostics.h"
+#include "support/fingerprint.h"
 #include "support/serialize.h"
 
 namespace fs = std::filesystem;
@@ -196,8 +197,8 @@ std::optional<CompileResult> DiskPlanCache::lookup(const PlanKey& key, const Pro
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  const u64 blockDigest = digestBytes(serializeProgramBlock(block));
-  const u64 optionsDigest = digestBytes(serializeCompileOptions(options));
+  const u64 blockDigest = digestProgramBlock(block);
+  const u64 optionsDigest = digestCompileOptions(options);
   std::string_view payload;
   Reject verdict = validateAndExtract(file, kMagic, key, blockDigest, optionsDigest, payload);
   if (verdict == Reject::None) {
@@ -223,8 +224,8 @@ void DiskPlanCache::insert(const PlanKey& key, const CompileOptions& options,
   if (!result.ok || result.input == nullptr) return;
   const fs::path path = entryPath(key);
   if (!writeEntryAtomically(dir_, path, entryFileName(key), kMagic, key.block, key.options,
-                            key.passes, digestBytes(serializeProgramBlock(*result.input)),
-                            digestBytes(serializeCompileOptions(options)),
+                            key.passes, digestProgramBlock(*result.input),
+                            digestCompileOptions(options),
                             serializeCompileResult(result)))
     return;
   insertions_.fetch_add(1, std::memory_order_relaxed);

@@ -144,6 +144,11 @@ public:
     return known == kEmpty;
   }
 
+  /// True when simplify() (or an operation on a marked operand) has marked
+  /// the set empty: a syntactic fact, unlike isEmpty(), which also runs
+  /// Fourier-Motzkin elimination.
+  bool markedEmpty() const { return markedEmpty_; }
+
   /// True if this polyhedron contains the point (vars, params are given as
   /// one concatenated vector of length dim + nparam).
   bool contains(const IntVec& point) const;

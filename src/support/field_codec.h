@@ -1,9 +1,10 @@
 // The generic field writer: encodes any value whose type has a field list
 // (support/fields.h) into a byte sink.
 //
-// One walk serves three sinks: ByteWriter (the plan format of
-// support/serialize.cpp), the cache-key hasher of support/fingerprint.cpp,
-// and the settling walk of settleDerivedAnswers, which discards the bytes.
+// One walk serves every sink: ByteWriter (the plan format of
+// support/serialize.cpp), the cache-key and collision-digest hashers of
+// support/fingerprint.cpp, and the settling walk of settleDerivedAnswers,
+// which discards the bytes.
 // A sink provides u8, u64v, i64v, intv, boolean, f64 and str.
 //
 // Value encodings, all little-endian:
@@ -39,11 +40,14 @@
 
 namespace emm {
 
-/// Whether a sink receives derived answers: each Polyhedron's emptiness.
-/// The plan format and the settling walk do; cache keys do not, so a key
-/// never runs the Fourier-Motzkin elimination behind isEmpty().
+/// What a sink receives where the plan format writes a Polyhedron's
+/// emptiness byte: the derived isEmpty() answer (the plan format and the
+/// settling walk), the syntactic Polyhedron::markedEmpty() mark (the
+/// collision digests), or nothing (the cache keys). Only the first runs
+/// the Fourier-Motzkin elimination behind isEmpty().
+enum class EmptinessByte { Derived, Mark, None };
 template <class Sink>
-inline constexpr bool kSinkTakesDerived = true;
+inline constexpr EmptinessByte kSinkEmptiness = EmptinessByte::Derived;
 
 /// True when T is an instance of the class template Tmpl.
 template <template <class...> class Tmpl, class T>
@@ -73,7 +77,10 @@ void writeValue(S& s, const Polyhedron& p) {
   // simplify() may have dropped the witness constraint after marking the
   // set empty, so emptiness is carried explicitly. isEmpty() answers from
   // the polyhedron's stored answer once settleDerivedAnswers has run.
-  if constexpr (kSinkTakesDerived<S>) s.boolean(p.isEmpty());
+  if constexpr (kSinkEmptiness<S> == EmptinessByte::Derived)
+    s.boolean(p.isEmpty());
+  else if constexpr (kSinkEmptiness<S> == EmptinessByte::Mark)
+    s.boolean(p.markedEmpty());
 }
 
 template <class S>

@@ -57,7 +57,9 @@ u64 hashCombine(u64 a, u64 b) {
 namespace {
 
 /// Feeds the field writer's bytes straight into the digest, so a key is the
-/// FNV-1a digest of the value's encoding, less the derived answers.
+/// FNV-1a digest of the value's encoding with the emptiness byte as `E`
+/// says (see kSinkEmptiness).
+template <EmptinessByte E>
 class HashSink {
 public:
   void u8(unsigned char v) { h_.bytes(&v, 1); }
@@ -75,22 +77,30 @@ private:
 
 }  // namespace
 
-template <>
-inline constexpr bool kSinkTakesDerived<HashSink> = false;
+template <EmptinessByte E>
+inline constexpr EmptinessByte kSinkEmptiness<HashSink<E>> = E;
 
 namespace {
 
-template <class T>
+template <EmptinessByte E, class T>
 u64 hashFields(const T& value) {
-  HashSink sink;
+  HashSink<E> sink;
   writeValue(sink, value);
   return sink.digest();
 }
 
 }  // namespace
 
-u64 hashProgramBlock(const ProgramBlock& block) { return hashFields(block); }
+u64 hashProgramBlock(const ProgramBlock& block) {
+  return hashFields<EmptinessByte::None>(block);
+}
 
-u64 hashCompileOptions(const CompileOptions& o) { return hashFields(o); }
+u64 hashCompileOptions(const CompileOptions& o) { return hashFields<EmptinessByte::None>(o); }
+
+u64 digestProgramBlock(const ProgramBlock& block) {
+  return hashFields<EmptinessByte::Mark>(block);
+}
+
+u64 digestCompileOptions(const CompileOptions& o) { return hashFields<EmptinessByte::Mark>(o); }
 
 }  // namespace emm

@@ -10,7 +10,9 @@
 //
 // Both walk the structs' field lists (support/fields.h) with the plan
 // format's writer, digesting its bytes except the derived emptiness answer
-// of each polyhedron, so a key never runs Fourier-Motzkin elimination.
+// of each polyhedron, so a key never runs Fourier-Motzkin elimination. The
+// collision digests (digestProgramBlock, digestCompileOptions) walk the
+// same way with the syntactic empty mark in that byte's place.
 // The digest is 64-bit FNV-1a over length-prefixed fields, which keeps it
 // stable across processes and platforms (no pointer or iteration-order
 // dependence). It is a cache key, not a cryptographic commitment.
@@ -52,6 +54,16 @@ u64 hashProgramBlock(const ProgramBlock& block);
 /// Canonical fingerprint of a full option set. Every field that can change
 /// any pipeline product participates.
 u64 hashCompileOptions(const CompileOptions& options);
+
+/// The collision-guard digests of the family and disk tiers: the FNV-1a
+/// digest of the bytes serializeProgramBlock / serializeCompileOptions
+/// write, streamed with no buffer. Where the encoder writes a polyhedron's
+/// derived isEmpty() answer these write its syntactic mark
+/// (Polyhedron::markedEmpty), so a digest runs no Fourier-Motzkin
+/// elimination. It equals digestBytes of the encoding unless a polyhedron
+/// is empty by elimination but unmarked.
+u64 digestProgramBlock(const ProgramBlock& block);
+u64 digestCompileOptions(const CompileOptions& options);
 
 /// Order-independent-free combiner for composite keys (hash of hashes).
 u64 hashCombine(u64 a, u64 b);

@@ -243,7 +243,7 @@ void finishDecode(ParametricTilePlan& plan) {
         throw SerializeError("pair predicate count mismatch");
       if (comp.globalIdx.size() != comp.refs.size())
         throw SerializeError("component global index arity mismatch");
-      // evaluate()/footprintInterval() index member 0's boxes, so every
+      // compileTables() indexes member 0's boxes, so every
       // component needs at least one reference and congruent shapes; ragged
       // or empty components would read out of bounds.
       if (comp.refs.empty()) throw SerializeError("empty component formula");
@@ -288,7 +288,7 @@ void finishDecode(ParametricTilePlan& plan) {
     throw SerializeError("parametric plan binding arity mismatch");
   if (static_cast<int>(plan.analysis_.loopBounds.size()) != plan.depth_)
     throw SerializeError("parametric plan loop-bound arity mismatch");
-  plan.buildFootprintFormulas();  // derived from the validated boxes
+  plan.compileTables();  // derived from the validated formulas
 }
 
 namespace {
@@ -586,14 +586,6 @@ u64 serializeSchemaFingerprint() {
   return fp;
 }
 
-void ByteWriter::u32v(u32 v) {
-  for (int i = 0; i < 4; ++i) u8(static_cast<unsigned char>(v >> (8 * i)));
-}
-
-void ByteWriter::u64v(u64 v) {
-  for (int i = 0; i < 8; ++i) u8(static_cast<unsigned char>(v >> (8 * i)));
-}
-
 void ByteWriter::f64(double v) {
   u64 bits;
   static_assert(sizeof(bits) == sizeof(v));
@@ -610,29 +602,9 @@ void ByteWriter::bytes(const void* data, size_t n) {
   buf_.append(static_cast<const char*>(data), n);
 }
 
-const unsigned char* ByteReader::need(size_t n) {
-  if (n > remaining()) throw SerializeError("truncated input (" + std::to_string(n) +
-                                            " bytes wanted, " + std::to_string(remaining()) +
-                                            " left)");
-  const unsigned char* p = reinterpret_cast<const unsigned char*>(data_.data()) + pos_;
-  pos_ += n;
-  return p;
-}
-
-unsigned char ByteReader::u8() { return *need(1); }
-
-u32 ByteReader::u32v() {
-  const unsigned char* p = need(4);
-  u32 v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<u32>(p[i]) << (8 * i);
-  return v;
-}
-
-u64 ByteReader::u64v() {
-  const unsigned char* p = need(8);
-  u64 v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<u64>(p[i]) << (8 * i);
-  return v;
+void ByteReader::truncated(size_t n) const {
+  throw SerializeError("truncated input (" + std::to_string(n) + " bytes wanted, " +
+                       std::to_string(remaining()) + " left)");
 }
 
 int ByteReader::intv() {

@@ -3,8 +3,8 @@
 // The on-disk plan cache (driver/disk_cache.h) persists finished
 // CompileResults so `emmapc` runs and service restarts start warm. This
 // module provides the byte format: a tagged, length-prefixed, endian-stable
-// encoding (everything is written little-endian byte by byte, so files are
-// portable across hosts) with deserializers that are safe on hostile input —
+// encoding (every multi-byte value is little-endian, assembled by shifts, so
+// files are portable across hosts) with deserializers that are safe on hostile input —
 // every read is bounds-checked and every malformed tag, count, enum value or
 // truncation throws SerializeError instead of crashing or fabricating a
 // plan.
@@ -77,13 +77,22 @@ u64 serializeSchemaFingerprint();
 /// collision-guard digests in the .emmplan header.
 u64 digestBytes(std::string_view bytes);
 
-/// Append-only little-endian encoder. All multi-byte values are written
-/// byte by byte (no host-endianness dependence).
+/// Append-only little-endian encoder. A multi-byte value is assembled by
+/// shifts and appended in one piece, so the bytes do not depend on host
+/// endianness.
 class ByteWriter {
 public:
   void u8(unsigned char v) { buf_.push_back(static_cast<char>(v)); }
-  void u32v(u32 v);
-  void u64v(u64 v);
+  void u32v(u32 v) {
+    char b[4];
+    for (int i = 0; i < 4; ++i) b[i] = static_cast<char>(v >> (8 * i));
+    buf_.append(b, 4);
+  }
+  void u64v(u64 v) {
+    char b[8];
+    for (int i = 0; i < 8; ++i) b[i] = static_cast<char>(v >> (8 * i));
+    buf_.append(b, 8);
+  }
   void i64v(i64 v) { u64v(static_cast<u64>(v)); }
   void intv(int v) { i64v(static_cast<i64>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
@@ -107,9 +116,19 @@ class ByteReader {
 public:
   explicit ByteReader(std::string_view bytes) : data_(bytes) {}
 
-  unsigned char u8();
-  u32 u32v();
-  u64 u64v();
+  unsigned char u8() { return *need(1); }
+  u32 u32v() {
+    const unsigned char* p = need(4);
+    u32 v = 0;
+    for (int i = 0; i < 4; ++i) v |= static_cast<u32>(p[i]) << (8 * i);
+    return v;
+  }
+  u64 u64v() {
+    const unsigned char* p = need(8);
+    u64 v = 0;
+    for (int i = 0; i < 8; ++i) v |= static_cast<u64>(p[i]) << (8 * i);
+    return v;
+  }
   i64 i64v() { return static_cast<i64>(u64v()); }
   int intv();  ///< i64 narrowed with range check
   bool boolean();
@@ -127,7 +146,14 @@ public:
   void expectEnd() const;
 
 private:
-  const unsigned char* need(size_t n);
+  /// The next `n` bytes, consumed; throws SerializeError when fewer remain.
+  const unsigned char* need(size_t n) {
+    if (n > remaining()) truncated(n);
+    const unsigned char* p = reinterpret_cast<const unsigned char*>(data_.data()) + pos_;
+    pos_ += n;
+    return p;
+  }
+  [[noreturn]] void truncated(size_t n) const;
 
   std::string_view data_;
   size_t pos_ = 0;
@@ -151,11 +177,13 @@ CompileResult deserializeCompileResult(std::string_view bytes);
 /// work. The cache tiers call this on a plan before publishing it.
 void settleDerivedAnswers(const CompileResult& result);
 
-/// Canonical byte encodings used for the collision-guard digests in the
-/// .emmplan header: the 64-bit cache key has no collision resistance, so the
-/// disk cache stores digests of these encodings and re-derives them at
-/// lookup; a colliding key with a different block or option set is rejected
-/// and falls through to a cold compile.
+/// Canonical byte encodings. The collision-guard digests in the .emmplan
+/// header are digests of these bytes, streamed without building them
+/// (digestProgramBlock / digestCompileOptions in support/fingerprint.h):
+/// the 64-bit cache key has no collision resistance, so the disk cache
+/// stores the digests and re-derives them at lookup; a colliding key with a
+/// different block or option set is rejected and falls through to a cold
+/// compile.
 std::string serializeProgramBlock(const ProgramBlock& block);
 std::string serializeCompileOptions(const CompileOptions& options);
 

@@ -3,7 +3,10 @@
 // This is the expression layer behind the parametric tile analysis: the
 // Section-3 cost model is built once with tile sizes T1..Tk as symbols, and
 // every candidate evaluation reduces to evaluating SymExpr trees at a
-// concrete binding — no polyhedral work in the inner loop.
+// concrete binding — no polyhedral work in the inner loop. The tile plan
+// compiles its trees into flat op tables that evaluate exactly like eval
+// and evalInterval below (tilesearch/parametric_plan.h); the runtime
+// binder's guards and argument slots evaluate trees directly.
 //
 // The expression language mirrors exactly what the analysis produces:
 // affine terms over parameters, floor/ceil division by positive divisors

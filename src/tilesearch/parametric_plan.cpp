@@ -1,6 +1,7 @@
 #include "tilesearch/parametric_plan.h"
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 
 namespace emm {
@@ -210,7 +211,7 @@ ParametricTilePlan::ParametricTilePlan(const ProgramBlock& block, const Parallel
       af.comps[keyed[g].second.first].globalIdx[keyed[g].second.second] = static_cast<int>(g);
     }
   }
-  buildFootprintFormulas();
+  compileTables();
 }
 
 void ParametricTilePlan::rebuildSymbols() {
@@ -295,13 +296,35 @@ ParametricTilePlan::PairPredicate ParametricTilePlan::compilePredicate(const Pol
   return p;
 }
 
-bool ParametricTilePlan::pairOverlaps(const PairPredicate& p, const IntVec& fullBinding) const {
-  if (p.always) return true;
-  if (p.never) return false;
-  return p.cond.contains(fullBinding);
-}
+// ---- compiled tables ---------------------------------------------------------
 
 namespace {
+
+using Kind = SymExpr::Kind;
+
+/// Why an op has no value. Each code raises exactly what the tree
+/// evaluation (SymExpr::eval / evalInterval) raises at the same node.
+enum Poison : std::uint8_t {
+  kSound = 0,
+  kOverflow,                    ///< checked i64 arithmetic overflowed
+  kNonPositiveDivisor,          ///< eval: divisor <= 0
+  kPossiblyNonPositiveDivisor,  ///< evalInterval: divisor interval reaches <= 0
+  kEmptyParameter,              ///< evalInterval: a tile range with lo > hi
+};
+
+[[noreturn]] void raise(std::uint8_t poison) {
+  switch (poison) {
+    case kOverflow:
+      throw ApiError("int64 overflow in exact arithmetic");
+    case kNonPositiveDivisor:
+      checkFailed(__FILE__, __LINE__, "d > 0", "symbolic division by a non-positive divisor");
+    case kPossiblyNonPositiveDivisor:
+      checkFailed(__FILE__, __LINE__, "y.lo > 0",
+                  "symbolic division by a possibly non-positive divisor");
+    default:
+      checkFailed(__FILE__, __LINE__, "lo <= hi", "empty parameter interval");
+  }
+}
 
 /// Union-find over `n` members in storage reused across calls; mirrors
 /// poly/overlapComponents: groups are reported ordered by lowest member,
@@ -312,19 +335,31 @@ struct Grouper {
   std::vector<int> start;    ///< group g is members[start[g], start[g + 1])
   std::vector<int> members;
   std::vector<int> cursor;
+  bool united = false;       ///< whether any unite() ran since reset()
 
   void reset(int n) {
     parent.resize(n);
     std::iota(parent.begin(), parent.end(), 0);
+    united = false;
   }
   int find(int x) {
     while (parent[x] != x) x = parent[x] = parent[parent[x]];
     return x;
   }
-  void unite(int a, int b) { parent[find(a)] = find(b); }
+  void unite(int a, int b) {
+    parent[find(a)] = find(b);
+    united = true;
+  }
   /// Forms the groups into start/members; returns how many there are.
   int group() {
     const int n = static_cast<int>(parent.size());
+    if (!united) {  // every member alone, in order
+      start.resize(n + 1);
+      std::iota(start.begin(), start.end(), 0);
+      members.resize(n);
+      std::iota(members.begin(), members.end(), 0);
+      return n;
+    }
     label.assign(n, -1);
     int count = 0;
     for (int i = 0; i < n; ++i) {
@@ -344,6 +379,202 @@ struct Grouper {
 
 }  // namespace
 
+/// Converts formula trees into hash-consed Tables ops, node by node (no
+/// folding, so an op evaluates exactly like its node): a node already
+/// converted, or one of the same shape, is not added twice. Both lookups
+/// are open-addressing tables of op indices, so converting a node
+/// allocates nothing beyond its op.
+class ParametricTilePlan::TableBuilder {
+public:
+  /// The converted nodes must outlive the builder.
+  TableBuilder(Tables& tables, int nsym) : t_(tables), nsym_(nsym) {}
+
+  int of(const SymPtr& e) {
+    EMM_REQUIRE(e != nullptr, "null symbolic formula");
+    size_t slot = nodeSlot(e.get());
+    if (nodes_[slot].first == e.get()) return nodes_[slot].second;
+    int op = 0;
+    switch (e->kind()) {
+      case Kind::Const:
+        op = intern({Kind::Const, 0, 0, e->constValue()});
+        break;
+      case Kind::Param:
+        EMM_REQUIRE(e->paramIndex() < nsym_, "formula symbol out of range");
+        op = intern({Kind::Param, 0, 0, e->paramIndex()});
+        break;
+      default: {
+        const int a = of(e->lhs());
+        const int b = of(e->rhs());
+        op = intern({e->kind(), a, b, 0});
+        break;
+      }
+    }
+    if (2 * (++nodeCount_ + 1) > nodes_.size()) {  // grow, rehash
+      std::vector<std::pair<const SymExpr*, int>> old(2 * nodes_.size(), {nullptr, 0});
+      old.swap(nodes_);
+      for (const auto& entry : old)
+        if (entry.first != nullptr) nodes_[nodeSlot(entry.first)] = entry;
+    }
+    nodes_[nodeSlot(e.get())] = {e.get(), op};
+    return op;
+  }
+
+private:
+  static size_t mix(std::uint64_t h) {
+    return static_cast<size_t>((h * 0x9E3779B97F4A7C15ULL) >> 17);
+  }
+  /// The slot holding `node`, or the free slot it belongs in.
+  size_t nodeSlot(const SymExpr* node) const {
+    const size_t mask = nodes_.size() - 1;
+    size_t s = mix(reinterpret_cast<std::uintptr_t>(node)) & mask;
+    while (nodes_[s].first != nullptr && nodes_[s].first != node) s = (s + 1) & mask;
+    return s;
+  }
+  static size_t shapeHash(const Tables::Op& o) {
+    std::uint64_t h = static_cast<std::uint64_t>(o.kind);
+    for (std::uint64_t x : {static_cast<std::uint64_t>(o.a), static_cast<std::uint64_t>(o.b),
+                            static_cast<std::uint64_t>(o.c)})
+      h = (h ^ x) * 0x100000001b3ULL;
+    return mix(h);
+  }
+  /// The op of shape `o`, appended when new.
+  int intern(const Tables::Op& o) {
+    const size_t mask = shapes_.size() - 1;
+    size_t s = shapeHash(o) & mask;
+    for (; shapes_[s] >= 0; s = (s + 1) & mask) {
+      const Tables::Op& x = t_.ops[shapes_[s]];
+      if (x.kind == o.kind && x.a == o.a && x.b == o.b && x.c == o.c) return shapes_[s];
+    }
+    const int op = static_cast<int>(t_.ops.size());
+    t_.ops.push_back(o);
+    shapes_[s] = op;
+    if (2 * t_.ops.size() > shapes_.size()) {  // grow, rehash
+      shapes_.assign(2 * shapes_.size(), -1);
+      for (int i = 0; i <= op; ++i) {
+        size_t r = shapeHash(t_.ops[i]) & (shapes_.size() - 1);
+        while (shapes_[r] >= 0) r = (r + 1) & (shapes_.size() - 1);
+        shapes_[r] = i;
+      }
+    }
+    return op;
+  }
+
+  Tables& t_;
+  int nsym_;
+  size_t nodeCount_ = 0;
+  std::vector<std::pair<const SymExpr*, int>> nodes_ =
+      std::vector<std::pair<const SymExpr*, int>>(256, {nullptr, 0});
+  std::vector<int> shapes_ = std::vector<int>(256, -1);  ///< op index, -1 = free
+};
+
+void ParametricTilePlan::compileTables() {
+  const int nsym = np_ + 2 * depth_;
+  Tables t;
+  std::vector<SymPtr> footprints;  ///< alive while `build` knows their nodes
+  TableBuilder build(t, nsym);
+  for (ArrayFormula& af : arrays_) {
+    for (ComponentFormula& comp : af.comps) {
+      comp.boxBase = static_cast<int>(t.boxOps.size());
+      for (const RefFormula& rf : comp.refs) {
+        for (const Box* box : {&rf.ctxBox, &rf.rawBox}) {
+          for (const auto& [lo, hi] : *box) {
+            t.boxOps.push_back(build.of(lo));
+            t.boxOps.push_back(build.of(hi));
+          }
+        }
+      }
+      // Footprint: per dimension, the extent of the bounding box of the
+      // refs' context boxes, max(0, max(hi) - min(lo) + 1); the product.
+      SymPtr fp = SymExpr::constant(1);
+      for (size_t d = 0; d < comp.refs[0].ctxBox.size(); ++d) {
+        SymPtr lo = comp.refs[0].ctxBox[d].first;
+        SymPtr hi = comp.refs[0].ctxBox[d].second;
+        for (size_t m = 1; m < comp.refs.size(); ++m) {
+          lo = SymExpr::min(std::move(lo), comp.refs[m].ctxBox[d].first);
+          hi = SymExpr::max(std::move(hi), comp.refs[m].ctxBox[d].second);
+        }
+        SymPtr extent = SymExpr::add(SymExpr::sub(std::move(hi), std::move(lo)),
+                                     SymExpr::constant(1));
+        fp = SymExpr::mul(std::move(fp), SymExpr::max(SymExpr::constant(0), std::move(extent)));
+      }
+      comp.footprintOp = build.of(fp);
+      footprints.push_back(std::move(fp));
+
+      comp.predBase = static_cast<int>(t.preds.size());
+      const size_t n = comp.refs.size();
+      for (size_t k = 0; k < comp.pairs.size(); ++k) {
+        const PairPredicate& p = comp.pairs[k];
+        Tables::Pred q;  // Never: also the unused slots i >= j
+        if (k / n < k % n) {
+          if (p.always) {
+            q.kind = Tables::Pred::Kind::Always;
+          } else if (!p.never && !p.cond.markedEmpty()) {
+            EMM_REQUIRE(p.cond.dim() == nsym && p.cond.nparam() == 0,
+                        "pair predicate shape mismatch");
+            q.kind = Tables::Pred::Kind::Rows;
+            q.row = static_cast<int>(t.rows.size()) / (nsym + 1);
+            q.eqs = p.cond.equalities().rows();
+            for (const IntMat* m : {&p.cond.equalities(), &p.cond.inequalities()})
+              for (int r = 0; r < m->rows(); ++r)
+                for (int j = 0; j <= nsym; ++j) t.rows.push_back(m->at(r, j));
+            q.rowEnd = static_cast<int>(t.rows.size()) / (nsym + 1);
+          }
+        }
+        t.preds.push_back(q);
+      }
+    }
+  }
+
+  // Binding ops first: an op reads a tile symbol when it is one or any
+  // operand does. Both halves keep their order, so the table stays
+  // topological.
+  const int nops = static_cast<int>(t.ops.size());
+  std::vector<char> readsTile(nops, 0);
+  for (int i = 0; i < nops; ++i) {
+    const Tables::Op& o = t.ops[i];
+    if (o.kind == Kind::Param)
+      readsTile[i] = o.c >= np_ + depth_;
+    else if (o.kind != Kind::Const)
+      readsTile[i] = readsTile[o.a] || readsTile[o.b];
+  }
+  std::vector<int> order(nops);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_partition(order.begin(), order.end(), [&](int i) { return !readsTile[i]; });
+  std::vector<int> renumber(nops);
+  for (int i = 0; i < nops; ++i) renumber[order[i]] = i;
+  std::vector<Tables::Op> ops(nops);
+  for (int i = 0; i < nops; ++i) {
+    ops[i] = t.ops[order[i]];
+    if (ops[i].kind != Kind::Const && ops[i].kind != Kind::Param) {
+      ops[i].a = renumber[ops[i].a];
+      ops[i].b = renumber[ops[i].b];
+    }
+  }
+  t.ops = std::move(ops);
+  t.bindingOps = static_cast<int>(std::count(readsTile.begin(), readsTile.end(), 0));
+  for (int& op : t.boxOps) op = renumber[op];
+
+  // The ops footprintInterval() evaluates: everything a footprint reads.
+  std::vector<char> reached(nops, 0);
+  for (ArrayFormula& af : arrays_) {
+    for (ComponentFormula& comp : af.comps) {
+      comp.footprintOp = renumber[comp.footprintOp];
+      reached[comp.footprintOp] = 1;
+    }
+  }
+  for (int i = nops - 1; i >= 0; --i) {
+    const Tables::Op& o = t.ops[i];
+    if (reached[i] && o.kind != Kind::Const && o.kind != Kind::Param)
+      reached[o.a] = reached[o.b] = 1;
+  }
+  for (int i = 0; i < nops; ++i)
+    if (reached[i]) t.intervalOps.push_back(i);
+
+  static std::atomic<std::uint64_t> nextId{1};
+  t.id = nextId.fetch_add(1, std::memory_order_relaxed);
+  tables_ = std::move(t);
+}
+
 /// One partition live at the evaluated tile sizes.
 struct ParametricTilePlan::LiveGroup {
   const ArrayFormula* array = nullptr;
@@ -355,9 +586,16 @@ struct ParametricTilePlan::LiveGroup {
 };
 
 struct ParametricTilePlan::Scratch::Buffers {
-  IntVec full;         ///< [sizes, origins, tiles]
-  Grouper refs;        ///< partition refinement of one array
-  Grouper sides;       ///< volume grouping of one group's reads or writes
+  std::uint64_t tablesId = 0;  ///< Tables::id the binding part below is for
+  IntVec full;                 ///< [sizes, origins, tiles]
+  std::vector<i64> value;      ///< per op
+  std::vector<std::uint8_t> poison;
+  std::vector<i128> rowBase;          ///< per row: constant + binding terms
+  std::vector<std::uint8_t> overlap;  ///< per predicate, at the candidate
+  std::vector<SymInterval> interval;  ///< per op, in footprintInterval()
+  std::vector<std::uint8_t> intervalPoison;
+  Grouper refs;   ///< partition refinement of one array
+  Grouper sides;  ///< volume grouping of one group's reads or writes
   std::vector<LiveGroup> groups;
   std::vector<int> members;
   std::vector<int> side;
@@ -367,25 +605,141 @@ struct ParametricTilePlan::Scratch::Buffers {
 ParametricTilePlan::Scratch::Scratch() : buffers(std::make_unique<Buffers>()) {}
 ParametricTilePlan::Scratch::~Scratch() = default;
 
+/// The tables evaluated at one size binding in one scratch.
+class ParametricTilePlan::TableRun {
+public:
+  /// Computes the binding part unless the scratch holds it already.
+  TableRun(const ParametricTilePlan& plan, const SizeBinding& binding, Scratch& scratch)
+      : t_(plan.tables_),
+        s_(*scratch.buffers),
+        nfix_(plan.np_ + plan.depth_),
+        nsym_(nfix_ + plan.depth_) {
+    if (s_.tablesId == t_.id && std::equal(binding.ext.begin(), binding.ext.end(), s_.full.begin()))
+      return;
+    s_.tablesId = t_.id;
+    s_.full.assign(binding.ext.begin(), binding.ext.end());
+    s_.full.resize(nsym_);
+    s_.value.resize(t_.ops.size());
+    s_.poison.resize(t_.ops.size());
+    s_.overlap.resize(t_.preds.size());
+    run(0, t_.bindingOps);
+    const size_t nrows = t_.rows.size() / (nsym_ + 1);
+    s_.rowBase.resize(nrows);
+    for (size_t r = 0; r < nrows; ++r) {
+      const i64* row = &t_.rows[r * (nsym_ + 1)];
+      i128 acc = row[nsym_];
+      for (int j = 0; j < nfix_; ++j) acc += static_cast<i128>(row[j]) * s_.full[j];
+      s_.rowBase[r] = acc;
+    }
+  }
+
+  /// Binds the tile symbols; with `ops`, also runs the ops that read them.
+  void candidate(const std::vector<i64>& tile, bool ops) {
+    std::copy(tile.begin(), tile.end(), s_.full.begin() + nfix_);
+    if (ops) run(t_.bindingOps, static_cast<int>(t_.ops.size()));
+  }
+
+  /// The value of op `op`, raising its poison.
+  i64 value(int op) const {
+    if (s_.poison[op] != kSound) raise(s_.poison[op]);
+    return s_.value[op];
+  }
+  /// A bound of local ref `m` of `comp` (ComponentFormula::boxOp).
+  i64 box(const ComponentFormula& comp, int m, int d, bool raw, bool upper) const {
+    return value(t_.boxOps[comp.boxOp(m, d, raw, upper)]);
+  }
+
+  /// Whether predicate `pred` holds at the candidate. A row is its
+  /// pre-summed binding part plus its tile terms, checked like
+  /// Polyhedron::contains checks it.
+  bool overlaps(int pred) const {
+    const Tables::Pred& p = t_.preds[pred];
+    if (p.kind != Tables::Pred::Kind::Rows) return p.kind == Tables::Pred::Kind::Always;
+    for (int r = p.row; r < p.rowEnd; ++r) {
+      const i64* row = &t_.rows[static_cast<size_t>(r) * (nsym_ + 1)];
+      i128 acc = s_.rowBase[r];
+      for (int j = nfix_; j < nsym_; ++j) acc += static_cast<i128>(row[j]) * s_.full[j];
+      const i64 v = narrow(acc);
+      if (r < p.row + p.eqs ? v != 0 : v < 0) return false;
+    }
+    return true;
+  }
+
+private:
+  /// Evaluates ops [begin, end) as SymExpr::eval would, keeping each
+  /// failure as the op's poison: operands are read in the tree's order, so
+  /// an op carries the first failure the tree walk would meet.
+  void run(int begin, int end) {
+    const Tables::Op* ops = t_.ops.data();
+    i64* v = s_.value.data();
+    std::uint8_t* p = s_.poison.data();
+    const i64* full = s_.full.data();
+    for (int i = begin; i < end; ++i) {
+      const Tables::Op& o = ops[i];
+      i64 r = 0;
+      std::uint8_t bad = kSound;
+      switch (o.kind) {
+        case Kind::Const:
+          r = o.c;
+          break;
+        case Kind::Param:
+          r = full[o.c];
+          break;
+        case Kind::Add:
+          bad = p[o.a] != kSound ? p[o.a] : p[o.b];
+          if (bad == kSound && __builtin_add_overflow(v[o.a], v[o.b], &r)) bad = kOverflow;
+          break;
+        case Kind::Mul:
+          bad = p[o.a] != kSound ? p[o.a] : p[o.b];
+          if (bad == kSound && __builtin_mul_overflow(v[o.a], v[o.b], &r)) bad = kOverflow;
+          break;
+        case Kind::FloorDiv:
+        case Kind::CeilDiv:
+          // The divisor is evaluated and checked before the numerator.
+          bad = p[o.b];
+          if (bad == kSound && v[o.b] <= 0) bad = kNonPositiveDivisor;
+          if (bad == kSound) bad = p[o.a];
+          if (bad == kSound)
+            r = o.kind == Kind::FloorDiv ? floorDiv(v[o.a], v[o.b]) : ceilDiv(v[o.a], v[o.b]);
+          break;
+        case Kind::Min:
+          bad = p[o.a] != kSound ? p[o.a] : p[o.b];
+          r = std::min(v[o.a], v[o.b]);
+          break;
+        case Kind::Max:
+          bad = p[o.a] != kSound ? p[o.a] : p[o.b];
+          r = std::max(v[o.a], v[o.b]);
+          break;
+      }
+      v[i] = r;
+      p[i] = bad;
+    }
+  }
+
+  const Tables& t_;
+  Scratch::Buffers& s_;
+  int nfix_;  ///< binding symbols [sizes, origins]
+  int nsym_;  ///< all symbols, tiles last
+};
+
+// ---- evaluation ----------------------------------------------------------------
+
 TileEvaluation ParametricTilePlan::evaluate(const SizeBinding& binding,
                                             const std::vector<i64>& subTile) const {
   Scratch scratch;
-  return evaluate(binding, subTile, scratch, /*withNames=*/true);
+  return evaluate(binding, subTile, scratch, /*withTerms=*/true);
 }
 
 TileEvaluation ParametricTilePlan::evaluate(const SizeBinding& binding,
                                             const std::vector<i64>& subTile, Scratch& scratch,
-                                            bool withNames) const {
+                                            bool withTerms) const {
   EMM_REQUIRE(static_cast<int>(subTile.size()) == depth_, "subTile arity mismatch");
   EMM_REQUIRE(static_cast<int>(binding.ext.size()) == np_ + depth_,
               "size binding arity mismatch");
   Scratch::Buffers& s = *scratch.buffers;
+  TableRun run(*this, binding, scratch);
+  run.candidate(subTile, /*ops=*/true);
   TileEvaluation ev;
-
-  // Full symbol binding [sizes, origins, tiles] for formula evaluation.
-  IntVec& full = s.full;
-  full.assign(binding.ext.begin(), binding.ext.end());
-  full.insert(full.end(), subTile.begin(), subTile.end());
 
   // ---- Recover the partition structure at these tile sizes. ----
   // Overlap grows with the tile, so the symbolic components are the
@@ -399,15 +753,18 @@ TileEvaluation ParametricTilePlan::evaluate(const SizeBinding& binding,
     // Refine over the array's whole reference set (overlap edges only ever
     // connect refs of one symbolic component): groups then come out in the
     // lowest-discovery-index order the concrete partitioner uses, even
-    // when symbolic components interleave by reference index.
+    // when symbolic components interleave by reference index. Every pair's
+    // answer is kept for the volume grouping below.
     Grouper& grouper = s.refs;
     grouper.reset(af.numRefs);
     for (const ComponentFormula& comp : af.comps) {
       const int n = static_cast<int>(comp.refs.size());
       for (int i = 0; i < n; ++i)
-        for (int j = i + 1; j < n; ++j)
-          if (pairOverlaps(comp.pairs[static_cast<size_t>(i) * n + j], full))
-            grouper.unite(comp.globalIdx[i], comp.globalIdx[j]);
+        for (int j = i + 1; j < n; ++j) {
+          const int pred = comp.predBase + i * n + j;
+          s.overlap[pred] = run.overlaps(pred);
+          if (s.overlap[pred]) grouper.unite(comp.globalIdx[i], comp.globalIdx[j]);
+        }
     }
     const int ngroups = grouper.group();
     for (int gi = 0; gi < ngroups; ++gi) {
@@ -443,31 +800,35 @@ TileEvaluation ParametricTilePlan::evaluate(const SizeBinding& binding,
           }
           return narrow(n);
         };
-        auto boxCount = [&](const Box& box) -> i64 {
+        const int rawDims = static_cast<int>(comp.refs[0].rawBox.size());
+        auto boxCount = [&](int m) -> i64 {
           s.lens.clear();
-          for (const auto& [lo, hi] : box)
-            s.lens.push_back(addChecked(subChecked(hi->eval(full), lo->eval(full)), 1));
+          for (int d = 0; d < rawDims; ++d) {
+            const i64 lo = run.box(comp, m, d, true, false);
+            const i64 hi = run.box(comp, m, d, true, true);
+            s.lens.push_back(addChecked(subChecked(hi, lo), 1));
+          }
           return cappedProduct(s.lens);
         };
-        auto interCount = [&](const Box& a, const Box& b) -> i64 {
+        auto interCount = [&](int a, int b) -> i64 {
           s.lens.clear();
-          for (size_t d = 0; d < a.size(); ++d) {
-            i64 lo = std::max(a[d].first->eval(full), b[d].first->eval(full));
-            i64 hi = std::min(a[d].second->eval(full), b[d].second->eval(full));
+          for (int d = 0; d < rawDims; ++d) {
+            const i64 lo =
+                std::max(run.box(comp, a, d, true, false), run.box(comp, b, d, true, false));
+            const i64 hi =
+                std::min(run.box(comp, a, d, true, true), run.box(comp, b, d, true, true));
             s.lens.push_back(addChecked(subChecked(hi, lo), 1));
           }
           return cappedProduct(s.lens);
         };
         i64 total = 0;
-        for (auto m = membersBegin; m != membersEnd; ++m)
-          total = addChecked(total, boxCount(comp.refs[*m].rawBox));
+        for (auto m = membersBegin; m != membersEnd; ++m) total = addChecked(total, boxCount(*m));
         double frac = 0.0;
         if (total != 0) {
           i64 overlap = 0;
           for (auto i = membersBegin; i != membersEnd; ++i)
             for (auto j = i + 1; j != membersEnd; ++j)
-              overlap = addChecked(overlap, interCount(comp.refs[*i].rawBox,
-                                                       comp.refs[*j].rawBox));
+              overlap = addChecked(overlap, interCount(*i, *j));
           frac = static_cast<double>(overlap) / static_cast<double>(total);
         }
         beneficial = frac > benefitDelta_;
@@ -491,11 +852,11 @@ TileEvaluation ParametricTilePlan::evaluate(const SizeBinding& binding,
       // Buffer footprint: per-dimension bounding box of the group under
       // the analysis context (the optimum the geometry planner derives).
       i64 fp = 1;
-      for (int d = 0; d < static_cast<int>(comp.refs[*membersBegin].ctxBox.size()); ++d) {
+      for (int d = 0; d < static_cast<int>(comp.refs[0].ctxBox.size()); ++d) {
         i64 lo = INT64_MAX, hi = INT64_MIN;
         for (auto m = membersBegin; m != membersEnd; ++m) {
-          lo = std::min(lo, comp.refs[*m].ctxBox[d].first->eval(full));
-          hi = std::max(hi, comp.refs[*m].ctxBox[d].second->eval(full));
+          lo = std::min(lo, run.box(comp, *m, d, false, false));
+          hi = std::max(hi, run.box(comp, *m, d, false, true));
         }
         fp = mulChecked(fp, std::max<i64>(0, addChecked(subChecked(hi, lo), 1)));
       }
@@ -516,18 +877,18 @@ TileEvaluation ParametricTilePlan::evaluate(const SizeBinding& binding,
   auto volumeOf = [&](const LiveGroup& g, bool writes) {
     // Section-3.1.3: group the (read resp. write) spaces into maximal
     // non-overlapping subsets, sum their bounding-box sizes.
-    const std::vector<RefFormula>& refs = g.comp->refs;
+    const ComponentFormula& comp = *g.comp;
     s.side.clear();
     for (size_t k = g.begin; k < g.end; ++k)
-      if (refs[s.members[k]].isWrite == writes) s.side.push_back(s.members[k]);
+      if (comp.refs[s.members[k]].isWrite == writes) s.side.push_back(s.members[k]);
     const std::vector<int>& side = s.side;
-    const int n = static_cast<int>(refs.size());
+    const int n = static_cast<int>(comp.refs.size());
     Grouper& grouper = s.sides;
     grouper.reset(static_cast<int>(side.size()));
     for (size_t i = 0; i < side.size(); ++i)
       for (size_t j = i + 1; j < side.size(); ++j) {
         int a = std::min(side[i], side[j]), b = std::max(side[i], side[j]);
-        if (pairOverlaps(g.comp->pairs[static_cast<size_t>(a) * n + b], full))
+        if (s.overlap[comp.predBase + a * n + b])
           grouper.unite(static_cast<int>(i), static_cast<int>(j));
       }
     i64 total = 0;
@@ -536,13 +897,11 @@ TileEvaluation ParametricTilePlan::evaluate(const SizeBinding& binding,
       const int* sub = grouper.members.data() + grouper.start[gi];
       const int* subEnd = grouper.members.data() + grouper.start[gi + 1];
       i64 vol = 1;
-      const Box& first = refs[side[*sub]].rawBox;
-      for (int d = 0; d < static_cast<int>(first.size()); ++d) {
+      for (int d = 0; d < static_cast<int>(comp.refs[0].rawBox.size()); ++d) {
         i64 lo = INT64_MAX, hi = INT64_MIN;
         for (const int* m = sub; m != subEnd; ++m) {
-          const Box& box = refs[side[*m]].rawBox;
-          lo = std::min(lo, box[d].first->eval(full));
-          hi = std::max(hi, box[d].second->eval(full));
+          lo = std::min(lo, run.box(comp, side[*m], d, true, false));
+          hi = std::max(hi, run.box(comp, side[*m], d, true, true));
         }
         if (hi < lo) {
           vol = 0;
@@ -557,7 +916,7 @@ TileEvaluation ParametricTilePlan::evaluate(const SizeBinding& binding,
 
   double P = static_cast<double>(options_.innerProcs);
   double cost = 0;
-  ev.terms.reserve(s.groups.size());
+  if (withTerms) ev.terms.reserve(s.groups.size());
   for (const LiveGroup& g : s.groups) {
     i64 occ = 1;
     for (int l = 0; l < g.hoistLevel; ++l)
@@ -567,14 +926,115 @@ TileEvaluation ParametricTilePlan::evaluate(const SizeBinding& binding,
     double termIn = bufferCostTerm(occ, vin, P, options_.syncCost, options_.transferCost);
     double termOut = bufferCostTerm(occ, vout, P, options_.syncCost, options_.transferCost);
     cost += termIn + termOut;
-    std::string name;
-    if (withNames) name = "L" + g.array->arrayName + std::to_string(g.partition);
-    ev.terms.push_back({std::move(name), occ, vin, vout, g.hoistLevel});
+    if (withTerms)
+      ev.terms.push_back({"L" + g.array->arrayName + std::to_string(g.partition), occ, vin, vout,
+                          g.hoistLevel});
   }
   ev.feasible = true;
   ev.cost = cost;
   return ev;
 }
+
+SymInterval ParametricTilePlan::footprintInterval(const SizeBinding& binding,
+                                                  const std::vector<SymInterval>& tileBox,
+                                                  Scratch& scratch) const {
+  EMM_REQUIRE(static_cast<int>(tileBox.size()) == depth_, "tile box arity mismatch");
+  EMM_REQUIRE(static_cast<int>(binding.ext.size()) == np_ + depth_,
+              "size binding arity mismatch");
+  // The footprint ops in interval arithmetic, as SymExpr::evalInterval
+  // would run them: sizes and origins are point intervals at the binding,
+  // the tile symbols range over the box. Failures are kept as poison, like
+  // in evaluate().
+  Scratch::Buffers& s = *scratch.buffers;
+  s.interval.resize(tables_.ops.size());
+  s.intervalPoison.resize(tables_.ops.size());
+  SymInterval* v = s.interval.data();
+  std::uint8_t* p = s.intervalPoison.data();
+  const int nfix = np_ + depth_;
+  for (int i : tables_.intervalOps) {
+    const Tables::Op& o = tables_.ops[i];
+    SymInterval r;
+    std::uint8_t bad = kSound;
+    if (o.kind == Kind::Const) {
+      r = {o.c, o.c};
+    } else if (o.kind == Kind::Param) {
+      r = o.c < nfix ? SymInterval{binding.ext[o.c], binding.ext[o.c]} : tileBox[o.c - nfix];
+      if (r.lo > r.hi) bad = kEmptyParameter;
+    } else {
+      const SymInterval x = v[o.a], y = v[o.b];
+      bad = p[o.a] != kSound ? p[o.a] : p[o.b];
+      switch (o.kind) {
+        case Kind::Add:
+          if (bad == kSound && (__builtin_add_overflow(x.lo, y.lo, &r.lo) ||
+                                __builtin_add_overflow(x.hi, y.hi, &r.hi)))
+            bad = kOverflow;
+          break;
+        case Kind::Mul: {
+          i64 c[4];
+          if (bad == kSound && (__builtin_mul_overflow(x.lo, y.lo, &c[0]) ||
+                                __builtin_mul_overflow(x.lo, y.hi, &c[1]) ||
+                                __builtin_mul_overflow(x.hi, y.lo, &c[2]) ||
+                                __builtin_mul_overflow(x.hi, y.hi, &c[3])))
+            bad = kOverflow;
+          if (bad == kSound) r = {*std::min_element(c, c + 4), *std::max_element(c, c + 4)};
+          break;
+        }
+        case Kind::FloorDiv:
+        case Kind::CeilDiv: {
+          if (bad == kSound && y.lo <= 0) bad = kPossiblyNonPositiveDivisor;
+          if (bad != kSound) break;
+          // Monotone in each argument separately: the extremes lie at the
+          // four corners.
+          auto div = o.kind == Kind::FloorDiv ? floorDiv : ceilDiv;
+          const i64 c[4] = {div(x.lo, y.lo), div(x.lo, y.hi), div(x.hi, y.lo), div(x.hi, y.hi)};
+          r = {*std::min_element(c, c + 4), *std::max_element(c, c + 4)};
+          break;
+        }
+        case Kind::Min:
+          r = {std::min(x.lo, y.lo), std::min(x.hi, y.hi)};
+          break;
+        default:  // Max
+          r = {std::max(x.lo, y.lo), std::max(x.hi, y.hi)};
+          break;
+      }
+    }
+    v[i] = r;
+    p[i] = bad;
+  }
+  // Enclosure of the symbolic (coarsest-structure) footprint: the sum of
+  // the component footprint intervals.
+  SymInterval total{0, 0};
+  for (const ArrayFormula& af : arrays_) {
+    for (const ComponentFormula& comp : af.comps) {
+      if (p[comp.footprintOp] != kSound) raise(p[comp.footprintOp]);
+      const SymInterval fi = v[comp.footprintOp];
+      total.lo = addChecked(total.lo, fi.lo);
+      total.hi = addChecked(total.hi, fi.hi);
+    }
+  }
+  return total;
+}
+
+bool ParametricTilePlan::coarsestStructureAt(const SizeBinding& binding,
+                                             const std::vector<i64>& tiles,
+                                             Scratch& scratch) const {
+  EMM_REQUIRE(static_cast<int>(tiles.size()) == depth_, "subTile arity mismatch");
+  EMM_REQUIRE(static_cast<int>(binding.ext.size()) == np_ + depth_,
+              "size binding arity mismatch");
+  TableRun run(*this, binding, scratch);
+  run.candidate(tiles, /*ops=*/false);
+  for (const ArrayFormula& af : arrays_) {
+    for (const ComponentFormula& comp : af.comps) {
+      const int n = static_cast<int>(comp.refs.size());
+      for (int i = 0; i < n; ++i)
+        for (int j = i + 1; j < n; ++j)
+          if (!run.overlaps(comp.predBase + i * n + j)) return false;
+    }
+  }
+  return true;
+}
+
+// ---- geometry ----------------------------------------------------------------
 
 AffExpr ParametricTilePlan::substituteTiles(const AffExpr& e, const std::vector<i64>& tiles) const {
   AffExpr out;
@@ -608,67 +1068,6 @@ std::vector<GeometryHint> ParametricTilePlan::instantiateGeometry(
     hints.push_back(std::move(h));
   }
   return hints;
-}
-
-SymInterval ParametricTilePlan::footprintInterval(const SizeBinding& binding,
-                                                  const std::vector<SymInterval>& tileBox) const {
-  EMM_REQUIRE(static_cast<int>(tileBox.size()) == depth_, "tile box arity mismatch");
-  EMM_REQUIRE(static_cast<int>(binding.ext.size()) == np_ + depth_,
-              "size binding arity mismatch");
-  // Sizes and origins are point intervals at the binding; the tile symbols
-  // range over the box.
-  std::vector<SymInterval> env;
-  env.reserve(binding.ext.size() + tileBox.size());
-  for (i64 v : binding.ext) env.push_back({v, v});
-  env.insert(env.end(), tileBox.begin(), tileBox.end());
-  // Enclosure of the symbolic (coarsest-structure) footprint: the sum of
-  // the component footprint intervals.
-  SymInterval total{0, 0};
-  for (const ArrayFormula& af : arrays_) {
-    for (const ComponentFormula& comp : af.comps) {
-      SymInterval fi = comp.footprint->evalInterval(env);
-      total.lo = addChecked(total.lo, fi.lo);
-      total.hi = addChecked(total.hi, fi.hi);
-    }
-  }
-  return total;
-}
-
-void ParametricTilePlan::buildFootprintFormulas() {
-  // Per component, the per-dimension bounding-box product over its refs.
-  for (ArrayFormula& af : arrays_) {
-    for (ComponentFormula& comp : af.comps) {
-      SymPtr fp = SymExpr::constant(1);
-      for (int d = 0; d < static_cast<int>(comp.refs[0].ctxBox.size()); ++d) {
-        SymPtr lo = comp.refs[0].ctxBox[d].first;
-        SymPtr hi = comp.refs[0].ctxBox[d].second;
-        for (size_t m = 1; m < comp.refs.size(); ++m) {
-          lo = SymExpr::min(std::move(lo), comp.refs[m].ctxBox[d].first);
-          hi = SymExpr::max(std::move(hi), comp.refs[m].ctxBox[d].second);
-        }
-        SymPtr extent = SymExpr::add(SymExpr::sub(std::move(hi), std::move(lo)),
-                                     SymExpr::constant(1));
-        fp = SymExpr::mul(std::move(fp), SymExpr::max(SymExpr::constant(0), std::move(extent)));
-      }
-      comp.footprint = std::move(fp);
-    }
-  }
-}
-
-bool ParametricTilePlan::coarsestStructureAt(const SizeBinding& binding,
-                                             const std::vector<i64>& tiles) const {
-  EMM_REQUIRE(static_cast<int>(tiles.size()) == depth_, "subTile arity mismatch");
-  IntVec full = binding.ext;
-  full.insert(full.end(), tiles.begin(), tiles.end());
-  for (const ArrayFormula& af : arrays_) {
-    for (const ComponentFormula& comp : af.comps) {
-      const int n = static_cast<int>(comp.refs.size());
-      for (int i = 0; i < n; ++i)
-        for (int j = i + 1; j < n; ++j)
-          if (!pairOverlaps(comp.pairs[static_cast<size_t>(i) * n + j], full)) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace emm

@@ -29,11 +29,19 @@
 //     separates into distinct partitions, and the plan reproduces the split
 //     without re-running any polyhedral analysis.
 //
-// evaluate() is then pure expression evaluation — SymExpr trees plus
-// boolean predicate rows — and reproduces the concrete evaluator's
-// TileEvaluation field by field (including bit-identical cost doubles: the
-// floating-point combination is the same expression in the same order, and
-// partition naming follows the same discovery order).
+// evaluate() is then pure table evaluation and reproduces the concrete
+// evaluator's TileEvaluation field by field (including bit-identical cost
+// doubles: the floating-point combination is the same expression in the
+// same order, and partition naming follows the same discovery order).
+// Construction and decode compile the formulas into flat tables (Tables,
+// never serialized): one hash-consed op table over [sizes, origins, tiles]
+// holding every box bound and every component footprint, and the overlap
+// predicates as coefficient rows. Per size binding the ops and row parts
+// that read no tile symbol run once; per candidate the remaining ops run
+// as one linear pass and each predicate row adds its tile terms to its
+// pre-summed binding part. An overflow or a non-positive divisor is kept
+// as the op's poison and raised, with the error the tree evaluation
+// would raise, only when evaluate() reads that op.
 //
 // Construction throws ApiError when the block cannot be analyzed
 // parametrically (e.g. a reference without order-of-magnitude reuse makes
@@ -47,6 +55,7 @@
 // its own SizeBinding.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -93,26 +102,29 @@ public:
   /// The binding of the problem size the plan was constructed at.
   const SizeBinding& defaultBinding() const { return defaultBinding_; }
 
-  /// Working storage for evaluate(), reused across calls so that a search
-  /// allocates only the evaluations it keeps. One per thread: a plan is
-  /// shared, its scratch is not.
+  /// Working storage for evaluate(), footprintInterval() and
+  /// coarsestStructureAt(), reused across calls so that a search allocates
+  /// only the evaluations it keeps. It also keeps the binding part of the
+  /// tables (ops and row sums that read no tile symbol) for the last size
+  /// binding it saw, so a search at one binding computes that part once.
+  /// One per thread: a plan is shared, its scratch is not.
   struct Scratch {
     Scratch();
     ~Scratch();
-    struct Buffers;  ///< defined and used by evaluate() alone
+    struct Buffers;  ///< defined and used by the plan alone
     std::unique_ptr<Buffers> buffers;
   };
 
-  /// Pure expression evaluation of one candidate at one size binding. The
-  /// caller (TileEvaluator) has already applied the cheap range/volume
+  /// Evaluation of one candidate at one size binding. The caller
+  /// (TileEvaluator) has already applied the cheap range/volume
   /// constraints; this evaluates footprint feasibility and the Section-4.3
   /// objective.
   TileEvaluation evaluate(const SizeBinding& binding, const std::vector<i64>& subTile) const;
-  /// The same evaluation in caller-owned scratch. Buffer-term names are
-  /// filled in only when `withNames`: no solver decision reads them, so a
-  /// search names just the evaluation it returns.
+  /// The same evaluation in caller-owned scratch. The per-buffer terms are
+  /// filled in only when `withTerms`: no solver decision reads them, so a
+  /// search fills them in just for the evaluation it returns.
   TileEvaluation evaluate(const SizeBinding& binding, const std::vector<i64>& subTile,
-                          Scratch& scratch, bool withNames) const;
+                          Scratch& scratch, bool withTerms) const;
   /// Evaluation at the construction-time size binding.
   TileEvaluation evaluate(const std::vector<i64>& subTile) const {
     return evaluate(defaultBinding_, subTile);
@@ -129,12 +141,14 @@ public:
   std::vector<GeometryHint> instantiateGeometry(const std::vector<i64>& subTile) const;
 
   /// Interval enclosure of the total scratchpad footprint over a tile-size
-  /// box (one interval per loop) at a size binding, via SymExpr interval
-  /// evaluation of the symbolic (coarsest-structure) footprint formulas.
+  /// box (one interval per loop) at a size binding: the footprint ops of
+  /// the symbolic (coarsest-structure) components run in interval
+  /// arithmetic.
   SymInterval footprintInterval(const SizeBinding& binding,
-                                const std::vector<SymInterval>& tileBox) const;
+                                const std::vector<SymInterval>& tileBox, Scratch& scratch) const;
   SymInterval footprintInterval(const std::vector<SymInterval>& tileBox) const {
-    return footprintInterval(defaultBinding_, tileBox);
+    Scratch scratch;
+    return footprintInterval(defaultBinding_, tileBox, scratch);
   }
 
   /// True when every reference pair of every symbolic component overlaps at
@@ -143,7 +157,8 @@ public:
   /// larger tile vector. When this holds at the minimum corner of a tile
   /// box, footprintInterval() over that box encloses the TRUE footprint of
   /// every candidate in it, which is what makes box pruning sound.
-  bool coarsestStructureAt(const SizeBinding& binding, const std::vector<i64>& tiles) const;
+  bool coarsestStructureAt(const SizeBinding& binding, const std::vector<i64>& tiles,
+                           Scratch& scratch) const;
 
   /// Number of tiled loops (= tile symbols T1..Tk the plan is over).
   int depth() const { return depth_; }
@@ -200,10 +215,13 @@ private:
     int hoistLevel = 0;  ///< of the merged structure (validated vs analysis_)
     /// Per local ref: its per-array discovery index (see ArrayFormula).
     std::vector<int> globalIdx;
-    /// Derived from refs, not serialized: the component's footprint, the
-    /// product over dimensions of its bounding-box extent under the
-    /// analysis context (see buildFootprintFormulas).
-    SymPtr footprint;
+    /// Derived, not serialized (compileTables): where the component's
+    /// entries start in the plan's Tables.
+    int boxBase = 0;   ///< Tables::boxOps of its refs (see boxOp)
+    int predBase = 0;  ///< Tables::preds of ref pair (i, j) at predBase + i * nrefs + j
+    /// Tables op of the component's footprint, the product over dimensions
+    /// of its bounding-box extent under the analysis context.
+    int footprintOp = 0;
 
     static constexpr void fields(auto& v) {
       v.tag(kTagComponentFormula, "ComponentFormula");
@@ -211,7 +229,17 @@ private:
       v("pairs", &ComponentFormula::pairs);
       v("hoistLevel", &ComponentFormula::hoistLevel);
       v("globalIdx", &ComponentFormula::globalIdx);
-      v.skip("footprint", "derived from refs by buildFootprintFormulas");
+      v.skip("boxBase", "derived by compileTables");
+      v.skip("predBase", "derived by compileTables");
+      v.skip("footprintOp", "derived by compileTables");
+    }
+
+    /// Tables::boxOps index of local ref `m`'s dimension-`d` bound: the
+    /// context box (raw = false) or the raw box, its lower or upper end.
+    int boxOp(int m, int d, bool raw, bool upper) const {
+      const int ctxDims = static_cast<int>(refs[0].ctxBox.size());
+      const int stride = 2 * (ctxDims + static_cast<int>(refs[0].rawBox.size()));
+      return boxBase + m * stride + 2 * (raw ? ctxDims + d : d) + (upper ? 1 : 0);
     }
   };
 
@@ -258,21 +286,55 @@ private:
     }
   };
 
-  struct LiveGroup;  ///< a partition live at evaluated tile sizes
+  /// The compiled formulas (compileTables), derived and never serialized.
+  struct Tables {
+    /// One node of the hash-consed formula DAG over [sizes, origins, tiles]:
+    /// its operands are earlier ops.
+    struct Op {
+      SymExpr::Kind kind = SymExpr::Kind::Const;
+      int a = 0, b = 0;  ///< operand ops
+      i64 c = 0;         ///< Const: the value; Param: the symbol index
+    };
+    /// Topologically ordered; ops [0, bindingOps) read no tile symbol.
+    std::vector<Op> ops;
+    int bindingOps = 0;
+    /// The ops the component footprints read, in table order.
+    std::vector<int> intervalOps;
+    /// Per component, per local ref, per dimension: the op of each box
+    /// bound (ComponentFormula::boxOp).
+    std::vector<int> boxOps;
+
+    /// One overlap predicate: Always, Never, or the rows [row, row + eqs)
+    /// (== 0) and [row + eqs, rowEnd) (>= 0) of `rows`.
+    struct Pred {
+      enum class Kind : std::uint8_t { Always, Never, Rows } kind = Kind::Never;
+      int row = 0, eqs = 0, rowEnd = 0;
+    };
+    std::vector<Pred> preds;
+    /// Coefficient rows of width np + 2 * depth + 1: [sizes, origins,
+    /// tiles, constant].
+    std::vector<i64> rows;
+    /// Distinct per compiled table set: Scratch keys its binding part on it.
+    std::uint64_t id = 0;
+  };
+
+  struct LiveGroup;     ///< a partition live at evaluated tile sizes
+  class TableBuilder;   ///< appends hash-consed ops to Tables
+  class TableRun;       ///< the tables at one binding, in one scratch
 
   ParametricTilePlan() = default;  ///< deserialization only
 
   /// Rebuilds the symbol table (one SymExpr parameter per size/origin/tile)
   /// from analysis_; used by the constructor and the deserializer.
   void rebuildSymbols();
-  /// Builds every component's footprint formula from its reference boxes;
-  /// used by the constructor and the deserializer.
-  void buildFootprintFormulas();
+  /// Compiles the box formulas, the component footprints and the pair
+  /// predicates into tables_; used by the constructor and the deserializer.
+  /// Throws ApiError on formulas that do not fit the symbol space.
+  void compileTables();
 
   SymPtr compileDiv(const DivExpr& e, bool ceil) const;
   Box compileBox(const Polyhedron& space) const;
   PairPredicate compilePredicate(const Polyhedron& a, const Polyhedron& b) const;
-  bool pairOverlaps(const PairPredicate& p, const IntVec& fullBinding) const;
   AffExpr substituteTiles(const AffExpr& e, const std::vector<i64>& tiles) const;
 
   int depth_ = 0;
@@ -294,6 +356,7 @@ private:
   double benefitDelta_ = 0.0;
   i64 volumeCap_ = 0;
   bool onlyBeneficial_ = false;
+  Tables tables_;
 
   /// The plan format's field list (support/fields.h); symParams_ is rebuilt
   /// from the decoded analysis, and finishDecode (support/serialize.cpp)
@@ -312,6 +375,7 @@ private:
     v("benefitDelta_", &ParametricTilePlan::benefitDelta_);
     v("volumeCap_", &ParametricTilePlan::volumeCap_);
     v("onlyBeneficial_", &ParametricTilePlan::onlyBeneficial_);
+    v.skip("tables_", "derived by compileTables");
   }
 
   friend struct FieldAccess;

@@ -110,8 +110,9 @@ const TileEvaluation& TileEvaluator::evaluate(const std::vector<i64>& subTile) {
 
   ++evaluations_;
   const auto start = std::chrono::steady_clock::now();
-  TileEvaluation ev = paramPlan_ != nullptr ? paramPlan_->evaluate(binding_, subTile)
-                                            : evaluateConcrete(subTile);
+  TileEvaluation ev = paramPlan_ != nullptr
+                          ? paramPlan_->evaluate(binding_, subTile, scratch_, /*withTerms=*/true)
+                          : evaluateConcrete(subTile);
   evalMillis_ += millisSince(start);
   return memo_.emplace(subTile, std::move(ev)).first->second;
 }
@@ -209,7 +210,7 @@ void TileEvaluator::ensurePlan() {
       ParametricTilePlan::SizeBinding binding = plan->bindSizes(options_.paramValues);
       bool agree = true;
       for (const auto& [tile, concrete] : probes) {
-        if (concrete != plan->evaluate(binding, tile)) {
+        if (concrete != plan->evaluate(binding, tile, scratch_, /*withTerms=*/true)) {
           agree = false;
           reason = std::string(family ? "family plan" : "symbolic plan") +
                    " disagrees with the concrete analysis at tile (" + joinTile(tile) + ")";
@@ -270,8 +271,8 @@ void TileEvaluator::pruneCandidateBoxes() {
         box[j] = {lo, hi};
         minCorner[j] = lo;
       }
-      if (!paramPlan_->coarsestStructureAt(binding_, minCorner)) continue;
-      if (paramPlan_->footprintInterval(binding_, box).lo > options_.memLimitElems) {
+      if (!paramPlan_->coarsestStructureAt(binding_, minCorner, scratch_)) continue;
+      if (paramPlan_->footprintInterval(binding_, box, scratch_).lo > options_.memLimitElems) {
         cut = k;
         break;
       }

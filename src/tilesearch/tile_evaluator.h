@@ -142,6 +142,7 @@ private:
   std::map<std::vector<i64>, TileEvaluation> memo_;
   std::shared_ptr<const ParametricTilePlan> paramPlan_;
   ParametricTilePlan::SizeBinding binding_;  ///< paramPlan_ bound at our size
+  ParametricTilePlan::Scratch scratch_;       ///< for every plan evaluation
   std::shared_ptr<const ParametricTilePlan> familyCandidate_;
   ParametricState state_ = ParametricState::Pending;
   std::string fallbackReason_;

@@ -252,6 +252,7 @@ TileSearchResult searchTileSizesWithPlan(const ParametricTilePlan& plan,
   // Footprint-interval box pruning, mirroring the evaluator (so the solver
   // sees the same ladders and walks the same descent paths). See
   // TileEvaluator::pruneCandidateBoxes for the soundness argument.
+  ParametricTilePlan::Scratch scratch;
   int pruned = 0;
   bool sorted = true;
   for (const std::vector<i64>& ladder : cands)
@@ -269,8 +270,8 @@ TileSearchResult searchTileSizesWithPlan(const ParametricTilePlan& plan,
           box[j] = {blo, bhi};
           minCorner[j] = blo;
         }
-        if (!plan.coarsestStructureAt(binding, minCorner)) continue;
-        if (plan.footprintInterval(binding, box).lo > options.memLimitElems) {
+        if (!plan.coarsestStructureAt(binding, minCorner, scratch)) continue;
+        if (plan.footprintInterval(binding, box, scratch).lo > options.memLimitElems) {
           cut = k;
           break;
         }
@@ -283,10 +284,10 @@ TileSearchResult searchTileSizesWithPlan(const ParametricTilePlan& plan,
   }
 
   // Memoized plan-backed evaluation with the evaluator's cheap range and
-  // minimum-volume constraints in front. Probes run unnamed in one scratch;
-  // only the returned evaluation gets its buffer names, below.
+  // minimum-volume constraints in front. Probes run without their
+  // per-buffer terms in the search's scratch; only the returned evaluation
+  // gets them, below.
   TileMemo memo(depth);
-  ParametricTilePlan::Scratch scratch;
   int evaluations = 0;
   int memoHits = 0;
   auto evalTile = [&](const std::vector<i64>& tile) -> const TileEvaluation& {
@@ -305,7 +306,7 @@ TileSearchResult searchTileSizesWithPlan(const ParametricTilePlan& plan,
       if (tileVolume < options.innerProcs)
         ev.reason = "tile smaller than inner-level process count";
     }
-    if (ev.reason.empty()) ev = plan.evaluate(binding, tile, scratch, /*withNames=*/false);
+    if (ev.reason.empty()) ev = plan.evaluate(binding, tile, scratch, /*withTerms=*/false);
     return memo.insert(tile, std::move(ev));
   };
 
@@ -316,7 +317,7 @@ TileSearchResult searchTileSizesWithPlan(const ParametricTilePlan& plan,
   else
     solveDescent(cands, evalTile, result);
   if (result.eval.feasible)
-    result.eval = plan.evaluate(binding, result.subTile, scratch, /*withNames=*/true);
+    result.eval = plan.evaluate(binding, result.subTile, scratch, /*withTerms=*/true);
   result.evaluations = evaluations;
   result.memoHits = memoHits;
   result.parametric = true;

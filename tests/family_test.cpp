@@ -26,7 +26,9 @@
 #include "driver/family_plan.h"
 #include "driver/plan_cache.h"
 #include "kernels/blocks.h"
+#include "support/fingerprint.h"
 #include "support/serialize.h"
+#include "testgen/generator.h"
 #include "tilesearch/tile_evaluator.h"
 #include "transform/transform.h"
 
@@ -452,6 +454,69 @@ TEST(FamilyTierTest, FamilyHashIgnoresSizesButNotStructure) {
   EXPECT_EQ(hashCompileOptionsFamily(o1), hashCompileOptionsFamily(o3));
   o3.stageEverything = true;
   EXPECT_NE(hashCompileOptionsFamily(o1), hashCompileOptionsFamily(o3));
+}
+
+// ---- collision digests ---------------------------------------------------
+
+TEST(FamilyDigest, StreamedDigestsMatchTheEncodedBytes) {
+  // The family and disk tiers digest blocks and options without building
+  // their encodings; the value must be the digest of those bytes.
+  std::vector<ProgramBlock> blocks;
+  std::vector<CompileOptions> options;
+  const std::vector<std::pair<std::string, std::vector<i64>>> kernels = {
+      {"me", {272, 128, 16}}, {"jacobi", {64, 8}}, {"jacobi2d", {32, 32, 4}},
+      {"matmul", {160, 132, 144}}};
+  for (const auto& [kernel, sizes] : kernels) {
+    IntVec params;
+    ProgramBlock block = buildKernelByName(kernel, sizes, params);
+    CompileOptions o;
+    o.paramValues = params;
+    o.kernelName = kernel;
+    blocks.push_back(familyCanonicalBlock(block));
+    blocks.push_back(std::move(block));
+    options.push_back(familyCanonicalOptions(o));
+    options.push_back(std::move(o));
+  }
+  testgen::GeneratorOptions go;
+  go.seed = 1;
+  testgen::ProgramGenerator gen(go);
+  for (u64 i = 0; i < 64; ++i) blocks.push_back(gen.generate(i).block);
+
+  for (size_t i = 0; i < blocks.size(); ++i)
+    EXPECT_EQ(digestProgramBlock(blocks[i]), digestBytes(serializeProgramBlock(blocks[i])))
+        << "block " << i;
+  for (size_t i = 0; i < options.size(); ++i)
+    EXPECT_EQ(digestCompileOptions(options[i]), digestBytes(serializeCompileOptions(options[i])))
+        << "options " << i;
+}
+
+TEST(FamilyDigest, AMarkedEmptyPolyhedronChangesTheDigest) {
+  // Two blocks with the same constraint rows, one domain marked empty by
+  // simplify()'s integer test (2*i0 - 2*i1 + 1 == 0 has no integer
+  // solution). The cache keys ignore emptiness; the collision digests must
+  // not.
+  ProgramBlock plain = buildMeBlock(64, 32, 8);
+  Polyhedron& domain = plain.statements[0].domain;
+  ASSERT_GE(domain.dim(), 2);
+  IntVec row(domain.cols(), 0);
+  row[0] = 2;
+  row[1] = -2;
+  row.back() = 1;
+  domain.addEquality(row);
+  ProgramBlock marked = plain;
+  EXPECT_FALSE(marked.statements[0].domain.simplify());
+  ASSERT_TRUE(marked.statements[0].domain.markedEmpty());
+  ASSERT_FALSE(plain.statements[0].domain.markedEmpty());
+  EXPECT_EQ(serializeProgramBlock(plain).size(), serializeProgramBlock(marked).size());
+  EXPECT_EQ(hashProgramBlock(plain), hashProgramBlock(marked));
+
+  EXPECT_NE(digestProgramBlock(plain), digestProgramBlock(marked));
+  EXPECT_EQ(digestProgramBlock(marked), digestBytes(serializeProgramBlock(marked)));
+  // The unmarked domain is empty by elimination, the one case where the
+  // streamed digest departs from the encoded bytes: those carry isEmpty(),
+  // which is true for both blocks.
+  EXPECT_TRUE(plain.statements[0].domain.isEmpty());
+  EXPECT_EQ(digestBytes(serializeProgramBlock(plain)), digestBytes(serializeProgramBlock(marked)));
 }
 
 }  // namespace
