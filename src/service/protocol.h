@@ -10,7 +10,7 @@
 //   4       u32 version    kWireVersion; readers reject any other value
 //   8       u8  type       MsgType
 //   9       u64 length     payload byte count, capped at kMaxFramePayloadBytes
-//   17      u64 checksum   digestBytes(payload)
+//   17      u64 checksum   FNV-1a over the payload's 8-byte words (protocol.cpp)
 //   25      payload        `length` bytes, encoded per MsgType
 //
 // Requests: CompileRequest (a built-in kernel name + problem sizes, or a
@@ -50,8 +50,9 @@ namespace emm::svc {
 inline constexpr u32 kWireMagic = 0x524D4D45;
 /// Frame envelope version; bumped on any framing change. v2 added the
 /// familyFastPath counter to the StatsReply payload (the daemon's
-/// connection-thread record-bind path).
-inline constexpr u32 kWireVersion = 2;
+/// connection-thread record-bind path); v3 computes the frame checksum over
+/// 8-byte words instead of bytes.
+inline constexpr u32 kWireVersion = 3;
 /// Upper bound on a frame payload; a hostile length prefix above this is
 /// rejected before any allocation.
 inline constexpr u64 kMaxFramePayloadBytes = u64(64) << 20;

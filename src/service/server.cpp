@@ -234,11 +234,11 @@ bool ServiceServer::handleCompile(int fd, const std::string& payload) {
     // this kernel family, bind it right here on the connection thread — the
     // family lookup reads the cache shard's epoch-published snapshot (no
     // lock) and the bind is guard evaluation plus a plan-only argmin
-    // re-check: binder.bind.us is 82 us and serializing the bound result
-    // (serialize.result.us) 42 us, medians of bench_suite's daemon-warm
-    // trace on a 4-core box. No pool dispatch, no pipeline run, no
-    // emission; the reply carries the record's artifact with this request's
-    // runtime arguments filled in.
+    // re-check: binder.bind.us is about 114 us and serializing the bound
+    // result (serialize.result.us) about 79 us, medians of two traced
+    // bench_suite daemon-warm runs on a loaded 4-core box. No pool
+    // dispatch, no pipeline run, no emission; the reply carries the
+    // record's artifact with this request's runtime arguments filled in.
     const auto bindStart = std::chrono::steady_clock::now();
     if (std::optional<CompileResult> bound = compiler->tryBindFamily(block)) {
       const double bindMillis = std::chrono::duration<double, std::milli>(

@@ -108,6 +108,23 @@ TEST(WireFrame, ChecksumMismatchThrows) {
   EXPECT_THROW(decodeFrame(frame), SerializeError);
 }
 
+TEST(WireFrame, EveryOneByteFlipFailsTheChecksum) {
+  // The checksum reads 8-byte words and then the tail bytewise; a payload
+  // whose length is not a multiple of 8 covers both.
+  std::string text = "a diagnostic of some length";
+  std::string payload = encodeErrorReply({false, text});
+  while (payload.size() % 8 == 0) payload = encodeErrorReply({false, text += '!'});
+  ASSERT_GT(payload.size(), 16u);
+  const std::string frame = encodeFrame(MsgType::ErrorReply, payload);
+  for (size_t i = kFrameHeaderBytes; i < frame.size(); ++i) {
+    for (unsigned char flip : {0x01, 0x80, 0xFF}) {
+      std::string bad = frame;
+      bad[i] = static_cast<char>(bad[i] ^ flip);
+      EXPECT_THROW(decodeFrame(bad), SerializeError) << "offset " << i << " flip " << int(flip);
+    }
+  }
+}
+
 TEST(WireFrame, GarbageAfterValidFrameIsRejected) {
   std::string frame = encodeFrame(MsgType::StatsRequest, "");
   EXPECT_THROW(decodeFrame(frame + "tail"), SerializeError);
