@@ -18,7 +18,10 @@
 // tools/diff_stress_baseline.py (soft gate; configs match on
 // mode/shards/dist/threads).
 //
-// Flags: --quick (fewer rounds, CI-friendly).
+// Each mode runs for at least 250 ms (--quick) or 1 s, like svc_stress,
+// every op at a never-seen size.
+//
+// Flags: --quick (shorter runs, CI-friendly).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -54,13 +57,14 @@ CompileResult compileMe(i64 ni, i64 nj, i64 w, PlanCache* cache) {
   return c.compile();
 }
 
-/// Times `ops` calls of `oneCompile(i)`.
+/// Times calls of `oneCompile(i)`: at least `minOps`, and more until
+/// `minTime` has passed.
 template <typename Fn>
-RunResult timeSweep(size_t ops, const Fn& oneCompile) {
+RunResult timeSweep(size_t minOps, std::chrono::milliseconds minTime, const Fn& oneCompile) {
   std::vector<double> lat;
-  lat.reserve(ops);
   const auto start = Clock::now();
-  for (size_t i = 0; i < ops; ++i) {
+  const auto deadline = start + minTime;
+  for (size_t i = 0; i < minOps || Clock::now() < deadline; ++i) {
     const auto t0 = Clock::now();
     oneCompile(i);
     lat.push_back(std::chrono::duration<double, std::micro>(Clock::now() - t0).count());
@@ -77,6 +81,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   const size_t bindOps = quick ? 40 : 120;
   const size_t emitOps = quick ? 6 : 12;
+  const std::chrono::milliseconds minTime(quick ? 250 : 1000);
 
   bench::header("Service family-bind: warm lookup vs bind-and-emit",
                 "runtime-size-bound codegen, one artifact per family");
@@ -113,7 +118,7 @@ int main(int argc, char** argv) {
   // (a repeated size would be a result-tier hit, not a bind). The stride
   // keeps the sweep inside the envelope where the record's tile choice stays
   // the argmin, and off the check sizes and the seed.
-  RunResult bind = timeSweep(bindOps, [&](size_t i) {
+  RunResult bind = timeSweep(bindOps, minTime, [&](size_t i) {
     CompileResult r = compileMe(1536 + 1024 * static_cast<i64>(i), nj, w, &cache);
     require(r.ok && r.familyHit && r.artifactBound, "warm size must bind the family record");
   });
@@ -121,7 +126,7 @@ int main(int argc, char** argv) {
   require(sweepEmits == 1, "warmed sweep must invoke the emitter exactly once");
 
   // Bind-and-emit: fresh sizes through the full pipeline, no cache.
-  RunResult emit = timeSweep(emitOps, [&](size_t i) {
+  RunResult emit = timeSweep(emitOps, minTime, [&](size_t i) {
     require(compileMe(1536 + 1024 * static_cast<i64>(i), nj, w, nullptr).ok,
             "bind-and-emit compile failed");
   });
@@ -135,7 +140,7 @@ int main(int argc, char** argv) {
   std::printf("  warm bind is %.1fx cheaper per size (p50); "
               "%llu artifact emitted for %zu warm sizes\n",
               speedup, static_cast<unsigned long long>(sweepEmits),
-              bindOps + checkNis.size());
+              static_cast<size_t>(bind.ops) + checkNis.size());
   require(speedup >= 10.0, "warm bind must be >= 10x cheaper than bind-and-emit");
 
   jsonLine("bind", bind);
