@@ -21,12 +21,13 @@
 //      into CompileResult::boundArgs; the artifact text is returned
 //      verbatim (byte-identical to what a per-size compile would emit).
 //
-// The whole bind is expression evaluation plus one record clone, with no
-// polyhedral work: binder.bind.us is 82 us (median of bench_suite's
-// daemon-warm trace on a 4-core box). A whole warm compile() through the
-// family tier costs about 150 us against 12.8 ms for bind-and-emit
-// (bench/svc_family_bind.cpp, which gates the ratio at 10x). That is what
-// turns the daemon's family hit path into a lookup.
+// The whole bind is table evaluation plus one record clone, with no
+// polyhedral work: binder.bind.us is about 114 us (median of two traced
+// bench_suite daemon-warm runs on a loaded 4-core box). A whole warm
+// compile() through the family tier costs about 320 us against 53 ms for
+// bind-and-emit on that box (bench/svc_family_bind.cpp --quick, which
+// gates the ratio at 10x). That is what turns the daemon's family hit
+// path into a lookup.
 #pragma once
 
 #include <optional>
