@@ -4,16 +4,20 @@
 // Covered payloads: the four paper kernels at their default sizes, one ME and
 // one matmul result served by the runtime binder at a second size, one
 // .emmfam family payload (tile plan plus size-generic record), the request
-// options of the four kernels, and the first four generated programs of
-// seed 1. Each is recorded in tests/golden/plan_bytes.txt as its byte length
+// options of the four kernels, the first four generated programs of seed 1,
+// the complete .emmplan file DiskPlanCache::insert writes for ME, and the four
+// daemon wire payloads (an ME kernel request, the ME reply, a StatsReply with
+// distinct counters and a drain ErrorReply). Each is recorded in tests/golden/plan_bytes.txt as its byte length
 // and digestBytes value. Wall-clock values (PassTiming::millis, the tile search's
 // planBuildMillis/evalMillis, and the "N ms" figures the tile-search note
 // prints) are zeroed first; everything else in the payload is a
 // deterministic function of the input.
 //
 // The file also records values derived from the schema rather than from a
-// payload: the schema fingerprint (the `schema` row) and the block and option
-// cache keys of the four kernels (the `key_*` rows). They are checked by a
+// payload: the schema fingerprint (the `schema` row), the block and option
+// cache keys of the four kernels (the `key_*` rows), their disk-tier file
+// names (the `file_*` rows: .emmplan, then .emmfam) and their family
+// collision digests (the `famdigest_*` rows: block, then options). They are checked by a
 // separate test, because a change to the schema manifest or to the key walk
 // changes them without changing any payload byte.
 //
@@ -34,9 +38,11 @@
 #include <unistd.h>
 
 #include "driver/compiler.h"
+#include "driver/disk_cache.h"
 #include "driver/family_plan.h"
 #include "driver/plan_cache.h"
 #include "kernels/blocks.h"
+#include "service/protocol.h"
 #include "support/fingerprint.h"
 #include "support/serialize.h"
 #include "testgen/generator.h"
@@ -78,6 +84,25 @@ std::string resultBytes(CompileResult r) {
   return serializeCompileResult(r);
 }
 
+std::string readBytes(const fs::path& path) {
+  std::ifstream f(path, std::ios::binary);
+  std::ostringstream os;
+  os << f.rdbuf();
+  return os.str();
+}
+
+/// The digest of an empty skipped-pass list: the `passes` part of the plan
+/// and family keys of a plain request.
+u64 noSkippedPasses() {
+  Hasher h;
+  h.mix(std::vector<std::string>{});
+  return h.digest();
+}
+
+PlanKey builtinPlanKey(const ProgramBlock& block, const CompileOptions& options) {
+  return PlanKey{hashProgramBlock(block), hashCompileOptions(options), noSkippedPasses()};
+}
+
 /// Reads the raw FamilyPlan payload out of the one .emmfam file in `dir`,
 /// stripping the disk-tier envelope (magic, version, schema fingerprint, key
 /// echo, collision digests, length prefix and trailing checksum).
@@ -86,10 +111,7 @@ std::string familyPayload(const fs::path& dir) {
   for (const fs::directory_entry& de : fs::directory_iterator(dir))
     if (de.path().extension() == ".emmfam") {
       EXPECT_TRUE(file.empty()) << "more than one .emmfam record";
-      std::ifstream f(de.path(), std::ios::binary);
-      std::ostringstream os;
-      os << f.rdbuf();
-      file = os.str();
+      file = readBytes(de.path());
     }
   if (file.size() <= 8) return {};
   ByteReader header(std::string_view(file).substr(8));
@@ -155,6 +177,47 @@ std::vector<std::pair<std::string, std::string>> goldenPayloads() {
   for (u64 index = 0; index < 4; ++index)
     out.emplace_back("block_gen" + std::to_string(index),
                      serializeProgramBlock(testgen::ProgramGenerator(gen).generate(index).block));
+
+  // The whole .emmplan file (envelope and payload) of a cold ME compile.
+  IntVec meParams;
+  const ProgramBlock meBlock = buildKernelByName("me", {}, meParams);
+  const CompileOptions meOptions = builtinOptions("me", meParams);
+  CompileResult me = compileBuiltin("me", {}, nullptr);
+  zeroTimings(me);
+  {
+    fs::remove_all(dir);
+    const PlanKey key = builtinPlanKey(meBlock, meOptions);
+    DiskPlanCache disk(dir.string());
+    disk.insert(key, meOptions, me);
+    out.emplace_back("store_me", readBytes(dir / DiskPlanCache::entryFileName(key)));
+    fs::remove_all(dir);
+  }
+
+  // The daemon wire payloads.
+  svc::CompileRequest request;
+  request.schemaFingerprint = serializeSchemaFingerprint();
+  request.kernel = "me";
+  request.sizes.assign(meParams.begin(), meParams.end());
+  request.options = meOptions;
+  out.emplace_back("wire_request_me", svc::encodeCompileRequest(request));
+  out.emplace_back("wire_reply_me", svc::encodeCompileReply(me, 0));
+  svc::WireStats stats;
+  i64 next = 1;
+  for (i64* counter : {&stats.connections, &stats.requests, &stats.compiles,
+                       &stats.compileErrors, &stats.protocolErrors, &stats.familyFastPath,
+                       &stats.memory.hits, &stats.memory.misses, &stats.memory.entries,
+                       &stats.memory.evictions, &stats.memory.familyHits,
+                       &stats.memory.familyMisses, &stats.memory.familyEntries,
+                       &stats.memory.familyEvictions, &stats.disk.hits, &stats.disk.misses,
+                       &stats.disk.rejects, &stats.disk.evictions, &stats.disk.insertions,
+                       &stats.disk.entries, &stats.disk.bytes, &stats.disk.familyHits,
+                       &stats.disk.familyMisses, &stats.disk.familyRejects,
+                       &stats.disk.familyInsertions, &stats.disk.familyEntries,
+                       &stats.disk.familyBytes})
+    *counter = next++;
+  stats.haveDisk = true;
+  out.emplace_back("wire_stats", svc::encodeStatsReply(stats));
+  out.emplace_back("wire_error", svc::encodeErrorReply({true, "server shutting down"}));
   return out;
 }
 
@@ -174,6 +237,21 @@ std::vector<std::pair<std::string, std::string>> goldenValues() {
     const std::string name = std::string("key_") + kernel;
     out.emplace_back(name, name + " " + hex(hashProgramBlock(block)) + " " +
                                hex(hashCompileOptions(builtinOptions(kernel, params))));
+  }
+  for (const char* kernel : {"me", "jacobi", "jacobi2d", "matmul"}) {
+    IntVec params;
+    const ProgramBlock block = buildKernelByName(kernel, {}, params);
+    const CompileOptions options = builtinOptions(kernel, params);
+    const ProgramBlock famBlock = familyCanonicalBlock(block);
+    const CompileOptions famOptions = familyCanonicalOptions(options);
+    const FamilyKey famKey{hashProgramBlock(famBlock), hashCompileOptions(famOptions),
+                           noSkippedPasses()};
+    const std::string file = std::string("file_") + kernel;
+    out.emplace_back(file, file + " " + DiskPlanCache::entryFileName(builtinPlanKey(block, options)) +
+                               " " + DiskPlanCache::familyFileName(famKey));
+    const std::string digest = std::string("famdigest_") + kernel;
+    out.emplace_back(digest, digest + " " + hex(digestProgramBlock(famBlock)) + " " +
+                                 hex(digestCompileOptions(famOptions)));
   }
   return out;
 }
@@ -196,13 +274,14 @@ std::map<std::string, std::string> recordedLines() {
 
 TEST(GoldenPlanBytes, SerializedResultsMatchTheRecordedDigests) {
   const auto payloads = goldenPayloads();
-  ASSERT_EQ(payloads.size(), 15u);
+  ASSERT_EQ(payloads.size(), 20u);
 
   if (std::getenv("EMM_UPDATE_GOLDEN") != nullptr) {
     std::ofstream f(kGoldenFile);
     f << "# name byte-length digestBytes (see tests/golden_bytes_test.cpp)\n";
     for (const auto& [name, bytes] : payloads) f << goldenLine(name, bytes) << "\n";
-    f << "# schema fingerprint; key_<kernel> block-key options-key\n";
+    f << "# schema fingerprint; key_<kernel> block-key options-key; file_<kernel> "
+         ".emmplan .emmfam; famdigest_<kernel> block options\n";
     for (const auto& [name, line] : goldenValues()) f << line << "\n";
     GTEST_SKIP() << "rewrote " << kGoldenFile;
   }
