@@ -206,6 +206,27 @@ u64 familyPassesDigest(const std::vector<std::string>& skipped) {
   return skippedPassDigest(relevant);
 }
 
+/// A kernel family's cache identity: the key of its canonical forms and the
+/// collision-guard digests of those forms.
+struct FamilyIdentity {
+  FamilyKey key;
+  u64 blockDigest = 0;
+  u64 optionsDigest = 0;
+
+  /// The memory tier's one collision digest.
+  u64 digest() const { return hashCombine(blockDigest, optionsDigest); }
+};
+
+FamilyIdentity familyIdentity(const ProgramBlock& block, const CompileOptions& options,
+                              const std::vector<std::string>& skipped) {
+  const ProgramBlock famBlock = familyCanonicalBlock(block);
+  const CompileOptions famOptions = familyCanonicalOptions(options);
+  return {{hashProgramBlock(famBlock), hashCompileOptions(famOptions),
+           familyPassesDigest(skipped)},
+          digestProgramBlock(famBlock),
+          digestCompileOptions(famOptions)};
+}
+
 }  // namespace
 
 CompileResult Compiler::compile() {
@@ -236,23 +257,15 @@ CompileResult Compiler::computeWithDiskTier(const PlanKey& key) {
       return std::move(*hit);
   }
   // Family tier: one size-generic plan per kernel family (same block and
-  // options modulo the problem sizes). Canonical forms, keys and digests
-  // are computed ONCE, up front — runPipeline() may consume source_ on
-  // one-shot async snapshots, so nothing below may touch it afterwards.
-  const ProgramBlock famBlock = familyCanonicalBlock(*source_);
-  const CompileOptions famOptions = familyCanonicalOptions(opts);
-  FamilyKey fkey;
-  fkey.block = hashProgramBlock(famBlock);
-  fkey.options = hashCompileOptions(famOptions);
-  fkey.passes = familyPassesDigest(skipped_);
-  const u64 famBlockDigest = digestProgramBlock(famBlock);
-  const u64 famOptionsDigest = digestCompileOptions(famOptions);
-  const u64 fdigest = hashCombine(famBlockDigest, famOptionsDigest);
+  // options modulo the problem sizes). The family's key and digests are
+  // computed ONCE, up front — runPipeline() may consume source_ on one-shot
+  // async snapshots, so nothing below may touch it afterwards.
+  const FamilyIdentity fam = familyIdentity(*source_, opts, skipped_);
   std::shared_ptr<const FamilyPlan> family;
-  if (cache_ != nullptr) family = cache_->lookupFamily(fkey, fdigest);
+  if (cache_ != nullptr) family = cache_->lookupFamily(fam.key, fam.digest());
   if (family == nullptr && disk != nullptr) {
-    family = disk->lookupFamily(fkey, famBlockDigest, famOptionsDigest);
-    if (family != nullptr && cache_ != nullptr) cache_->insertFamily(fkey, fdigest, family);
+    family = disk->lookupFamily(fam.key, fam.blockDigest, fam.optionsDigest);
+    if (family != nullptr && cache_ != nullptr) cache_->insertFamily(fam.key, fam.digest(), family);
   }
   // Binder fast path: a size-generic family record serves this size with
   // no pipeline run and no emission. The per-size disk entry is skipped on
@@ -278,8 +291,9 @@ CompileResult Compiler::computeWithDiskTier(const PlanKey& key) {
     // so a racing sweep member sees the family as soon as the plan exists.
     if (produced != nullptr) {
       attachFamilyRecord(*produced, result, opts);
-      if (cache_ != nullptr) cache_->insertFamily(fkey, fdigest, produced);
-      if (disk != nullptr) disk->insertFamily(fkey, famBlockDigest, famOptionsDigest, produced);
+      if (cache_ != nullptr) cache_->insertFamily(fam.key, fam.digest(), produced);
+      if (disk != nullptr)
+        disk->insertFamily(fam.key, fam.blockDigest, fam.optionsDigest, produced);
     }
     // The disk tier never fails a compile: a full or read-only cache
     // directory silently degrades to cold compiles.
@@ -293,15 +307,8 @@ std::optional<CompileResult> Compiler::tryBindFamily(const ProgramBlock& block) 
   if (std::find(skipped_.begin(), skipped_.end(), "codegen") != skipped_.end())
     return std::nullopt;
   const CompileOptions opts = effectiveOptions();
-  const ProgramBlock famBlock = familyCanonicalBlock(block);
-  const CompileOptions famOptions = familyCanonicalOptions(opts);
-  FamilyKey fkey;
-  fkey.block = hashProgramBlock(famBlock);
-  fkey.options = hashCompileOptions(famOptions);
-  fkey.passes = familyPassesDigest(skipped_);
-  const u64 fdigest =
-      hashCombine(digestProgramBlock(famBlock), digestCompileOptions(famOptions));
-  std::shared_ptr<const FamilyPlan> family = cache_->lookupFamily(fkey, fdigest);
+  const FamilyIdentity fam = familyIdentity(block, opts, skipped_);
+  std::shared_ptr<const FamilyPlan> family = cache_->lookupFamily(fam.key, fam.digest());
   if (family == nullptr || !family->haveRecord) return std::nullopt;
   return bindFamilyArtifact(*family, block, opts, nullptr);
 }
@@ -426,15 +433,12 @@ std::vector<CompileResult> Compiler::compileBatch(std::vector<ProgramBlock> bloc
       futures[i] = compileAsync();
     }
   } else {
-    const CompileOptions famOptions = familyCanonicalOptions(effectiveOptions());
-    const u64 famTail =
-        hashCombine(hashCompileOptions(famOptions), familyPassesDigest(skipped_));
+    const CompileOptions opts = effectiveOptions();
     // Group before any block is moved; input order is preserved within a
     // family, so the leader is always the first-listed member.
-    std::map<u64, std::vector<size_t>> families;
+    std::map<FamilyKey, std::vector<size_t>> families;
     for (size_t i = 0; i < blocks.size(); ++i)
-      families[hashCombine(hashProgramBlock(familyCanonicalBlock(blocks[i])), famTail)]
-          .push_back(i);
+      families[familyIdentity(blocks[i], opts, skipped_).key].push_back(i);
     // One gate per family, released when its leader's compile returns.
     // Submission order — every leader, then every follower — plus the
     // pool's FIFO dispatch guarantees each leader is dequeued before any

@@ -23,10 +23,16 @@
 // colliding key whose digests disagree is treated as a miss (and the file
 // — valid, just owned by someone else — is left in place).
 //
-// Durability: entries are written to a temp file in the cache directory and
+// Two record kinds, one record path: per-size results (`.emmplan`) and
+// size-generic kernel families (`.emmfam`) share the envelope, one load
+// (read, validate, decode, refresh the mtime, count) and one store
+// (write-then-rename, count, enforce the cap); each kind keeps its own
+// counters.
+//
+// Durability: records are written to a temp file in the cache directory and
 // atomically renamed into place, so readers never observe a half-written
-// entry. Eviction is LRU by file modification time (hits re-touch their
-// entry) with a configurable byte cap.
+// record. Eviction is LRU by file modification time (hits of either kind
+// re-touch their record) under one byte cap over both kinds.
 //
 // Thread-safe; one instance may be shared by every Compiler in the process
 // (and the directory may be shared by many processes — rename keeps
@@ -43,6 +49,7 @@
 #include <string>
 
 #include "driver/plan_cache.h"
+#include "support/fields.h"
 
 namespace emm {
 
@@ -59,19 +66,37 @@ public:
     i64 insertions = 0;  ///< entries written
     i64 entries = 0;     ///< .emmplan files currently in the directory
     i64 bytes = 0;       ///< their total size
-    // Family tier (.emmfam kernel-family records; exempt from the LRU byte
-    // cap — a directory holds a handful of families at most).
+    // Family tier (.emmfam kernel-family records; under the same byte cap,
+    // so `evictions` counts both kinds).
     i64 familyHits = 0;
     i64 familyMisses = 0;
     i64 familyRejects = 0;
     i64 familyInsertions = 0;
     i64 familyEntries = 0;  ///< .emmfam files currently in the directory
     i64 familyBytes = 0;
+
+    static constexpr void fields(auto& v) {
+      v.tag(kTagNone, "DiskPlanCacheStats");
+      v("hits", &Stats::hits);
+      v("misses", &Stats::misses);
+      v("rejects", &Stats::rejects);
+      v("evictions", &Stats::evictions);
+      v("insertions", &Stats::insertions);
+      v("entries", &Stats::entries);
+      v("bytes", &Stats::bytes);
+      v("familyHits", &Stats::familyHits);
+      v("familyMisses", &Stats::familyMisses);
+      v("familyRejects", &Stats::familyRejects);
+      v("familyInsertions", &Stats::familyInsertions);
+      v("familyEntries", &Stats::familyEntries);
+      v("familyBytes", &Stats::familyBytes);
+    }
   };
 
-  /// Opens (and creates, including parents) the cache directory. `maxBytes`
-  /// caps the directory's total .emmplan size; inserts evict
-  /// least-recently-used entries down to the cap. Throws ApiError when the
+  /// Opens (and creates, including parents) the cache directory, sweeping
+  /// orphaned temp files of both kinds. `maxBytes` caps the directory's
+  /// total .emmplan plus .emmfam size; every store evicts least-recently-used
+  /// records of either kind down to the cap. Throws ApiError when the
   /// directory cannot be created.
   explicit DiskPlanCache(std::string dir, i64 maxBytes = i64(256) * 1024 * 1024);
 
@@ -98,13 +123,13 @@ public:
   /// version, schema fingerprint, key echo) and the caller-supplied
   /// collision-guard digests (of the canonically serialized CANONICAL
   /// family block/options — the driver computes them once per compile)
-  /// before deserializing the checksummed payload. Any failure returns
-  /// nullptr.
+  /// before deserializing the checksummed payload. A hit refreshes the
+  /// record's LRU stamp. Any failure returns nullptr.
   std::shared_ptr<const FamilyPlan> lookupFamily(const FamilyKey& key, u64 blockDigest,
                                                  u64 optionsDigest);
 
-  /// Persists a kernel-family plan under `key` with write-then-rename.
-  /// Failures are swallowed like insert()'s.
+  /// Persists a kernel-family plan under `key` with write-then-rename, then
+  /// enforces the byte cap. Failures are swallowed like insert()'s.
   void insertFamily(const FamilyKey& key, u64 blockDigest, u64 optionsDigest,
                     const std::shared_ptr<const FamilyPlan>& plan);
 
@@ -114,15 +139,36 @@ public:
 
   Stats stats() const;
 
-  /// Entry file name for a key: 16 lowercase hex digits of the combined
-  /// key hash plus the ".emmplan" suffix.
+  /// Record file names: 16 lowercase hex digits of keyDigest(key) plus the
+  /// kind's suffix, ".emmplan" or ".emmfam".
   static std::string entryFileName(const PlanKey& key);
-  /// Family record name: 16 hex digits of the family-key hash + ".emmfam".
   static std::string familyFileName(const FamilyKey& key);
 
+  /// A record kind: its magic and file suffix (defined in disk_cache.cpp).
+  struct Kind;
+
 private:
-  std::string entryPath(const PlanKey& key) const;
-  std::string familyPath(const FamilyKey& key) const;
+
+  /// One record kind's counters since construction (relaxed atomics).
+  struct Counters {
+    std::atomic<i64> hits{0};
+    std::atomic<i64> misses{0};
+    std::atomic<i64> rejects{0};
+    std::atomic<i64> insertions{0};
+  };
+
+  /// The one read path: reads the record of `key`, validates its envelope
+  /// against the key and the collision digests, decodes the payload with
+  /// `decode`, refreshes the LRU stamp and counts. Unlinks structurally
+  /// broken records; never throws.
+  template <class Key, class Decode>
+  auto load(const Kind& kind, Counters& counters, const Key& key, u64 blockDigest,
+            u64 optionsDigest, Decode decode);
+  /// The one write path: writes the envelope with write-then-rename,
+  /// counts, and enforces the byte cap.
+  template <class Key>
+  void store(const Kind& kind, Counters& counters, const Key& key, u64 blockDigest,
+             u64 optionsDigest, const std::string& payload);
   /// Enforces the byte cap, never evicting `justWritten`; requires
   /// evictMutex_.
   void evictLocked(const std::filesystem::path& justWritten);
@@ -133,15 +179,9 @@ private:
   /// Lookups, inserts and stats() never take it: counters are atomics and
   /// file-level atomicity comes from write-temp-then-rename.
   mutable std::mutex evictMutex_;
-  std::atomic<i64> hits_{0};
-  std::atomic<i64> misses_{0};
-  std::atomic<i64> rejects_{0};
-  std::atomic<i64> evictions_{0};
-  std::atomic<i64> insertions_{0};
-  std::atomic<i64> familyHits_{0};
-  std::atomic<i64> familyMisses_{0};
-  std::atomic<i64> familyRejects_{0};
-  std::atomic<i64> familyInsertions_{0};
+  Counters plans_;
+  Counters families_;
+  std::atomic<i64> evictions_{0};  ///< records of either kind
 };
 
 }  // namespace emm

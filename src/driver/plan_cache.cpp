@@ -1,6 +1,11 @@
 #include "driver/plan_cache.h"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <list>
+#include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -51,7 +56,163 @@ void settleForSnapshot(const CompileResult& result) {
   if (!result.artifactBound) settleDerivedAnswers(result);
 }
 
+/// Clones `entry` into an independently owned hit result. Called outside
+/// any lock: deep copies are cheap next to a compile but not free, and pool
+/// workers hit the cache concurrently.
+CompileResult cloneHit(const CompileResult& entry) {
+  CompileResult out = entry.clone();
+  out.cacheHit = true;
+  out.diskHit = false;    // a memory replay, even of a disk-loaded plan
+  out.familyHit = false;  // the replay itself did not instantiate a family
+  return out;
+}
+
+/// Family-tier entry: the shared plan plus the digest guarding the 64-bit
+/// key against collisions.
+struct FamilyEntry {
+  u64 digest = 0;
+  std::shared_ptr<const FamilyPlan> plan;
+};
+
 }  // namespace
+
+/// One record kind's store inside a shard (see the file comment in
+/// plan_cache.h). Every *Locked member requires the owning shard's mutex;
+/// the mutex is shared by the shard's two tiers and its in-flight table.
+template <class Key, class Value>
+class PlanCache::Tier {
+public:
+  using Map = std::map<Key, Value>;
+
+  explicit Tier(std::mutex& mutex) : mutex_(mutex) { publishLocked(); }
+
+  /// The lock-free probe: the entry in the published epoch, if any.
+  std::optional<Value> published(const Key& key) const {
+    std::shared_ptr<const Map> snap = snapshot_.load(std::memory_order_acquire);
+    auto it = snap->find(key);
+    if (it == snap->end()) return std::nullopt;
+    return it->second;
+  }
+
+  /// Snapshot-then-mutex lookup, counting a hit or a miss. An entry the
+  /// caller's `accept` policy rejects is a miss, on the snapshot path
+  /// without taking the lock: a caller that rejects entries (the family
+  /// tier) never replaces one in place, so the authoritative map agrees.
+  template <class Accept>
+  std::optional<Value> lookup(const Key& key, Accept accept) {
+    if (std::optional<Value> found = published(key)) {
+      if (!accept(*found)) return miss();
+      hitLockFree(key);
+      return found;
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    const Value* entry = findLocked(key);
+    if (entry == nullptr || !accept(*entry)) return miss();
+    hitLocked(key);
+    return *entry;
+  }
+
+  /// Counts a hit on `key` and refreshes its recency: under the mutex the
+  /// caller holds, or best effort from the lock-free path (try_lock, skip
+  /// on contention — an approximate recency order beats blocking a warm
+  /// hit, and without any touch a hot entry would age toward the cold end
+  /// and be evicted under insert pressure despite serving every lookup).
+  void hitLocked(const Key& key) {
+    hits.fetch_add(1, std::memory_order_relaxed);
+    touchLocked(key);
+  }
+  void hitLockFree(const Key& key) {
+    hits.fetch_add(1, std::memory_order_relaxed);
+    std::unique_lock<std::mutex> lock(mutex_, std::try_to_lock);
+    if (lock.owns_lock()) touchLocked(key);
+  }
+
+  Value* findLocked(const Key& key) {
+    auto it = entries_.find(key);
+    return it == entries_.end() ? nullptr : &it->second;
+  }
+
+  /// Inserts `value` when `key` is absent, evicting the least recently
+  /// used entry beyond `capacity`, and publishes the new epoch. Returns the
+  /// stored entry and whether it is new; what a present key means is the
+  /// caller's policy (a caller that changes the entry publishes again).
+  std::pair<Value*, bool> emplaceLocked(const Key& key, Value value, size_t capacity) {
+    auto [it, inserted] = entries_.emplace(key, std::move(value));
+    if (!inserted) return {&it->second, false};
+    pos_[key] = order_.insert(order_.end(), key);
+    if (entries_.size() > capacity) {
+      const Key victim = order_.front();
+      order_.pop_front();
+      pos_.erase(victim);
+      entries_.erase(victim);
+      evictions.fetch_add(1, std::memory_order_relaxed);
+    }
+    publishLocked();
+    return {&it->second, true};
+  }
+
+  /// Splices `key` to the hot end of the LRU order. No-op for a key that
+  /// was evicted in the meantime.
+  void touchLocked(const Key& key) {
+    auto it = pos_.find(key);
+    if (it != pos_.end()) order_.splice(order_.end(), order_, it->second);
+  }
+
+  /// Installs a new epoch for the lock-free readers.
+  void publishLocked() {
+    snapshot_.store(std::make_shared<const Map>(entries_), std::memory_order_release);
+  }
+
+  /// Drops every entry, republishes and resets the counters.
+  void clearLocked() {
+    entries_.clear();
+    order_.clear();
+    pos_.clear();
+    publishLocked();
+    hits.store(0, std::memory_order_relaxed);
+    misses.store(0, std::memory_order_relaxed);
+    evictions.store(0, std::memory_order_relaxed);
+  }
+
+  size_t sizeLocked() const { return entries_.size(); }
+
+  // Relaxed counters. Hits flip off-lock; the rest under the mutex.
+  std::atomic<i64> hits{0};
+  std::atomic<i64> misses{0};
+  std::atomic<i64> evictions{0};
+
+private:
+  std::optional<Value> miss() {
+    misses.fetch_add(1, std::memory_order_relaxed);
+    return std::nullopt;
+  }
+
+  std::mutex& mutex_;
+  Map entries_;
+  // LRU recency order (front = coldest) with O(1) re-touch via the
+  // iterator map; hits splice their key to the back.
+  std::list<Key> order_;
+  std::map<Key, typename std::list<Key>::iterator> pos_;
+  // Epoch-published immutable copy of `entries_`.
+  std::atomic<std::shared_ptr<const Map>> snapshot_;
+};
+
+/// Per-key latch for in-flight computations. `done` flips under the
+/// owning shard's mutex; `result` is null when the leader failed.
+struct PlanCache::InFlight {
+  bool done = false;
+  std::shared_ptr<const CompileResult> result;
+};
+
+/// One independently locked slice of the cache (see the file comment).
+struct PlanCache::Shard {
+  mutable std::mutex mutex;
+  std::condition_variable flightDone;
+  size_t capacity = 1;  ///< this shard's slice of each tier's entry budget
+  std::map<PlanKey, std::shared_ptr<InFlight>> inflight;
+  Tier<PlanKey, std::shared_ptr<const CompileResult>> results{mutex};
+  Tier<FamilyKey, FamilyEntry> families{mutex};
+};
 
 PlanCache::PlanCache(size_t capacity, size_t shards) {
   capacity = std::max<size_t>(1, capacity);
@@ -61,87 +222,29 @@ PlanCache::PlanCache(size_t capacity, size_t shards) {
   // remainder, so the totals sum to exactly `capacity`.
   const size_t base = capacity / shardCount_;
   const size_t rem = capacity % shardCount_;
-  for (size_t i = 0; i < shardCount_; ++i) {
-    shards_[i].capacity = base + (i < rem ? 1 : 0);
-    shards_[i].snapshot.store(std::make_shared<const ResultMap>(), std::memory_order_release);
-    shards_[i].familySnapshot.store(std::make_shared<const FamilyMap>(),
-                                    std::memory_order_release);
-  }
+  for (size_t i = 0; i < shardCount_; ++i) shards_[i].capacity = base + (i < rem ? 1 : 0);
 }
 
+PlanCache::~PlanCache() = default;
+
 size_t PlanCache::shardOf(const PlanKey& key) const {
-  const u64 h = mix64(hashCombine(key.block, hashCombine(key.options, key.passes)));
-  return static_cast<size_t>(h & (shardCount_ - 1));
+  return static_cast<size_t>(mix64(keyDigest(key)) & (shardCount_ - 1));
 }
 
 size_t PlanCache::shardOfFamily(const FamilyKey& key) const {
-  const u64 h = mix64(hashCombine(key.block, hashCombine(key.options, key.passes)));
-  return static_cast<size_t>(h & (shardCount_ - 1));
+  return static_cast<size_t>(mix64(keyDigest(key)) & (shardCount_ - 1));
 }
 
-PlanCache::Shard& PlanCache::shardFor(const PlanKey& key) const { return shards_[shardOf(key)]; }
-
-PlanCache::Shard& PlanCache::shardForFamily(const FamilyKey& key) const {
-  return shards_[shardOfFamily(key)];
-}
-
-CompileResult PlanCache::cloneHit(const CompileResult& entry) {
-  // Clone outside any lock: deep copies are cheap next to a compile but not
-  // free, and pool workers hit the cache concurrently.
-  CompileResult out = entry.clone();
-  out.cacheHit = true;
-  out.diskHit = false;    // a memory replay, even of a disk-loaded plan
-  out.familyHit = false;  // the replay itself did not instantiate a family
-  return out;
+template <class Key>
+PlanCache::Shard& PlanCache::shardFor(const Key& key) const {
+  return shards_[static_cast<size_t>(mix64(keyDigest(key)) & (shardCount_ - 1))];
 }
 
 std::optional<CompileResult> PlanCache::lookup(const PlanKey& key) {
-  Shard& shard = shardFor(key);
-  std::shared_ptr<const CompileResult> entry;
-  {
-    // Lock-free warm path: probe the published epoch. A hit touches no lock.
-    std::shared_ptr<const ResultMap> snap = shard.snapshot.load(std::memory_order_acquire);
-    auto it = snap->find(key);
-    if (it != snap->end()) entry = it->second;
-  }
-  if (entry == nullptr) {
-    // Snapshot miss: consult the authoritative map (the key may have been
-    // inserted since the last epoch was published).
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) {
-      shard.misses.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
-    entry = it->second;
-    touchLocked(shard, key);
-  } else {
-    touchLockFree(shard, key);
-  }
-  shard.hits.fetch_add(1, std::memory_order_relaxed);
-  return cloneHit(*entry);
-}
-
-void PlanCache::touchLocked(Shard& shard, const PlanKey& key) {
-  auto it = shard.lruPos.find(key);
-  if (it != shard.lruPos.end())
-    shard.lruOrder.splice(shard.lruOrder.end(), shard.lruOrder, it->second);
-}
-
-void PlanCache::touchLockFree(Shard& shard, const PlanKey& key) {
-  std::unique_lock<std::mutex> lock(shard.mutex, std::try_to_lock);
-  if (lock.owns_lock()) touchLocked(shard, key);
-}
-
-void PlanCache::touchFamilyLocked(Shard& shard, const FamilyKey& key) {
-  auto it = shard.familyPos.find(key);
-  if (it != shard.familyPos.end())
-    shard.familyOrder.splice(shard.familyOrder.end(), shard.familyOrder, it->second);
-}
-
-void PlanCache::touchFamilyLockFree(Shard& shard, const FamilyKey& key) {
-  std::unique_lock<std::mutex> lock(shard.mutex, std::try_to_lock);
-  if (lock.owns_lock()) touchFamilyLocked(shard, key);
+  std::optional<std::shared_ptr<const CompileResult>> entry =
+      shardFor(key).results.lookup(key, [](const auto&) { return true; });
+  if (!entry) return std::nullopt;
+  return cloneHit(**entry);
 }
 
 void PlanCache::insert(const PlanKey& key, const CompileResult& result) {
@@ -149,35 +252,23 @@ void PlanCache::insert(const PlanKey& key, const CompileResult& result) {
   auto snapshot = std::make_shared<const CompileResult>(result.clone());
   Shard& shard = shardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  insertLocked(shard, key, std::move(snapshot));
+  storeResultLocked(shard, key, std::move(snapshot));
 }
 
-void PlanCache::insertLocked(Shard& shard, const PlanKey& key,
-                             std::shared_ptr<const CompileResult> snapshot) {
-  auto [it, inserted] = shard.entries.emplace(key, snapshot);
-  if (inserted) {
-    shard.lruPos[key] = shard.lruOrder.insert(shard.lruOrder.end(), key);
-    if (shard.entries.size() > shard.capacity) {
-      const PlanKey victim = shard.lruOrder.front();
-      shard.lruOrder.pop_front();
-      shard.lruPos.erase(victim);
-      shard.entries.erase(victim);
-      shard.evictions.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    it->second = std::move(snapshot);  // refresh in place
-    touchLocked(shard, key);           // an overwrite counts as a use
-  }
-  // Publish the new epoch for the lock-free readers.
-  shard.snapshot.store(std::make_shared<const ResultMap>(shard.entries),
-                       std::memory_order_release);
+void PlanCache::storeResultLocked(Shard& shard, const PlanKey& key,
+                                  std::shared_ptr<const CompileResult> snapshot) {
+  auto [entry, inserted] = shard.results.emplaceLocked(key, snapshot, shard.capacity);
+  if (inserted) return;
+  *entry = std::move(snapshot);    // refresh in place
+  shard.results.touchLocked(key);  // an overwrite counts as a use
+  shard.results.publishLocked();
 }
 
 void PlanCache::finishFlight(Shard& shard, const PlanKey& key,
                              const std::shared_ptr<InFlight>& flight,
                              std::shared_ptr<const CompileResult> snapshot) {
   std::lock_guard<std::mutex> lock(shard.mutex);
-  if (snapshot != nullptr) insertLocked(shard, key, snapshot);
+  if (snapshot != nullptr) storeResultLocked(shard, key, snapshot);
   flight->result = std::move(snapshot);
   flight->done = true;
   shard.inflight.erase(key);
@@ -187,27 +278,20 @@ void PlanCache::finishFlight(Shard& shard, const PlanKey& key,
 CompileResult PlanCache::getOrCompute(const PlanKey& key,
                                       const std::function<CompileResult()>& compute) {
   Shard& shard = shardFor(key);
-  {
-    // Lock-free warm path, same as lookup(). In-flight keys are invisible
-    // to snapshots (they have no entry yet), so single-flight semantics are
-    // decided on the mutex path below.
-    std::shared_ptr<const ResultMap> snap = shard.snapshot.load(std::memory_order_acquire);
-    auto it = snap->find(key);
-    if (it != snap->end()) {
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
-      touchLockFree(shard, key);
-      return cloneHit(*it->second);
-    }
+  // Lock-free warm path, same as lookup(). In-flight keys are invisible to
+  // snapshots (they have no entry yet), so single-flight semantics are
+  // decided on the mutex path below.
+  if (std::optional<std::shared_ptr<const CompileResult>> entry = shard.results.published(key)) {
+    shard.results.hitLockFree(key);
+    return cloneHit(**entry);
   }
   std::shared_ptr<InFlight> flight;
   {
     std::unique_lock<std::mutex> lock(shard.mutex);
     while (true) {
-      auto it = shard.entries.find(key);
-      if (it != shard.entries.end()) {
-        shard.hits.fetch_add(1, std::memory_order_relaxed);
-        touchLocked(shard, key);
-        std::shared_ptr<const CompileResult> entry = it->second;
+      if (const std::shared_ptr<const CompileResult>* found = shard.results.findLocked(key)) {
+        shard.results.hitLocked(key);
+        std::shared_ptr<const CompileResult> entry = *found;
         lock.unlock();
         return cloneHit(*entry);
       }
@@ -216,14 +300,14 @@ CompileResult PlanCache::getOrCompute(const PlanKey& key,
       std::shared_ptr<InFlight> waitFor = fit->second;
       shard.flightDone.wait(lock, [&] { return waitFor->done; });
       if (waitFor->result != nullptr) {
-        shard.hits.fetch_add(1, std::memory_order_relaxed);
+        shard.results.hits.fetch_add(1, std::memory_order_relaxed);
         std::shared_ptr<const CompileResult> entry = waitFor->result;
         lock.unlock();
         return cloneHit(*entry);
       }
       // The leader failed; loop to retry (and maybe become the next leader).
     }
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
+    shard.results.misses.fetch_add(1, std::memory_order_relaxed);
     flight = std::make_shared<InFlight>();
     shard.inflight.emplace(key, flight);
   }
@@ -246,56 +330,21 @@ CompileResult PlanCache::getOrCompute(const PlanKey& key,
 
 std::shared_ptr<const FamilyPlan> PlanCache::lookupFamily(const FamilyKey& key,
                                                           u64 collisionDigest) {
-  Shard& shard = shardForFamily(key);
-  {
-    std::shared_ptr<const FamilyMap> snap =
-        shard.familySnapshot.load(std::memory_order_acquire);
-    auto it = snap->find(key);
-    if (it != snap->end()) {
-      if (it->second.digest != collisionDigest) {
-        // A colliding key with a foreign digest is a miss, never a wrong
-        // plan — and since entries are never replaced in place, the
-        // authoritative map cannot disagree; skip the lock.
-        shard.familyMisses.fetch_add(1, std::memory_order_relaxed);
-        return nullptr;
-      }
-      shard.familyHits.fetch_add(1, std::memory_order_relaxed);
-      // Re-touch on the snapshot fast path too (best effort, try_lock):
-      // without this a hot family never moves off the cold end and can be
-      // evicted under insert pressure despite serving every lookup.
-      std::shared_ptr<const FamilyPlan> plan = it->second.plan;
-      touchFamilyLockFree(shard, key);
-      return plan;
-    }
-  }
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.families.find(key);
-  if (it == shard.families.end() || it->second.digest != collisionDigest) {
-    shard.familyMisses.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  shard.familyHits.fetch_add(1, std::memory_order_relaxed);
-  touchFamilyLocked(shard, key);
-  return it->second.plan;
+  // A colliding key with a foreign digest is a miss, never a wrong plan.
+  std::optional<FamilyEntry> entry = shardFor(key).families.lookup(
+      key, [collisionDigest](const FamilyEntry& e) { return e.digest == collisionDigest; });
+  return entry ? entry->plan : nullptr;
 }
 
 void PlanCache::insertFamily(const FamilyKey& key, u64 collisionDigest,
                              std::shared_ptr<const FamilyPlan> plan) {
   if (plan == nullptr) return;
-  Shard& shard = shardForFamily(key);
+  Shard& shard = shardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto [it, inserted] = shard.families.emplace(key, FamilyEntry{collisionDigest, std::move(plan)});
-  if (!inserted) return;  // first writer wins; families are built once
-  shard.familyPos[key] = shard.familyOrder.insert(shard.familyOrder.end(), key);
-  if (shard.families.size() > shard.capacity) {
-    const FamilyKey victim = shard.familyOrder.front();
-    shard.familyOrder.pop_front();
-    shard.familyPos.erase(victim);
-    shard.families.erase(victim);
-    shard.familyEvictions.fetch_add(1, std::memory_order_relaxed);
-  }
-  shard.familySnapshot.store(std::make_shared<const FamilyMap>(shard.families),
-                             std::memory_order_release);
+  // First writer wins: a family is built once, and republishing an
+  // identical plan is pointless churn.
+  shard.families.emplaceLocked(key, FamilyEntry{collisionDigest, std::move(plan)},
+                               shard.capacity);
 }
 
 PlanCache::Stats PlanCache::stats() const {
@@ -308,14 +357,14 @@ PlanCache::Stats PlanCache::stats() const {
   for (size_t i = 0; i < shardCount_; ++i) {
     Shard& shard = shards_[i];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    s.hits += shard.hits.load(std::memory_order_relaxed);
-    s.misses += shard.misses.load(std::memory_order_relaxed);
-    s.entries += static_cast<i64>(shard.entries.size());
-    s.evictions += shard.evictions.load(std::memory_order_relaxed);
-    s.familyHits += shard.familyHits.load(std::memory_order_relaxed);
-    s.familyMisses += shard.familyMisses.load(std::memory_order_relaxed);
-    s.familyEntries += static_cast<i64>(shard.families.size());
-    s.familyEvictions += shard.familyEvictions.load(std::memory_order_relaxed);
+    s.hits += shard.results.hits.load(std::memory_order_relaxed);
+    s.misses += shard.results.misses.load(std::memory_order_relaxed);
+    s.entries += static_cast<i64>(shard.results.sizeLocked());
+    s.evictions += shard.results.evictions.load(std::memory_order_relaxed);
+    s.familyHits += shard.families.hits.load(std::memory_order_relaxed);
+    s.familyMisses += shard.families.misses.load(std::memory_order_relaxed);
+    s.familyEntries += static_cast<i64>(shard.families.sizeLocked());
+    s.familyEvictions += shard.families.evictions.load(std::memory_order_relaxed);
   }
   return s;
 }
@@ -324,7 +373,7 @@ size_t PlanCache::size() const {
   size_t n = 0;
   for (size_t i = 0; i < shardCount_; ++i) {
     std::lock_guard<std::mutex> lock(shards_[i].mutex);
-    n += shards_[i].entries.size();
+    n += shards_[i].results.sizeLocked();
   }
   return n;
 }
@@ -337,21 +386,8 @@ void PlanCache::clear() {
   locks.reserve(shardCount_);
   for (size_t i = 0; i < shardCount_; ++i) locks.emplace_back(shards_[i].mutex);
   for (size_t i = 0; i < shardCount_; ++i) {
-    Shard& shard = shards_[i];
-    shard.entries.clear();
-    shard.lruOrder.clear();
-    shard.lruPos.clear();
-    shard.families.clear();
-    shard.familyOrder.clear();
-    shard.familyPos.clear();
-    shard.snapshot.store(std::make_shared<const ResultMap>(), std::memory_order_release);
-    shard.familySnapshot.store(std::make_shared<const FamilyMap>(), std::memory_order_release);
-    shard.hits.store(0, std::memory_order_relaxed);
-    shard.misses.store(0, std::memory_order_relaxed);
-    shard.evictions.store(0, std::memory_order_relaxed);
-    shard.familyHits.store(0, std::memory_order_relaxed);
-    shard.familyMisses.store(0, std::memory_order_relaxed);
-    shard.familyEvictions.store(0, std::memory_order_relaxed);
+    shards_[i].results.clearLocked();
+    shards_[i].families.clearLocked();
   }
 }
 

@@ -34,18 +34,26 @@
 // tests that need deterministic global eviction order and benchmark
 // baselines use it.
 //
-// Lock-free warm path: every mutation republishes the shard's entry map as
+// One tier, two record kinds: each shard holds one private Tier template
+// twice, once for per-size results and once for size-generic families. The
+// tier owns the authoritative map, the LRU order, the epoch-published
+// snapshot, the hit/miss/eviction counters, the snapshot-then-mutex probe,
+// insert-with-eviction and clear. The per-kind policies stay with the
+// caller: a re-inserted result replaces the old one (and counts as a use),
+// a family keeps its first writer, and a family is served only when its
+// collision digest matches.
+//
+// Lock-free warm path: every mutation republishes the tier's entry map as
 // an immutable copy-on-write snapshot behind a `std::atomic<
 // std::shared_ptr<const ...>>` (an epoch publication: writers install a new
 // epoch under the shard mutex; readers atomically load whichever epoch is
-// current). Result and family lookups probe the snapshot first and touch
-// the shard mutex only on a snapshot miss (cold key, or a key whose epoch
-// has not propagated yet) — a warm hit performs zero lock acquisitions. A
-// stale snapshot can only under-report (a just-inserted key falls through
-// to the mutex path; a just-evicted entry is served one last time, exactly
-// as if the lookup had run before the eviction), never serve a wrong plan:
-// entries are immutable once published and keyed by collision-guarded
-// fingerprints.
+// current). Lookups probe the snapshot first and touch the shard mutex only
+// on a snapshot miss (cold key, or a key whose epoch has not propagated
+// yet) — a warm hit performs zero lock acquisitions. A stale snapshot can
+// only under-report (a just-inserted key falls through to the mutex path; a
+// just-evicted entry is served one last time, exactly as if the lookup had
+// run before the eviction), never serve a wrong plan: entries are immutable
+// once published and keyed by collision-guarded fingerprints.
 //
 // Counters are per-shard relaxed atomics. Hit counts are bumped off-lock on
 // the snapshot path; miss/eviction counts flip under the shard mutex, so a
@@ -65,17 +73,13 @@
 // followers parked on that shard's condition variable.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <functional>
-#include <list>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 
 #include "driver/compiler.h"
 #include "driver/family_plan.h"
+#include "support/fields.h"
 #include "support/fingerprint.h"
 
 namespace emm {
@@ -88,6 +92,13 @@ struct PlanKey {
 
   auto operator<=>(const PlanKey&) const = default;
 };
+
+/// One 64-bit digest of a three-part key (PlanKey or FamilyKey): what shard
+/// selection mixes and what the disk tier names a record file after.
+template <class Key>
+u64 keyDigest(const Key& key) {
+  return hashCombine(key.block, hashCombine(key.options, key.passes));
+}
 
 /// Memoizes finished CompileResults by PlanKey (see file comment).
 class PlanCache {
@@ -106,6 +117,18 @@ public:
     i64 familyMisses = 0;     ///< family lookups that fell through
     i64 familyEntries = 0;    ///< family plans currently stored
     i64 familyEvictions = 0;  ///< family plans dropped by the capacity bound
+
+    static constexpr void fields(auto& v) {
+      v.tag(kTagNone, "PlanCacheStats");
+      v("hits", &Stats::hits);
+      v("misses", &Stats::misses);
+      v("entries", &Stats::entries);
+      v("evictions", &Stats::evictions);
+      v("familyHits", &Stats::familyHits);
+      v("familyMisses", &Stats::familyMisses);
+      v("familyEntries", &Stats::familyEntries);
+      v("familyEvictions", &Stats::familyEvictions);
+    }
   };
 
   /// `capacity` = max entries before insertion-order eviction (>= 1),
@@ -114,6 +137,7 @@ public:
   /// `shards` = 1 is the exact single-mutex behavior of the pre-sharded
   /// cache. Non-power-of-two counts are rounded up.
   explicit PlanCache(size_t capacity = 1024, size_t shards = 0);
+  ~PlanCache();
 
   /// Number of shards actually in use (a power of two).
   size_t shardCount() const { return shardCount_; }
@@ -167,75 +191,22 @@ public:
   static PlanCache& global();
 
 private:
-  /// Per-key latch for in-flight computations. `done` flips under the
-  /// owning shard's mutex; `result` is null when the leader failed.
-  struct InFlight {
-    bool done = false;
-    std::shared_ptr<const CompileResult> result;
-  };
+  template <class Key, class Value>
+  class Tier;   ///< one record kind's store (plan_cache.cpp)
+  struct Shard;  ///< one independently locked slice (plan_cache.cpp)
+  struct InFlight;
 
-  /// Family-tier entry: the shared plan plus the digest guarding the
-  /// 64-bit key against collisions.
-  struct FamilyEntry {
-    u64 digest = 0;
-    std::shared_ptr<const FamilyPlan> plan;
-  };
-
-  using ResultMap = std::map<PlanKey, std::shared_ptr<const CompileResult>>;
-  using FamilyMap = std::map<FamilyKey, FamilyEntry>;
-
-  /// One independently locked slice of the cache (see file comment).
-  struct Shard {
-    mutable std::mutex mutex;
-    std::condition_variable flightDone;
-    size_t capacity = 1;  ///< this shard's slice of the entry budget
-    // Authoritative state; every access under `mutex`.
-    ResultMap entries;
-    std::map<PlanKey, std::shared_ptr<InFlight>> inflight;
-    // LRU recency order (front = coldest) with O(1) re-touch via the
-    // iterator map; hits splice their key to the back.
-    std::list<PlanKey> lruOrder;
-    std::map<PlanKey, std::list<PlanKey>::iterator> lruPos;
-    // The family tier keeps the same recency discipline: a hot family is
-    // hit from the snapshot for its whole life, so without a re-touch it
-    // would age toward the cold end and be evicted under insert pressure.
-    FamilyMap families;
-    std::list<FamilyKey> familyOrder;
-    std::map<FamilyKey, std::list<FamilyKey>::iterator> familyPos;
-    // Epoch-published immutable copies for the lock-free warm path;
-    // republished (store-release) after every mutation under `mutex`.
-    std::atomic<std::shared_ptr<const ResultMap>> snapshot;
-    std::atomic<std::shared_ptr<const FamilyMap>> familySnapshot;
-    // Relaxed counters. Hits flip off-lock; the rest under `mutex`.
-    std::atomic<i64> hits{0};
-    std::atomic<i64> misses{0};
-    std::atomic<i64> evictions{0};
-    std::atomic<i64> familyHits{0};
-    std::atomic<i64> familyMisses{0};
-    std::atomic<i64> familyEvictions{0};
-  };
-
-  Shard& shardFor(const PlanKey& key) const;
-  Shard& shardForFamily(const FamilyKey& key) const;
-
-  /// Inserts a pre-cloned snapshot and republishes; requires shard mutex.
-  void insertLocked(Shard& shard, const PlanKey& key,
-                    std::shared_ptr<const CompileResult> snapshot);
-  /// Splices `key` to the hot end of the shard's LRU list; requires shard
-  /// mutex. No-op for a key that was evicted in the meantime.
-  static void touchLocked(Shard& shard, const PlanKey& key);
-  /// Best-effort touch from the lock-free hit path: try_lock, skip on
-  /// contention (an approximate recency order beats blocking a warm hit).
-  static void touchLockFree(Shard& shard, const PlanKey& key);
-  /// Family-tier analogues of the result-tier touch pair.
-  static void touchFamilyLocked(Shard& shard, const FamilyKey& key);
-  static void touchFamilyLockFree(Shard& shard, const FamilyKey& key);
+  template <class Key>
+  Shard& shardFor(const Key& key) const;
+  /// Stores a pre-cloned result snapshot, replacing any previous entry;
+  /// requires the shard mutex.
+  static void storeResultLocked(Shard& shard, const PlanKey& key,
+                                std::shared_ptr<const CompileResult> snapshot);
   /// Publishes the leader's outcome, stores it when non-null, erases the
   /// in-flight entry and wakes the shard's followers.
-  void finishFlight(Shard& shard, const PlanKey& key, const std::shared_ptr<InFlight>& flight,
-                    std::shared_ptr<const CompileResult> snapshot);
-  /// Clones `entry` into an independently owned hit result.
-  static CompileResult cloneHit(const CompileResult& entry);
+  static void finishFlight(Shard& shard, const PlanKey& key,
+                           const std::shared_ptr<InFlight>& flight,
+                           std::shared_ptr<const CompileResult> snapshot);
 
   size_t shardCount_ = 1;
   std::unique_ptr<Shard[]> shards_;

@@ -5,52 +5,11 @@
 #include <cerrno>
 #include <cstring>
 
-#include "support/diagnostics.h"
+#include "support/field_codec.h"
 
 namespace emm::svc {
 
 namespace {
-
-// Payload struct tags, same discipline as the serialize.cpp tag table but
-// scoped to the wire payloads (the envelope has its own magic/version).
-enum : unsigned char {
-  kTagCompileRequest = 0xA1,
-  kTagCompileReply = 0xA2,
-  kTagStatsReply = 0xA3,
-  kTagErrorReply = 0xA4,
-};
-
-void expectTag(ByteReader& r, unsigned char tag, const char* what) {
-  unsigned char got = r.u8();
-  if (got != tag)
-    throw SerializeError(std::string("bad tag for ") + what + " (got " + std::to_string(got) +
-                         ", want " + std::to_string(tag) + ")");
-}
-
-void writeI64Vec(ByteWriter& w, const std::vector<i64>& v) {
-  w.u64v(v.size());
-  for (i64 x : v) w.i64v(x);
-}
-
-std::vector<i64> readI64Vec(ByteReader& r) {
-  u64 n = r.count(8);
-  std::vector<i64> out;
-  out.reserve(n);
-  for (u64 i = 0; i < n; ++i) out.push_back(r.i64v());
-  return out;
-}
-
-void writeStrVec(ByteWriter& w, const std::vector<std::string>& v) {
-  w.u64v(v.size());
-  for (const std::string& s : v) w.str(s);
-}
-
-std::vector<std::string> readStrVec(ByteReader& r) {
-  u64 n = r.count();
-  std::vector<std::string> out;
-  for (u64 i = 0; i < n; ++i) out.push_back(r.str());
-  return out;
-}
 
 bool sendAll(int fd, const char* data, size_t n) {
   while (n > 0) {
@@ -163,147 +122,45 @@ std::pair<MsgType, std::string> decodeFrame(std::string_view frame) {
   return {h.type, std::string(rest)};
 }
 
-std::string encodeCompileRequest(const CompileRequest& request) {
-  ByteWriter w;
-  w.u8(kTagCompileRequest);
-  w.u64v(request.schemaFingerprint);
-  w.str(request.kernel);
-  writeI64Vec(w, request.sizes);
-  w.boolean(request.block.has_value());
-  if (request.block.has_value()) w.str(serializeProgramBlock(*request.block));
-  w.str(serializeCompileOptions(request.options));
-  writeStrVec(w, request.skipPasses);
-  return w.take();
-}
+std::string encodeCompileRequest(const CompileRequest& request) { return encode(request); }
 
 CompileRequest decodeCompileRequest(std::string_view payload) {
-  ByteReader r(payload);
-  expectTag(r, kTagCompileRequest, "CompileRequest");
-  CompileRequest req;
-  req.schemaFingerprint = r.u64v();
-  req.kernel = r.str();
-  req.sizes = readI64Vec(r);
-  if (r.boolean()) req.block = deserializeProgramBlock(r.str());
-  req.options = deserializeCompileOptions(r.str());
-  req.skipPasses = readStrVec(r);
-  r.expectEnd();
+  CompileRequest req = decode<CompileRequest>(payload, "compile request");
   if (req.kernel.empty() && !req.block.has_value())
     throw SerializeError("compile request names no kernel and carries no block");
   if (!req.kernel.empty() && req.block.has_value())
     throw SerializeError("compile request names a kernel AND carries a block");
+  if (req.block.has_value())
+    rethrowAsSerializeError("compile request block", [&] { req.block->validate(); });
   return req;
 }
 
 std::string encodeCompileReply(const CompileResult& result, double serverMillis) {
+  // WireCompileReply's field list, written from `result` in place.
   ByteWriter w;
   w.u8(kTagCompileReply);
   w.boolean(result.cacheHit);
   w.boolean(result.diskHit);
   w.boolean(result.familyHit);
   w.f64(serverMillis);
-  w.str(serializeCompileResult(result));
+  writeValue(w, result);
   return w.take();
 }
 
 WireCompileReply decodeCompileReply(std::string_view payload) {
-  ByteReader r(payload);
-  expectTag(r, kTagCompileReply, "CompileReply");
-  WireCompileReply reply;
-  reply.serverCacheHit = r.boolean();
-  reply.serverDiskHit = r.boolean();
-  reply.serverFamilyHit = r.boolean();
-  reply.serverMillis = r.f64();
-  reply.result = deserializeCompileResult(r.str());
-  r.expectEnd();
-  return reply;
+  return decode<WireCompileReply>(payload, "compile reply");
 }
 
-std::string encodeStatsReply(const WireStats& s) {
-  ByteWriter w;
-  w.u8(kTagStatsReply);
-  w.i64v(s.connections);
-  w.i64v(s.requests);
-  w.i64v(s.compiles);
-  w.i64v(s.compileErrors);
-  w.i64v(s.protocolErrors);
-  w.i64v(s.familyFastPath);
-  w.i64v(s.memory.hits);
-  w.i64v(s.memory.misses);
-  w.i64v(s.memory.entries);
-  w.i64v(s.memory.evictions);
-  w.i64v(s.memory.familyHits);
-  w.i64v(s.memory.familyMisses);
-  w.i64v(s.memory.familyEntries);
-  w.i64v(s.memory.familyEvictions);
-  w.boolean(s.haveDisk);
-  w.i64v(s.disk.hits);
-  w.i64v(s.disk.misses);
-  w.i64v(s.disk.rejects);
-  w.i64v(s.disk.evictions);
-  w.i64v(s.disk.insertions);
-  w.i64v(s.disk.entries);
-  w.i64v(s.disk.bytes);
-  w.i64v(s.disk.familyHits);
-  w.i64v(s.disk.familyMisses);
-  w.i64v(s.disk.familyRejects);
-  w.i64v(s.disk.familyInsertions);
-  w.i64v(s.disk.familyEntries);
-  w.i64v(s.disk.familyBytes);
-  return w.take();
-}
+std::string encodeStatsReply(const WireStats& stats) { return encode(stats); }
 
 WireStats decodeStatsReply(std::string_view payload) {
-  ByteReader r(payload);
-  expectTag(r, kTagStatsReply, "StatsReply");
-  WireStats s;
-  s.connections = r.i64v();
-  s.requests = r.i64v();
-  s.compiles = r.i64v();
-  s.compileErrors = r.i64v();
-  s.protocolErrors = r.i64v();
-  s.familyFastPath = r.i64v();
-  s.memory.hits = r.i64v();
-  s.memory.misses = r.i64v();
-  s.memory.entries = r.i64v();
-  s.memory.evictions = r.i64v();
-  s.memory.familyHits = r.i64v();
-  s.memory.familyMisses = r.i64v();
-  s.memory.familyEntries = r.i64v();
-  s.memory.familyEvictions = r.i64v();
-  s.haveDisk = r.boolean();
-  s.disk.hits = r.i64v();
-  s.disk.misses = r.i64v();
-  s.disk.rejects = r.i64v();
-  s.disk.evictions = r.i64v();
-  s.disk.insertions = r.i64v();
-  s.disk.entries = r.i64v();
-  s.disk.bytes = r.i64v();
-  s.disk.familyHits = r.i64v();
-  s.disk.familyMisses = r.i64v();
-  s.disk.familyRejects = r.i64v();
-  s.disk.familyInsertions = r.i64v();
-  s.disk.familyEntries = r.i64v();
-  s.disk.familyBytes = r.i64v();
-  r.expectEnd();
-  return s;
+  return decode<WireStats>(payload, "stats reply");
 }
 
-std::string encodeErrorReply(const WireError& error) {
-  ByteWriter w;
-  w.u8(kTagErrorReply);
-  w.boolean(error.shuttingDown);
-  w.str(error.message);
-  return w.take();
-}
+std::string encodeErrorReply(const WireError& error) { return encode(error); }
 
 WireError decodeErrorReply(std::string_view payload) {
-  ByteReader r(payload);
-  expectTag(r, kTagErrorReply, "ErrorReply");
-  WireError e;
-  e.shuttingDown = r.boolean();
-  e.message = r.str();
-  r.expectEnd();
-  return e;
+  return decode<WireError>(payload, "error reply");
 }
 
 bool writeFrame(int fd, MsgType type, std::string_view payload) {

@@ -14,18 +14,22 @@
 //   25      payload        `length` bytes, encoded per MsgType
 //
 // Requests: CompileRequest (a built-in kernel name + problem sizes, or a
-// serialized ProgramBlock, plus the full serialized CompileOptions and the
-// skipped-pass list) and StatsRequest (empty payload). Replies:
-// CompileReply (server-side hit attribution + the full serialized
-// CompileResult), StatsReply (daemon counters + both cache tiers), and
-// ErrorReply (diagnostic text; `shuttingDown` marks a graceful-drain
-// refusal so clients report "server shutting down" instead of a reset).
+// ProgramBlock, plus the full CompileOptions and the skipped-pass list) and
+// StatsRequest (empty payload). Replies: CompileReply (server-side hit
+// attribution + the full CompileResult), StatsReply (daemon counters + both
+// cache tiers), and ErrorReply (diagnostic text; `shuttingDown` marks a
+// graceful-drain refusal so clients report "server shutting down" instead
+// of a reset).
 //
-// Hostile-input discipline mirrors support/serialize: every decoder is
+// Every payload is a field-listed struct on the plan codec
+// (support/field_codec.h): a wire tag, then its fields, with blocks,
+// options and results inline in the plan format.
+//
+// Hostile-input discipline is the plan codec's: every decoder is
 // bounds-checked and throws SerializeError on truncation, bad magic, stale
 // version, an oversized length prefix (rejected BEFORE any allocation or
-// payload read), checksum mismatch, unknown message type, or trailing
-// garbage. Payload schema drift across binaries is caught by the
+// payload read), checksum mismatch, unknown message type, a wrong payload
+// tag, or trailing garbage. Payload schema drift across binaries is caught by the
 // serializeSchemaFingerprint() echo every CompileRequest carries: the frame
 // version covers the envelope, the schema fingerprint covers the plan
 // payloads (version/compat policy: docs/SERVICE.md).
@@ -42,17 +46,20 @@
 #include "driver/options.h"
 #include "driver/plan_cache.h"
 #include "ir/program.h"
+#include "support/fields.h"
 #include "support/serialize.h"
 
 namespace emm::svc {
 
 /// First four wire bytes: 'E' 'M' 'M' 'R' (little-endian u32).
 inline constexpr u32 kWireMagic = 0x524D4D45;
-/// Frame envelope version; bumped on any framing change. v2 added the
-/// familyFastPath counter to the StatsReply payload (the daemon's
-/// connection-thread record-bind path); v3 computes the frame checksum over
-/// 8-byte words instead of bytes.
-inline constexpr u32 kWireVersion = 3;
+/// Frame envelope version; bumped on any framing or payload-layout change.
+/// v2 added the familyFastPath counter to the StatsReply payload (the
+/// daemon's connection-thread record-bind path); v3 computes the frame
+/// checksum over 8-byte words instead of bytes; v4 encodes every payload as
+/// a field list, so CompileRequest and CompileReply carry the block, options
+/// and result inline instead of as length-prefixed copies.
+inline constexpr u32 kWireVersion = 4;
 /// Upper bound on a frame payload; a hostile length prefix above this is
 /// rejected before any allocation.
 inline constexpr u64 kMaxFramePayloadBytes = u64(64) << 20;
@@ -101,6 +108,16 @@ struct CompileRequest {
   std::optional<ProgramBlock> block;
   CompileOptions options;
   std::vector<std::string> skipPasses;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagCompileRequest, "CompileRequest");
+    v("schemaFingerprint", &CompileRequest::schemaFingerprint);
+    v("kernel", &CompileRequest::kernel);
+    v("sizes", &CompileRequest::sizes);
+    v("block", &CompileRequest::block);
+    v("options", &CompileRequest::options);
+    v("skipPasses", &CompileRequest::skipPasses);
+  }
 };
 
 std::string encodeCompileRequest(const CompileRequest& request);
@@ -110,7 +127,9 @@ CompileRequest decodeCompileRequest(std::string_view payload);
 /// attribution. The serialized result never carries transport flags
 /// (support/serialize strips them), so the daemon's tier attribution rides
 /// next to it and clients can distinguish "warm for me" (round-trip time)
-/// from "warm on the server" (these flags).
+/// from "warm on the server" (these flags). encodeCompileReply writes the
+/// four header fields from the CompileResult it is handed (no copy into a
+/// WireCompileReply), in field-list order.
 struct WireCompileReply {
   bool serverCacheHit = false;
   bool serverDiskHit = false;
@@ -120,6 +139,16 @@ struct WireCompileReply {
   /// the wire).
   double roundTripMillis = 0;
   CompileResult result;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagCompileReply, "CompileReply");
+    v("serverCacheHit", &WireCompileReply::serverCacheHit);
+    v("serverDiskHit", &WireCompileReply::serverDiskHit);
+    v("serverFamilyHit", &WireCompileReply::serverFamilyHit);
+    v("serverMillis", &WireCompileReply::serverMillis);
+    v.skip("roundTripMillis", "measured by the client, never on the wire");
+    v("result", &WireCompileReply::result);
+  }
 };
 
 std::string encodeCompileReply(const CompileResult& result, double serverMillis);
@@ -139,6 +168,19 @@ struct WireStats {
   PlanCache::Stats memory;
   bool haveDisk = false;
   DiskPlanCache::Stats disk;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagStatsReply, "StatsReply");
+    v("connections", &WireStats::connections);
+    v("requests", &WireStats::requests);
+    v("compiles", &WireStats::compiles);
+    v("compileErrors", &WireStats::compileErrors);
+    v("protocolErrors", &WireStats::protocolErrors);
+    v("familyFastPath", &WireStats::familyFastPath);
+    v("memory", &WireStats::memory);
+    v("haveDisk", &WireStats::haveDisk);
+    v("disk", &WireStats::disk);
+  }
 };
 
 std::string encodeStatsReply(const WireStats& stats);
@@ -147,6 +189,12 @@ WireStats decodeStatsReply(std::string_view payload);
 struct WireError {
   bool shuttingDown = false;  ///< graceful-drain refusal, not a failure
   std::string message;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagErrorReply, "ErrorReply");
+    v("shuttingDown", &WireError::shuttingDown);
+    v("message", &WireError::message);
+  }
 };
 
 std::string encodeErrorReply(const WireError& error);

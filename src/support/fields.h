@@ -9,9 +9,11 @@
 //     ...
 //   }
 //
-// Generic visitors walk the lists: the byte writer (support/field_codec.h,
-// also the cache-key hasher and the derived-answer settling walk), the byte
-// reader and the schema manifest (support/serialize.cpp). List entries:
+// Generic visitors walk the lists: the byte writer and reader
+// (support/field_codec.h; the writer is also the cache-key hasher and the
+// derived-answer settling walk) and the schema manifest
+// (support/serialize.cpp). The plan format and the daemon's wire payloads
+// are both encoded this way. List entries:
 //
 //   v.tag(tag, "Name")              first entry; kTagNone inlines the struct
 //                                   untagged inside its owner
@@ -92,6 +94,11 @@ enum WireTag : unsigned char {
   kTagArtifactInfo,
   kTagLastStruct = kTagArtifactInfo,
   kTagList = 0xA0,  ///< opens every list, before its element count
+  // The daemon's wire payloads (service/protocol.h); never inside a plan.
+  kTagCompileRequest = 0xA1,
+  kTagCompileReply = 0xA2,
+  kTagStatsReply = 0xA3,
+  kTagErrorReply = 0xA4,
 };
 
 // The max-value trait of the enums the wire carries: next to each such enum,

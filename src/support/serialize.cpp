@@ -26,23 +26,6 @@ constexpr int kMaxAstDepth = 4096;
 // before any EMM_CHECK (which would abort) can see it.
 constexpr i64 kMaxShape = 1 << 20;
 
-void expectTag(ByteReader& r, unsigned char tag, const char* what) {
-  unsigned char got = r.u8();
-  if (got != tag)
-    throw SerializeError(std::string("bad tag for ") + what + " (got " + std::to_string(got) +
-                         ", want " + std::to_string(tag) + ")");
-}
-
-/// Reads an i64 and validates it names a value of an enum with
-/// `maxValue + 1` consecutive members starting at 0.
-template <typename E>
-E readEnum(ByteReader& r, i64 maxValue, const char* what) {
-  i64 v = r.i64v();
-  if (v < 0 || v > maxValue)
-    throw SerializeError(std::string("out-of-range ") + what + " value " + std::to_string(v));
-  return static_cast<E>(v);
-}
-
 /// Validates a non-negative shape/dimension value against the sanity cap.
 int checkShape(i64 v, const char* what) {
   if (v < 0 || v > kMaxShape)
@@ -135,15 +118,9 @@ SymPtr readSymExpr(ByteReader& r, int depth) {
   }
 }
 
-/// Reader state: the input plus the AST nesting depth of the current node.
-struct Decoder {
-  ByteReader& in;
-  int astDepth = 0;
-};
+}  // namespace
 
-/// The generic field reader (defined below the hand-written ones).
-template <class T>
-void readValue(Decoder& d, T& value);
+// ---- hand-written readers (declared in support/field_codec.h) --------------
 
 void readValue(Decoder& d, IntMat& m) {
   ByteReader& r = d.in;
@@ -202,13 +179,7 @@ void readValue(Decoder& d, std::vector<AstPtr>& children) {
   --d.astDepth;
 }
 
-// ---- post-read hooks -------------------------------------------------------
-// Run after a struct's listed fields are read: fields whose values depend
-// on each other are validated, so hostile bytes fail here instead of where
-// the value is used. (Back-pointers are rebound by readValue.)
-
-template <class T>
-void finishDecode(T&) {}
+// ---- post-read hooks (declared in support/field_codec.h) -------------------
 
 void finishDecode(BindSlot& s) {
   // A Formula slot with no formula would make the binder's argument fill
@@ -228,8 +199,6 @@ void finishDecode(FamilyPlan& plan) {
   // Every bind clones the record; settle its answers once, here.
   if (plan.record != nullptr) settleDerivedAnswers(*plan.record);
 }
-
-}  // namespace
 
 /// A friend of ParametricTilePlan: structural validation of the decoded
 /// formulas and symbol-table reconstruction.
@@ -278,11 +247,7 @@ void finishDecode(ParametricTilePlan& plan) {
   // Symbol-table reconstruction. The checks inside run as EMM_REQUIRE
   // (ApiError); convert so hostile input stays a clean SerializeError for
   // the disk tier.
-  try {
-    plan.rebuildSymbols();
-  } catch (const ApiError& e) {
-    throw SerializeError(std::string("parametric plan validation failed: ") + e.what());
-  }
+  rethrowAsSerializeError("parametric plan", [&] { plan.rebuildSymbols(); });
   if (static_cast<int>(plan.defaultBinding_.ext.size()) != plan.np_ + plan.depth_ ||
       static_cast<int>(plan.defaultBinding_.loopRange.size()) != plan.depth_)
     throw SerializeError("parametric plan binding arity mismatch");
@@ -292,139 +257,6 @@ void finishDecode(ParametricTilePlan& plan) {
 }
 
 namespace {
-
-// ---- the generic field reader ----------------------------------------------
-
-/// Fewest wire bytes one element of type T can take: a list count is
-/// checked against the remaining input with it before anything is allocated.
-template <class T>
-constexpr u64 minWireBytes() {
-  if constexpr (std::is_same_v<T, bool>) return 1;
-  if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T> || std::is_same_v<T, std::string>)
-    return 8;
-  return 1;  // a tag or presence byte
-}
-
-/// Reads the fields of one `obj` as its field list names them.
-template <class T>
-struct FieldReader {
-  Decoder& d;
-  T& obj;
-
-  void tag(unsigned char t, const char* name) {
-    if (t != kTagNone) expectTag(d.in, t, name);
-  }
-  template <class M>
-  void operator()(const char*, M T::*m) {
-    readValue(d, obj.*m);
-  }
-  template <class M>
-  void nullable(const char*, M T::*m) {
-    if (d.in.boolean()) readValue(d, obj.*m);
-  }
-  template <class M>
-  void when(bool T::*flag, const char*, M T::*m) {
-    if (obj.*flag) readValue(d, obj.*m);
-  }
-  template <class B>
-  void base(const char*) {
-    readValue(d, static_cast<B&>(obj));
-  }
-  template <class M, class P>
-  void backref(const char*, std::optional<M> T::*m, P M::*pointer) {
-    if (!d.in.boolean()) return;
-    const unsigned char ref = d.in.u8();
-    if (ref > static_cast<unsigned char>(T::BlockRef::Transformed))
-      throw SerializeError("bad block back-reference " + std::to_string(ref));
-    M& value = (obj.*m).emplace();
-    readValue(d, value);
-    value.*pointer = obj.blockAt(static_cast<typename T::BlockRef>(ref));
-  }
-  void skip(const char*, const char*) {}
-};
-
-template <class T>
-void readValue(Decoder& d, T& value) {
-  ByteReader& r = d.in;
-  if constexpr (std::is_same_v<T, bool>) {
-    value = r.boolean();
-  } else if constexpr (std::is_same_v<T, int>) {
-    value = r.intv();
-  } else if constexpr (std::is_same_v<T, i64>) {
-    value = r.i64v();
-  } else if constexpr (std::is_same_v<T, double>) {
-    value = r.f64();
-  } else if constexpr (std::is_enum_v<T>) {
-    value = readEnum<T>(r, static_cast<i64>(enumMax(T{})), "enum");
-  } else if constexpr (std::is_same_v<T, std::string>) {
-    value = r.str();
-  } else if constexpr (kIsA<std::vector, T>) {
-    using E = typename T::value_type;
-    expectTag(r, kTagList, "list");
-    const u64 n = r.count(minWireBytes<E>());
-    value.clear();
-    if constexpr (std::is_arithmetic_v<E>) value.reserve(n);
-    for (u64 i = 0; i < n; ++i) {
-      if constexpr (std::is_same_v<E, bool>) {
-        value.push_back(r.boolean());
-      } else {
-        value.emplace_back();
-        readValue(d, value.back());
-      }
-    }
-  } else if constexpr (kIsA<std::pair, T>) {
-    readValue(d, value.first);
-    readValue(d, value.second);
-  } else if constexpr (kIsA<std::optional, T>) {
-    if (r.boolean())
-      readValue(d, value.emplace());
-    else
-      value.reset();
-  } else if constexpr (kIsA<DeepPtr, T>) {
-    using E = std::remove_reference_t<decltype(*value)>;
-    value = nullptr;
-    if (!r.boolean()) return;
-    value = std::make_unique<E>();
-    readValue(d, *value);
-  } else if constexpr (kIsA<std::shared_ptr, T>) {
-    using E = std::remove_const_t<typename T::element_type>;
-    E decoded = FieldAccess::make<E>();
-    readValue(d, decoded);
-    value = std::make_shared<const E>(std::move(decoded));
-  } else if constexpr (kIsA<RebindOnCopy, T>) {
-    readValue(d, static_cast<typename T::Members&>(value));
-    value.rebindBlocks(value);  // a decoded value's back-pointers name its own blocks
-  } else {
-    FieldReader<T> reader{d, value};
-    FieldAccess::visit<T>(reader);
-    finishDecode(value);
-  }
-}
-
-/// Decodes one complete value: trailing bytes are an error, and so is any
-/// ApiError raised while rebuilding it (polyhedra, symbolic formulas and
-/// checked arithmetic run real IR code whose preconditions hostile bytes
-/// can violate), reported as a SerializeError naming `what`.
-template <class T>
-T decode(std::string_view bytes, const char* what) {
-  ByteReader r(bytes);
-  Decoder d{r};
-  T out = FieldAccess::make<T>();
-  try {
-    readValue(d, out);
-    r.expectEnd();
-  } catch (const ApiError& e) {
-    throw SerializeError(std::string(what) + " decode failed: " + e.what());
-  }
-  return out;
-}
-
-template <class T>
-std::string encode(const T& value) {
-  ByteWriter w;
-  writeValue(w, value);
-  return w.take();
-}
 
 /// A sink that keeps nothing: the settling walk only wants the derived
 /// answers the writer computes on its way.
@@ -660,11 +492,7 @@ std::string serializeProgramBlock(const ProgramBlock& block) { return encode(blo
 
 ProgramBlock deserializeProgramBlock(std::string_view bytes) {
   ProgramBlock b = decode<ProgramBlock>(bytes, "program block");
-  try {
-    b.validate();
-  } catch (const ApiError& e) {
-    throw SerializeError(std::string("program block decode failed: ") + e.what());
-  }
+  rethrowAsSerializeError("program block", [&] { b.validate(); });
   return b;
 }
 

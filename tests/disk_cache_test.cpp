@@ -127,10 +127,12 @@ TEST(DiskCache, MemoryTierWinsOverDiskTier) {
 TEST(DiskCache, DiskHitIsPromotedIntoTheMemoryTier) {
   TempCacheDir dir;
   DiskPlanCache disk(dir.str());
+  CompileResult cold;
   {
     Compiler seed = meCompiler();
     seed.diskCache(&disk);
-    ASSERT_TRUE(seed.compile().ok);
+    cold = seed.compile();
+    ASSERT_TRUE(cold.ok);
   }
   PlanCache memory;
   Compiler c = meCompiler();
@@ -144,7 +146,14 @@ TEST(DiskCache, DiskHitIsPromotedIntoTheMemoryTier) {
   EXPECT_TRUE(viaMemory.cacheHit);
   EXPECT_FALSE(viaMemory.diskHit);
   EXPECT_EQ(disk.stats().hits, 1);  // disk consulted exactly once
-  EXPECT_EQ(viaMemory.artifact, viaDisk.artifact);
+  // Cold, disk-warm and memory-warm agree on the artifact bytes, the tile
+  // and the cost bits.
+  EXPECT_EQ(viaDisk.artifact, cold.artifact);
+  EXPECT_EQ(viaMemory.artifact, cold.artifact);
+  EXPECT_EQ(viaDisk.search.subTile, cold.search.subTile);
+  EXPECT_EQ(viaMemory.search.subTile, cold.search.subTile);
+  EXPECT_EQ(viaDisk.search.eval.cost, cold.search.eval.cost);
+  EXPECT_EQ(viaMemory.search.eval.cost, cold.search.eval.cost);
 }
 
 TEST(DiskCache, DistinctOptionsGetDistinctEntries) {
@@ -344,11 +353,16 @@ TEST(DiskCache, OrphanedTempFilesAreSweptOnOpen) {
   TempCacheDir dir;
   fs::create_directories(dir.path);
   const fs::path orphan = dir.path / "deadbeef.emmplan.tmp.123.0";
+  const fs::path familyOrphan = dir.path / "deadbeef.emmfam.tmp.123.1";
   std::ofstream(orphan) << "half-written by a crashed process";
+  std::ofstream(familyOrphan) << "half-written by a crashed process";
   ASSERT_TRUE(fs::exists(orphan));
+  ASSERT_TRUE(fs::exists(familyOrphan));
   DiskPlanCache disk(dir.str());
   EXPECT_FALSE(fs::exists(orphan));
+  EXPECT_FALSE(fs::exists(familyOrphan));
   EXPECT_EQ(disk.stats().entries, 0);
+  EXPECT_EQ(disk.stats().familyEntries, 0);
 }
 
 TEST(DiskCache, ZeroLengthEntriesAreSweptOnOpenAndIgnoredByStats) {
@@ -384,38 +398,73 @@ TEST(DiskCache, ZeroLengthEntriesAreSweptOnOpenAndIgnoredByStats) {
 // ---- Eviction. ----
 
 TEST(DiskCache, LruEvictionKeepsTheCacheUnderTheByteCap) {
+  // Two compiles of different families, each writing an .emmplan and an
+  // .emmfam record; both kinds count against the one byte cap.
+  const auto tighter = [] {
+    Compiler c = meCompiler();
+    c.memoryLimitBytes(8 * 1024);
+    return c;
+  };
   TempCacheDir dir;
-  // First find one entry's size, then cap the cache below two entries.
-  i64 entryBytes = 0;
+  i64 firstPlanBytes = 0;
+  i64 allBytes = 0;
   {
     DiskPlanCache probe(dir.str());
-    Compiler c = meCompiler();
-    c.diskCache(&probe);
-    ASSERT_TRUE(c.compile().ok);
-    entryBytes = probe.stats().bytes;
+    Compiler first = meCompiler();
+    first.diskCache(&probe);
+    ASSERT_TRUE(first.compile().ok);
+    firstPlanBytes = probe.stats().bytes;
+    Compiler second = tighter();
+    second.diskCache(&probe);
+    ASSERT_TRUE(second.compile().ok);
+    const DiskPlanCache::Stats s = probe.stats();
+    ASSERT_EQ(s.entries, 2);
+    ASSERT_EQ(s.familyEntries, 2);
+    allBytes = s.bytes + s.familyBytes;
     probe.clear();
   }
-  ASSERT_GT(entryBytes, 0);
+  ASSERT_GT(firstPlanBytes, 0);
 
-  DiskPlanCache disk(dir.str(), entryBytes + entryBytes / 2);
+  {
+    // A cap just above one .emmplan: storing the plan evicts the family
+    // record written before it, never the plan just written.
+    DiskPlanCache disk(dir.str(), firstPlanBytes + 1);
+    Compiler first = meCompiler();
+    first.diskCache(&disk);
+    ASSERT_TRUE(first.compile().ok);
+    DiskPlanCache::Stats s = disk.stats();
+    EXPECT_EQ(s.evictions, 1);
+    EXPECT_EQ(s.entries, 1);
+    EXPECT_EQ(s.familyEntries, 0);
+    EXPECT_LE(s.bytes + s.familyBytes, disk.maxBytes());
+    disk.clear();
+  }
+
+  // One byte below all four records: the second compile's last store
+  // evicts one record of the first compile.
+  DiskPlanCache disk(dir.str(), allBytes - 1);
   Compiler first = meCompiler();
   first.diskCache(&disk);
   ASSERT_TRUE(first.compile().ok);
-
-  Compiler second = meCompiler();
-  second.memoryLimitBytes(8 * 1024).diskCache(&disk);
+  EXPECT_EQ(disk.stats().evictions, 0);
+  Compiler second = tighter();
+  second.diskCache(&disk);
   ASSERT_TRUE(second.compile().ok);
 
   DiskPlanCache::Stats s = disk.stats();
   EXPECT_EQ(s.evictions, 1);
-  EXPECT_EQ(s.entries, 1);
-  EXPECT_LE(s.bytes, disk.maxBytes());
+  EXPECT_EQ(s.entries + s.familyEntries, 3);
+  EXPECT_LE(s.bytes + s.familyBytes, disk.maxBytes());
 
-  // The survivor is the newer entry; the older one cold-compiles again.
+  // The victim is the older compile's: the newer plan still replays, and
+  // the first compile is still served from its surviving record (which of
+  // its two records is older depends on the filesystem's mtime grain).
   EXPECT_TRUE(second.compile().diskHit);
   Compiler firstAgain = meCompiler();
   firstAgain.diskCache(&disk);
-  EXPECT_FALSE(firstAgain.compile().diskHit);
+  const CompileResult again = firstAgain.compile();
+  ASSERT_TRUE(again.ok);
+  EXPECT_TRUE(again.diskHit || again.familyHit);
 }
 
 // ---- Stats coherence (in-memory tier). ----

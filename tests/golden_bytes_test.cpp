@@ -7,8 +7,9 @@
 // options of the four kernels, the first four generated programs of seed 1,
 // the complete .emmplan file DiskPlanCache::insert writes for ME, and the four
 // daemon wire payloads (an ME kernel request, the ME reply, a StatsReply with
-// distinct counters and a drain ErrorReply). Each is recorded in tests/golden/plan_bytes.txt as its byte length
-// and digestBytes value. Wall-clock values (PassTiming::millis, the tile search's
+// distinct counters and a drain ErrorReply). Each is recorded in
+// tests/golden/plan_bytes.txt as its byte length and digestBytes value.
+// Wall-clock values (PassTiming::millis, the tile search's
 // planBuildMillis/evalMillis, and the "N ms" figures the tile-search note
 // prints) are zeroed first; everything else in the payload is a
 // deterministic function of the input.
@@ -247,7 +248,8 @@ std::vector<std::pair<std::string, std::string>> goldenValues() {
     const FamilyKey famKey{hashProgramBlock(famBlock), hashCompileOptions(famOptions),
                            noSkippedPasses()};
     const std::string file = std::string("file_") + kernel;
-    out.emplace_back(file, file + " " + DiskPlanCache::entryFileName(builtinPlanKey(block, options)) +
+    out.emplace_back(file, file + " " +
+                               DiskPlanCache::entryFileName(builtinPlanKey(block, options)) +
                                " " + DiskPlanCache::familyFileName(famKey));
     const std::string digest = std::string("famdigest_") + kernel;
     out.emplace_back(digest, digest + " " + hex(digestProgramBlock(famBlock)) + " " +

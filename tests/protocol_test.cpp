@@ -20,6 +20,7 @@
 #include "driver/compiler.h"
 #include "kernels/blocks.h"
 #include "service/protocol.h"
+#include "support/field_codec.h"
 #include "support/serialize.h"
 
 namespace emm::svc {
@@ -167,6 +168,15 @@ TEST(WirePayload, RequestMustNameKernelXorCarryBlock) {
   EXPECT_THROW(decodeCompileRequest(encodeCompileRequest(both)), SerializeError);
 }
 
+TEST(WirePayload, ShippedBlockFailingValidationIsASerializeError) {
+  CompileRequest req;
+  req.schemaFingerprint = serializeSchemaFingerprint();
+  IntVec params;
+  req.block = buildKernelByName("matmul", {16, 16, 16}, params);
+  req.block->statements[0].accesses[0].arrayId = 99;  // names no array
+  EXPECT_THROW(decodeCompileRequest(encodeCompileRequest(req)), SerializeError);
+}
+
 TEST(WirePayload, CompileRequestTruncationsThrowCleanly) {
   std::string payload = encodeCompileRequest(sampleKernelRequest());
   for (size_t n = 0; n < payload.size(); ++n)
@@ -191,6 +201,24 @@ TEST(WirePayload, CompileReplyCarriesResultAndAttribution) {
   EXPECT_TRUE(got.result.ok);
   EXPECT_EQ(got.result.artifact, r.artifact);
   EXPECT_EQ(got.result.search.subTile, r.search.subTile);
+}
+
+TEST(WirePayload, CompileReplyEncoderFollowsTheFieldList) {
+  // encodeCompileReply writes the reply's header fields from the result it
+  // is handed; the bytes must be what the WireCompileReply field list gives.
+  Compiler c;
+  IntVec params;
+  c.source(buildKernelByName("matmul", {32, 32, 32}, params));
+  c.parameters(params).memoryLimitBytes(4 * 1024);
+  CompileResult r = c.compile();
+  ASSERT_TRUE(r.ok) << r.firstError();
+  r.cacheHit = true;
+  WireCompileReply reply;
+  reply.serverCacheHit = true;
+  reply.serverMillis = 3.25;
+  reply.roundTripMillis = 99;  // client-side, never on the wire
+  reply.result = r.clone();
+  EXPECT_EQ(encode(reply), encodeCompileReply(r, 3.25));
 }
 
 TEST(WirePayload, StatsReplyRoundTrips) {

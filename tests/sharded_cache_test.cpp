@@ -3,8 +3,9 @@
 // eviction (a shard at its slice evicts even when the cache as a whole is
 // far under capacity), single-flight leader failure waking followers parked
 // on the failing key's shard while other shards keep serving, clear()
-// coherence across every shard, and a Zipfian multi-thread hammer whose
-// hit/miss/entry counter totals must come out exact. The deterministic
+// coherence across every shard, a Zipfian multi-thread hammer whose
+// hit/miss/entry counter totals must come out exact, and a family-tier race
+// (first writer wins, digest guard, exact counters). The deterministic
 // tests force a fixed shard count so they behave identically on any
 // machine; the hammer forces shards > 1 so the cross-shard paths run even
 // on single-core CI boxes.
@@ -357,6 +358,85 @@ TEST(ShardedCache, ZipfianHammerCountersAreExact) {
   EXPECT_EQ(s.entries, unique);
   EXPECT_EQ(s.evictions, 0);
   EXPECT_EQ(static_cast<i64>(cache.size()), unique);
+}
+
+TEST(ShardedCache, FamilyTierRaceKeepsTheFirstWriterAndCountsExactly) {
+  // Four threads race inserts and lookups over a few family keys, looking
+  // up with the right digest and with a wrong one. No eviction: capacity
+  // exceeds the keyspace.
+  constexpr u64 kKeys = 6;
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 2000;
+  PlanCache cache(256, 4);
+  ASSERT_EQ(cache.shardCount(), 4u);
+  const auto keyOf = [](u64 k) {
+    FamilyKey key;
+    key.block = 0x9e3779b97f4a7c15ULL * (k + 1);
+    key.options = k;
+    return key;
+  };
+  const auto rightDigest = [](u64 k) { return 1000 + k; };
+  const auto wrongDigest = [](u64 k) { return 2000 + k; };
+
+  struct Hit {
+    u64 key;
+    const FamilyPlan* plan;
+  };
+  std::vector<std::vector<Hit>> hits(kThreads);
+  std::vector<i64> lookups(kThreads, 0);
+  std::atomic<int> wrongDigestServed{0};
+  std::atomic<int> foreignPlanServed{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t)
+    workers.emplace_back([&, t] {
+      std::mt19937_64 rng(0xfa51ULL + static_cast<u64>(t));
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const u64 k = rng() % kKeys;
+        switch (rng() % 3) {
+          case 0: {
+            auto plan = std::make_shared<FamilyPlan>();
+            plan->parametricReason = "key " + std::to_string(k);
+            cache.insertFamily(keyOf(k), rightDigest(k), std::move(plan));
+            break;
+          }
+          case 1: {
+            ++lookups[t];
+            std::shared_ptr<const FamilyPlan> plan = cache.lookupFamily(keyOf(k), rightDigest(k));
+            if (plan == nullptr) break;
+            if (plan->parametricReason != "key " + std::to_string(k))
+              foreignPlanServed.fetch_add(1);
+            hits[t].push_back({k, plan.get()});
+            break;
+          }
+          default:
+            ++lookups[t];
+            if (cache.lookupFamily(keyOf(k), wrongDigest(k)) != nullptr)
+              wrongDigestServed.fetch_add(1);
+        }
+      }
+    });
+  for (std::thread& w : workers) w.join();
+
+  EXPECT_EQ(wrongDigestServed.load(), 0);
+  EXPECT_EQ(foreignPlanServed.load(), 0);
+  // First writer wins: the plan stored now is the one every hit returned.
+  std::vector<std::shared_ptr<const FamilyPlan>> stored(kKeys);
+  for (u64 k = 0; k < kKeys; ++k) stored[k] = cache.lookupFamily(keyOf(k), rightDigest(k));
+  size_t hitCount = 0;
+  for (const std::vector<Hit>& threadHits : hits)
+    for (const Hit& h : threadHits) {
+      ++hitCount;
+      ASSERT_NE(stored[h.key], nullptr);
+      EXPECT_EQ(h.plan, stored[h.key].get()) << "key " << h.key;
+    }
+  EXPECT_GT(hitCount, 0u);
+
+  i64 made = static_cast<i64>(kKeys);  // the post-join lookups above
+  for (i64 n : lookups) made += n;
+  const PlanCache::Stats s = cache.stats();
+  EXPECT_EQ(s.familyHits + s.familyMisses, made);
+  EXPECT_EQ(s.familyEvictions, 0);
+  EXPECT_EQ(s.hits + s.misses, 0);  // the result tier saw nothing
 }
 
 }  // namespace
