@@ -30,6 +30,12 @@ u64 mix64(u64 x) {
   return x;
 }
 
+/// The shard of a key among `shardCount` (a power of two).
+template <class Key>
+size_t shardIndex(const Key& key, size_t shardCount) {
+  return static_cast<size_t>(mix64(keyDigest(key)) & (shardCount - 1));
+}
+
 size_t nextPow2(size_t x) {
   size_t p = 1;
   while (p < x) p <<= 1;
@@ -227,17 +233,15 @@ PlanCache::PlanCache(size_t capacity, size_t shards) {
 
 PlanCache::~PlanCache() = default;
 
-size_t PlanCache::shardOf(const PlanKey& key) const {
-  return static_cast<size_t>(mix64(keyDigest(key)) & (shardCount_ - 1));
-}
+size_t PlanCache::shardOf(const PlanKey& key) const { return shardIndex(key, shardCount_); }
 
 size_t PlanCache::shardOfFamily(const FamilyKey& key) const {
-  return static_cast<size_t>(mix64(keyDigest(key)) & (shardCount_ - 1));
+  return shardIndex(key, shardCount_);
 }
 
 template <class Key>
 PlanCache::Shard& PlanCache::shardFor(const Key& key) const {
-  return shards_[static_cast<size_t>(mix64(keyDigest(key)) & (shardCount_ - 1))];
+  return shards_[shardIndex(key, shardCount_)];
 }
 
 std::optional<CompileResult> PlanCache::lookup(const PlanKey& key) {

@@ -29,9 +29,9 @@
 // bounds-checked and throws SerializeError on truncation, bad magic, stale
 // version, an oversized length prefix (rejected BEFORE any allocation or
 // payload read), checksum mismatch, unknown message type, a wrong payload
-// tag, or trailing garbage. Payload schema drift across binaries is caught by the
-// serializeSchemaFingerprint() echo every CompileRequest carries: the frame
-// version covers the envelope, the schema fingerprint covers the plan
+// tag, or trailing garbage. Payload schema drift across binaries is caught
+// by the serializeSchemaFingerprint() echo every CompileRequest carries: the
+// frame version covers the envelope, the schema fingerprint covers the plan
 // payloads (version/compat policy: docs/SERVICE.md).
 #pragma once
 
