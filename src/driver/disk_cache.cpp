@@ -195,7 +195,12 @@ DiskPlanCache::DiskPlanCache(std::string dir, i64 maxBytes)
       continue;
     }
     std::error_code sec;
-    if (isRecord(de.path()) && de.file_size(sec) == 0 && !sec) removeQuietly(de.path());
+    const i64 size = isRecord(de.path()) ? static_cast<i64>(de.file_size(sec)) : -1;
+    if (size < 0 || sec) continue;
+    if (size == 0)
+      removeQuietly(de.path());
+    else
+      knownBytes_ += size;
   }
 }
 
@@ -242,9 +247,11 @@ void DiskPlanCache::store(const Kind& kind, Counters& counters, const Key& key, 
   if (!writeAtomically(dir_, path, kind.magic, key, blockDigest, optionsDigest, payload)) return;
   counters.insertions.fetch_add(1, std::memory_order_relaxed);
   // Only the eviction scan serializes; a concurrent stats() or lookup()
-  // proceeds untouched.
+  // proceeds untouched. The scan runs only when the bytes this instance
+  // knows of could pass the cap (see knownBytes_).
   std::lock_guard<std::mutex> lock(evictMutex_);
-  evictLocked(path);
+  knownBytes_ += static_cast<i64>(kHeaderBytes + payload.size() + 8);
+  if (knownBytes_ > maxBytes_) knownBytes_ = evictLocked(path);
 }
 
 std::optional<CompileResult> DiskPlanCache::lookup(const PlanKey& key, const ProgramBlock& block,
@@ -279,7 +286,7 @@ void DiskPlanCache::insertFamily(const FamilyKey& key, u64 blockDigest, u64 opti
   store(kFamilyKind, families_, key, blockDigest, optionsDigest, serializeFamilyPlan(*plan));
 }
 
-void DiskPlanCache::evictLocked(const std::filesystem::path& justWritten) {
+i64 DiskPlanCache::evictLocked(const std::filesystem::path& justWritten) {
   struct Entry {
     fs::path path;
     i64 size = 0;
@@ -308,7 +315,7 @@ void DiskPlanCache::evictLocked(const std::filesystem::path& justWritten) {
     total += e.size;
     entries.push_back(std::move(e));
   }
-  if (total <= maxBytes_) return;
+  if (total <= maxBytes_) return total;
   std::sort(entries.begin(), entries.end(),
             [](const Entry& a, const Entry& b) { return a.mtime < b.mtime; });
   // Oldest first, but never the record just written — evicting it would
@@ -323,6 +330,7 @@ void DiskPlanCache::evictLocked(const std::filesystem::path& justWritten) {
       evictions_.fetch_add(1, std::memory_order_relaxed);
     }
   }
+  return total;
 }
 
 void DiskPlanCache::clear() {
@@ -330,6 +338,7 @@ void DiskPlanCache::clear() {
   std::error_code ec;
   for (const fs::directory_entry& de : fs::directory_iterator(dir_, ec))
     if (de.is_regular_file(ec) && isRecord(de.path())) removeQuietly(de.path());
+  knownBytes_ = 0;
 }
 
 DiskPlanCache::Stats DiskPlanCache::stats() const {

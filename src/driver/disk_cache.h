@@ -32,7 +32,11 @@
 // Durability: records are written to a temp file in the cache directory and
 // atomically renamed into place, so readers never observe a half-written
 // record. Eviction is LRU by file modification time (hits of either kind
-// re-touch their record) under one byte cap over both kinds.
+// re-touch their record) under one byte cap over both kinds. A store scans
+// the directory only when the bytes this instance knows of (the total at
+// open or at its last scan, plus its own stores since) pass the cap, so
+// records another process wrote meanwhile count from this instance's next
+// scan on.
 //
 // Thread-safe; one instance may be shared by every Compiler in the process
 // (and the directory may be shared by many processes — rename keeps
@@ -148,7 +152,6 @@ public:
   struct Kind;
 
 private:
-
   /// One record kind's counters since construction (relaxed atomics).
   struct Counters {
     std::atomic<i64> hits{0};
@@ -169,9 +172,9 @@ private:
   template <class Key>
   void store(const Kind& kind, Counters& counters, const Key& key, u64 blockDigest,
              u64 optionsDigest, const std::string& payload);
-  /// Enforces the byte cap, never evicting `justWritten`; requires
-  /// evictMutex_.
-  void evictLocked(const std::filesystem::path& justWritten);
+  /// Enforces the byte cap, never evicting `justWritten`, and returns the
+  /// records' total size afterwards; requires evictMutex_.
+  i64 evictLocked(const std::filesystem::path& justWritten);
 
   std::string dir_;
   i64 maxBytes_;
@@ -179,6 +182,12 @@ private:
   /// Lookups, inserts and stats() never take it: counters are atomics and
   /// file-level atomicity comes from write-temp-then-rename.
   mutable std::mutex evictMutex_;
+  /// The record bytes this instance knows the directory holds: its total
+  /// at open or at the last eviction scan, plus this instance's own stores
+  /// since. It never under-counts what this instance wrote, so while it is
+  /// within the cap a scan would evict nothing and store() skips it.
+  /// Guarded by evictMutex_.
+  i64 knownBytes_ = 0;
   Counters plans_;
   Counters families_;
   std::atomic<i64> evictions_{0};  ///< records of either kind
