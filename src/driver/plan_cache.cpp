@@ -30,12 +30,6 @@ u64 mix64(u64 x) {
   return x;
 }
 
-/// The shard of a key among `shardCount` (a power of two).
-template <class Key>
-size_t shardIndex(const Key& key, size_t shardCount) {
-  return static_cast<size_t>(mix64(keyDigest(key)) & (shardCount - 1));
-}
-
 size_t nextPow2(size_t x) {
   size_t p = 1;
   while (p < x) p <<= 1;
@@ -73,6 +67,13 @@ CompileResult cloneHit(const CompileResult& entry) {
   return out;
 }
 
+/// Per-key latch for in-flight computations. `done` flips under the
+/// owning shard's mutex; `result` is null when the leader failed.
+struct InFlight {
+  bool done = false;
+  std::shared_ptr<const CompileResult> result;
+};
+
 /// Family-tier entry: the shared plan plus the digest guarding the 64-bit
 /// key against collisions.
 struct FamilyEntry {
@@ -80,13 +81,11 @@ struct FamilyEntry {
   std::shared_ptr<const FamilyPlan> plan;
 };
 
-}  // namespace
-
 /// One record kind's store inside a shard (see the file comment in
 /// plan_cache.h). Every *Locked member requires the owning shard's mutex;
 /// the mutex is shared by the shard's two tiers and its in-flight table.
 template <class Key, class Value>
-class PlanCache::Tier {
+class Tier {
 public:
   using Map = std::map<Key, Value>;
 
@@ -203,12 +202,7 @@ private:
   std::atomic<std::shared_ptr<const Map>> snapshot_;
 };
 
-/// Per-key latch for in-flight computations. `done` flips under the
-/// owning shard's mutex; `result` is null when the leader failed.
-struct PlanCache::InFlight {
-  bool done = false;
-  std::shared_ptr<const CompileResult> result;
-};
+}  // namespace
 
 /// One independently locked slice of the cache (see the file comment).
 struct PlanCache::Shard {
@@ -218,6 +212,28 @@ struct PlanCache::Shard {
   std::map<PlanKey, std::shared_ptr<InFlight>> inflight;
   Tier<PlanKey, std::shared_ptr<const CompileResult>> results{mutex};
   Tier<FamilyKey, FamilyEntry> families{mutex};
+
+  /// Stores a pre-cloned result snapshot, replacing any previous entry;
+  /// requires `mutex`.
+  void storeResultLocked(const PlanKey& key, std::shared_ptr<const CompileResult> snapshot) {
+    auto [entry, inserted] = results.emplaceLocked(key, snapshot, capacity);
+    if (inserted) return;
+    *entry = std::move(snapshot);  // refresh in place
+    results.touchLocked(key);      // an overwrite counts as a use
+    results.publishLocked();
+  }
+
+  /// Publishes the leader's outcome, stores it when non-null, erases the
+  /// in-flight entry and wakes the followers.
+  void finishFlight(const PlanKey& key, const std::shared_ptr<InFlight>& flight,
+                    std::shared_ptr<const CompileResult> snapshot) {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (snapshot != nullptr) storeResultLocked(key, snapshot);
+    flight->result = std::move(snapshot);
+    flight->done = true;
+    inflight.erase(key);
+    flightDone.notify_all();
+  }
 };
 
 PlanCache::PlanCache(size_t capacity, size_t shards) {
@@ -233,15 +249,16 @@ PlanCache::PlanCache(size_t capacity, size_t shards) {
 
 PlanCache::~PlanCache() = default;
 
-size_t PlanCache::shardOf(const PlanKey& key) const { return shardIndex(key, shardCount_); }
-
-size_t PlanCache::shardOfFamily(const FamilyKey& key) const {
-  return shardIndex(key, shardCount_);
+template <class Key>
+size_t PlanCache::shardOf(const Key& key) const {
+  return static_cast<size_t>(mix64(keyDigest(key)) & (shardCount_ - 1));
 }
+template size_t PlanCache::shardOf(const PlanKey&) const;
+template size_t PlanCache::shardOf(const FamilyKey&) const;
 
 template <class Key>
 PlanCache::Shard& PlanCache::shardFor(const Key& key) const {
-  return shards_[shardIndex(key, shardCount_)];
+  return shards_[shardOf(key)];
 }
 
 std::optional<CompileResult> PlanCache::lookup(const PlanKey& key) {
@@ -256,27 +273,7 @@ void PlanCache::insert(const PlanKey& key, const CompileResult& result) {
   auto snapshot = std::make_shared<const CompileResult>(result.clone());
   Shard& shard = shardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  storeResultLocked(shard, key, std::move(snapshot));
-}
-
-void PlanCache::storeResultLocked(Shard& shard, const PlanKey& key,
-                                  std::shared_ptr<const CompileResult> snapshot) {
-  auto [entry, inserted] = shard.results.emplaceLocked(key, snapshot, shard.capacity);
-  if (inserted) return;
-  *entry = std::move(snapshot);    // refresh in place
-  shard.results.touchLocked(key);  // an overwrite counts as a use
-  shard.results.publishLocked();
-}
-
-void PlanCache::finishFlight(Shard& shard, const PlanKey& key,
-                             const std::shared_ptr<InFlight>& flight,
-                             std::shared_ptr<const CompileResult> snapshot) {
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  if (snapshot != nullptr) storeResultLocked(shard, key, snapshot);
-  flight->result = std::move(snapshot);
-  flight->done = true;
-  shard.inflight.erase(key);
-  shard.flightDone.notify_all();
+  shard.storeResultLocked(key, std::move(snapshot));
 }
 
 CompileResult PlanCache::getOrCompute(const PlanKey& key,
@@ -319,7 +316,7 @@ CompileResult PlanCache::getOrCompute(const PlanKey& key,
   try {
     result = compute();
   } catch (...) {
-    finishFlight(shard, key, flight, nullptr);
+    shard.finishFlight(key, flight, nullptr);
     throw;
   }
   std::shared_ptr<const CompileResult> snapshot;
@@ -328,7 +325,7 @@ CompileResult PlanCache::getOrCompute(const PlanKey& key,
     settleForSnapshot(result);
     snapshot = std::make_shared<const CompileResult>(result.clone());
   }
-  finishFlight(shard, key, flight, std::move(snapshot));
+  shard.finishFlight(key, flight, std::move(snapshot));
   return result;
 }
 

@@ -141,10 +141,10 @@ public:
 
   /// Number of shards actually in use (a power of two).
   size_t shardCount() const { return shardCount_; }
-  /// Index of the shard serving `key` / a family key — stable for a given
-  /// shard count. Exposed for shard-boundary tests and diagnostics.
-  size_t shardOf(const PlanKey& key) const;
-  size_t shardOfFamily(const FamilyKey& key) const;
+  /// Index of the shard serving a PlanKey or a FamilyKey — stable for a
+  /// given shard count. Exposed for shard-boundary tests and diagnostics.
+  template <class Key>
+  size_t shardOf(const Key& key) const;
 
   /// Returns an independently owned copy of the cached result with
   /// cacheHit set, or nullopt (counting a miss). Warm hits are served from
@@ -191,22 +191,10 @@ public:
   static PlanCache& global();
 
 private:
-  template <class Key, class Value>
-  class Tier;   ///< one record kind's store (plan_cache.cpp)
-  struct Shard;  ///< one independently locked slice (plan_cache.cpp)
-  struct InFlight;
+  struct Shard;  ///< one independently locked slice, two tiers (plan_cache.cpp)
 
   template <class Key>
   Shard& shardFor(const Key& key) const;
-  /// Stores a pre-cloned result snapshot, replacing any previous entry;
-  /// requires the shard mutex.
-  static void storeResultLocked(Shard& shard, const PlanKey& key,
-                                std::shared_ptr<const CompileResult> snapshot);
-  /// Publishes the leader's outcome, stores it when non-null, erases the
-  /// in-flight entry and wakes the shard's followers.
-  static void finishFlight(Shard& shard, const PlanKey& key,
-                           const std::shared_ptr<InFlight>& flight,
-                           std::shared_ptr<const CompileResult> snapshot);
 
   size_t shardCount_ = 1;
   std::unique_ptr<Shard[]> shards_;

@@ -56,7 +56,7 @@ std::vector<FamilyKey> familyKeysOnShard(const PlanCache& cache, size_t shard, s
     FamilyKey k;
     k.block = 0x9e3779b97f4a7c15ULL * (i + 1);
     k.options = i;
-    if (cache.shardOfFamily(k) == shard) out.push_back(k);
+    if (cache.shardOf(k) == shard) out.push_back(k);
   }
   return out;
 }
