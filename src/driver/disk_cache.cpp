@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include "driver/family_plan.h"
@@ -58,11 +59,11 @@ bool isRecord(const fs::path& path) {
   return path.extension() == kPlanKind.suffix || path.extension() == kFamilyKind.suffix;
 }
 
-/// True for a temp file of either kind (see writeAtomically).
+/// True for a temp file of either kind: "<record name>.tmp.<pid>.<n>"
+/// (see writeAtomically).
 bool isTempFile(const std::string& name) {
-  for (const DiskPlanCache::Kind* kind : {&kPlanKind, &kFamilyKind})
-    if (name.find(std::string(kind->suffix) + ".tmp.") != std::string::npos) return true;
-  return false;
+  const size_t tmp = name.find(".tmp.");
+  return tmp != std::string::npos && isRecord(name.substr(0, tmp));
 }
 
 bool readFile(const fs::path& path, std::string& out) {
@@ -97,17 +98,14 @@ Reject validateAndExtract(const std::string& file, const char* magic, const Key&
   try {
     if (r.u32v() != kPlanFormatVersion) return Reject::Structural;
     if (r.u64v() != serializeSchemaFingerprint()) return Reject::Structural;
-    const u64 echoBlock = r.u64v();
-    const u64 echoOptions = r.u64v();
-    const u64 echoPasses = r.u64v();
+    const Key echo{r.u64v(), r.u64v(), r.u64v()};  // braced: read in order
     u64 fileBlockDigest = r.u64v();
     u64 fileOptionsDigest = r.u64v();
     u64 payloadLen = r.count();
     if (payloadLen + 8 > r.remaining()) return Reject::Structural;  // payload + checksum
     // The file name is derived from a 64-bit hash; the echo + digests are
     // what make a name collision a miss instead of a wrong plan.
-    if (echoBlock != key.block || echoOptions != key.options || echoPasses != key.passes)
-      return Reject::Collision;
+    if (echo != key) return Reject::Collision;
     if (fileBlockDigest != blockDigest || fileOptionsDigest != optionsDigest)
       return Reject::Collision;
     std::string_view payload =
@@ -123,13 +121,12 @@ Reject validateAndExtract(const std::string& file, const char* magic, const Key&
 
 /// Serializes one record envelope (magic, format version, schema
 /// fingerprint, key echo, collision digests, length-prefixed payload,
-/// checksum) and writes it to `path` via a unique temp file in `dir` +
+/// checksum) and writes it to `path` via a unique temp file next to it +
 /// atomic rename. Returns false when the directory is unwritable (callers
 /// degrade silently).
 template <class Key>
-bool writeAtomically(const std::string& dir, const fs::path& path, const char* magic,
-                     const Key& key, u64 blockDigest, u64 optionsDigest,
-                     const std::string& payload) {
+bool writeAtomically(const fs::path& path, const char* magic, const Key& key, u64 blockDigest,
+                     u64 optionsDigest, const std::string& payload) {
   ByteWriter w;
   w.bytes(magic, sizeof(DiskPlanCache::Kind::magic));
   w.u32v(kPlanFormatVersion);
@@ -147,9 +144,8 @@ bool writeAtomically(const std::string& dir, const fs::path& path, const char* m
   // then an atomic rename: readers see the old record or the new one, never
   // a torn write.
   static std::atomic<u64> tempCounter{0};
-  const fs::path temp =
-      fs::path(dir) / (path.filename().string() + ".tmp." + std::to_string(::getpid()) + "." +
-                       std::to_string(tempCounter.fetch_add(1)));
+  const fs::path temp = path.string() + ".tmp." + std::to_string(::getpid()) + "." +
+                        std::to_string(tempCounter.fetch_add(1));
   {
     std::ofstream out(temp, std::ios::binary | std::ios::trunc);
     if (!out) return false;  // unwritable directory: degrade silently
@@ -173,7 +169,7 @@ bool writeAtomically(const std::string& dir, const fs::path& path, const char* m
 }  // namespace
 
 DiskPlanCache::DiskPlanCache(std::string dir, i64 maxBytes)
-    : dir_(std::move(dir)), maxBytes_(maxBytes) {
+    : dir_(std::move(dir)), maxBytes_(maxBytes), knownBytes_(maxBytes) {
   EMM_REQUIRE(!dir_.empty(), "DiskPlanCache needs a directory path");
   EMM_REQUIRE(maxBytes_ > 0, "DiskPlanCache byte cap must be positive");
   std::error_code ec;
@@ -195,12 +191,7 @@ DiskPlanCache::DiskPlanCache(std::string dir, i64 maxBytes)
       continue;
     }
     std::error_code sec;
-    const i64 size = isRecord(de.path()) ? static_cast<i64>(de.file_size(sec)) : -1;
-    if (size < 0 || sec) continue;
-    if (size == 0)
-      removeQuietly(de.path());
-    else
-      knownBytes_ += size;
+    if (isRecord(de.path()) && de.file_size(sec) == 0 && !sec) removeQuietly(de.path());
   }
 }
 
@@ -210,9 +201,9 @@ std::string DiskPlanCache::familyFileName(const FamilyKey& key) {
   return fileName(key, kFamilyKind);
 }
 
-template <class Key, class Decode>
-auto DiskPlanCache::load(const Kind& kind, Counters& counters, const Key& key, u64 blockDigest,
-                         u64 optionsDigest, Decode decode) {
+template <class Key, class Digests, class Decode>
+auto DiskPlanCache::load(const Kind& kind, Counters& counters, const Key& key, Digests digests,
+                         Decode decode) {
   using Value = decltype(decode(std::string_view()));
   const fs::path path = fs::path(dir_) / fileName(key, kind);
   std::string file;
@@ -220,6 +211,7 @@ auto DiskPlanCache::load(const Kind& kind, Counters& counters, const Key& key, u
     counters.misses.fetch_add(1, std::memory_order_relaxed);
     return std::optional<Value>();
   }
+  const auto [blockDigest, optionsDigest] = digests();
   std::string_view payload;
   Reject verdict =
       validateAndExtract(file, kind.magic, key, blockDigest, optionsDigest, payload);
@@ -244,7 +236,7 @@ template <class Key>
 void DiskPlanCache::store(const Kind& kind, Counters& counters, const Key& key, u64 blockDigest,
                           u64 optionsDigest, const std::string& payload) {
   const fs::path path = fs::path(dir_) / fileName(key, kind);
-  if (!writeAtomically(dir_, path, kind.magic, key, blockDigest, optionsDigest, payload)) return;
+  if (!writeAtomically(path, kind.magic, key, blockDigest, optionsDigest, payload)) return;
   counters.insertions.fetch_add(1, std::memory_order_relaxed);
   // Only the eviction scan serializes; a concurrent stats() or lookup()
   // proceeds untouched. The scan runs only when the bytes this instance
@@ -256,7 +248,8 @@ void DiskPlanCache::store(const Kind& kind, Counters& counters, const Key& key, 
 
 std::optional<CompileResult> DiskPlanCache::lookup(const PlanKey& key, const ProgramBlock& block,
                                                    const CompileOptions& options) {
-  return load(kPlanKind, plans_, key, digestProgramBlock(block), digestCompileOptions(options),
+  return load(kPlanKind, plans_, key,
+              [&] { return std::pair(digestProgramBlock(block), digestCompileOptions(options)); },
               [](std::string_view payload) {
                 CompileResult result = deserializeCompileResult(payload);
                 result.diskHit = true;
@@ -276,7 +269,8 @@ std::shared_ptr<const FamilyPlan> DiskPlanCache::lookupFamily(const FamilyKey& k
                                                               u64 optionsDigest) {
   // Collision guards digest the CANONICAL family forms, so every member of
   // the family derives the same digests and foreign records are misses.
-  return load(kFamilyKind, families_, key, blockDigest, optionsDigest, deserializeFamilyPlan)
+  return load(kFamilyKind, families_, key, [&] { return std::pair(blockDigest, optionsDigest); },
+              deserializeFamilyPlan)
       .value_or(nullptr);
 }
 

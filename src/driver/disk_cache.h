@@ -34,9 +34,8 @@
 // record. Eviction is LRU by file modification time (hits of either kind
 // re-touch their record) under one byte cap over both kinds. A store scans
 // the directory only when the bytes this instance knows of (the total at
-// open or at its last scan, plus its own stores since) pass the cap, so
-// records another process wrote meanwhile count from this instance's next
-// scan on.
+// its last scan, plus its own stores since) pass the cap, so records
+// another process wrote meanwhile count from this instance's next scan on.
 //
 // Thread-safe; one instance may be shared by every Compiler in the process
 // (and the directory may be shared by many processes — rename keeps
@@ -161,12 +160,13 @@ private:
   };
 
   /// The one read path: reads the record of `key`, validates its envelope
-  /// against the key and the collision digests, decodes the payload with
-  /// `decode`, refreshes the LRU stamp and counts. Unlinks structurally
-  /// broken records; never throws.
-  template <class Key, class Decode>
-  auto load(const Kind& kind, Counters& counters, const Key& key, u64 blockDigest,
-            u64 optionsDigest, Decode decode);
+  /// against the key and the collision digests `digests()` yields (asked
+  /// for only when a file exists), decodes the payload with `decode`,
+  /// refreshes the LRU stamp and counts. Unlinks structurally broken
+  /// records; never throws.
+  template <class Key, class Digests, class Decode>
+  auto load(const Kind& kind, Counters& counters, const Key& key, Digests digests,
+            Decode decode);
   /// The one write path: writes the envelope with write-then-rename,
   /// counts, and enforces the byte cap.
   template <class Key>
@@ -183,11 +183,11 @@ private:
   /// file-level atomicity comes from write-temp-then-rename.
   mutable std::mutex evictMutex_;
   /// The record bytes this instance knows the directory holds: its total
-  /// at open or at the last eviction scan, plus this instance's own stores
-  /// since. It never under-counts what this instance wrote, so while it is
-  /// within the cap a scan would evict nothing and store() skips it.
-  /// Guarded by evictMutex_.
-  i64 knownBytes_ = 0;
+  /// at the last eviction scan plus this instance's own stores since
+  /// (starting at the cap, so the first store scans). It never under-counts
+  /// what this instance wrote, so while it is within the cap a scan would
+  /// evict nothing and store() skips it. Guarded by evictMutex_.
+  i64 knownBytes_;
   Counters plans_;
   Counters families_;
   std::atomic<i64> evictions_{0};  ///< records of either kind
