@@ -91,9 +91,8 @@ template <class Key>
 Reject validateAndExtract(const std::string& file, const char* magic, const Key& key,
                           u64 blockDigest, u64 optionsDigest, std::string_view& payloadOut) {
   if (file.size() < kHeaderBytes) return Reject::Structural;
-  if (std::memcmp(file.data(), magic, sizeof(DiskPlanCache::Kind::magic)) != 0)
-    return Reject::Structural;
   const size_t magicBytes = sizeof(DiskPlanCache::Kind::magic);
+  if (std::memcmp(file.data(), magic, magicBytes) != 0) return Reject::Structural;
   ByteReader r(std::string_view(file).substr(magicBytes));
   try {
     if (r.u32v() != kPlanFormatVersion) return Reject::Structural;
