@@ -105,8 +105,9 @@ int main(int argc, char** argv) {
   require(seed.ok && !seed.familyHit, "seed compile must be the family's cold run");
 
   // Fidelity: each check size binds the family record byte-identically to
-  // its isolated per-size compile (untimed; a repeat size would ride the
-  // result tier, so the timed sweep below uses fresh sizes only).
+  // its isolated per-size compile (untimed; a repeated size binds again,
+  // since no tier stores a bind, but the timed sweep below still uses
+  // fresh sizes only).
   for (size_t i = 0; i < checkNis.size(); ++i) {
     CompileResult r = compileMe(checkNis[i], nj, w, &cache);
     require(r.ok && r.familyHit && r.artifactBound, "check size must bind the family record");
@@ -115,9 +116,9 @@ int main(int argc, char** argv) {
   }
 
   // Warm path: every op binds a NEVER-SEEN size against the warmed family
-  // (a repeated size would be a result-tier hit, not a bind). The stride
-  // keeps the sweep inside the envelope where the record's tile choice stays
-  // the argmin, and off the check sizes and the seed.
+  // (a repeated size binds the same way; fresh sizes rule out any replay).
+  // The stride keeps the sweep inside the envelope where the record's tile
+  // choice stays the argmin, and off the check sizes and the seed.
   RunResult bind = timeSweep(bindOps, minTime, [&](size_t i) {
     CompileResult r = compileMe(1536 + 1024 * static_cast<i64>(i), nj, w, &cache);
     require(r.ok && r.familyHit && r.artifactBound, "warm size must bind the family record");

@@ -236,12 +236,13 @@ CompileResult Compiler::compile() {
   if ((cache_ != nullptr || diskPlanCache() != nullptr) && replacements_.empty()) {
     PlanKey key = planKeyFor(*source_, effectiveOptions(), skipped_);
     // Single-flight: concurrent misses on the same key collapse to one
-    // compute (disk lookup or pipeline run); followers receive the
+    // compute (disk lookup, bind or pipeline run); followers receive the
     // leader's result as a cache hit. A disk hit returned by the leader is
-    // an ok result, so getOrCompute promotes it into the memory tier. The
-    // cache is sharded by key fingerprint with a lock-free snapshot warm
-    // path, so concurrent compiles of DIFFERENT keys never serialize here
-    // — the single-flight latch is per key on the key's own shard.
+    // an ok result, so getOrCompute promotes it into the memory tier; a
+    // bind is returned but stored in neither tier. The cache is sharded by
+    // key fingerprint with a lock-free snapshot warm path, so concurrent
+    // compiles of DIFFERENT keys never serialize here — the single-flight
+    // latch is per key on the key's own shard.
     if (cache_ != nullptr)
       return cache_->getOrCompute(key, [this, &key] { return computeWithDiskTier(key); });
     return computeWithDiskTier(key);
@@ -268,11 +269,13 @@ CompileResult Compiler::computeWithDiskTier(const PlanKey& key) {
     if (family != nullptr && cache_ != nullptr) cache_->insertFamily(fam.key, fam.digest(), family);
   }
   // Binder fast path: a size-generic family record serves this size with
-  // no pipeline run and no emission. The per-size disk entry is skipped on
-  // purpose — the family record already covers every in-envelope size, so
-  // writing one .emmplan per size would just duplicate it. The family key
-  // deliberately ignores a skipped codegen pass, so an artifact-less
-  // request must not be answered with the record's artifact.
+  // no pipeline run and no emission. Neither per-size tier stores the
+  // bound result: the family record already covers every in-envelope size,
+  // so one .emmplan or one memory entry per size would just duplicate it
+  // (the return below skips the disk insert, and the memory tier's store
+  // rule keeps binds out). The family key deliberately ignores a skipped
+  // codegen pass, so an artifact-less request must not be answered with
+  // the record's artifact.
   const bool codegenSkipped =
       std::find(skipped_.begin(), skipped_.end(), "codegen") != skipped_.end();
   std::vector<Diagnostic> bindDiags;

@@ -48,12 +48,18 @@ size_t resolveShardCount(size_t requested, size_t capacity) {
   return std::max<size_t>(1, n);
 }
 
-/// Settles the derived answers of a plan about to become a result-tier
-/// snapshot, so every hit's clone inherits them (see settleDerivedAnswers).
-/// A binder result is a clone of an already-settled family record that the
-/// bind touched no polyhedron of, so it is skipped.
-void settleForSnapshot(const CompileResult& result) {
-  if (!result.artifactBound) settleDerivedAnswers(result);
+/// The result tier's one store rule, shared by insert() and the
+/// getOrCompute() leader: a pipeline or disk-loaded result is stored, a
+/// failed result never is, and neither is a bind (artifactBound). A bind
+/// is answered from its family, which the family tier keeps warm, and
+/// redoing it costs less than storing a clone of it per size. Returns the
+/// snapshot to store, or null when the rule keeps `result` out. The
+/// derived answers are settled on `result` before the clone, so the
+/// caller's copy and every hit's clone inherit them.
+std::shared_ptr<const CompileResult> snapshotToStore(const CompileResult& result) {
+  if (!result.ok || result.artifactBound) return nullptr;
+  settleDerivedAnswers(result);
+  return std::make_shared<const CompileResult>(result.clone());
 }
 
 /// Clones `entry` into an independently owned hit result. Called outside
@@ -68,7 +74,9 @@ CompileResult cloneHit(const CompileResult& entry) {
 }
 
 /// Per-key latch for in-flight computations. `done` flips under the
-/// owning shard's mutex; `result` is null when the leader failed.
+/// owning shard's mutex; `result` is the leader's stored snapshot, or null
+/// when the store rule kept the leader's result out (it failed, or it was
+/// a bind) and there is nothing to share.
 struct InFlight {
   bool done = false;
   std::shared_ptr<const CompileResult> result;
@@ -223,7 +231,7 @@ struct PlanCache::Shard {
     results.publishLocked();
   }
 
-  /// Publishes the leader's outcome, stores it when non-null, erases the
+  /// Publishes the leader's snapshot, stores it when non-null, erases the
   /// in-flight entry and wakes the followers.
   void finishFlight(const PlanKey& key, const std::shared_ptr<InFlight>& flight,
                     std::shared_ptr<const CompileResult> snapshot) {
@@ -269,8 +277,8 @@ std::optional<CompileResult> PlanCache::lookup(const PlanKey& key) {
 }
 
 void PlanCache::insert(const PlanKey& key, const CompileResult& result) {
-  settleForSnapshot(result);
-  auto snapshot = std::make_shared<const CompileResult>(result.clone());
+  std::shared_ptr<const CompileResult> snapshot = snapshotToStore(result);
+  if (snapshot == nullptr) return;
   Shard& shard = shardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   shard.storeResultLocked(key, std::move(snapshot));
@@ -306,7 +314,9 @@ CompileResult PlanCache::getOrCompute(const PlanKey& key,
         lock.unlock();
         return cloneHit(*entry);
       }
-      // The leader failed; loop to retry (and maybe become the next leader).
+      // No shared result: the leader failed or bound. Loop to retry; the
+      // next caller to lead computes for itself, which for a bind is one
+      // more bind against the warm family, not a pipeline run.
     }
     shard.results.misses.fetch_add(1, std::memory_order_relaxed);
     flight = std::make_shared<InFlight>();
@@ -319,13 +329,7 @@ CompileResult PlanCache::getOrCompute(const PlanKey& key,
     shard.finishFlight(key, flight, nullptr);
     throw;
   }
-  std::shared_ptr<const CompileResult> snapshot;
-  if (result.ok) {
-    // Settled before the clone, so the caller's copy carries the answers too.
-    settleForSnapshot(result);
-    snapshot = std::make_shared<const CompileResult>(result.clone());
-  }
-  shard.finishFlight(key, flight, std::move(snapshot));
+  shard.finishFlight(key, flight, snapshotToStore(result));
   return result;
 }
 

@@ -5,16 +5,23 @@
 // PlanCache keys a finished CompileResult on the structural fingerprint of
 // the source block plus the canonical hash of the option set (plus the
 // skipped-pass set), and hands out deep, independently owned copies, so a
-// warm compile costs one clone instead of the full pipeline.
+// repeated compile costs one clone instead of the full pipeline.
 //
 // What is cached: the complete, re-emittable plan products — the rendered
 // artifact, the tiled kernel / scratchpad unit IR, the data plan, the
 // tile-search outcome, the diagnostics, and the per-pass timings of the
 // producing run (a hit's timings describe how the plan was originally
-// built; CompileResult::cacheHit tells the two apart). Only `ok` results
-// are inserted. Pipelines with replaced passes are never cached (arbitrary
-// code cannot be fingerprinted); Compiler::compile() skips the cache for
-// them.
+// built; CompileResult::cacheHit tells the two apart). Pipelines with
+// replaced passes are never cached (arbitrary code cannot be
+// fingerprinted); Compiler::compile() skips the cache for them.
+//
+// What is stored: `ok` pipeline results and disk-loaded results, never a
+// failure and never a bind. A size the runtime binder serves from a warm
+// family (CompileResult::artifactBound) is returned to its caller and not
+// stored: the family tier already covers every in-envelope size, and
+// re-binding a repeated size costs less than storing, publishing and
+// evicting a clone per size. The daemon's fast path and the disk tier
+// follow the same rule.
 //
 // Sharding: at daemon traffic levels a single cache mutex, not the
 // pipeline, is the throughput ceiling — every warm hit serializes on it.
@@ -68,9 +75,12 @@
 // to ONE pipeline run. The first caller becomes the leader and computes;
 // followers block on a per-key in-flight latch and receive the leader's
 // result as a cache hit, so a batch of identical kernels performs exactly
-// one compile no matter how many workers race. The latch, like everything
-// keyed, lives on the key's shard: a leader failure wakes exactly the
-// followers parked on that shard's condition variable.
+// one compile no matter how many workers race. A leader whose result is
+// not stored (a failure, or a bind) has nothing to share: its followers
+// retry and the next one leads, so after a bind each follower binds for
+// itself against the warm family and no pipeline runs. The latch, like
+// everything keyed, lives on the key's shard: a finished leader wakes
+// exactly the followers parked on that shard's condition variable.
 #pragma once
 
 #include <functional>
@@ -131,11 +141,11 @@ public:
     }
   };
 
-  /// `capacity` = max entries before insertion-order eviction (>= 1),
-  /// split across the shards. `shards` = 0 picks the next power of two of
-  /// the hardware concurrency (clamped so each shard owns capacity);
-  /// `shards` = 1 is the exact single-mutex behavior of the pre-sharded
-  /// cache. Non-power-of-two counts are rounded up.
+  /// `capacity` = max entries per tier before per-shard least-recently-used
+  /// eviction (>= 1), split across the shards. `shards` = 0 picks the next
+  /// power of two of the hardware concurrency (clamped so each shard owns
+  /// capacity); `shards` = 1 is the exact single-mutex behavior of the
+  /// pre-sharded cache. Non-power-of-two counts are rounded up.
   explicit PlanCache(size_t capacity = 1024, size_t shards = 0);
   ~PlanCache();
 
@@ -153,17 +163,20 @@ public:
 
   /// Stores a snapshot of `result` under `key`, overwriting any previous
   /// entry and evicting the shard's least recently used entry when over
-  /// its capacity. Both a fresh insert and an overwrite count as a use.
+  /// its capacity. Both a fresh insert and an overwrite count as a use. A
+  /// failed result or a bind (artifactBound) is not stored.
   void insert(const PlanKey& key, const CompileResult& result);
 
   /// Single-flight lookup-or-compute. Returns a cached result (hit), or —
   /// when another caller is already computing this key — waits on its
   /// in-flight latch and returns that result as a hit. Otherwise the caller
   /// becomes the leader: exactly one miss is counted, `compute` runs
-  /// without any lock held, and an `ok` result is stored for followers and
-  /// future lookups. A failed leader (result not ok, or compute throws)
+  /// without any lock held, and a result the store rule keeps (ok, not a
+  /// bind) is stored for followers and future lookups. A leader with
+  /// nothing stored (its result failed or was a bind, or compute threw)
   /// releases the key and wakes the followers, which retry — the next one
-  /// becomes leader — so failures are never served from the cache.
+  /// becomes leader — so failures are never served from the cache and each
+  /// bound request counts one miss and binds for itself.
   CompileResult getOrCompute(const PlanKey& key, const std::function<CompileResult()>& compute);
 
   // ---- family tier (size-generic kernel-family plans) ------------------

@@ -24,10 +24,11 @@
 // The whole bind is table evaluation plus one record clone, with no
 // polyhedral work: binder.bind.us is about 114 us (median of two traced
 // bench_suite daemon-warm runs on a loaded 4-core box). A whole warm
-// compile() through the family tier costs about 320 us against 53 ms for
-// bind-and-emit on that box (bench/svc_family_bind.cpp --quick, which
-// gates the ratio at 10x). That is what turns the daemon's family hit
-// path into a lookup.
+// compile() through the family tier, which stores no per-size copy of the
+// bind, costs about 280 us p50 against 42-57 ms for bind-and-emit (median
+// of six bench/svc_family_bind.cpp --quick runs on a shared, loaded 4-core
+// box; the bench gates the ratio at 10x). That is what turns the daemon's
+// family hit path into a lookup.
 #pragma once
 
 #include <optional>

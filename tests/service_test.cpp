@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <thread>
 
+#include "driver/backend.h"
 #include "driver/compiler.h"
 #include "driver/plan_cache.h"
 #include "ir/interp.h"
@@ -243,6 +245,14 @@ Compiler cachedMeCompiler(PlanCache* cache, const std::string& backend = "c") {
   return c;
 }
 
+/// The ME family of the Figure-4 sweep at (ni, 1024, 16): the sizes the
+/// tests below use share one tile argmin, so a warm family binds each one.
+Compiler meFamilyCompiler(i64 ni, PlanCache* cache) {
+  Compiler c(buildMeBlock(ni, 1024, 16));
+  c.parameters({ni, 1024, 16}).memoryLimitBytes(16 * 1024).backend("cuda").cache(cache);
+  return c;
+}
+
 TEST(PlanCacheTest, WarmHitIsByteIdenticalAcrossBackends) {
   for (const std::string& backend : {"c", "cuda", "cell"}) {
     PlanCache cache;
@@ -376,6 +386,33 @@ TEST(PlanCacheTest, CapacityEvictsOldestEntries) {
   EXPECT_TRUE(compiler.parameters({24, 24, 24}).compile(buildMatmulBlock(24, 24, 24)).cacheHit);
 }
 
+TEST(PlanCacheTest, FamilySweepKeepsPipelineResultsCached) {
+  // A sweep over a warm family binds every size and stores none of them,
+  // so even a 4-entry cache evicts nothing: the matmul result built before
+  // the sweep is still a hit after eight fresh sizes.
+  PlanCache cache(4, 1);
+  Compiler matmul(buildMatmulBlock(32, 32, 32));
+  matmul.parameters({32, 32, 32}).memoryLimitBytes(8 * 1024).cache(&cache);
+  ASSERT_TRUE(matmul.compile().ok);
+  CompileResult seed = meFamilyCompiler(512, &cache).compile();
+  ASSERT_TRUE(seed.ok && !seed.familyHit) << seed.firstError();
+  std::vector<CompileResult> bound;
+  for (i64 i = 0; i < 8; ++i) {
+    bound.push_back(meFamilyCompiler(1536 + 1024 * i, &cache).compile());
+    ASSERT_TRUE(bound.back().ok && bound.back().artifactBound) << "sweep member " << i;
+  }
+  EXPECT_TRUE(matmul.compile().cacheHit);
+  PlanCache::Stats s = cache.stats();
+  EXPECT_EQ(s.evictions, 0);
+  EXPECT_EQ(s.entries, 2);  // the two cold results
+  // A repeated size binds again rather than replaying a stored copy.
+  CompileResult repeat = meFamilyCompiler(1536, &cache).compile();
+  EXPECT_TRUE(repeat.familyHit);
+  EXPECT_FALSE(repeat.cacheHit);
+  EXPECT_EQ(repeat.artifact, bound[0].artifact);
+  EXPECT_EQ(repeat.boundArgs, bound[0].boundArgs);
+}
+
 TEST(CellBackendTest, SelectionByNameForcesStaging) {
   // delta(0.99) makes Figure 1's constant-reuse partitions fail Algorithm
   // 1, so a partition only gets a buffer here if the backend forces
@@ -444,6 +481,33 @@ TEST(CompileAsyncTest, SnapshotsTheConfiguration) {
   CompileResult r = f.get();
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.artifact.find("mutated_after_submit"), std::string::npos);
+}
+
+TEST(CompileAsyncTest, ConcurrentBindsOfOneSizeRunNoPipeline) {
+  // Eight concurrent requests for one never-seen size of a warm family.
+  // The leader's bind is not stored, so each follower binds for itself:
+  // no pipeline runs, nothing is stored, and every request counts one
+  // result-tier miss and one family hit.
+  PlanCache cache;
+  ASSERT_TRUE(meFamilyCompiler(512, &cache).compile().ok);
+  const PlanCache::Stats before = cache.stats();
+  const std::uint64_t emitsBefore = emitterInvocations();
+  Compiler compiler = meFamilyCompiler(2560, &cache);
+  compiler.jobs(4);
+  std::vector<std::future<CompileResult>> futures;
+  for (int i = 0; i < 8; ++i) futures.push_back(compiler.compileAsync());
+  std::vector<CompileResult> results;
+  for (std::future<CompileResult>& f : futures) results.push_back(f.get());
+  for (const CompileResult& r : results) {
+    ASSERT_TRUE(r.ok && r.artifactBound) << r.firstError();
+    EXPECT_EQ(r.artifact, results[0].artifact);
+    EXPECT_EQ(r.boundArgs, results[0].boundArgs);
+  }
+  EXPECT_EQ(emitterInvocations(), emitsBefore);
+  const PlanCache::Stats after = cache.stats();
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_EQ(after.misses - before.misses, 8);
+  EXPECT_EQ(after.familyHits - before.familyHits, 8);
 }
 
 TEST(CompileBatchTest, PreservesInputOrder) {
