@@ -76,9 +76,10 @@ CompileResult cloneHit(const CompileResult& entry) {
 /// Per-key latch for in-flight computations. `done` flips under the
 /// owning shard's mutex; `result` is the leader's stored snapshot, or null
 /// when the store rule kept the leader's result out (it failed, or it was
-/// a bind) and there is nothing to share.
+/// a bind) and there is nothing to share. `bound` marks the bind case.
 struct InFlight {
   bool done = false;
+  bool bound = false;
   std::shared_ptr<const CompileResult> result;
 };
 
@@ -234,10 +235,11 @@ struct PlanCache::Shard {
   /// Publishes the leader's snapshot, stores it when non-null, erases the
   /// in-flight entry and wakes the followers.
   void finishFlight(const PlanKey& key, const std::shared_ptr<InFlight>& flight,
-                    std::shared_ptr<const CompileResult> snapshot) {
+                    std::shared_ptr<const CompileResult> snapshot, bool bound) {
     std::lock_guard<std::mutex> lock(mutex);
     if (snapshot != nullptr) storeResultLocked(key, snapshot);
     flight->result = std::move(snapshot);
+    flight->bound = bound;
     flight->done = true;
     inflight.erase(key);
     flightDone.notify_all();
@@ -295,6 +297,7 @@ CompileResult PlanCache::getOrCompute(const PlanKey& key,
     return cloneHit(**entry);
   }
   std::shared_ptr<InFlight> flight;
+  bool lead = true;
   {
     std::unique_lock<std::mutex> lock(shard.mutex);
     while (true) {
@@ -314,22 +317,33 @@ CompileResult PlanCache::getOrCompute(const PlanKey& key,
         lock.unlock();
         return cloneHit(*entry);
       }
-      // No shared result: the leader failed or bound. Loop to retry; the
-      // next caller to lead computes for itself, which for a bind is one
-      // more bind against the warm family, not a pipeline run.
+      // The leader bound: there is nothing to share, and the woken
+      // followers bind for themselves at once, in parallel — parking behind
+      // a next leader would run N concurrent binds one after another.
+      if (waitFor->bound) {
+        lead = false;
+        break;
+      }
+      // The leader failed. Loop to retry: the next caller to lead
+      // recomputes, and a stored result reaches the rest as hits.
     }
     shard.results.misses.fetch_add(1, std::memory_order_relaxed);
-    flight = std::make_shared<InFlight>();
-    shard.inflight.emplace(key, flight);
+    if (lead) {
+      flight = std::make_shared<InFlight>();
+      shard.inflight.emplace(key, flight);
+    }
   }
   CompileResult result;
   try {
     result = compute();
   } catch (...) {
-    shard.finishFlight(key, flight, nullptr);
+    if (lead) shard.finishFlight(key, flight, nullptr, false);
     throw;
   }
-  shard.finishFlight(key, flight, snapshotToStore(result));
+  if (lead)
+    shard.finishFlight(key, flight, snapshotToStore(result), result.ok && result.artifactBound);
+  else
+    insert(key, result);
   return result;
 }
 

@@ -76,9 +76,10 @@
 // followers block on a per-key in-flight latch and receive the leader's
 // result as a cache hit, so a batch of identical kernels performs exactly
 // one compile no matter how many workers race. A leader whose result is
-// not stored (a failure, or a bind) has nothing to share: its followers
-// retry and the next one leads, so after a bind each follower binds for
-// itself against the warm family and no pipeline runs. The latch, like
+// not stored has nothing to share. After a failure the followers retry
+// and the next one leads; after a bind each woken follower binds for
+// itself at once, in parallel, against the warm family, and no pipeline
+// runs. The latch, like
 // everything keyed, lives on the key's shard: a finished leader wakes
 // exactly the followers parked on that shard's condition variable.
 #pragma once
@@ -174,9 +175,11 @@ public:
   /// without any lock held, and a result the store rule keeps (ok, not a
   /// bind) is stored for followers and future lookups. A leader with
   /// nothing stored (its result failed or was a bind, or compute threw)
-  /// releases the key and wakes the followers, which retry — the next one
-  /// becomes leader — so failures are never served from the cache and each
-  /// bound request counts one miss and binds for itself.
+  /// releases the key and wakes the followers. After a failure they retry
+  /// and the next one becomes leader, so failures are never served from
+  /// the cache; after a bind each computes for itself at once, unled and
+  /// in parallel, so each bound request counts one miss and binds for
+  /// itself.
   CompileResult getOrCompute(const PlanKey& key, const std::function<CompileResult()>& compute);
 
   // ---- family tier (size-generic kernel-family plans) ------------------

@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <functional>
 #include <future>
+#include <mutex>
 #include <thread>
 
 #include "driver/backend.h"
@@ -508,6 +512,60 @@ TEST(CompileAsyncTest, ConcurrentBindsOfOneSizeRunNoPipeline) {
   EXPECT_EQ(after.entries, before.entries);
   EXPECT_EQ(after.misses - before.misses, 8);
   EXPECT_EQ(after.familyHits - before.familyHits, 8);
+}
+
+TEST(CompileAsyncTest, BindFollowersComputeInParallel) {
+  // One leader and seven followers ask for one key. The leader's result is
+  // a bind, which the store rule keeps out, so there is nothing to share:
+  // the woken followers must bind for themselves at once, in parallel.
+  // Their computes meet at a seven-party barrier, which times out when
+  // they run one after another.
+  constexpr int kFollowers = 7;
+  PlanCache cache;
+  const PlanKey key{1, 2, 3};
+  std::atomic<int> entered{0};
+  std::atomic<int> computes{0};
+  std::mutex m;
+  std::condition_variable cv;
+  int arrived = 0;
+  bool timedOut = false;
+  const auto bind = [] {
+    CompileResult r;
+    r.ok = true;
+    r.familyHit = true;
+    r.artifactBound = true;
+    return r;
+  };
+  const std::function<CompileResult()> compute = [&] {
+    if (computes.fetch_add(1) == 0) {
+      // The leader: give every follower time to park on its latch.
+      while (entered.load() < kFollowers + 1) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      return bind();
+    }
+    std::unique_lock<std::mutex> lock(m);
+    ++arrived;
+    cv.notify_all();
+    if (!cv.wait_for(lock, std::chrono::seconds(5),
+                     [&] { return arrived == kFollowers || timedOut; }))
+      timedOut = true;
+    cv.notify_all();
+    return bind();
+  };
+  std::vector<std::thread> threads;
+  for (int i = 0; i <= kFollowers; ++i)
+    threads.emplace_back([&] {
+      entered.fetch_add(1);
+      CompileResult r = cache.getOrCompute(key, compute);
+      EXPECT_TRUE(r.ok && r.artifactBound && !r.cacheHit);
+    });
+  for (std::thread& t : threads) t.join();
+  EXPECT_FALSE(timedOut) << "the followers bound one after another";
+  EXPECT_EQ(computes.load(), kFollowers + 1);
+  const PlanCache::Stats s = cache.stats();
+  EXPECT_EQ(s.misses, kFollowers + 1);  // one per request, none per retry
+  EXPECT_EQ(s.hits, 0);
+  EXPECT_EQ(s.entries, 0);
 }
 
 TEST(CompileBatchTest, PreservesInputOrder) {
