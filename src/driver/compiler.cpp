@@ -280,9 +280,8 @@ CompileResult Compiler::computeWithDiskTier(const PlanKey& key) {
       std::find(skipped_.begin(), skipped_.end(), "codegen") != skipped_.end();
   std::vector<Diagnostic> bindDiags;
   if (family != nullptr && family->haveRecord && source_.has_value() && !codegenSkipped) {
-    if (std::optional<CompileResult> bound =
-            bindFamilyArtifact(*family, *source_, opts, &bindDiags))
-      return std::move(*bound);
+    if (std::optional<BindOverlay> overlay = certifyBind(*family, *source_, opts, &bindDiags))
+      return materializeBind(*family->record, std::move(*overlay));
   }
   std::shared_ptr<FamilyPlan> produced;
   CompileResult result = runPipeline(family, &produced);
@@ -305,7 +304,7 @@ CompileResult Compiler::computeWithDiskTier(const PlanKey& key) {
   return result;
 }
 
-std::optional<CompileResult> Compiler::tryBindFamily(const ProgramBlock& block) {
+std::optional<FamilyBind> Compiler::tryCertifyFamily(const ProgramBlock& block) {
   if (cache_ == nullptr || !replacements_.empty()) return std::nullopt;
   if (std::find(skipped_.begin(), skipped_.end(), "codegen") != skipped_.end())
     return std::nullopt;
@@ -313,7 +312,15 @@ std::optional<CompileResult> Compiler::tryBindFamily(const ProgramBlock& block) 
   const FamilyIdentity fam = familyIdentity(block, opts, skipped_);
   std::shared_ptr<const FamilyPlan> family = cache_->lookupFamily(fam.key, fam.digest());
   if (family == nullptr || !family->haveRecord) return std::nullopt;
-  return bindFamilyArtifact(*family, block, opts, nullptr);
+  std::optional<BindOverlay> overlay = certifyBind(*family, block, opts, nullptr);
+  if (!overlay) return std::nullopt;
+  return FamilyBind{family->record, std::move(*overlay)};
+}
+
+std::optional<CompileResult> Compiler::tryBindFamily(const ProgramBlock& block) {
+  std::optional<FamilyBind> bind = tryCertifyFamily(block);
+  if (!bind) return std::nullopt;
+  return materializeBind(*bind->record, std::move(bind->overlay));
 }
 
 CompileResult Compiler::runPipeline(std::shared_ptr<const FamilyPlan> familyIn,

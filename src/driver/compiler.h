@@ -112,6 +112,38 @@ struct CompileResult : PipelineProducts {
   }
 };
 
+/// Everything a family bind writes into the record's copy
+/// (driver/runtime_binder.h): certifyBind computes it without touching the
+/// record, applyBindOverlay patches a copy with it. The daemon ships it in
+/// place of the bound result once the connection holds the record
+/// (service/protocol.h, BoundReply).
+struct BindOverlay {
+  /// This size's plan-only re-search; set when the record made a tile choice.
+  std::optional<TileSearchResult> search;
+  /// The request's array table, swapped in wherever a block rides along.
+  std::vector<ArrayDecl> arrays;
+  /// Runtime kernel arguments in signature order (CompileResult::boundArgs).
+  std::vector<std::pair<std::string, i64>> boundArgs;
+  Diagnostic diagnostic;  ///< the one "family record bound at size" note
+  PassTiming timing;      ///< the one `bind` timing
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagBindOverlay, "BindOverlay");
+    v("search", &BindOverlay::search);
+    v("arrays", &BindOverlay::arrays);
+    v.skip("boundArgs", "transport: not on the wire, as in CompileResult");
+    v("diagnostic", &BindOverlay::diagnostic);
+    v("timing", &BindOverlay::timing);
+  }
+};
+
+/// A certified family bind: the family's immutable record plus the overlay
+/// that turns a copy of it into the bound result.
+struct FamilyBind {
+  std::shared_ptr<const CompileResult> record;
+  BindOverlay overlay;
+};
+
 /// Builder-style façade over the pass pipeline. Reusable: compile() may be
 /// called repeatedly (e.g. with different options between calls).
 class Compiler {
@@ -229,11 +261,14 @@ public:
 
   /// Family fast path for services: resolves the block's family in the
   /// ATTACHED MEMORY cache only (lock-free snapshot read) and, when the
-  /// family carries a size-generic record, serves the request via
+  /// family carries a size-generic record, certifies the bind via
   /// RuntimeBinder — guard check plus argument fill, no pipeline run, no
-  /// emission, no disk I/O. Returns nullopt on any miss or guard
-  /// rejection; the caller then dispatches a full compile. Cheap enough to
-  /// run on a connection thread ahead of the compile pool.
+  /// emission, no disk I/O, and no copy of the record. Returns the record
+  /// and its overlay, or nullopt on any miss or guard rejection; the
+  /// caller then dispatches a full compile. Cheap enough to run on a
+  /// connection thread ahead of the compile pool.
+  std::optional<FamilyBind> tryCertifyFamily(const ProgramBlock& block);
+  /// tryCertifyFamily, materialized into the bound result.
   std::optional<CompileResult> tryBindFamily(const ProgramBlock& block);
 
 private:

@@ -87,7 +87,7 @@ struct FamilyPlan {
   /// Size-generic compiled record: the full products of the member that
   /// built the family, stored when its artifact came out size-generic
   /// (ArtifactInfo::sizeGeneric). Further members are then served by
-  /// RuntimeBinder::bindFamilyArtifact — guard validation plus an argument
+  /// RuntimeBinder::certifyBind — guard validation plus an argument
   /// fill against this ONE artifact, no pipeline run, no re-emission.
   bool haveRecord = false;
   /// Options the record was emitted under. The family key neutralizes the

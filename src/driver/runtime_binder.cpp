@@ -14,16 +14,14 @@ void explain(std::vector<Diagnostic>* diags, const std::string& message) {
   if (diags != nullptr) diags->push_back({Severity::Note, "bind", message});
 }
 
-/// Same array table modulo extents: the record's blocks can adopt the
-/// request's arrays by plain assignment.
+}  // namespace
+
 bool sameArrayShape(const std::vector<ArrayDecl>& a, const std::vector<ArrayDecl>& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i)
     if (a[i].name != b[i].name || a[i].extents.size() != b[i].extents.size()) return false;
   return true;
 }
-
-}  // namespace
 
 void attachFamilyRecord(FamilyPlan& family, const CompileResult& result,
                         const CompileOptions& options) {
@@ -32,16 +30,15 @@ void attachFamilyRecord(FamilyPlan& family, const CompileResult& result,
   if (result.artifact.empty() || result.unit() == nullptr) return;
   family.recordOptions = options;
   family.record = std::make_shared<CompileResult>(result.clone());
-  // Every bind clones the record and the daemon encodes each clone; settle
-  // the derived answers once so no clone re-derives them.
+  // Binds copy the record and the daemon encodes it once per connection;
+  // settle the derived answers once so no copy re-derives them.
   settleDerivedAnswers(*family.record);
   family.haveRecord = true;
 }
 
-std::optional<CompileResult> bindFamilyArtifact(const FamilyPlan& family,
-                                                const ProgramBlock& request,
-                                                const CompileOptions& options,
-                                                std::vector<Diagnostic>* diagnostics) {
+std::optional<BindOverlay> certifyBind(const FamilyPlan& family, const ProgramBlock& request,
+                                       const CompileOptions& options,
+                                       std::vector<Diagnostic>* diagnostics) {
   const auto start = std::chrono::steady_clock::now();
   if (!family.haveRecord || family.record == nullptr) return std::nullopt;
   const CompileResult& rec = *family.record;
@@ -155,11 +152,10 @@ std::optional<CompileResult> bindFamilyArtifact(const FamilyPlan& family,
     }
   }
 
-  // 4. Argument fill + product swap: the request's concrete array extents
-  // replace the record's everywhere a block rides along, so interpreters
-  // and stride consumers see this member's geometry.
-  CompileResult out = rec.clone();
-  std::vector<std::pair<std::string, i64>> args;
+  // 4. Argument fill. The overlay carries the request's concrete array
+  // extents, which replace the record's everywhere a block rides along, so
+  // interpreters and stride consumers see this member's geometry.
+  BindOverlay overlay;
   for (const BindSlot& s : info.slots) {
     i64 v = 0;
     switch (s.kind) {
@@ -186,37 +182,46 @@ std::optional<CompileResult> bindFamilyArtifact(const FamilyPlan& family,
         v = s.formula->eval(env);
         break;
     }
-    args.emplace_back(s.name, v);
+    overlay.boundArgs.emplace_back(s.name, v);
   }
-  if (hasTileChoice) out.search = std::move(search);
-  if (out.input != nullptr) out.input->arrays = request.arrays;
-  if (out.transformed != nullptr) out.transformed->arrays = request.arrays;
-  if (out.kernel.has_value() && out.kernel->analysis.tileBlock != nullptr &&
-      sameArrayShape(out.kernel->analysis.tileBlock->arrays, request.arrays))
-    out.kernel->analysis.tileBlock->arrays = request.arrays;
+  if (hasTileChoice) overlay.search = std::move(search);
+  overlay.arrays = request.arrays;
+  std::string sizeText;
+  for (size_t j = 0; j < sizes.size(); ++j)
+    sizeText += (j ? "," : "") + std::to_string(sizes[j]);
+  overlay.diagnostic = {Severity::Note, "bind",
+                        "family record bound at size (" + sizeText + "): " +
+                            std::to_string(overlay.boundArgs.size()) +
+                            " runtime args filled, " + std::to_string(info.guards.size()) +
+                            " guards passed, no emission"};
+  overlay.timing.pass = "bind";
+  overlay.timing.ran = true;
+  overlay.timing.millis =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+          .count();
+  return overlay;
+}
 
+void applyBindOverlay(CompileResult& out, BindOverlay overlay) {
+  if (overlay.search.has_value()) out.search = std::move(*overlay.search);
+  if (out.kernel.has_value() && out.kernel->analysis.tileBlock != nullptr &&
+      sameArrayShape(out.kernel->analysis.tileBlock->arrays, overlay.arrays))
+    out.kernel->analysis.tileBlock->arrays = overlay.arrays;
+  if (out.transformed != nullptr) out.transformed->arrays = overlay.arrays;
+  if (out.input != nullptr) out.input->arrays = std::move(overlay.arrays);
   out.ok = true;
   out.cacheHit = false;
   out.diskHit = false;
   out.familyHit = true;
   out.artifactBound = true;
-  out.boundArgs = std::move(args);
-  out.diagnostics.clear();
-  std::string sizeText;
-  for (size_t j = 0; j < sizes.size(); ++j)
-    sizeText += (j ? "," : "") + std::to_string(sizes[j]);
-  out.diagnostics.push_back(
-      {Severity::Note, "bind",
-       "family record bound at size (" + sizeText + "): " +
-           std::to_string(out.boundArgs.size()) + " runtime args filled, " +
-           std::to_string(info.guards.size()) + " guards passed, no emission"});
-  const auto end = std::chrono::steady_clock::now();
-  PassTiming t;
-  t.pass = "bind";
-  t.millis = std::chrono::duration<double, std::milli>(end - start).count();
-  t.ran = true;
-  out.timings.clear();
-  out.timings.push_back(std::move(t));
+  out.boundArgs = std::move(overlay.boundArgs);
+  out.diagnostics.assign(1, std::move(overlay.diagnostic));
+  out.timings.assign(1, std::move(overlay.timing));
+}
+
+CompileResult materializeBind(const CompileResult& record, BindOverlay overlay) {
+  CompileResult out = record.clone();
+  applyBindOverlay(out, std::move(overlay));
   return out;
 }
 

@@ -18,17 +18,21 @@
 //      packed-arena verdict would differ) rejects with a clean diagnostic
 //      and the caller falls back to the bind-and-emit pipeline,
 //   4. argument fill — each BindSlot is evaluated at the requested size
-//      into CompileResult::boundArgs; the artifact text is returned
-//      verbatim (byte-identical to what a per-size compile would emit).
+//      into the runtime arguments; the artifact text is served verbatim
+//      (byte-identical to what a per-size compile would emit).
 //
-// The whole bind is table evaluation plus one record clone, with no
-// polyhedral work: binder.bind.us is about 114 us (median of two traced
-// bench_suite daemon-warm runs on a loaded 4-core box). A whole warm
-// compile() through the family tier, which stores no per-size copy of the
-// bind, costs about 280 us p50 against 42-57 ms for bind-and-emit (median
-// of six bench/svc_family_bind.cpp --quick runs on a shared, loaded 4-core
-// box; the bench gates the ratio at 10x). That is what turns the daemon's
-// family hit path into a lookup.
+// The bind is split in two. certifyBind runs steps 1-4 against the
+// immutable record and returns a BindOverlay — the re-search, the
+// request's arrays, the arguments, one note and one timing — without
+// copying the record. materializeBind copies the record and patches the
+// copy with applyBindOverlay, the one code path that patches a record. An
+// in-process compile() does both at once; the daemon certifies on its
+// connection thread and ships the overlay alone once the connection holds
+// the record, and the client materializes against its copy
+// (service/protocol.h, BoundReply). Either way the bound result is the
+// same, byte for byte. A bind is table evaluation with no polyhedral work;
+// bench/svc_family_bind.cpp gates a warm compile() through the family tier
+// at 10x under bind-and-emit.
 #pragma once
 
 #include <optional>
@@ -45,18 +49,29 @@ namespace emm {
 void attachFamilyRecord(FamilyPlan& family, const CompileResult& result,
                         const CompileOptions& options);
 
-/// Binds the family record to `request` (a member block carrying the
-/// requested concrete sizes in its array table) at options.paramValues.
-/// Returns the bound result — the record's products with the request's
-/// array tables swapped in, boundArgs filled, and artifactBound/familyHit
-/// set — or nullopt when the family has no record, the identity check
-/// fails, the tile choice is infeasible at this size, or a guard rejects.
-/// Every non-bind appends a note diagnostic to `diagnostics` (may be null)
-/// explaining the fallback; guards never produce a wrong answer, only a
-/// rejection.
-std::optional<CompileResult> bindFamilyArtifact(const FamilyPlan& family,
-                                                const ProgramBlock& request,
-                                                const CompileOptions& options,
-                                                std::vector<Diagnostic>* diagnostics);
+/// Certifies a bind of the family record to `request` (a member block
+/// carrying the requested concrete sizes in its array table) at
+/// options.paramValues, and returns the overlay that turns a copy of the
+/// record into the bound result. Returns nullopt when the family has no
+/// record, the identity check fails, the tile choice is infeasible or no
+/// longer the argmin at this size, or a guard rejects. Every non-bind
+/// appends a note diagnostic to `diagnostics` (may be null) explaining the
+/// fallback; guards never produce a wrong answer, only a rejection.
+std::optional<BindOverlay> certifyBind(const FamilyPlan& family, const ProgramBlock& request,
+                                       const CompileOptions& options,
+                                       std::vector<Diagnostic>* diagnostics);
+
+/// Patches `result` (a copy of a family record) into the bound result: the
+/// overlay's search and array tables swapped in (the tiled block's too, when
+/// its table has the request's shape), boundArgs filled, the one bind note
+/// and timing in place of the record's, and familyHit/artifactBound set.
+void applyBindOverlay(CompileResult& result, BindOverlay overlay);
+
+/// The bound result: a copy of `record` patched by applyBindOverlay.
+CompileResult materializeBind(const CompileResult& record, BindOverlay overlay);
+
+/// Same array table modulo extents (names and ranks): the record's blocks
+/// can adopt an overlay's arrays by plain assignment.
+bool sameArrayShape(const std::vector<ArrayDecl>& a, const std::vector<ArrayDecl>& b);
 
 }  // namespace emm

@@ -84,9 +84,17 @@ WireCompileReply ServiceClient::compile(CompileRequest request) {
   request.schemaFingerprint = serializeSchemaFingerprint();
   const auto start = std::chrono::steady_clock::now();
   auto [type, payload] = roundTrip(MsgType::CompileRequest, encodeCompileRequest(request));
-  if (type != MsgType::CompileReply)
+  if (type != MsgType::CompileReply && type != MsgType::BoundReply) {
+    close();
     throw ApiError("compile daemon sent an unexpected reply type");
-  WireCompileReply reply = decodeCompileReply(payload);
+  }
+  WireCompileReply reply;
+  try {
+    reply = type == MsgType::BoundReply ? slots_.resolve(payload) : decodeCompileReply(payload);
+  } catch (const SerializeError& e) {
+    close();
+    throw ApiError(std::string("bad reply from compile daemon: ") + e.what());
+  }
   reply.roundTripMillis =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
           .count();

@@ -16,7 +16,14 @@
 // (WireCompileReply::roundTripMillis — the client-observed latency, next to
 // the daemon's serverMillis and server-side tier attribution), and throws
 // ApiError on transport failures, protocol violations, or server-reported
-// errors ("server shutting down" during a graceful drain).
+// errors ("server shutting down" during a graceful drain). A malformed
+// reply also closes the connection.
+//
+// The client mirrors the daemon's per-connection record slots
+// (RecordSlotMirror): a family bind arrives as a BoundReply, usually just
+// a slot and an overlay, and compile() materializes it against the record
+// held in that slot, so every reply reaches the caller as the same
+// WireCompileReply.
 #pragma once
 
 #include <string>
@@ -54,6 +61,7 @@ private:
 
   std::string socketPath_;
   int fd_ = -1;
+  RecordSlotMirror slots_;
 };
 
 }  // namespace emm::svc

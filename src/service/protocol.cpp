@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "driver/runtime_binder.h"
 #include "support/field_codec.h"
 
 namespace emm::svc {
@@ -88,7 +89,7 @@ FrameHeader decodeFrameHeader(std::string_view header) {
                          " (this binary speaks " + std::to_string(kWireVersion) + ")");
   unsigned char type = r.u8();
   if (type < static_cast<unsigned char>(MsgType::CompileRequest) ||
-      type > static_cast<unsigned char>(MsgType::ErrorReply))
+      type > static_cast<unsigned char>(MsgType::BoundReply))
     throw SerializeError("unknown message type " + std::to_string(type));
   FrameHeader h;
   h.type = static_cast<MsgType>(type);
@@ -149,6 +150,54 @@ std::string encodeCompileReply(const CompileResult& result, double serverMillis)
 
 WireCompileReply decodeCompileReply(std::string_view payload) {
   return decode<WireCompileReply>(payload, "compile reply");
+}
+
+std::string encodeBoundReply(const WireBoundReply& reply) { return encode(reply); }
+
+WireBoundReply decodeBoundReply(std::string_view payload) {
+  WireBoundReply reply = decode<WireBoundReply>(payload, "bound reply");
+  if (reply.slot < 0 || reply.slot >= kRecordSlots)
+    throw SerializeError("bound reply names slot " + std::to_string(reply.slot) + " of " +
+                         std::to_string(kRecordSlots));
+  return reply;
+}
+
+int RecordSlotTable::place(const std::shared_ptr<const CompileResult>& record, bool& send) {
+  ++clock_;
+  int victim = 0;
+  for (int i = 0; i < kRecordSlots; ++i) {
+    Slot& s = slots_[i];
+    // Owner identity: a freed record's control block outlives it while the
+    // weak_ptr does, so no later record can match a stale slot.
+    if (!s.record.owner_before(record) && !record.owner_before(s.record)) {
+      s.lastUse = clock_;
+      send = false;
+      return i;
+    }
+    // A never-filled slot's weak_ptr is empty, so it reads as expired too.
+    const Slot& v = slots_[victim];
+    if (!v.record.expired() && (s.record.expired() || s.lastUse < v.lastUse)) victim = i;
+  }
+  slots_[victim] = {record, clock_};
+  send = true;
+  return victim;
+}
+
+WireCompileReply RecordSlotMirror::resolve(std::string_view payload) {
+  WireBoundReply bound = decodeBoundReply(payload);
+  std::shared_ptr<const CompileResult>& slot = slots_[bound.slot];
+  const std::shared_ptr<const CompileResult>& record = bound.hasRecord ? bound.record : slot;
+  if (record == nullptr)
+    throw SerializeError("bound reply names empty slot " + std::to_string(bound.slot));
+  if (record->input == nullptr || !sameArrayShape(record->input->arrays, bound.overlay.arrays))
+    throw SerializeError("bound reply overlay does not fit the record in slot " +
+                         std::to_string(bound.slot));
+  if (bound.hasRecord) slot = std::move(bound.record);
+  WireCompileReply reply;
+  reply.serverFamilyHit = true;
+  reply.serverMillis = bound.serverMillis;
+  reply.result = materializeBind(*slot, std::move(bound.overlay));
+  return reply;
 }
 
 std::string encodeStatsReply(const WireStats& stats) { return encode(stats); }

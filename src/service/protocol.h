@@ -16,10 +16,11 @@
 // Requests: CompileRequest (a built-in kernel name + problem sizes, or a
 // ProgramBlock, plus the full CompileOptions and the skipped-pass list) and
 // StatsRequest (empty payload). Replies: CompileReply (server-side hit
-// attribution + the full CompileResult), StatsReply (daemon counters + both
-// cache tiers), and ErrorReply (diagnostic text; `shuttingDown` marks a
-// graceful-drain refusal so clients report "server shutting down" instead
-// of a reset).
+// attribution + the full CompileResult), BoundReply (a family bind as a
+// record slot plus a BindOverlay, see WireBoundReply), StatsReply (daemon
+// counters + both cache tiers), and ErrorReply (diagnostic text;
+// `shuttingDown` marks a graceful-drain refusal so clients report "server
+// shutting down" instead of a reset).
 //
 // Every payload is a field-listed struct on the plan codec
 // (support/field_codec.h): a wire tag, then its fields, with blocks,
@@ -35,6 +36,8 @@
 // payloads (version/compat policy: docs/SERVICE.md).
 #pragma once
 
+#include <array>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -58,8 +61,9 @@ inline constexpr u32 kWireMagic = 0x524D4D45;
 /// daemon's connection-thread record-bind path); v3 computes the frame
 /// checksum over 8-byte words instead of bytes; v4 encodes every payload as
 /// a field list, so CompileRequest and CompileReply carry the block, options
-/// and result inline instead of as length-prefixed copies.
-inline constexpr u32 kWireVersion = 4;
+/// and result inline instead of as length-prefixed copies; v5 answers
+/// fast-path binds with BoundReply and adds the familyRecordSends counter.
+inline constexpr u32 kWireVersion = 5;
 /// Upper bound on a frame payload; a hostile length prefix above this is
 /// rejected before any allocation.
 inline constexpr u64 kMaxFramePayloadBytes = u64(64) << 20;
@@ -72,6 +76,7 @@ enum class MsgType : unsigned char {
   CompileReply = 3,
   StatsReply = 4,
   ErrorReply = 5,
+  BoundReply = 6,
 };
 
 /// Decoded frame envelope (payload read separately by socket readers).
@@ -154,6 +159,70 @@ struct WireCompileReply {
 std::string encodeCompileReply(const CompileResult& result, double serverMillis);
 WireCompileReply decodeCompileReply(std::string_view payload);
 
+/// Family records one connection holds (see WireBoundReply).
+inline constexpr int kRecordSlots = 16;
+
+/// A fast-path bind reply. Each connection keeps a table of kRecordSlots
+/// family records on the client side: the first bind of a family ships the
+/// stored record into a slot (hasRecord), later binds name the slot and
+/// ship only the overlay. The client materializes the bound result from
+/// its copy of the record (materializeBind), which is byte for byte the
+/// result an in-process bind returns, and hands it out as a
+/// WireCompileReply with serverFamilyHit set.
+struct WireBoundReply {
+  double serverMillis = 0;  ///< wall-clock of the server-side certification
+  int slot = 0;             ///< in [0, kRecordSlots)
+  bool hasRecord = false;   ///< `record` is on the wire and fills `slot`
+  std::shared_ptr<const CompileResult> record;
+  BindOverlay overlay;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagBoundReply, "BoundReply");
+    v("serverMillis", &WireBoundReply::serverMillis);
+    v("slot", &WireBoundReply::slot);
+    v("hasRecord", &WireBoundReply::hasRecord);
+    v.when(&WireBoundReply::hasRecord, "record", &WireBoundReply::record);
+    v("overlay", &WireBoundReply::overlay);
+  }
+};
+
+std::string encodeBoundReply(const WireBoundReply& reply);
+/// Rejects a slot outside [0, kRecordSlots) with SerializeError.
+WireBoundReply decodeBoundReply(std::string_view payload);
+
+/// The server half of one connection's slot table: which record each
+/// client slot holds. A slot names its record by owner identity through a
+/// weak_ptr, so the table keeps no record alive and stores no bytes.
+class RecordSlotTable {
+public:
+  /// The slot the client holds `record` in; `send` is false. Otherwise
+  /// claims an empty slot (never filled, or its record freed), else the
+  /// least recently used one, for `record`, and sets `send`: the reply
+  /// must carry the record.
+  int place(const std::shared_ptr<const CompileResult>& record, bool& send);
+
+private:
+  struct Slot {
+    std::weak_ptr<const CompileResult> record;
+    u64 lastUse = 0;
+  };
+  std::array<Slot, kRecordSlots> slots_;
+  u64 clock_ = 0;
+};
+
+/// The client half: the records the server sent, by slot.
+class RecordSlotMirror {
+public:
+  /// Decodes a BoundReply payload, stores the record it carries in the
+  /// slot it names, and returns the materialized bound result. Throws
+  /// SerializeError on malformed bytes, a lean reply naming an empty slot,
+  /// or an overlay whose array table does not fit the slot's record.
+  WireCompileReply resolve(std::string_view payload);
+
+private:
+  std::array<std::shared_ptr<const CompileResult>, kRecordSlots> slots_;
+};
+
 /// Daemon counters + both cache tiers, served for a StatsRequest.
 struct WireStats {
   i64 connections = 0;
@@ -165,6 +234,9 @@ struct WireStats {
   /// family record from the cache's lock-free snapshot — no pool dispatch,
   /// no pipeline run, no emission.
   i64 familyFastPath = 0;
+  /// Fast-path replies that shipped a family record into a client slot;
+  /// the other familyFastPath replies were lean (slot + overlay).
+  i64 familyRecordSends = 0;
   PlanCache::Stats memory;
   bool haveDisk = false;
   DiskPlanCache::Stats disk;
@@ -177,6 +249,7 @@ struct WireStats {
     v("compileErrors", &WireStats::compileErrors);
     v("protocolErrors", &WireStats::protocolErrors);
     v("familyFastPath", &WireStats::familyFastPath);
+    v("familyRecordSends", &WireStats::familyRecordSends);
     v("memory", &WireStats::memory);
     v("haveDisk", &WireStats::haveDisk);
     v("disk", &WireStats::disk);

@@ -121,6 +121,7 @@ WireStats ServiceServer::stats() const {
   s.compileErrors = compileErrors_.load(std::memory_order_relaxed);
   s.protocolErrors = protocolErrors_.load(std::memory_order_relaxed);
   s.familyFastPath = familyFastPath_.load(std::memory_order_relaxed);
+  s.familyRecordSends = familyRecordSends_.load(std::memory_order_relaxed);
   s.memory = cache_.stats();
   if (disk_ != nullptr) {
     s.haveDisk = true;
@@ -180,7 +181,7 @@ void ServiceServer::serveConnection(Connection* conn) {
     bool keepOpen = true;
     switch (type) {
       case MsgType::CompileRequest:
-        keepOpen = handleCompile(fd, payload);
+        keepOpen = handleCompile(*conn, payload);
         break;
       case MsgType::StatsRequest:
         keepOpen = writeFrame(fd, MsgType::StatsReply, encodeStatsReply(stats()));
@@ -198,7 +199,8 @@ void ServiceServer::serveConnection(Connection* conn) {
   conn->done.store(true);
 }
 
-bool ServiceServer::handleCompile(int fd, const std::string& payload) {
+bool ServiceServer::handleCompile(Connection& conn, const std::string& payload) {
+  const int fd = conn.fd;
   CompileRequest req;
   try {
     req = decodeCompileRequest(payload);
@@ -231,22 +233,28 @@ bool ServiceServer::handleCompile(int fd, const std::string& payload) {
       block = std::move(*req.block);
     }
     // Family fast path: when the warm store holds a size-generic record for
-    // this kernel family, bind it right here on the connection thread — the
-    // family lookup reads the cache shard's epoch-published snapshot (no
-    // lock) and the bind is guard evaluation plus a plan-only argmin
-    // re-check: binder.bind.us is about 114 us and serializing the bound
-    // result (serialize.result.us) about 79 us, medians of two traced
-    // bench_suite daemon-warm runs on a loaded 4-core box. No pool
-    // dispatch, no pipeline run, no emission; the reply carries the
-    // record's artifact with this request's runtime arguments filled in.
+    // this kernel family, certify the bind right here on the connection
+    // thread — the family lookup reads the cache shard's epoch-published
+    // snapshot (no lock) and the certification is guard evaluation plus a
+    // plan-only argmin re-check. No pool dispatch, no pipeline run, no
+    // emission, and no copy of the record: the reply ships the record only
+    // when this connection does not hold it yet, and the overlay (under
+    // 1 KB) otherwise.
     const auto bindStart = std::chrono::steady_clock::now();
-    if (std::optional<CompileResult> bound = compiler->tryBindFamily(block)) {
-      const double bindMillis = std::chrono::duration<double, std::milli>(
-                                    std::chrono::steady_clock::now() - bindStart)
-                                    .count();
+    if (std::optional<FamilyBind> bound = compiler->tryCertifyFamily(block)) {
+      WireBoundReply reply;
+      reply.serverMillis = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - bindStart)
+                               .count();
+      reply.slot = conn.slots.place(bound->record, reply.hasRecord);
+      if (reply.hasRecord) {
+        reply.record = std::move(bound->record);
+        familyRecordSends_.fetch_add(1, std::memory_order_relaxed);
+      }
+      reply.overlay = std::move(bound->overlay);
       familyFastPath_.fetch_add(1, std::memory_order_relaxed);
       compiles_.fetch_add(1, std::memory_order_relaxed);
-      return writeFrame(fd, MsgType::CompileReply, encodeCompileReply(*bound, bindMillis));
+      return writeFrame(fd, MsgType::BoundReply, encodeBoundReply(reply));
     }
     compiler->source(std::move(block));
   } catch (const ApiError& e) {

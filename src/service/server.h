@@ -8,8 +8,10 @@
 // kernel family the daemon has seen is answered on the connection thread
 // itself by binding the family's size-generic record straight out of the
 // cache's epoch-published snapshot (WireStats::familyFastPath) — no pool
-// dispatch, no pipeline run, no emission. Families without a record fall
-// back to the pooled bind-and-emit path (CompileReply::serverFamilyHit).
+// dispatch, no pipeline run, no emission. The reply is a BoundReply: the
+// record goes to the client once per connection (RecordSlotTable), later
+// binds of the family ship only the overlay. Families without a record
+// fall back to the pooled bind-and-emit path (CompileReply::serverFamilyHit).
 //
 // Threading: one accept thread, one lightweight thread per connection
 // (clients are expected to be short-lived CLI/batch processes), and compile
@@ -90,13 +92,14 @@ private:
     int fd = -1;
     std::thread thread;
     std::atomic<bool> done{false};
+    RecordSlotTable slots;  ///< the records this client holds; its thread only
   };
 
   void acceptLoop();
   void serveConnection(Connection* conn);
   /// Decodes, validates, dispatches one compile; returns false when the
   /// connection should close (protocol error). Replies on all paths.
-  bool handleCompile(int fd, const std::string& payload);
+  bool handleCompile(Connection& conn, const std::string& payload);
   void countProtocolError();
   /// Joins and erases finished connection threads; requires mutex_.
   void reapFinishedLocked();
@@ -120,6 +123,7 @@ private:
   std::atomic<i64> compileErrors_{0};
   std::atomic<i64> protocolErrors_{0};
   std::atomic<i64> familyFastPath_{0};
+  std::atomic<i64> familyRecordSends_{0};
 };
 
 }  // namespace emm::svc

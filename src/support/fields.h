@@ -99,6 +99,8 @@ enum WireTag : unsigned char {
   kTagCompileReply = 0xA2,
   kTagStatsReply = 0xA3,
   kTagErrorReply = 0xA4,
+  kTagBoundReply = 0xA5,
+  kTagBindOverlay = 0xA6,
 };
 
 // The max-value trait of the enums the wire carries: next to each such enum,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <sstream>
 
 #include "driver/backend.h"
@@ -172,6 +173,15 @@ DiffResult DiffRunner::run(const GeneratedProgram& program) const {
     }
   }
 
+  // The first scaled size the bind view saw bound, for the wire view's lean
+  // path.
+  struct BoundProbe {
+    ProgramBlock block;
+    IntVec sizes;
+    std::string artifact;
+  };
+  std::optional<BoundProbe> boundProbe;
+
   if (o.checkBind && !program.block.paramNames.empty()) {
     // Family binding: a cached compile at the generated size builds the
     // size-generic family record; scaled sizes (half, 2x, 3x) then request
@@ -215,7 +225,10 @@ DiffResult DiffRunner::run(const GeneratedProgram& program) const {
         if (unitB == nullptr) continue;  // clean fallback at this size
         if (rb.artifactBound && !rb.familyHit)
           return divergence(out, "bind", "artifact bound without a family hit");
-        if (rb.artifactBound) ++out.boundSizes;
+        if (rb.artifactBound) {
+          ++out.boundSizes;
+          if (!boundProbe) boundProbe = BoundProbe{probeBlock, scaled, rb.artifact};
+        }
         ArrayStore wantS(probeBlock.arrays);
         wantS.fillAllPattern(o.fillSeed);
         executeReference(probeBlock, scaled, wantS);
@@ -239,33 +252,62 @@ DiffResult DiffRunner::run(const GeneratedProgram& program) const {
   }
 
   if (o.checkWire && !o.wireSocket.empty()) {
-    svc::CompileRequest req;
-    req.block = program.block;
-    req.options = o.baseOptions;
-    req.options.paramValues = program.paramValues;
-    svc::WireCompileReply reply;
-    try {
-      svc::ServiceClient client(o.wireSocket);
-      reply = client.compile(std::move(req));
-    } catch (const std::exception& e) {
-      return divergence(out, "wire", std::string("service compile failed: ") + e.what());
+    std::optional<svc::ServiceClient> client;
+    // One request at `sizes` on the connection; a divergence names `what`.
+    auto serve = [&](const ProgramBlock& block, const IntVec& sizes, const std::string& what,
+                     const std::string& wantArtifact, const ArrayStore& wantStore,
+                     bool mustBind) -> std::optional<DiffResult> {
+      svc::CompileRequest req;
+      req.block = block;
+      req.options = o.baseOptions;
+      req.options.paramValues = sizes;
+      svc::WireCompileReply reply;
+      try {
+        if (!client) client.emplace(o.wireSocket);
+        reply = client->compile(std::move(req));
+      } catch (const std::exception& e) {
+        return divergence(out, "wire", "service compile " + what + " failed: " + e.what());
+      }
+      if (!reply.result.ok)
+        return divergence(out, "wire", "server rejected a locally compilable program " + what +
+                                           ": " + reply.result.firstError());
+      if (mustBind && !reply.result.artifactBound)
+        return divergence(out, "wire", "server did not bind " + what);
+      if (reply.result.artifact != wantArtifact)
+        return divergence(out, "wire", "served artifact " + what + " differs from the local one");
+      const CodeUnit* unitW = reply.result.unit();
+      if (unitW == nullptr)
+        return divergence(out, "wire", "served result " + what + " lost its code unit");
+      ArrayStore got(block.arrays);
+      got.fillAllPattern(o.fillSeed);
+      try {
+        executeCodeUnit(*unitW, unitParams(reply.result, sizes), got);
+      } catch (const std::exception& e) {
+        return divergence(out, "wire", "served unit " + what + " threw: " + e.what());
+      }
+      if (ArrayStore::maxAbsDiff(got, wantStore) != 0.0)
+        return divergence(out, "wire", "served unit " + what + " diverges from oracle");
+      return std::nullopt;
+    };
+    if (std::optional<DiffResult> bad =
+            serve(program.block, program.paramValues, "at the generated size", r.artifact, want,
+                  false))
+      return *bad;
+    // The lean path: the size the bind view bound, asked twice on the same
+    // connection. The daemon binds it on its fast path; the first reply
+    // ships the family record into a client slot, the second only the slot
+    // and the overlay, which the client materializes against its copy.
+    if (boundProbe) {
+      ArrayStore wantS(boundProbe->block.arrays);
+      wantS.fillAllPattern(o.fillSeed);
+      executeReference(boundProbe->block, boundProbe->sizes, wantS);
+      for (int ask = 0; ask < 2; ++ask)
+        if (std::optional<DiffResult> bad =
+                serve(boundProbe->block, boundProbe->sizes,
+                      ask == 0 ? "at the bound size" : "at the bound size, asked again",
+                      boundProbe->artifact, wantS, ask == 1))
+          return *bad;
     }
-    if (!reply.result.ok)
-      return divergence(out, "wire", "server rejected a locally compilable program: " +
-                                         reply.result.firstError());
-    if (reply.result.artifact != r.artifact)
-      return divergence(out, "wire", "served artifact differs from the local compile");
-    const CodeUnit* unitW = reply.result.unit();
-    if (unitW == nullptr) return divergence(out, "wire", "served result lost its code unit");
-    ArrayStore got(program.block.arrays);
-    got.fillAllPattern(o.fillSeed);
-    try {
-      executeCodeUnit(*unitW, unitParams(reply.result, program.paramValues), got);
-    } catch (const std::exception& e) {
-      return divergence(out, "wire", std::string("served unit threw: ") + e.what());
-    }
-    if (ArrayStore::maxAbsDiff(got, want) != 0.0)
-      return divergence(out, "wire", "served unit diverges from oracle");
   }
 
   return out;

@@ -13,7 +13,12 @@
 //                artifact text
 //   wire       — the same block compiled through a live ServiceServer
 //                socket; the served unit must execute identically and the
-//                artifact must match the local compile
+//                artifact must match the local compile. When the bind view
+//                bound a scaled size, that size is then asked twice on the
+//                same connection: the daemon binds it, shipping the family
+//                record and then only a lean overlay, and both served
+//                artifacts and units must match the local bind and the
+//                oracle at that size
 //   bind       — the program's family artifact (size-generic record built
 //                by a cached compile at the generated size) requested at
 //                scaled sizes (half, 2x, 3x, with array extents recomputed

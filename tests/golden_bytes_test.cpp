@@ -5,9 +5,10 @@
 // one matmul result served by the runtime binder at a second size, one
 // .emmfam family payload (tile plan plus size-generic record), the request
 // options of the four kernels, the first four generated programs of seed 1,
-// the complete .emmplan file DiskPlanCache::insert writes for ME, and the four
+// the complete .emmplan file DiskPlanCache::insert writes for ME, and the six
 // daemon wire payloads (an ME kernel request, the ME reply, a StatsReply with
-// distinct counters and a drain ErrorReply). Each is recorded in
+// distinct counters, a drain ErrorReply, and the two BoundReplies of an ME
+// bind: the one that carries the record and the lean one). Each is recorded in
 // tests/golden/plan_bytes.txt as its byte length and digestBytes value.
 // Wall-clock values (PassTiming::millis, the tile search's
 // planBuildMillis/evalMillis, and the "N ms" figures the tile-search note
@@ -206,8 +207,8 @@ std::vector<std::pair<std::string, std::string>> goldenPayloads() {
   i64 next = 1;
   for (i64* counter : {&stats.connections, &stats.requests, &stats.compiles,
                        &stats.compileErrors, &stats.protocolErrors, &stats.familyFastPath,
-                       &stats.memory.hits, &stats.memory.misses, &stats.memory.entries,
-                       &stats.memory.evictions, &stats.memory.familyHits,
+                       &stats.familyRecordSends, &stats.memory.hits, &stats.memory.misses,
+                       &stats.memory.entries, &stats.memory.evictions, &stats.memory.familyHits,
                        &stats.memory.familyMisses, &stats.memory.familyEntries,
                        &stats.memory.familyEvictions, &stats.disk.hits, &stats.disk.misses,
                        &stats.disk.rejects, &stats.disk.evictions, &stats.disk.insertions,
@@ -219,6 +220,34 @@ std::vector<std::pair<std::string, std::string>> goldenPayloads() {
   stats.haveDisk = true;
   out.emplace_back("wire_stats", svc::encodeStatsReply(stats));
   out.emplace_back("wire_error", svc::encodeErrorReply({true, "server shutting down"}));
+  {
+    // The ME family bound at a second size, as the daemon ships it.
+    PlanCache cache;
+    EXPECT_TRUE(compileBuiltin("me", {}, &cache).ok);
+    IntVec params;
+    const ProgramBlock block = buildKernelByName("me", {272, 128, 16}, params);
+    Compiler c(block);
+    c.options(builtinOptions("me", params)).cache(&cache);
+    std::optional<FamilyBind> bind = c.tryCertifyFamily(block);
+    EXPECT_TRUE(bind.has_value()) << "me was not served by the binder";
+    if (bind.has_value()) {
+      CompileResult record = bind->record->clone();
+      zeroTimings(record);
+      svc::WireBoundReply reply;
+      reply.hasRecord = true;
+      reply.record = std::make_shared<const CompileResult>(std::move(record));
+      reply.overlay = std::move(bind->overlay);
+      reply.overlay.timing.millis = 0;
+      if (reply.overlay.search.has_value()) {
+        reply.overlay.search->planBuildMillis = 0;
+        reply.overlay.search->evalMillis = 0;
+      }
+      out.emplace_back("wire_bound_reply_me_record", svc::encodeBoundReply(reply));
+      reply.hasRecord = false;
+      reply.record = nullptr;
+      out.emplace_back("wire_bound_reply_me_lean", svc::encodeBoundReply(reply));
+    }
+  }
   return out;
 }
 
@@ -276,7 +305,7 @@ std::map<std::string, std::string> recordedLines() {
 
 TEST(GoldenPlanBytes, SerializedResultsMatchTheRecordedDigests) {
   const auto payloads = goldenPayloads();
-  ASSERT_EQ(payloads.size(), 20u);
+  ASSERT_EQ(payloads.size(), 22u);
 
   if (std::getenv("EMM_UPDATE_GOLDEN") != nullptr) {
     std::ofstream f(kGoldenFile);

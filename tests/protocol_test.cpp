@@ -10,15 +10,27 @@
 //    the same discipline support/serialize enforces for plan files.
 //  - Socket framing: writeFrame/readFrame over a socketpair, including
 //    clean EOF vs. mid-frame truncation.
+//  - Bound replies: a record reply and the lean replies after it
+//    materialize the in-process bind; a lean reply naming an empty slot, a
+//    slot out of range, an overlay that does not fit the slot's record,
+//    truncation and trailing bytes are errors — and through a real client
+//    socket, ApiErrors that close the connection.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cstring>
+#include <filesystem>
 #include <thread>
 
 #include "driver/compiler.h"
+#include "driver/plan_cache.h"
+#include "driver/runtime_binder.h"
 #include "kernels/blocks.h"
+#include "service/client.h"
 #include "service/protocol.h"
 #include "support/field_codec.h"
 #include "support/serialize.h"
@@ -44,7 +56,7 @@ CompileRequest sampleKernelRequest() {
 
 TEST(WireFrame, RoundTripsEveryMessageType) {
   for (MsgType type : {MsgType::CompileRequest, MsgType::StatsRequest, MsgType::CompileReply,
-                       MsgType::StatsReply, MsgType::ErrorReply}) {
+                       MsgType::StatsReply, MsgType::ErrorReply, MsgType::BoundReply}) {
     std::string frame = encodeFrame(type, "payload bytes");
     auto [gotType, gotPayload] = decodeFrame(frame);
     EXPECT_EQ(gotType, type);
@@ -82,7 +94,7 @@ TEST(WireFrame, StaleVersionIsRejectedWithDiagnostic) {
 }
 
 TEST(WireFrame, UnknownMessageTypeThrows) {
-  for (unsigned char bad : {0, 6, 200, 255}) {
+  for (unsigned char bad : {0, 7, 200, 255}) {
     std::string frame = encodeFrame(MsgType::StatsRequest, "");
     frame[8] = static_cast<char>(bad);  // type byte
     EXPECT_THROW(decodeFrameHeader(frame.substr(0, kFrameHeaderBytes)), SerializeError)
@@ -228,6 +240,8 @@ TEST(WirePayload, StatsReplyRoundTrips) {
   s.compiles = 11;
   s.compileErrors = 1;
   s.protocolErrors = 2;
+  s.familyFastPath = 13;
+  s.familyRecordSends = 4;
   s.memory.hits = 5;
   s.memory.misses = 6;
   s.memory.familyHits = 7;
@@ -241,6 +255,8 @@ TEST(WirePayload, StatsReplyRoundTrips) {
   EXPECT_EQ(got.compiles, 11);
   EXPECT_EQ(got.compileErrors, 1);
   EXPECT_EQ(got.protocolErrors, 2);
+  EXPECT_EQ(got.familyFastPath, 13);
+  EXPECT_EQ(got.familyRecordSends, 4);
   EXPECT_EQ(got.memory.hits, 5);
   EXPECT_EQ(got.memory.misses, 6);
   EXPECT_EQ(got.memory.familyHits, 7);
@@ -260,6 +276,194 @@ TEST(WirePayload, WrongPayloadTagThrows) {
   std::string stats = encodeStatsReply(WireStats{});
   EXPECT_THROW(decodeErrorReply(stats), SerializeError);
   EXPECT_THROW(decodeCompileRequest(stats), SerializeError);
+}
+
+// ---- bound replies ----------------------------------------------------------
+
+Compiler meCompiler(i64 ni, PlanCache& cache) {
+  IntVec params;
+  Compiler c(buildKernelByName("me", {ni, 128, 16}, params));
+  c.parameters(params).kernelName("me_kernel").cache(&cache);
+  return c;
+}
+
+/// Warms the ME family at ni = 256 in `cache` and certifies a bind of it at
+/// `ni`: the family record and the overlay.
+FamilyBind certifiedMeBind(PlanCache& cache, i64 ni) {
+  EXPECT_TRUE(meCompiler(256, cache).compile().ok);
+  IntVec params;
+  const ProgramBlock block = buildKernelByName("me", {ni, 128, 16}, params);
+  std::optional<FamilyBind> bind = meCompiler(ni, cache).tryCertifyFamily(block);
+  EXPECT_TRUE(bind.has_value()) << "ME did not bind at ni=" << ni;
+  return bind ? std::move(*bind) : FamilyBind{};
+}
+
+std::string boundReply(int slot, const FamilyBind& bind, bool withRecord) {
+  WireBoundReply reply;
+  reply.serverMillis = 0.25;
+  reply.slot = slot;
+  reply.hasRecord = withRecord;
+  if (withRecord) reply.record = bind.record;
+  reply.overlay = bind.overlay;
+  return encodeBoundReply(reply);
+}
+
+/// A lean reply for `bind` whose overlay array table is `arrays`.
+std::string leanReplyWithArrays(int slot, FamilyBind bind, std::vector<ArrayDecl> arrays) {
+  bind.overlay.arrays = std::move(arrays);
+  return boundReply(slot, bind, false);
+}
+
+/// Every way a bound reply can be hostile to a client that holds `bind`'s
+/// record in slot 0.
+std::vector<std::pair<std::string, std::string>> hostileBoundReplies(const FamilyBind& bind) {
+  const std::string lean = boundReply(0, bind, false);
+  std::vector<ArrayDecl> dropped = bind.overlay.arrays;
+  dropped.pop_back();
+  std::vector<ArrayDecl> renamed = bind.overlay.arrays;
+  renamed[0].name += "_other";
+  std::vector<ArrayDecl> reranked = bind.overlay.arrays;
+  reranked[0].extents.push_back(4);
+  return {{"lean reply naming an empty slot", boundReply(3, bind, false)},
+          {"slot kRecordSlots", boundReply(kRecordSlots, bind, false)},
+          {"negative slot", boundReply(-1, bind, false)},
+          {"overlay drops an array", leanReplyWithArrays(0, bind, dropped)},
+          {"overlay renames an array", leanReplyWithArrays(0, bind, renamed)},
+          {"overlay changes an array's rank", leanReplyWithArrays(0, bind, reranked)},
+          {"truncated lean reply", lean.substr(0, lean.size() - 1)},
+          {"trailing bytes", lean + "x"}};
+}
+
+TEST(WireBoundReply, RecordThenLeanRepliesMaterializeTheInProcessBind) {
+  PlanCache cache;
+  const FamilyBind bind = certifiedMeBind(cache, 272);
+  ASSERT_NE(bind.record, nullptr);
+  const std::string want = encodeCompileReply(materializeBind(*bind.record, bind.overlay), 0);
+  const std::string lean = boundReply(5, bind, false);
+  EXPECT_LT(lean.size(), 1024u);
+  EXPECT_GT(boundReply(5, bind, true).size(), 10 * lean.size());
+  RecordSlotMirror fresh;
+  for (const std::string& payload : {boundReply(5, bind, true), lean, lean}) {
+    WireCompileReply got = fresh.resolve(payload);
+    EXPECT_TRUE(got.serverFamilyHit);
+    EXPECT_FALSE(got.serverCacheHit || got.serverDiskHit);
+    EXPECT_EQ(got.serverMillis, 0.25);
+    EXPECT_TRUE(got.result.artifactBound);
+    EXPECT_EQ(encodeCompileReply(got.result, 0), want);
+  }
+}
+
+TEST(WireBoundReply, HostileRepliesThrowCleanly) {
+  PlanCache cache;
+  const FamilyBind bind = certifiedMeBind(cache, 272);
+  ASSERT_NE(bind.record, nullptr);
+  for (const auto& [what, payload] : hostileBoundReplies(bind)) {
+    RecordSlotMirror mirror;
+    mirror.resolve(boundReply(0, bind, true));
+    EXPECT_THROW(mirror.resolve(payload), SerializeError) << what;
+  }
+  // A record reply whose overlay does not fit the record fills no slot.
+  RecordSlotMirror mirror;
+  std::vector<ArrayDecl> dropped = bind.overlay.arrays;
+  dropped.pop_back();
+  FamilyBind misfit = bind;
+  misfit.overlay.arrays = dropped;
+  EXPECT_THROW(mirror.resolve(boundReply(2, misfit, true)), SerializeError);
+  EXPECT_THROW(mirror.resolve(boundReply(2, bind, false)), SerializeError);
+}
+
+TEST(WireBoundReply, EveryTruncationThrowsCleanly) {
+  PlanCache cache;
+  const FamilyBind bind = certifiedMeBind(cache, 272);
+  ASSERT_NE(bind.record, nullptr);
+  RecordSlotMirror mirror;
+  const std::string record = boundReply(0, bind, true);
+  const std::string lean = boundReply(0, bind, false);
+  mirror.resolve(record);
+  for (size_t n = 0; n < lean.size(); ++n)
+    EXPECT_THROW(mirror.resolve(std::string_view(lean).substr(0, n)), SerializeError)
+        << "lean prefix " << n;
+  for (size_t n = 0; n < record.size(); n += 97)
+    EXPECT_THROW(mirror.resolve(std::string_view(record).substr(0, n)), SerializeError)
+        << "record prefix " << n;
+  EXPECT_THROW(mirror.resolve(record + "x"), SerializeError);
+  EXPECT_EQ(encodeCompileReply(mirror.resolve(lean).result, 0),
+            encodeCompileReply(materializeBind(*bind.record, bind.overlay), 0));
+}
+
+/// A one-connection stand-in for emmapcd: answers each request with the
+/// next scripted BoundReply payload, verbatim, then waits for the client
+/// to hang up.
+class ScriptedDaemon {
+public:
+  explicit ScriptedDaemon(std::vector<std::string> replies) {
+    static std::atomic<int> counter{0};
+    path_ = (std::filesystem::temp_directory_path() /
+             ("emm_scripted_" + std::to_string(::getpid()) + "_" +
+              std::to_string(counter.fetch_add(1)) + ".sock"))
+                .string();
+    ::unlink(path_.c_str());
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path_.c_str(), path_.size() + 1);
+    listenFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    EXPECT_EQ(::bind(listenFd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+    EXPECT_EQ(::listen(listenFd_, 1), 0);
+    thread_ = std::thread([this, replies = std::move(replies)] {
+      const int fd = ::accept(listenFd_, nullptr, nullptr);
+      if (fd < 0) return;
+      MsgType type = MsgType::ErrorReply;
+      std::string payload, error;
+      for (const std::string& reply : replies)
+        if (readFrame(fd, type, payload, error) != ReadStatus::Ok ||
+            !writeFrame(fd, MsgType::BoundReply, reply))
+          break;
+      while (readFrame(fd, type, payload, error) == ReadStatus::Ok) {
+      }
+      ::close(fd);
+    });
+  }
+  ScriptedDaemon(const ScriptedDaemon&) = delete;
+  ScriptedDaemon& operator=(const ScriptedDaemon&) = delete;
+  ~ScriptedDaemon() {
+    ::shutdown(listenFd_, SHUT_RDWR);  // wakes an accept no client answered
+    thread_.join();
+    ::close(listenFd_);
+    ::unlink(path_.c_str());
+  }
+  const std::string& path() const { return path_; }
+
+private:
+  std::string path_;
+  int listenFd_ = -1;
+  std::thread thread_;
+};
+
+TEST(WireBoundReply, FreshClientMaterializesRecordThenLeanReplies) {
+  PlanCache cache;
+  const FamilyBind bind = certifiedMeBind(cache, 272);
+  ASSERT_NE(bind.record, nullptr);
+  const std::string want = encodeCompileReply(materializeBind(*bind.record, bind.overlay), 0);
+  ScriptedDaemon daemon({boundReply(7, bind, true), boundReply(7, bind, false)});
+  ServiceClient client(daemon.path());
+  for (int i = 0; i < 2; ++i) {
+    WireCompileReply got = client.compile(sampleKernelRequest());
+    EXPECT_TRUE(got.serverFamilyHit);
+    EXPECT_EQ(encodeCompileReply(got.result, 0), want) << "reply " << i;
+  }
+}
+
+TEST(WireBoundReply, HostileRepliesCloseTheClientConnection) {
+  PlanCache cache;
+  const FamilyBind bind = certifiedMeBind(cache, 272);
+  ASSERT_NE(bind.record, nullptr);
+  for (const auto& [what, payload] : hostileBoundReplies(bind)) {
+    ScriptedDaemon daemon({boundReply(0, bind, true), payload});
+    ServiceClient client(daemon.path());
+    EXPECT_TRUE(client.compile(sampleKernelRequest()).serverFamilyHit) << what;
+    EXPECT_THROW(client.compile(sampleKernelRequest()), ApiError) << what;
+    EXPECT_FALSE(client.connected()) << what;
+  }
 }
 
 // ---- socket framing -------------------------------------------------------

@@ -10,6 +10,10 @@
 //  - Protocol defense: malformed frames and stale schema fingerprints get
 //    diagnostic ErrorReplies and count as protocol errors; the connection
 //    drops without disturbing other clients.
+//  - Lean bound replies: a connection is sent each family record once (into
+//    one of kRecordSlots client slots, evicted least recently used), later
+//    binds ship only an overlay, and every reply the client materializes
+//    encodes byte for byte like the in-process bind of the same size.
 //  - Graceful shutdown: stop() drains in-flight work, tells clients
 //    "server shutting down" (never ECONNRESET), removes the socket file,
 //    and refuses to usurp a live daemon's socket while replacing a stale
@@ -153,6 +157,138 @@ TEST(ServiceDaemonTest, ManyThreadsManyClientsMissOncePerFamily) {
   EXPECT_EQ(s.compileErrors, 0);
   EXPECT_EQ(s.protocolErrors, 0);
   EXPECT_EQ(s.connections, 1 + kThreads * kClientsPerThread);
+  server.stop();
+}
+
+/// A request with the benchmark suite's options for a built-in kernel; a
+/// nonzero `variant` nudges the Algorithm-1 threshold, which splits off a
+/// new kernel family without changing what the pipeline decides.
+CompileRequest poolRequest(const std::string& kernel, const std::vector<i64>& sizes,
+                           int variant = 0) {
+  CompileRequest req;
+  req.kernel = kernel;
+  req.sizes = sizes;
+  IntVec params;
+  buildKernelByName(kernel, sizes, params);
+  req.options.paramValues = params;
+  req.options.kernelName = kernel + "_kernel";
+  req.options.delta += 0.001 * variant;
+  return req;
+}
+
+CompileResult localCompile(const CompileRequest& req, PlanCache& cache) {
+  IntVec params;
+  Compiler c;
+  c.source(buildKernelByName(req.kernel, req.sizes, params)).options(req.options).cache(&cache);
+  return c.compile();
+}
+
+/// The reply bytes of `result` with every wall-clock value zeroed.
+std::string replyBytes(CompileResult result) {
+  for (PassTiming& t : result.timings) t.millis = 0;
+  result.search.planBuildMillis = 0;
+  result.search.evalMillis = 0;
+  return encodeCompileReply(result, 0);
+}
+
+/// Warms `variant`'s ME family on the daemon through `client`, then binds
+/// it once: the bind ships the family record into a client slot.
+void bindMeVariant(ServiceClient& client, int variant) {
+  ASSERT_TRUE(client.compile(poolRequest("me", {256, 128, 16}, variant)).result.ok);
+  WireCompileReply r = client.compile(poolRequest("me", {272, 128, 16}, variant));
+  ASSERT_TRUE(r.result.ok && r.serverFamilyHit) << r.result.firstError();
+}
+
+TEST(ServiceDaemonTest, LeanRepliesAfterTheFirstBind) {
+  TempSocket sock;
+  ServiceServer server({sock.path, 2, "", 256});
+  server.start();
+  ServiceClient client(sock.path);
+  PlanCache local;
+  ASSERT_TRUE(client.compile(poolRequest("me", {256, 128, 16})).result.ok);
+  ASSERT_TRUE(localCompile(poolRequest("me", {256, 128, 16}), local).ok);
+
+  // Twenty binds of one family on one connection: the first carries the
+  // record, the other nineteen only the overlay.
+  const WireStats before = server.stats();
+  for (i64 k = 1; k <= 20; ++k) {
+    const CompileRequest req = poolRequest("me", {256 + 16 * k, 128, 16});
+    WireCompileReply reply = client.compile(req);
+    ASSERT_TRUE(reply.result.ok && reply.serverFamilyHit) << reply.result.firstError();
+    EXPECT_TRUE(reply.result.artifactBound);
+    CompileResult want = localCompile(req, local);
+    ASSERT_TRUE(want.artifactBound);
+    EXPECT_EQ(replyBytes(reply.result), replyBytes(want)) << "k=" << k;
+  }
+  const WireStats after = server.stats();
+  EXPECT_EQ(after.familyFastPath - before.familyFastPath, 20);
+  EXPECT_EQ(after.familyRecordSends - before.familyRecordSends, 1);
+
+  // kRecordSlots more families push ME's record, the least recently used,
+  // out of the table: its next bind ships the record again.
+  for (int variant = 1; variant <= kRecordSlots; ++variant) bindMeVariant(client, variant);
+  const WireStats filled = server.stats();
+  EXPECT_EQ(filled.familyRecordSends - after.familyRecordSends, kRecordSlots);
+  const CompileRequest again = poolRequest("me", {256 + 16 * 21, 128, 16});
+  WireCompileReply reply = client.compile(again);
+  ASSERT_TRUE(reply.result.ok && reply.serverFamilyHit) << reply.result.firstError();
+  EXPECT_EQ(replyBytes(reply.result), replyBytes(localCompile(again, local)));
+  const WireStats last = server.stats();
+  EXPECT_EQ(last.familyRecordSends - filled.familyRecordSends, 1);
+  EXPECT_EQ(last.familyFastPath - filled.familyFastPath, 1);
+  EXPECT_EQ(last.protocolErrors, 0);
+  server.stop();
+}
+
+TEST(ServiceDaemonTest, BoundRepliesMatchInProcessBinds) {
+  // 64 ME and 64 matmul sizes from the benchmark suite's pools, interleaved
+  // on one connection, bound by the daemon and in process. Every reply —
+  // the two that carry a record, the lean ones, and after kRecordSlots
+  // other families evicted both records, the re-sent ones — must encode
+  // byte for byte like the in-process bind.
+  TempSocket sock;
+  ServiceServer server({sock.path, 2, "", 256});
+  server.start();
+  ServiceClient client(sock.path);
+  PlanCache local;
+  const std::vector<std::pair<std::string, std::vector<i64>>> seeds = {
+      {"me", {256, 128, 16}}, {"matmul", {128, 128, 128}}};
+  for (const auto& [kernel, sizes] : seeds) {
+    ASSERT_TRUE(client.compile(poolRequest(kernel, sizes)).result.ok);
+    ASSERT_TRUE(localCompile(poolRequest(kernel, sizes), local).ok);
+  }
+  // Distinct pool members: ni = 256 + 16k for ME, the step-4 grid over
+  // [128, 256]^3 for matmul (walked with a stride coprime to its 33^3 points).
+  std::vector<CompileRequest> requests;
+  for (i64 i = 0; i < 72; ++i) {
+    if (i < 64) requests.push_back(poolRequest("me", {256 + 16 * (1 + 997 * i), 128, 16}));
+    const i64 j = (1 + 523 * i) % (33 * 33 * 33);
+    requests.push_back(
+        poolRequest("matmul", {128 + 4 * (j % 33), 128 + 4 * (j / 33 % 33), 128 + 4 * (j / 1089)}));
+  }
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round == 0 ? "first and lean replies" : "after eviction");
+    const WireStats before = server.stats();
+    int bound[2] = {0, 0};
+    for (const CompileRequest& req : requests) {
+      CompileResult want = localCompile(req, local);
+      ASSERT_TRUE(want.ok) << want.firstError();
+      WireCompileReply reply = client.compile(req);
+      ASSERT_TRUE(reply.result.ok) << reply.result.firstError();
+      if (!want.artifactBound) continue;  // a size outside the envelope
+      ++bound[req.kernel == "me" ? 0 : 1];
+      EXPECT_TRUE(reply.serverFamilyHit);
+      EXPECT_EQ(replyBytes(reply.result), replyBytes(want))
+          << req.kernel << " " << req.sizes[0] << "," << req.sizes[1] << "," << req.sizes[2];
+    }
+    EXPECT_GE(bound[0], 64);
+    EXPECT_GE(bound[1], 64);
+    const WireStats after = server.stats();
+    EXPECT_EQ(after.familyRecordSends - before.familyRecordSends, 2);
+    if (round == 0)
+      for (int variant = 1; variant <= kRecordSlots; ++variant) bindMeVariant(client, variant);
+  }
+  EXPECT_EQ(server.stats().protocolErrors, 0);
   server.stop();
 }
 

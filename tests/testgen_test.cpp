@@ -131,6 +131,39 @@ TEST(Differential, WireViewAgreesWithLocalCompile) {
   EXPECT_GT(stats.compiled, 0);  // the wire check ran on real kernels
 }
 
+TEST(Differential, WireViewServesBoundSizesLeanOnTheFastPath) {
+  // The bind view's tight-budget sweep, with the wire view on: each size
+  // the local binder bound is asked twice on one connection, so the daemon
+  // ships the family record once and then a lean overlay, and both must
+  // match the local bind and the oracle.
+  const std::string socket =
+      (fs::temp_directory_path() / ("testgen_lean_" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  ::unlink(socket.c_str());
+  svc::ServiceServer server({socket, /*jobs=*/2, /*cacheDir=*/"", /*cacheCapacity=*/128,
+                             /*cacheShards=*/1});
+  server.start();
+
+  SweepOptions sweep;
+  sweep.programs = 60;
+  sweep.gen.minTrip = 12;
+  sweep.gen.maxTrip = 16;
+  sweep.gen.parametricPercent = 100;
+  sweep.diff.baseOptions.memLimitBytes = 256;
+  sweep.diff.checkWire = true;
+  sweep.diff.wireSocket = socket;
+  sweep.minimize = false;
+  const SweepStats stats = runDifferentialSweep(sweep);
+  const svc::WireStats served = server.stats();
+  server.stop();
+  ::unlink(socket.c_str());
+
+  EXPECT_EQ(stats.divergences, 0);
+  ASSERT_GT(stats.boundSizes, 0);
+  EXPECT_GT(served.familyRecordSends, 0);
+  EXPECT_GT(served.familyFastPath - served.familyRecordSends, 0);  // lean replies
+}
+
 // ---- Minimizer. ----
 
 TEST(Minimizer, ConvergesToTheSmallestProgramUnderATrivialPredicate) {

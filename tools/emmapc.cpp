@@ -403,8 +403,8 @@ int runConnect(const std::string& sock, const std::vector<std::string>& kernels,
                 "(%lld errors, %lld protocol errors)\n",
                 s.connections, s.requests, s.compiles, s.compileErrors, s.protocolErrors);
     std::printf("daemon bind : %lld requests served by the family fast path (record bound "
-                "on the connection thread, no emission)\n",
-                s.familyFastPath);
+                "on the connection thread, no emission), %lld of them shipping the record\n",
+                s.familyFastPath, s.familyRecordSends);
     std::printf("server mem  : %lld hits / %lld misses / %lld entries; family %lld hits / "
                 "%lld misses / %lld families\n",
                 s.memory.hits, s.memory.misses, s.memory.entries, s.memory.familyHits,

@@ -123,8 +123,10 @@ int run(cli::Args& args) {
               static_cast<long long>(s.connections), static_cast<long long>(s.requests),
               static_cast<long long>(s.compiles), static_cast<long long>(s.compileErrors),
               static_cast<long long>(s.protocolErrors));
-  std::printf("emmapcd: family fast path served %lld requests on the connection thread\n",
-              static_cast<long long>(s.familyFastPath));
+  std::printf("emmapcd: family fast path served %lld requests on the connection thread, "
+              "%lld of them shipping the family record\n",
+              static_cast<long long>(s.familyFastPath),
+              static_cast<long long>(s.familyRecordSends));
   std::printf("emmapcd: memory cache %lld hits / %lld misses, family %lld hits / %lld misses\n",
               static_cast<long long>(s.memory.hits), static_cast<long long>(s.memory.misses),
               static_cast<long long>(s.memory.familyHits),
