@@ -291,11 +291,18 @@ CompileResult Compiler::computeWithDiskTier(const PlanKey& key) {
   if (result.ok) {
     // Publish the family products of a cold run before the per-size entry,
     // so a racing sweep member sees the family as soon as the plan exists.
-    if (produced != nullptr) {
-      attachFamilyRecord(*produced, result, opts);
-      if (cache_ != nullptr) cache_->insertFamily(fam.key, fam.digest(), produced);
+    // A family first built with codegen skipped has no record; the first
+    // member whose artifact qualifies republishes a copy that carries one,
+    // so the sizes after it bind instead of re-emitting.
+    std::shared_ptr<FamilyPlan> publish = std::move(produced);
+    if (publish == nullptr && family != nullptr && !family->haveRecord &&
+        qualifiesAsFamilyRecord(result))
+      publish = std::make_shared<FamilyPlan>(*family);
+    if (publish != nullptr) {
+      attachFamilyRecord(*publish, result, opts);
+      if (cache_ != nullptr) cache_->insertFamily(fam.key, fam.digest(), publish);
       if (disk != nullptr)
-        disk->insertFamily(fam.key, fam.blockDigest, fam.optionsDigest, produced);
+        disk->insertFamily(fam.key, fam.blockDigest, fam.optionsDigest, publish);
     }
     // The disk tier never fails a compile: a full or read-only cache
     // directory silently degrades to cold compiles.
@@ -304,13 +311,23 @@ CompileResult Compiler::computeWithDiskTier(const PlanKey& key) {
   return result;
 }
 
+std::shared_ptr<const FamilyPlan> Compiler::cachedFamily(const ProgramBlock& block,
+                                                         const CompileOptions& opts) {
+  if (cache_ == nullptr) return nullptr;
+  const FamilyIdentity fam = familyIdentity(block, opts, skipped_);
+  return cache_->lookupFamily(fam.key, fam.digest());
+}
+
+std::shared_ptr<const FamilyPlan> Compiler::cachedFamily(const ProgramBlock& block) {
+  return cachedFamily(block, effectiveOptions());
+}
+
 std::optional<FamilyBind> Compiler::tryCertifyFamily(const ProgramBlock& block) {
   if (cache_ == nullptr || !replacements_.empty()) return std::nullopt;
   if (std::find(skipped_.begin(), skipped_.end(), "codegen") != skipped_.end())
     return std::nullopt;
   const CompileOptions opts = effectiveOptions();
-  const FamilyIdentity fam = familyIdentity(block, opts, skipped_);
-  std::shared_ptr<const FamilyPlan> family = cache_->lookupFamily(fam.key, fam.digest());
+  std::shared_ptr<const FamilyPlan> family = cachedFamily(block, opts);
   if (family == nullptr || !family->haveRecord) return std::nullopt;
   std::optional<BindOverlay> overlay = certifyBind(*family, block, opts, nullptr);
   if (!overlay) return std::nullopt;

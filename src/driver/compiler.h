@@ -270,8 +270,13 @@ public:
   std::optional<FamilyBind> tryCertifyFamily(const ProgramBlock& block);
   /// tryCertifyFamily, materialized into the bound result.
   std::optional<CompileResult> tryBindFamily(const ProgramBlock& block);
+  /// The block's family plan in the ATTACHED MEMORY cache under the
+  /// current options (counting a family hit or miss), or null.
+  std::shared_ptr<const FamilyPlan> cachedFamily(const ProgramBlock& block);
 
 private:
+  std::shared_ptr<const FamilyPlan> cachedFamily(const ProgramBlock& block,
+                                                 const CompileOptions& opts);
   CompileOptions effectiveOptions() const;
   CompileResult runPipeline(std::shared_ptr<const FamilyPlan> familyIn = nullptr,
                             std::shared_ptr<FamilyPlan>* familyOut = nullptr);

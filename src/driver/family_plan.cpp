@@ -26,6 +26,53 @@ CompileOptions familyCanonicalOptions(const CompileOptions& options) {
   return canon;
 }
 
+SearchMemo& SearchMemo::operator=(const SearchMemo&) noexcept {
+  // The plan assigned into has new products: what it certified is stale.
+  delete[] table_.exchange(nullptr, std::memory_order_acq_rel);
+  return *this;
+}
+
+SearchMemo::~SearchMemo() { delete[] table_.load(std::memory_order_acquire); }
+
+size_t SearchMemo::slotOf(const IntVec& paramValues) {
+  // splitmix64 steps: a --size sweep differs in low bits only, and a
+  // direct-mapped slot needs every bit of every size to move the index.
+  u64 h = 0x9e3779b97f4a7c15ULL;
+  for (i64 v : paramValues) {
+    h ^= static_cast<u64>(v);
+    h *= 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 31;
+    h *= 0x94d049bb133111ebULL;
+    h ^= h >> 29;
+  }
+  return static_cast<size_t>(h % kSearchMemoSlots);
+}
+
+std::shared_ptr<const SearchMemo::Entry> SearchMemo::find(const TileSearchOptions& options,
+                                                          bool exhaustive) const {
+  Slot* table = table_.load(std::memory_order_acquire);
+  if (table == nullptr) return nullptr;
+  std::shared_ptr<const Entry> e =
+      table[slotOf(options.paramValues)].load(std::memory_order_acquire);
+  if (e == nullptr || e->exhaustive != exhaustive || !(e->options == options)) return nullptr;
+  return e;
+}
+
+void SearchMemo::store(std::shared_ptr<const Entry> entry) const {
+  Slot* table = table_.load(std::memory_order_acquire);
+  if (table == nullptr) {
+    // First store: allocate the table; a racing first store that loses
+    // the exchange frees its own and uses the winner's.
+    Slot* fresh = new Slot[kSearchMemoSlots];
+    if (table_.compare_exchange_strong(table, fresh, std::memory_order_acq_rel))
+      table = fresh;
+    else
+      delete[] fresh;
+  }
+  const size_t slot = slotOf(entry->options.paramValues);
+  table[slot].store(std::move(entry), std::memory_order_release);
+}
+
 u64 hashProgramBlockFamily(const ProgramBlock& block) {
   return hashProgramBlock(familyCanonicalBlock(block));
 }

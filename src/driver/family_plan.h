@@ -30,6 +30,7 @@
 // degrades to a cold compile instead of changing any result.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -57,8 +58,56 @@ struct FamilyKey {
   auto operator<=>(const FamilyKey&) const = default;
 };
 
-/// The family-invariant pipeline products (see file comment). Immutable
-/// once published; shared by every per-size compile of the family.
+/// Number of slots in a family's search memo (FamilyPlan::searchMemo).
+inline constexpr size_t kSearchMemoSlots = 256;
+
+/// The plan-only tile searches the runtime binder has run against one
+/// family plan, memoized per request: step 2 of certifyBind
+/// (runtime_binder.h) re-runs the Section-4.3 search at every bind, and the
+/// search is a pure function of the immutable tile plan, the requested
+/// sizes, the search options and the solver. A direct-mapped table of
+/// kSearchMemoSlots slots, indexed by the sizes; a slot holds one
+/// immutable Entry behind an atomic shared_ptr (the primitive of the
+/// PlanCache snapshots), so concurrent binds read and publish without a
+/// lock. A colliding store replaces the slot: the last writer wins.
+///
+/// Derived state: never serialized, and a copy starts empty. The table is
+/// allocated by the first store, so a family that never binds costs one
+/// pointer.
+class SearchMemo {
+public:
+  /// One certified search. A hit needs the request's sizes (kept once, as
+  /// options.paramValues), the full search options and the solver flag
+  /// all equal, whatever the family key neutralizes. Infeasible and
+  /// argmin-moved outcomes are stored too, so a repeated rejection is as
+  /// exact as a repeated bind.
+  struct Entry {
+    TileSearchOptions options;
+    bool exhaustive = false;
+    TileSearchResult result;
+  };
+
+  SearchMemo() = default;
+  SearchMemo(const SearchMemo&) noexcept {}
+  SearchMemo& operator=(const SearchMemo&) noexcept;
+  ~SearchMemo();
+
+  /// The stored entry for exactly this request, or null.
+  std::shared_ptr<const Entry> find(const TileSearchOptions& options, bool exhaustive) const;
+  /// Stores `entry` in its slot, replacing whatever the slot held.
+  void store(std::shared_ptr<const Entry> entry) const;
+  /// The slot a request for `paramValues` maps to.
+  static size_t slotOf(const IntVec& paramValues);
+
+private:
+  using Slot = std::atomic<std::shared_ptr<const Entry>>;
+  mutable std::atomic<Slot*> table_{nullptr};
+};
+
+/// The family-invariant pipeline products (see file comment). The listed
+/// members are immutable once published; shared by every per-size compile
+/// of the family. The one mutable member is the binder's search memo,
+/// which only caches what the listed members already determine.
 struct FamilyPlan {
   // ---- deps tier ----
   bool haveDeps = false;
@@ -97,6 +146,10 @@ struct FamilyPlan {
   CompileOptions recordOptions;
   std::shared_ptr<const CompileResult> record;
 
+  // ---- derived ----
+  /// The runtime binder's certified plan-only searches against tilePlan.
+  SearchMemo searchMemo;
+
   static constexpr void fields(auto& v) {
     v.tag(kTagFamilyPlan, "FamilyPlan");
     v("haveDeps", &FamilyPlan::haveDeps);
@@ -110,6 +163,7 @@ struct FamilyPlan {
     v("haveRecord", &FamilyPlan::haveRecord);
     v.when(&FamilyPlan::haveRecord, "recordOptions", &FamilyPlan::recordOptions);
     v.when(&FamilyPlan::haveRecord, "record", &FamilyPlan::record);
+    v.skip("searchMemo", "derived: memoized plan-only searches");
   }
 };
 

@@ -111,7 +111,8 @@ public:
   /// Snapshot-then-mutex lookup, counting a hit or a miss. An entry the
   /// caller's `accept` policy rejects is a miss, on the snapshot path
   /// without taking the lock: a caller that rejects entries (the family
-  /// tier) never replaces one in place, so the authoritative map agrees.
+  /// tier) never replaces one in place with an entry of another verdict,
+  /// so the authoritative map agrees.
   template <class Accept>
   std::optional<Value> lookup(const Key& key, Accept accept) {
     if (std::optional<Value> found = published(key)) {
@@ -361,9 +362,18 @@ void PlanCache::insertFamily(const FamilyKey& key, u64 collisionDigest,
   Shard& shard = shardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   // First writer wins: a family is built once, and republishing an
-  // identical plan is pointless churn.
-  shard.families.emplaceLocked(key, FamilyEntry{collisionDigest, std::move(plan)},
-                               shard.capacity);
+  // identical plan is pointless churn. The one exception is a plan that
+  // carries the family record where the stored one of the same family has
+  // none (it was built with codegen skipped): it replaces that plan in
+  // place. The digest is unchanged, so the lookup's accept verdict is too.
+  auto [entry, inserted] =
+      shard.families.emplaceLocked(key, FamilyEntry{collisionDigest, plan}, shard.capacity);
+  if (!inserted && entry->digest == collisionDigest && plan->haveRecord &&
+      !entry->plan->haveRecord) {
+    entry->plan = std::move(plan);
+    shard.families.touchLocked(key);
+    shard.families.publishLocked();
+  }
 }
 
 PlanCache::Stats PlanCache::stats() const {

@@ -189,7 +189,9 @@ public:
   /// served from the shard's lock-free snapshot.
   std::shared_ptr<const FamilyPlan> lookupFamily(const FamilyKey& key, u64 collisionDigest);
   /// Stores a family plan (first writer wins: a family is built once and
-  /// republishing an identical plan is pointless churn). Capacity-bounded
+  /// republishing an identical plan is pointless churn — except that a plan
+  /// carrying the family record replaces a stored record-less plan of the
+  /// same digest). Capacity-bounded
   /// with per-shard least-recently-used eviction like the result tier:
   /// hits re-touch their family, so a hot family survives insert pressure.
   void insertFamily(const FamilyKey& key, u64 collisionDigest,

@@ -23,11 +23,14 @@ bool sameArrayShape(const std::vector<ArrayDecl>& a, const std::vector<ArrayDecl
   return true;
 }
 
+bool qualifiesAsFamilyRecord(const CompileResult& result) {
+  return result.ok && result.artifactInfo.has_value() && result.artifactInfo->sizeGeneric &&
+         !result.artifact.empty() && result.unit() != nullptr;
+}
+
 void attachFamilyRecord(FamilyPlan& family, const CompileResult& result,
                         const CompileOptions& options) {
-  if (!result.ok || !result.artifactInfo.has_value() || !result.artifactInfo->sizeGeneric)
-    return;
-  if (result.artifact.empty() || result.unit() == nullptr) return;
+  if (!qualifiesAsFamilyRecord(result)) return;
   family.recordOptions = options;
   family.record = std::make_shared<CompileResult>(result.clone());
   // Binds copy the record and the daemon encodes it once per connection;
@@ -66,10 +69,13 @@ std::optional<BindOverlay> certifyBind(const FamilyPlan& family, const ProgramBl
   // cost-model argmin can move with the problem size. The plan-only
   // re-search is pure expression evaluation (no analysis, no emission) and
   // its outcome becomes the bound result's search record, so the reported
-  // cost/footprint are this size's, not the record's. Records from
-  // no-search pipelines (scratchpad-only / pipeline-parallel fallback) made
-  // no tile decision at all: nothing can move with size, and the step-3
-  // guards carry the whole envelope contract.
+  // cost/footprint are this size's, not the record's. The search depends
+  // on nothing but the plan, the sizes, the search options and the solver,
+  // so the family's search memo answers a repeated request — rejections
+  // included — without re-running it. Records from no-search pipelines
+  // (scratchpad-only / pipeline-parallel fallback) made no tile decision at
+  // all: nothing can move with size, and the step-3 guards carry the whole
+  // envelope contract.
   if (!options.subTile.empty()) {
     explain(diagnostics, "explicitly tiled request; bind-and-emit");
     return std::nullopt;
@@ -82,9 +88,19 @@ std::optional<BindOverlay> certifyBind(const FamilyPlan& family, const ProgramBl
       return std::nullopt;
     }
     try {
-      ParametricTilePlan::SizeBinding binding = family.tilePlan->bindSizes(sizes);
-      search = searchTileSizesWithPlan(*family.tilePlan, binding, options.tileSearchOptions(),
-                                       options.searchMode == TileSearchMode::Exhaustive);
+      TileSearchOptions searchOptions = options.tileSearchOptions();
+      const bool exhaustive = options.searchMode == TileSearchMode::Exhaustive;
+      if (std::shared_ptr<const SearchMemo::Entry> hit =
+              family.searchMemo.find(searchOptions, exhaustive)) {
+        search = hit->result;
+      } else {
+        // A size the binding rejects throws past the store: only a search
+        // that ran is memoized.
+        ParametricTilePlan::SizeBinding binding = family.tilePlan->bindSizes(sizes);
+        search = searchTileSizesWithPlan(*family.tilePlan, binding, searchOptions, exhaustive);
+        family.searchMemo.store(std::make_shared<const SearchMemo::Entry>(
+            SearchMemo::Entry{std::move(searchOptions), exhaustive, search}));
+      }
       if (!search.eval.feasible) {
         explain(diagnostics, "no feasible tile at this size; bind-and-emit");
         return std::nullopt;

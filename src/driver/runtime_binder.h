@@ -12,7 +12,11 @@
 //      match the record's,
 //   2. argmin re-certification — a plan-only re-run of the tile search at
 //      the requested size must choose the record's tile again (feasibility
-//      alone is not enough: the cost-model argmin can move with the size),
+//      alone is not enough: the cost-model argmin can move with the size).
+//      The search is a pure function of the family's tile plan, the sizes,
+//      the search options and the solver, so the family plan memoizes its
+//      outcome per request (FamilyPlan::searchMemo): a size bound or
+//      rejected before is certified again without searching,
 //   3. guard validation — every FamilyGuard of the record's ArtifactInfo
 //      must hold at the requested size; a violation (pad decision or
 //      packed-arena verdict would differ) rejects with a clean diagnostic
@@ -42,10 +46,15 @@
 
 namespace emm {
 
-/// Publishes `result` as the size-generic record of `family` when its
-/// artifact qualifies (ok + ArtifactInfo::sizeGeneric); no-op otherwise.
-/// Called by the driver on a cold family compile before the plan is
-/// inserted into the cache tiers.
+/// True when `result` can be a family record: ok, with a code unit and a
+/// non-empty artifact that ArtifactInfo marks size-generic.
+bool qualifiesAsFamilyRecord(const CompileResult& result);
+
+/// Publishes `result` as the size-generic record of `family` when it
+/// qualifies (qualifiesAsFamilyRecord); no-op otherwise. Called by the
+/// driver before the plan is inserted into the cache tiers: on a cold
+/// family compile, and on the first codegen-running compile of a family
+/// built without a record.
 void attachFamilyRecord(FamilyPlan& family, const CompileResult& result,
                         const CompileOptions& options);
 
@@ -56,7 +65,9 @@ void attachFamilyRecord(FamilyPlan& family, const CompileResult& result,
 /// record, the identity check fails, the tile choice is infeasible or no
 /// longer the argmin at this size, or a guard rejects. Every non-bind
 /// appends a note diagnostic to `diagnostics` (may be null) explaining the
-/// fallback; guards never produce a wrong answer, only a rejection.
+/// fallback; guards never produce a wrong answer, only a rejection. Safe
+/// to call concurrently on one family: the only state it writes is the
+/// family's search memo.
 std::optional<BindOverlay> certifyBind(const FamilyPlan& family, const ProgramBlock& request,
                                        const CompileOptions& options,
                                        std::vector<Diagnostic>* diagnostics);

@@ -35,6 +35,29 @@ DiffResult divergence(DiffResult base, const std::string& check, const std::stri
   return base;
 }
 
+/// What differs between two compiles of one request on one cache, or ""
+/// when nothing the bind view checks does: the artifact, the bound
+/// arguments and flag, the search (its wall clocks aside) and the
+/// diagnostics.
+std::string repeatMismatch(const CompileResult& a, const CompileResult& b) {
+  if (a.ok != b.ok) return "ok flag";
+  if (a.artifact != b.artifact) return "artifact";
+  if (a.artifactBound != b.artifactBound) return "artifactBound";
+  if (a.boundArgs != b.boundArgs) return "bound arguments";
+  const TileSearchResult& sa = a.search;
+  const TileSearchResult& sb = b.search;
+  if (sa.subTile != sb.subTile || !(sa.eval == sb.eval) || sa.evaluations != sb.evaluations ||
+      sa.memoHits != sb.memoHits || sa.parametric != sb.parametric ||
+      sa.familyAdopted != sb.familyAdopted || sa.prunedBoxes != sb.prunedBoxes ||
+      sa.parametricReason != sb.parametricReason)
+    return "tile search";
+  if (a.diagnostics.size() != b.diagnostics.size()) return "diagnostic count";
+  for (size_t i = 0; i < a.diagnostics.size(); ++i)
+    if (a.diagnostics[i].str() != b.diagnostics[i].str())
+      return "diagnostic '" + a.diagnostics[i].str() + "'";
+  return "";
+}
+
 std::string joinTile(const std::vector<i64>& t) {
   std::ostringstream os;
   for (size_t i = 0; i < t.size(); ++i) os << (i ? "," : "") << t[i];
@@ -189,7 +212,9 @@ DiffResult DiffRunner::run(const GeneratedProgram& program) const {
     // ITS size element-exactly with the bound (never re-emitted) artifact;
     // a size the guards or the argmin re-certification reject must come
     // back as a clean full pipeline whose unit still matches the oracle —
-    // a rejection is never allowed to become a wrong answer.
+    // a rejection is never allowed to become a wrong answer. Each size is
+    // asked twice on the one cache: the repeat is served by the family's
+    // search memo (or the result tier) and must equal the first answer.
     PlanCache cache;
     Compiler seed = makeCompiler();
     seed.cache(&cache);
@@ -210,12 +235,17 @@ DiffResult DiffRunner::run(const GeneratedProgram& program) const {
         cb.parameters(scaled);
         if (o.configureCompiler) o.configureCompiler(cb);
         cb.cache(&cache);
-        CompileResult rb;
+        CompileResult rb, repeat;
         try {
           rb = cb.compile();
+          repeat = cb.compile();
         } catch (const std::exception& e) {
           return divergence(out, "bind", std::string("scaled compile threw: ") + e.what());
         }
+        const std::string mismatch = repeatMismatch(rb, repeat);
+        if (!mismatch.empty())
+          return divergence(out, "bind",
+                            "repeated scaled compile differs from the first: " + mismatch);
         if (!rb.ok) {
           if (rb.firstError().empty())
             return divergence(out, "bind", "scaled compile failed with no error diagnostic");
@@ -232,21 +262,25 @@ DiffResult DiffRunner::run(const GeneratedProgram& program) const {
         ArrayStore wantS(probeBlock.arrays);
         wantS.fillAllPattern(o.fillSeed);
         executeReference(probeBlock, scaled, wantS);
-        ArrayStore gotS(probeBlock.arrays);
-        gotS.fillAllPattern(o.fillSeed);
-        try {
-          executeCodeUnit(*unitB, unitParams(rb, scaled), gotS);
-        } catch (const std::exception& e) {
-          return divergence(out, "bind",
-                            std::string(rb.artifactBound ? "bound" : "re-emitted") +
-                                " unit threw at scaled size: " + e.what());
+        for (const CompileResult* res : {&rb, &repeat}) {
+          const std::string what = std::string(res == &repeat ? "repeated " : "") +
+                                   (res->artifactBound ? "bound" : "re-emitted");
+          const CodeUnit* unit = res->unit();
+          if (unit == nullptr)
+            return divergence(out, "bind", what + " result lost its code unit");
+          ArrayStore gotS(probeBlock.arrays);
+          gotS.fillAllPattern(o.fillSeed);
+          try {
+            executeCodeUnit(*unit, unitParams(*res, scaled), gotS);
+          } catch (const std::exception& e) {
+            return divergence(out, "bind", what + " unit threw at scaled size: " + e.what());
+          }
+          const double diffS = ArrayStore::maxAbsDiff(gotS, wantS);
+          if (diffS != 0.0)
+            return divergence(out, "bind",
+                              what + " unit diverges from oracle at scaled size, maxAbsDiff=" +
+                                  std::to_string(diffS));
         }
-        const double diffS = ArrayStore::maxAbsDiff(gotS, wantS);
-        if (diffS != 0.0)
-          return divergence(out, "bind",
-                            std::string(rb.artifactBound ? "bound" : "re-emitted") +
-                                " unit diverges from oracle at scaled size, maxAbsDiff=" +
-                                std::to_string(diffS));
       }
     }
   }

@@ -49,6 +49,8 @@ struct TileSearchOptions {
   /// diagnostic reason — when the block is not parametrically analyzable.
   bool parametric = true;
 
+  bool operator==(const TileSearchOptions&) const = default;
+
   static constexpr void fields(auto& v) {
     v.tag(kTagTileSearchOptions, "TileSearchOptions");
     v("memLimitElems", &TileSearchOptions::memLimitElems);

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <random>
 
 #include "deps/dependence.h"
@@ -25,7 +26,9 @@
 #include "driver/disk_cache.h"
 #include "driver/family_plan.h"
 #include "driver/plan_cache.h"
+#include "driver/runtime_binder.h"
 #include "kernels/blocks.h"
+#include "service/protocol.h"
 #include "support/fingerprint.h"
 #include "support/serialize.h"
 #include "testgen/generator.h"
@@ -517,6 +520,252 @@ TEST(FamilyDigest, AMarkedEmptyPolyhedronChangesTheDigest) {
   // which is true for both blocks.
   EXPECT_TRUE(plain.statements[0].domain.isEmpty());
   EXPECT_EQ(digestBytes(serializeProgramBlock(plain)), digestBytes(serializeProgramBlock(marked)));
+}
+
+// ---- records for families first built with codegen skipped ----------------
+
+TEST(FamilyTest, CodegenSkippedWarmupStillGetsARecord) {
+  // A stats-only warm-up builds the family without a record. The first
+  // member compiled with codegen must publish one, to both tiers, so the
+  // sizes after it bind instead of re-emitting.
+  TempCacheDir dir;
+  {
+    PlanCache cache;
+    DiskPlanCache disk(dir.str());
+    CompileResult warm = sweepCompiler("me", {256, 128, 16})
+                             .cache(&cache)
+                             .diskCache(&disk)
+                             .skipPass("codegen")
+                             .compile();
+    ASSERT_TRUE(warm.ok) << warm.firstError();
+    EXPECT_TRUE(warm.artifact.empty());
+    CompileResult second =
+        sweepCompiler("me", {512, 128, 16}).cache(&cache).diskCache(&disk).compile();
+    ASSERT_TRUE(second.ok) << second.firstError();
+    EXPECT_TRUE(second.familyHit);
+    EXPECT_FALSE(second.artifactBound);  // no record yet: bind-and-emit
+    CompileResult third =
+        sweepCompiler("me", {768, 128, 16}).cache(&cache).diskCache(&disk).compile();
+    ASSERT_TRUE(third.ok) << third.firstError();
+    EXPECT_TRUE(third.artifactBound);
+    expectSameOutcome(third, coldCompile("me", {768, 128, 16}), "bound after the warm-up");
+  }
+  // "Second process": the record reached the disk tier too.
+  PlanCache cache;
+  DiskPlanCache disk(dir.str());
+  CompileResult r =
+      sweepCompiler("me", {1024, 128, 16}).cache(&cache).diskCache(&disk).compile();
+  ASSERT_TRUE(r.ok) << r.firstError();
+  EXPECT_TRUE(r.artifactBound);
+  expectSameOutcome(r, coldCompile("me", {1024, 128, 16}), "bound from the disk family");
+}
+
+// ---- the binder's search memo ----------------------------------------------
+
+/// A compiler for `kernel` at `sizes`, configured like the benchmark
+/// suite's built-in requests (default backend, kernel "<kernel>_kernel").
+Compiler builtinCompiler(const std::string& kernel, const std::vector<i64>& sizes,
+                         PlanCache& cache) {
+  IntVec params;
+  Compiler c(buildKernelByName(kernel, sizes, params));
+  CompileOptions o;
+  o.paramValues = params;
+  o.kernelName = kernel + "_kernel";
+  c.options(o).cache(&cache);
+  return c;
+}
+
+/// One certifyBind outcome in comparable form: the overlay's wire bytes
+/// with its bind timing zeroed, the bound arguments and the diagnostics.
+struct Certified {
+  bool bound = false;
+  std::string overlayBytes;
+  std::vector<std::pair<std::string, i64>> boundArgs;
+  std::vector<std::string> diagnostics;
+
+  bool operator==(const Certified&) const = default;
+};
+
+/// Certifies `kernel` at `sizes` against `family` under `base` (its
+/// paramValues replaced). A memo hit copies the stored search, clocks
+/// included; `zeroSearchClocks` zeroes them to compare with a search that
+/// ran separately.
+Certified certify(const FamilyPlan& family, const std::string& kernel,
+                  const std::vector<i64>& sizes, const CompileOptions& base,
+                  bool zeroSearchClocks) {
+  IntVec params;
+  const ProgramBlock block = buildKernelByName(kernel, sizes, params);
+  CompileOptions o = base;
+  o.paramValues = params;
+  std::vector<Diagnostic> diags;
+  std::optional<BindOverlay> overlay = certifyBind(family, block, o, &diags);
+  Certified c;
+  for (const Diagnostic& d : diags) c.diagnostics.push_back(d.message);
+  if (overlay) {
+    c.bound = true;
+    overlay->timing.millis = 0;
+    if (zeroSearchClocks && overlay->search) {
+      overlay->search->evalMillis = 0;
+      overlay->search->planBuildMillis = 0;
+    }
+    svc::WireBoundReply reply;
+    reply.overlay = *overlay;
+    c.overlayBytes = svc::encodeBoundReply(reply);
+    c.boundArgs = overlay->boundArgs;
+  }
+  return c;
+}
+
+/// Whether `family`'s memo holds the search certify() runs for `sizes`.
+bool memoized(const FamilyPlan& family, const std::string& kernel,
+              const std::vector<i64>& sizes, const CompileOptions& base) {
+  CompileOptions o = base;
+  buildKernelByName(kernel, sizes, o.paramValues);
+  return family.searchMemo.find(o.tileSearchOptions(),
+                                o.searchMode == TileSearchMode::Exhaustive) != nullptr;
+}
+
+/// A warmed family of `kernel` (built at `seedSizes`) and the options its
+/// members are certified under.
+struct WarmFamily {
+  PlanCache cache;
+  CompileOptions options;
+  std::shared_ptr<const FamilyPlan> plan;
+  std::string bytes;  ///< serializeFamilyPlan(*plan): a fresh copy, memo empty
+
+  WarmFamily(const std::string& kernel, const std::vector<i64>& seedSizes) {
+    Compiler seed = builtinCompiler(kernel, seedSizes, cache);
+    EXPECT_TRUE(seed.compile().ok);
+    options = seed.opts();
+    IntVec params;
+    plan = seed.cachedFamily(buildKernelByName(kernel, seedSizes, params));
+    EXPECT_TRUE(plan != nullptr && plan->haveRecord) << kernel;
+    if (plan != nullptr) bytes = serializeFamilyPlan(*plan);
+  }
+  std::shared_ptr<const FamilyPlan> fresh() const { return deserializeFamilyPlan(bytes); }
+};
+
+const char* const kArgminMoved =
+    "tile argmin moved at this size; the record's choice is no longer optimal, bind-and-emit";
+const char* const kInfeasible = "no feasible tile at this size; bind-and-emit";
+
+TEST(FamilyTest, SearchMemoRepeatsEveryOutcomeExactly) {
+  struct Case {
+    const char* kernel;
+    std::vector<i64> seed;
+    std::vector<std::vector<i64>> sizes;
+    std::vector<std::pair<std::vector<i64>, const char*>> rejected;
+  };
+  std::vector<Case> cases = {
+      {"me", {256, 128, 16}, {}, {{{8, 128, 16}, kArgminMoved}}},
+      {"matmul",
+       {128, 128, 128},
+       {},
+       {{{448, 64, 64}, kArgminMoved}, {{2, 2, 2}, kInfeasible}}},
+  };
+  for (i64 k = 1; k <= 16; ++k) cases[0].sizes.push_back({256 + 16 * k * 7, 128, 16});
+  for (i64 k = 0; k < 16; ++k)
+    cases[1].sizes.push_back({128 + 4 * ((k * 5) % 33), 128 + 4 * ((k * 11) % 33),
+                              132 + 4 * ((k * 3) % 32)});
+  for (Case& kc : cases) {
+    SCOPED_TRACE(kc.kernel);
+    WarmFamily fam(kc.kernel, kc.seed);
+    ASSERT_NE(fam.plan, nullptr);
+    std::vector<std::vector<i64>> all = kc.sizes;
+    for (const auto& [sizes, why] : kc.rejected) all.push_back(sizes);
+    int bound = 0;
+    for (const std::vector<i64>& sizes : all) {
+      SCOPED_TRACE(::testing::PrintToString(sizes));
+      EXPECT_FALSE(memoized(*fam.plan, kc.kernel, sizes, fam.options));
+      const Certified first = certify(*fam.plan, kc.kernel, sizes, fam.options, false);
+      EXPECT_TRUE(memoized(*fam.plan, kc.kernel, sizes, fam.options));
+      bound += first.bound ? 1 : 0;
+      // The repeat is served by the memo: the same bytes, the stored
+      // search clocks included, and the same rejection notes.
+      EXPECT_EQ(certify(*fam.plan, kc.kernel, sizes, fam.options, false), first);
+      // A plan whose memo is empty searches again and agrees.
+      EXPECT_EQ(certify(*fam.fresh(), kc.kernel, sizes, fam.options, true),
+                certify(*fam.plan, kc.kernel, sizes, fam.options, true));
+    }
+    EXPECT_EQ(bound, static_cast<int>(kc.sizes.size()));
+    for (const auto& [sizes, why] : kc.rejected) {
+      const Certified c = certify(*fam.plan, kc.kernel, sizes, fam.options, false);
+      EXPECT_FALSE(c.bound);
+      EXPECT_EQ(c.diagnostics, std::vector<std::string>{why});
+    }
+  }
+}
+
+TEST(FamilyTest, SearchMemoMissesOnOtherSearchOptions) {
+  // Certifies against ONE plan object under three option sets that differ
+  // only in what the search reads. Each must miss the others' entries and
+  // agree with a plan whose memo is empty.
+  WarmFamily fam("me", {256, 128, 16});
+  ASSERT_NE(fam.plan, nullptr);
+  const std::vector<i64> sizes = {1040, 128, 16};
+  CompileOptions ladder = fam.options;
+  ladder.tileCandidates.assign(fam.plan->record->search.subTile.size(), {1, 2, 4});
+  CompileOptions exhaustive = fam.options;
+  exhaustive.searchMode = TileSearchMode::Exhaustive;
+  const Certified base = certify(*fam.plan, "me", sizes, fam.options, true);
+  ASSERT_TRUE(base.bound);
+  for (const CompileOptions* other : {&ladder, &exhaustive}) {
+    EXPECT_FALSE(memoized(*fam.plan, "me", sizes, *other));
+    const Certified got = certify(*fam.plan, "me", sizes, *other, true);
+    EXPECT_TRUE(memoized(*fam.plan, "me", sizes, *other));
+    EXPECT_EQ(got, certify(*fam.fresh(), "me", sizes, *other, true));
+    // One slot per size: the other option set's entry replaced the base.
+    EXPECT_FALSE(memoized(*fam.plan, "me", sizes, fam.options));
+    EXPECT_EQ(certify(*fam.plan, "me", sizes, fam.options, true), base);
+  }
+  // The ladder excludes the record's tile, so its search must have run:
+  // a stale hit on the base entry would have bound.
+  EXPECT_EQ(certify(*fam.plan, "me", sizes, ladder, true).diagnostics,
+            std::vector<std::string>{kArgminMoved});
+}
+
+TEST(FamilyTest, SearchMemoSharedSlotsBindExactly) {
+  WarmFamily fam("me", {256, 128, 16});
+  ASSERT_NE(fam.plan, nullptr);
+  // Two pool sizes mapping to one slot.
+  std::vector<i64> a, b;
+  std::map<size_t, std::vector<i64>> seen;
+  for (i64 k = 1; b.empty(); ++k) {
+    const std::vector<i64> sizes = {256 + 16 * k, 128, 16};
+    auto [it, fresh] = seen.emplace(SearchMemo::slotOf(IntVec(sizes.begin(), sizes.end())), sizes);
+    if (!fresh) {
+      a = it->second;
+      b = sizes;
+    }
+  }
+  const Certified wantA = certify(*fam.fresh(), "me", a, fam.options, true);
+  const Certified wantB = certify(*fam.fresh(), "me", b, fam.options, true);
+  ASSERT_TRUE(wantA.bound && wantB.bound);
+  ASSERT_NE(wantA, wantB);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(certify(*fam.plan, "me", a, fam.options, true), wantA);
+    EXPECT_TRUE(memoized(*fam.plan, "me", a, fam.options));
+    EXPECT_EQ(certify(*fam.plan, "me", a, fam.options, true), wantA);
+    EXPECT_EQ(certify(*fam.plan, "me", b, fam.options, true), wantB);
+    EXPECT_TRUE(memoized(*fam.plan, "me", b, fam.options));
+    EXPECT_FALSE(memoized(*fam.plan, "me", a, fam.options));  // the last writer won
+  }
+}
+
+TEST(FamilyTest, CopiedFamilyPlanStartsWithAnEmptyMemo) {
+  WarmFamily fam("me", {256, 128, 16});
+  ASSERT_NE(fam.plan, nullptr);
+  const std::vector<i64> sizes = {1040, 128, 16};
+  ASSERT_TRUE(certify(*fam.plan, "me", sizes, fam.options, false).bound);
+  ASSERT_TRUE(memoized(*fam.plan, "me", sizes, fam.options));
+  FamilyPlan copy = *fam.plan;
+  EXPECT_FALSE(memoized(copy, "me", sizes, fam.options));
+  EXPECT_EQ(certify(copy, "me", sizes, fam.options, true),
+            certify(*fam.plan, "me", sizes, fam.options, true));
+  FamilyPlan assigned;
+  assigned = copy;
+  EXPECT_FALSE(memoized(assigned, "me", sizes, fam.options));
+  EXPECT_EQ(serializeFamilyPlan(copy), fam.bytes);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "ir/interp.h"
 #include "kernels/blocks.h"
 #include "support/fingerprint.h"
+#include "support/serialize.h"
 #include "support/thread_pool.h"
 #include "tilesearch/tile_evaluator.h"
 
@@ -409,7 +410,9 @@ TEST(PlanCacheTest, FamilySweepKeepsPipelineResultsCached) {
   PlanCache::Stats s = cache.stats();
   EXPECT_EQ(s.evictions, 0);
   EXPECT_EQ(s.entries, 2);  // the two cold results
-  // A repeated size binds again rather than replaying a stored copy.
+  // A repeated size binds again rather than replaying a stored copy: the
+  // family's search memo certifies it without re-running the search, and
+  // the bound result is the same.
   CompileResult repeat = meFamilyCompiler(1536, &cache).compile();
   EXPECT_TRUE(repeat.familyHit);
   EXPECT_FALSE(repeat.cacheHit);
@@ -512,6 +515,50 @@ TEST(CompileAsyncTest, ConcurrentBindsOfOneSizeRunNoPipeline) {
   EXPECT_EQ(after.entries, before.entries);
   EXPECT_EQ(after.misses - before.misses, 8);
   EXPECT_EQ(after.familyHits - before.familyHits, 8);
+}
+
+TEST(CompileAsyncTest, ConcurrentBindsShareTheSearchMemo) {
+  // Eight threads bind overlapping sizes of one warm family, so they read
+  // and publish the family's search memo concurrently (first searches,
+  // repeats and slot replacements). Every result must be byte-identical to
+  // a serial bind of its size against a separately warmed family.
+  constexpr int kThreads = 8;
+  constexpr int kSizes = 24;
+  const auto sizeOf = [](int i) { return i64{1536} + 1024 * i; };
+  // A bound result with its wall-clock fields zeroed, as bytes.
+  const auto bytesOf = [](CompileResult r) {
+    for (PassTiming& t : r.timings) t.millis = 0;
+    r.search.evalMillis = 0;
+    r.search.planBuildMillis = 0;
+    std::string bytes = serializeCompileResult(r);
+    for (const auto& [name, value] : r.boundArgs) bytes += name + "=" + std::to_string(value) + ";";
+    return bytes;
+  };
+  std::vector<std::string> serial;
+  {
+    PlanCache cache;
+    ASSERT_TRUE(meFamilyCompiler(512, &cache).compile().ok);
+    for (int i = 0; i < kSizes; ++i) {
+      CompileResult r = meFamilyCompiler(sizeOf(i), &cache).compile();
+      ASSERT_TRUE(r.ok && r.artifactBound) << "size #" << i << ": " << r.firstError();
+      serial.push_back(bytesOf(std::move(r)));
+    }
+  }
+  PlanCache cache;
+  ASSERT_TRUE(meFamilyCompiler(512, &cache).compile().ok);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      // Each thread walks its own rotation of the sizes, twice.
+      for (int step = 0; step < 2 * kSizes; ++step) {
+        const int i = (t * 3 + step) % kSizes;
+        CompileResult r = meFamilyCompiler(sizeOf(i), &cache).compile();
+        if (!r.ok || !r.artifactBound || bytesOf(std::move(r)) != serial[i]) ++mismatches;
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(CompileAsyncTest, BindFollowersComputeInParallel) {
