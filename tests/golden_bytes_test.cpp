@@ -10,6 +10,13 @@
 // distinct counters, a drain ErrorReply, and the two BoundReplies of an ME
 // bind: the one that carries the record and the lean one). Each is recorded in
 // tests/golden/plan_bytes.txt as its byte length and digestBytes value.
+//
+// The `results_seed<N>` rows (a test of their own) digest the compile results
+// of generated programs 0-199 of seeds 1, 2 and 3 at the differential
+// runner's default options, concatenated. They pin the transformation
+// framework's outcomes on programs the built-ins do not reach: skew factors
+// 1 to 4, a skew of two loops (seed 3, program 191) and the "no permutable
+// outer band" fallback.
 // Wall-clock values (PassTiming::millis, the tile search's
 // planBuildMillis/evalMillis, and the "N ms" figures the tile-search note
 // prints) are zeroed first; everything else in the payload is a
@@ -33,6 +40,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <regex>
 #include <sstream>
@@ -47,6 +55,7 @@
 #include "service/protocol.h"
 #include "support/fingerprint.h"
 #include "support/serialize.h"
+#include "testgen/diff_runner.h"
 #include "testgen/generator.h"
 
 namespace emm {
@@ -251,6 +260,36 @@ std::vector<std::pair<std::string, std::string>> goldenPayloads() {
   return out;
 }
 
+/// Generator seeds of the `results_seed<N>` rows, and programs per seed.
+constexpr u64 kResultSeeds[] = {1, 2, 3};
+constexpr u64 kResultPrograms = 200;
+
+/// The serialized results (timings zeroed) of compiling programs
+/// 0..kResultPrograms-1 of generator seed `seed` as the differential runner
+/// does, concatenated in index order.
+std::string generatedResults(u64 seed) {
+  testgen::GeneratorOptions gen;
+  gen.seed = seed;
+  const testgen::ProgramGenerator generator(gen);
+  const testgen::DiffOptions diff;
+  std::string out;
+  for (u64 index = 0; index < kResultPrograms; ++index) {
+    const testgen::GeneratedProgram program = generator.generate(index);
+    Compiler c(program.block);
+    c.options(diff.baseOptions).parameters(program.paramValues);
+    out += resultBytes(c.compile());
+  }
+  return out;
+}
+
+/// The `results_seed<N>` payloads, by name, in file order.
+std::vector<std::pair<std::string, std::string>> generatedResultPayloads() {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (u64 seed : kResultSeeds)
+    out.emplace_back("results_seed" + std::to_string(seed), generatedResults(seed));
+  return out;
+}
+
 std::string hex(u64 v) {
   char text[17];
   std::snprintf(text, sizeof text, "%016llx", static_cast<unsigned long long>(v));
@@ -311,6 +350,8 @@ TEST(GoldenPlanBytes, SerializedResultsMatchTheRecordedDigests) {
     std::ofstream f(kGoldenFile);
     f << "# name byte-length digestBytes (see tests/golden_bytes_test.cpp)\n";
     for (const auto& [name, bytes] : payloads) f << goldenLine(name, bytes) << "\n";
+    for (const auto& [name, bytes] : generatedResultPayloads())
+      f << goldenLine(name, bytes) << "\n";
     f << "# schema fingerprint; key_<kernel> block-key options-key; file_<kernel> "
          ".emmplan .emmfam; famdigest_<kernel> block options\n";
     for (const auto& [name, line] : goldenValues()) f << line << "\n";
@@ -319,8 +360,20 @@ TEST(GoldenPlanBytes, SerializedResultsMatchTheRecordedDigests) {
 
   std::map<std::string, std::string> recorded = recordedLines();
   // A stale row (a payload renamed or dropped) fails here.
-  EXPECT_EQ(recorded.size(), payloads.size() + goldenValues().size());
+  EXPECT_EQ(recorded.size(),
+            payloads.size() + std::size(kResultSeeds) + goldenValues().size());
   for (const auto& [name, bytes] : payloads) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(recorded.count(name)) << "no golden entry";
+    EXPECT_EQ(goldenLine(name, bytes), recorded[name]);
+  }
+}
+
+TEST(GoldenPlanBytes, GeneratedProgramResultsMatchTheRecordedDigests) {
+  if (std::getenv("EMM_UPDATE_GOLDEN") != nullptr)
+    GTEST_SKIP() << "rewritten by SerializedResultsMatchTheRecordedDigests";
+  std::map<std::string, std::string> recorded = recordedLines();
+  for (const auto& [name, bytes] : generatedResultPayloads()) {
     SCOPED_TRACE(name);
     ASSERT_TRUE(recorded.count(name)) << "no golden entry";
     EXPECT_EQ(goldenLine(name, bytes), recorded[name]);
