@@ -36,9 +36,8 @@ std::string Dependence::str(const ProgramBlock& block) const {
   return os.str();
 }
 
-std::vector<Dependence> computeDependences(const ProgramBlock& block) {
+bool visitDependences(const ProgramBlock& block, const std::function<bool(Dependence&&)>& visit) {
   block.validate();
-  std::vector<Dependence> out;
   int nparam = block.nparam();
 
   for (size_t s = 0; s < block.statements.size(); ++s) {
@@ -112,12 +111,21 @@ std::vector<Dependence> computeDependences(const ProgramBlock& block) {
             d.poly = std::move(cand);
             d.srcDim = sd;
             d.dstDim = td;
-            out.push_back(std::move(d));
+            if (!visit(std::move(d))) return false;
           }
         }
       }
     }
   }
+  return true;
+}
+
+std::vector<Dependence> computeDependences(const ProgramBlock& block) {
+  std::vector<Dependence> out;
+  visitDependences(block, [&](Dependence&& d) {
+    out.push_back(std::move(d));
+    return true;
+  });
   return out;
 }
 

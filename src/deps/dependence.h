@@ -14,6 +14,7 @@
 //  - tests asserting dependube preservation of generated code.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -61,7 +62,16 @@ enum class SignRange {
 };
 constexpr SignRange enumMax(SignRange) { return SignRange::Mixed; }
 
-/// All dependences of the block (self-dependences included).
+/// The dependence walker: builds the block's dependences one at a time and
+/// hands each to `visit`, in a fixed order (source statement, destination
+/// statement, source access, destination access, precedence depth). The
+/// walk stops as soon as `visit` returns false, so a caller that needs only
+/// a prefix (the skew search rejects a candidate at its first bad
+/// dependence) builds no polyhedra beyond it. Returns false iff stopped.
+bool visitDependences(const ProgramBlock& block, const std::function<bool(Dependence&&)>& visit);
+
+/// All dependences of the block (self-dependences included), in the
+/// walker's order.
 std::vector<Dependence> computeDependences(const ProgramBlock& block);
 
 /// Sign of the dependence distance on common loop `loop` (i.e.

@@ -120,7 +120,9 @@ public:
       s.familyUsed = true;
       s.note(name(), "transformation adopted from the family tier");
     } else {
-      TransformResult tr = makeTilable(*s.input);
+      // The deps pass built the input's dependences; unless it was skipped,
+      // the skew search starts from them instead of rebuilding them.
+      TransformResult tr = s.haveDeps ? makeTilable(*s.input, s.deps) : makeTilable(*s.input);
       s.transformed = std::make_unique<ProgramBlock>(std::move(tr.block));
       s.plan = std::move(tr.plan);
       s.havePlan = true;

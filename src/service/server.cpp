@@ -69,8 +69,8 @@ void ServiceServer::start() {
     throw ApiError("cannot listen on '" + path + "': " + std::strerror(err));
   }
   listenFd_ = fd;
-  pool_ = std::make_unique<ThreadPool>(options_.jobs > 0 ? options_.jobs
-                                                         : ThreadPool::defaultConcurrency());
+  pool_ = std::make_unique<ThreadPool>(
+      options_.jobs > 0 ? options_.jobs : ThreadPool::defaultConcurrency(), kCompilePoolNice);
   stopping_.store(false);
   running_.store(true);
   acceptThread_ = std::thread([this] { acceptLoop(); });

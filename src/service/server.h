@@ -18,7 +18,10 @@
 // work dispatched onto a shared ThreadPool through Compiler's single-flight
 // tiered caches — concurrent requests for the same plan collapse to one
 // pipeline run, and CPU concurrency is bounded by `jobs`, not by the number
-// of connected clients.
+// of connected clients. The pool's workers run at background CPU priority
+// (kCompilePoolNice): a cold compile takes milliseconds of CPU, a fast-path
+// bind and every reply write tens of microseconds, so on a busy machine
+// the connection threads go first instead of queueing behind compiles.
 //
 // Graceful shutdown (stop(), wired to SIGINT/SIGTERM in emmapcd): the
 // listening socket closes first, in-flight compiles drain and their replies
@@ -80,6 +83,11 @@ public:
   /// clients are connected.
   void stop();
   bool running() const { return running_.load(); }
+
+  /// The nice value the compile pool's workers lower themselves to (see
+  /// the file comment). Only this pool runs below normal priority.
+  static constexpr int kCompilePoolNice = 19;
+
   const std::string& socketPath() const { return options_.socketPath; }
 
   /// Daemon counters plus both cache tiers (the STATS reply).

@@ -523,7 +523,13 @@ PolySet liveInSpaces(const DataPlan& plan, int partition, const std::vector<Depe
 
 }  // namespace
 
-AstPtr buildCopyCode(const DataPlan& plan, int partition, bool moveIn) {
+std::vector<Dependence> copySetDependences(const DataPlan& plan) {
+  if (!plan.options.optimizeCopySets) return {};
+  return computeDependences(*plan.block);
+}
+
+AstPtr buildCopyCode(const DataPlan& plan, int partition, bool moveIn,
+                     const std::vector<Dependence>& copySetDeps) {
   const PartitionPlan& part = plan.partitions[partition];
   EMM_CHECK(part.hasBuffer, "copy code requested for partition without buffer");
   const ProgramBlock& block = *plan.block;
@@ -532,9 +538,7 @@ AstPtr buildCopyCode(const DataPlan& plan, int partition, bool moveIn) {
   PolySet spaces;
   if (moveIn) {
     if (plan.options.optimizeCopySets) {
-      // Dependences are recomputed here; the driver may cache them later if
-      // profiling shows it matters (blocks are small).
-      spaces = liveInSpaces(plan, partition, computeDependences(block));
+      spaces = liveInSpaces(plan, partition, copySetDeps);
     } else {
       spaces = part.readSpaces();
     }
@@ -598,18 +602,19 @@ CodeUnit buildScratchpadUnit(const ProgramBlock& block, const SmemOptions& optio
         rewriteStatement(block.statements[s], static_cast<int>(s), planOut, block, numGlobals));
 
   // move-in; compute; move-out.
+  const std::vector<Dependence> copySetDeps = copySetDependences(planOut);
   unit.root = AstNode::block();
   for (size_t p = 0; p < planOut.partitions.size(); ++p) {
     if (!planOut.partitions[p].hasBuffer) continue;
     unit.root->addChild(AstNode::comment("move-in " + planOut.partitions[p].bufferName));
-    unit.root->addChild(buildCopyCode(planOut, static_cast<int>(p), true));
+    unit.root->addChild(buildCopyCode(planOut, static_cast<int>(p), true, copySetDeps));
   }
   unit.root->addChild(AstNode::comment("computation"));
   unit.root->addChild(generateFromSchedules(block));
   for (size_t p = 0; p < planOut.partitions.size(); ++p) {
     if (!planOut.partitions[p].hasBuffer) continue;
     unit.root->addChild(AstNode::comment("move-out " + planOut.partitions[p].bufferName));
-    unit.root->addChild(buildCopyCode(planOut, static_cast<int>(p), false));
+    unit.root->addChild(buildCopyCode(planOut, static_cast<int>(p), false, copySetDeps));
   }
   return unit;
 }

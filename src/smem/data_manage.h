@@ -35,6 +35,8 @@
 
 namespace emm {
 
+struct Dependence;
+
 /// How references of one array are grouped into local buffers.
 ///
 /// The paper's Section 3.1 text describes maximal disjoint partitioning
@@ -211,10 +213,17 @@ CodeUnit buildScratchpadUnit(const ProgramBlock& block, const SmemOptions& optio
 CodeUnit buildScratchpadUnit(const ProgramBlock& block, const SmemOptions& options,
                              DataPlan& planOut);
 
+/// The dependences buildCopyCode reads: those of plan.block when
+/// plan.options.optimizeCopySets is set (the live-in copy sets), else none.
+/// Computed once per unit and passed to each partition's buildCopyCode.
+std::vector<Dependence> copySetDependences(const DataPlan& plan);
+
 /// Generates only the move-in (direction=true) or move-out (false) code for
 /// one partition, as Copy loops. Exposed for the tiling driver, which places
-/// these fragments at hoisted positions (Section 4.2).
-AstPtr buildCopyCode(const DataPlan& plan, int partition, bool moveIn);
+/// these fragments at hoisted positions (Section 4.2). `copySetDeps` is
+/// copySetDependences(plan).
+AstPtr buildCopyCode(const DataPlan& plan, int partition, bool moveIn,
+                     const std::vector<Dependence>& copySetDeps);
 
 // ---- Bound-candidate machinery, exposed for the parametric tile plan
 // (which re-runs the same candidate generation once, symbolically). ----

@@ -2,14 +2,45 @@
 
 #include <algorithm>
 
+#if defined(__linux__)
+#include <sys/resource.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
+#include <cerrno>
+#endif
+
 #include "support/diagnostics.h"
 
 namespace emm {
 
-ThreadPool::ThreadPool(int threads) {
+namespace {
+
+/// Lowers the calling thread's CPU priority to `nice`, best effort. On
+/// Linux the nice value is per thread: PRIO_PROCESS with a thread id
+/// touches that thread only.
+void lowerOwnPriority(int nice) {
+#if defined(__linux__)
+  const id_t tid = static_cast<id_t>(::syscall(SYS_gettid));
+  errno = 0;
+  const int current = ::getpriority(PRIO_PROCESS, tid);
+  if (errno == 0 && current >= nice) return;
+  ::setpriority(PRIO_PROCESS, tid, nice);
+#else
+  (void)nice;
+#endif
+}
+
+}  // namespace
+
+ThreadPool::ThreadPool(int threads, int workerNice) {
   int n = std::max(1, threads);
   workers_.reserve(n);
-  for (int i = 0; i < n; ++i) workers_.emplace_back([this] { workerLoop(); });
+  for (int i = 0; i < n; ++i)
+    workers_.emplace_back([this, workerNice] {
+      if (workerNice > 0) lowerOwnPriority(workerNice);
+      workerLoop();
+    });
 }
 
 ThreadPool::~ThreadPool() {

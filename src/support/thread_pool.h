@@ -4,8 +4,9 @@
 // Compiler::compile call), so batch and async compilation reduce to
 // scheduling independent tasks over a small worker pool. This pool is
 // deliberately minimal: a fixed number of workers created up front, a FIFO
-// queue, and a blocking wait() barrier; no work stealing, priorities, or
-// resizing. Tasks must not throw (wrap and report through their own
+// queue, and a blocking wait() barrier; no work stealing, task priorities,
+// or resizing. Workers may run at a lower CPU priority than their creator
+// (`workerNice`), as the daemon's compile pool does. Tasks must not throw (wrap and report through their own
 // channel, e.g. a promise), and must not submit to the pool they run on
 // while another thread is in wait() (the idle accounting would race).
 #pragma once
@@ -21,8 +22,11 @@ namespace emm {
 
 class ThreadPool {
 public:
-  /// Creates `threads` workers; values < 1 are clamped to 1.
-  explicit ThreadPool(int threads);
+  /// Creates `threads` workers; values < 1 are clamped to 1. A positive
+  /// `workerNice` makes each worker lower its own CPU priority to that nice
+  /// value once, at start (Linux, best effort: kept when the kernel refuses
+  /// or the worker already runs at that nice or lower priority).
+  explicit ThreadPool(int threads, int workerNice = 0);
   /// Drains the queue, then joins all workers.
   ~ThreadPool();
 

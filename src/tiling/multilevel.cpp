@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "codegen/scan.h"
+#include "deps/dependence.h"
 
 namespace emm {
 
@@ -375,13 +376,14 @@ TiledKernel buildTiledKernel(const ProgramBlock& block, const ParallelismPlan& p
     int level;
   };
   std::vector<CopyFragment> fragments;
+  const std::vector<Dependence> copySetDeps = copySetDependences(ta.plan);
   for (size_t p = 0; p < ta.plan.partitions.size(); ++p) {
     if (!ta.plan.partitions[p].hasBuffer) continue;
     for (bool moveIn : {true, false}) {
       CopyFragment f;
       f.partition = static_cast<int>(p);
       f.moveIn = moveIn;
-      f.code = buildCopyCode(ta.plan, static_cast<int>(p), moveIn);
+      f.code = buildCopyCode(ta.plan, static_cast<int>(p), moveIn, copySetDeps);
       if (f.code->children.empty()) continue;  // e.g. read-only buffers move nothing out
       f.level = ta.hoistLevel[p];
       fragments.push_back(std::move(f));

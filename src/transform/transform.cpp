@@ -1,6 +1,7 @@
 #include "transform/transform.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace emm {
 
@@ -11,38 +12,58 @@ int commonLoopDepth(const ProgramBlock& block) {
   return depth;
 }
 
-std::vector<LoopDepSummary> summarizeLoops(const ProgramBlock& block,
-                                           const std::vector<Dependence>& deps, int depth) {
-  (void)block;
-  std::vector<LoopDepSummary> out(depth);
-  for (int l = 0; l < depth; ++l) {
-    out[l].loop = l;
-    SignRange acc = SignRange::Zero;
-    for (const Dependence& d : deps) {
-      if (l >= d.srcDim || l >= d.dstDim) continue;
-      acc = combineSigns(acc, distanceSign(d, l));
-    }
-    out[l].sign = acc;
-  }
-  return out;
+namespace {
+
+bool nonneg(SignRange s) {
+  return s == SignRange::Zero || s == SignRange::NonNegative || s == SignRange::Positive;
 }
 
-ParallelismPlan findParallelism(const ProgramBlock& block, const std::vector<Dependence>& deps) {
-  int depth = commonLoopDepth(block);
+/// The combined distance sign of `deps` on `loop`. Mixed absorbs every later
+/// sign, so the fold stops there.
+SignRange loopSign(const std::vector<Dependence>& deps, int loop) {
+  SignRange acc = SignRange::Zero;
+  for (const Dependence& d : deps) {
+    if (loop >= d.srcDim || loop >= d.dstDim) continue;
+    acc = combineSigns(acc, distanceSign(d, loop));
+    if (acc == SignRange::Mixed) break;
+  }
+  return acc;
+}
+
+/// One block's dependences and their per-loop signs, each sign computed on
+/// first use: the skew search reads only the loops it repairs and the
+/// loops it skews by.
+class LoopSigns {
+public:
+  LoopSigns(const std::vector<Dependence>& deps, int depth) : deps_(&deps), signs_(depth) {}
+
+  SignRange operator[](int loop) {
+    if (!signs_[loop].has_value()) signs_[loop] = loopSign(*deps_, loop);
+    return *signs_[loop];
+  }
+  void set(int loop, SignRange sign) { signs_[loop] = sign; }
+  int depth() const { return static_cast<int>(signs_.size()); }
+
+private:
+  const std::vector<Dependence>* deps_;
+  std::vector<std::optional<SignRange>> signs_;
+};
+
+/// findParallelism over precomputed signs. Loop 0 is read first: when it is
+/// not non-negative there is no band, and no other loop is summarized.
+ParallelismPlan planFromSummaries(LoopSigns& signs) {
+  EMM_REQUIRE(signs.depth() > 0 && nonneg(signs[0]),
+              "no permutable outer band; apply skewing (makeTilable) first");
+  const int depth = signs.depth();
   ParallelismPlan plan;
-  plan.summaries = summarizeLoops(block, deps, depth);
+  for (int l = 0; l < depth; ++l) plan.summaries.push_back({l, signs[l]});
 
   // Outermost band: maximal prefix of loops whose distance signs are all
   // non-negative (permutable band criterion).
-  auto nonneg = [](SignRange s) {
-    return s == SignRange::Zero || s == SignRange::NonNegative || s == SignRange::Positive;
-  };
   for (int l = 0; l < depth; ++l) {
     if (!nonneg(plan.summaries[l].sign)) break;
     plan.band.push_back(l);
   }
-  EMM_REQUIRE(!plan.band.empty(),
-              "no permutable outer band; apply skewing (makeTilable) first");
 
   for (int l : plan.band)
     if (plan.summaries[l].sign == SignRange::Zero) plan.spaceLoops.push_back(l);
@@ -60,6 +81,21 @@ ParallelismPlan findParallelism(const ProgramBlock& block, const std::vector<Dep
   for (int l : plan.spaceLoops)
     if (plan.summaries[l].carriesDependence()) plan.needsInterBlockSync = true;
   return plan;
+}
+
+}  // namespace
+
+std::vector<LoopDepSummary> summarizeLoops(const ProgramBlock& block,
+                                           const std::vector<Dependence>& deps, int depth) {
+  (void)block;
+  std::vector<LoopDepSummary> out(depth);
+  for (int l = 0; l < depth; ++l) out[l] = {l, loopSign(deps, l)};
+  return out;
+}
+
+ParallelismPlan findParallelism(const ProgramBlock& block, const std::vector<Dependence>& deps) {
+  LoopSigns signs(deps, commonLoopDepth(block));
+  return planFromSummaries(signs);
 }
 
 namespace {
@@ -124,31 +160,69 @@ ProgramBlock shiftStatementLoop(const ProgramBlock& block, int stmtIdx, int loop
   return out;
 }
 
+namespace {
+
+/// A candidate whose distances on the repaired loop are all non-negative:
+/// its dependences (computed by the check, handed over so they are not
+/// rebuilt) and their combined sign on that loop.
+struct LegalCandidate {
+  ProgramBlock block;
+  std::vector<Dependence> deps;
+  SignRange sign = SignRange::Zero;
+  i64 factor = 0;
+};
+
+/// Walks `block`'s dependences and stops at the first whose distance on
+/// `loop` is not non-negative. Returns the dependences and their combined
+/// sign on `loop` when there is none.
+std::optional<LegalCandidate> legalOn(ProgramBlock block, int loop, i64 factor) {
+  LegalCandidate out;
+  const bool legal = visitDependences(block, [&](Dependence&& d) {
+    const SignRange s = distanceSign(d, loop);
+    if (!nonneg(s)) return false;
+    out.sign = combineSigns(out.sign, s);
+    out.deps.push_back(std::move(d));
+    return true;
+  });
+  if (!legal) return std::nullopt;
+  out.block = std::move(block);
+  out.factor = factor;
+  return out;
+}
+
+/// findSkewFactor with the legal candidate handed over. `tryUnskewed` tests
+/// factor 0 (the block as given) first.
+std::optional<LegalCandidate> searchSkew(const ProgramBlock& block, int targetLoop,
+                                         int sourceLoop, i64 maxFactor, bool tryUnskewed) {
+  if (tryUnskewed)
+    if (std::optional<LegalCandidate> c = legalOn(block, targetLoop, 0)) return c;
+  for (i64 f = 1; f <= maxFactor; ++f)
+    if (std::optional<LegalCandidate> c =
+            legalOn(skewLoop(block, targetLoop, sourceLoop, f), targetLoop, f))
+      return c;
+  return std::nullopt;
+}
+
+}  // namespace
+
 i64 findSkewFactor(const ProgramBlock& block, int targetLoop, int sourceLoop, i64 maxFactor) {
-  auto signOf = [&](const ProgramBlock& b) {
-    auto deps = computeDependences(b);
-    auto sums = summarizeLoops(b, deps, commonLoopDepth(b));
-    return sums[targetLoop].sign;
-  };
-  auto nonneg = [](SignRange s) {
-    return s == SignRange::Zero || s == SignRange::NonNegative || s == SignRange::Positive;
-  };
-  if (nonneg(signOf(block))) return 0;
-  for (i64 f = 1; f <= maxFactor; ++f) {
-    ProgramBlock candidate = skewLoop(block, targetLoop, sourceLoop, f);
-    if (nonneg(signOf(candidate))) return f;
-  }
-  return -1;
+  std::optional<LegalCandidate> c = searchSkew(block, targetLoop, sourceLoop, maxFactor, true);
+  return c.has_value() ? c->factor : -1;
 }
 
 TransformResult makeTilable(const ProgramBlock& block) {
+  return makeTilable(block, computeDependences(block));
+}
+
+TransformResult makeTilable(const ProgramBlock& block, const std::vector<Dependence>& deps) {
   TransformResult result;
   result.block = block;
-  int depth = commonLoopDepth(block);
-  auto nonneg = [](SignRange s) {
-    return s == SignRange::Zero || s == SignRange::NonNegative || s == SignRange::Positive;
-  };
-  int nstmt = static_cast<int>(block.statements.size());
+  const int depth = commonLoopDepth(block);
+  const int nstmt = static_cast<int>(block.statements.size());
+  // The current block's dependences: the caller's until a transformation
+  // applies, then those its legality check computed.
+  std::vector<Dependence> ownDeps;
+  LoopSigns signs(deps, depth);
 
   // Greedy legalization: walk loops outer-to-inner. A negative/mixed loop is
   // repaired by skewing against an outer positive loop, optionally combined
@@ -157,15 +231,13 @@ TransformResult makeTilable(const ProgramBlock& block) {
   // one and skews by two). A loop no transformation repairs ends the band;
   // deeper loops are left untouched (findParallelism stops there too).
   for (int l = 0; l < depth; ++l) {
-    auto deps = computeDependences(result.block);
-    auto sums = summarizeLoops(result.block, deps, depth);
-    if (nonneg(sums[l].sign)) continue;
+    if (nonneg(signs[l])) continue;
     bool fixed = false;
     for (int src = l - 1; src >= 0 && !fixed; --src) {
       // Skewing by a loop whose dependence distances are never negative
       // cannot invalidate any dependence; deps with zero source distance
       // are handled by the shift component.
-      if (!nonneg(sums[src].sign) || sums[src].sign == SignRange::Zero) continue;
+      if (!nonneg(signs[src]) || signs[src] == SignRange::Zero) continue;
       // Shift combinations: statement 0 is the anchor; others shift by
       // 0..2 along loop l. The no-shift combination is tried first.
       std::vector<std::vector<i64>> shiftCombos{{std::vector<i64>(nstmt, 0)}};
@@ -179,25 +251,28 @@ TransformResult makeTilable(const ProgramBlock& block) {
       }
       for (const std::vector<i64>& combo : shiftCombos) {
         ProgramBlock candidate = result.block;
+        bool shifted = false;
         for (int si = 0; si < nstmt; ++si)
-          if (combo[si] != 0) candidate = shiftStatementLoop(candidate, si, l, combo[si]);
-        i64 f = findSkewFactor(candidate, l, src);
-        if (f >= 0) {
-          bool any = f > 0;
-          for (i64 s : combo) any = any || s != 0;
-          if (!any) continue;  // nothing changed; sign was already bad
-          if (f > 0) candidate = skewLoop(candidate, l, src, f);
-          result.block = std::move(candidate);
-          result.appliedSkews.push_back({l, {src, f}});
-          fixed = true;
-          break;
-        }
+          if (combo[si] != 0) {
+            candidate = shiftStatementLoop(candidate, si, l, combo[si]);
+            shifted = true;
+          }
+        // Unshifted, the candidate is the current block, whose sign on l
+        // is known to be bad: only real skews are tried.
+        std::optional<LegalCandidate> legal = searchSkew(candidate, l, src, 4, shifted);
+        if (!legal.has_value()) continue;
+        result.block = std::move(legal->block);
+        result.appliedSkews.push_back({l, {src, legal->factor}});
+        ownDeps = std::move(legal->deps);
+        signs = LoopSigns(ownDeps, depth);
+        signs.set(l, legal->sign);
+        fixed = true;
+        break;
       }
     }
     if (!fixed) break;  // band ends before loop l
   }
-  auto deps = computeDependences(result.block);
-  result.plan = findParallelism(result.block, deps);
+  result.plan = planFromSummaries(signs);
   return result;
 }
 

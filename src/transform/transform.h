@@ -83,6 +83,9 @@ ProgramBlock skewLoop(const ProgramBlock& block, int targetLoop, int sourceLoop,
 /// Searches factors 1..maxFactor such that after skewing `targetLoop` by
 /// `sourceLoop`, every dependence distance on `targetLoop` is non-negative.
 /// Returns 0 if none is needed (already non-negative) and -1 if none works.
+/// Only `targetLoop`'s distances are tested, and a candidate is rejected at
+/// its first dependence (in computeDependences order) whose distance is
+/// not non-negative, before the rest are built.
 i64 findSkewFactor(const ProgramBlock& block, int targetLoop, int sourceLoop, i64 maxFactor = 4);
 
 /// Shifts one statement's iterator: new iterator z = old + offset (the
@@ -95,12 +98,18 @@ ProgramBlock shiftStatementLoop(const ProgramBlock& block, int stmtIdx, int loop
 
 /// One-call driver: skews loops as needed to make the outer band permutable,
 /// then detects parallelism. This mirrors how the paper's toolchain composes
-/// [7] with [27]-style enabling transformations.
+/// [7] with [27]-style enabling transformations. Each repair candidate is
+/// checked as findSkewFactor does; the dependences of the accepted one are
+/// kept, so every block version's dependences are built once and the
+/// final findParallelism reuses them.
 struct TransformResult {
   ProgramBlock block;  ///< possibly skewed
   ParallelismPlan plan;
   std::vector<std::pair<int, std::pair<int, i64>>> appliedSkews;  ///< target -> (source, factor)
 };
 TransformResult makeTilable(const ProgramBlock& block);
+/// Same, starting from `deps`, which must be computeDependences(block) (the
+/// deps pass's products): the block's dependences are not rebuilt.
+TransformResult makeTilable(const ProgramBlock& block, const std::vector<Dependence>& deps);
 
 }  // namespace emm

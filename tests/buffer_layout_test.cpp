@@ -74,7 +74,9 @@ TEST(BufferLayoutPlanner, PlacementsAreDisjointBankAlignedAndInsideTheArena) {
       // In the packed arena (no fallback note) base offsets land on
       // bank-row multiples, so packing never rotates a buffer's bank
       // assignment; the flat fallback packs back to back instead.
-      if (lo.note.empty()) EXPECT_EQ(off % lo.bank.banks, 0) << e.name;
+      if (lo.note.empty()) {
+        EXPECT_EQ(off % lo.bank.banks, 0) << e.name;
+      }
       spans.emplace_back(off, off + len);
     }
     std::sort(spans.begin(), spans.end());

@@ -127,7 +127,9 @@ TEST(FamilyTierTest, RandomizedSizesStayByteIdentical) {
       drawn.push_back(sizes);
       CompileResult r = sweepCompiler(kc.kernel, sizes).cache(&cache).compile();
       ASSERT_TRUE(r.ok) << kc.kernel << ": " << r.firstError();
-      if (trial > 0 && !repeat) EXPECT_TRUE(r.familyHit) << kc.kernel;
+      if (trial > 0 && !repeat) {
+        EXPECT_TRUE(r.familyHit) << kc.kernel;
+      }
       CompileResult cold = coldCompile(kc.kernel, sizes);
       expectSameOutcome(r, cold, kc.kernel);
     }

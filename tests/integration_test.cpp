@@ -79,7 +79,7 @@ TEST(Integration, VolumeBoundsDominateMeasuredTraffic) {
   for (int l = 0; l < ta.depth; ++l) ext.push_back(0);  // origins at 0
   for (size_t p = 0; p < ta.plan.partitions.size(); ++p) {
     if (!ta.plan.partitions[p].hasBuffer) continue;
-    AstPtr in = buildCopyCode(ta.plan, static_cast<int>(p), true);
+    AstPtr in = buildCopyCode(ta.plan, static_cast<int>(p), true, copySetDependences(ta.plan));
     CodeUnit unit;
     unit.source = ta.tileBlock.get();
     // Buffer table must line up with buffer ids used by the copy code.

@@ -703,7 +703,7 @@ TEST(ParametricPipeline, ArtifactsByteIdenticalAcrossEvaluationPaths) {
   cases.push_back({"me", buildMeBlock(64, 64, 8), {64, 64, 8}});
   cases.push_back({"matmul", buildMatmulBlock(64, 48, 32), {64, 48, 32}});
   for (Case& c : cases) {
-    for (const std::string& backend : {"c", "cuda"}) {
+    for (const char* backend : {"c", "cuda"}) {
       CompileResult on = compileKernel(c.block, c.params, true, backend);
       CompileResult off = compileKernel(c.block, c.params, false, backend);
       ASSERT_TRUE(on.ok) << c.name << ": " << on.firstError();

@@ -189,8 +189,12 @@ void expectOwnBlocks(const CompileResult& r) {
     EXPECT_EQ(r.kernel->unit.source, r.kernel->analysis.tileBlock.get());
     EXPECT_EQ(r.kernel->analysis.plan.block, r.kernel->analysis.tileBlock.get());
   }
-  if (r.scratchpadUnit) EXPECT_TRUE(own(r.scratchpadUnit->source));
-  if (r.blockPlan) EXPECT_TRUE(own(r.blockPlan->block));
+  if (r.scratchpadUnit) {
+    EXPECT_TRUE(own(r.scratchpadUnit->source));
+  }
+  if (r.blockPlan) {
+    EXPECT_TRUE(own(r.blockPlan->block));
+  }
 }
 
 TEST(PlanCopy, CopiesPointAtTheirOwnBlocks) {
@@ -210,8 +214,10 @@ TEST(PlanCopy, CopiesPointAtTheirOwnBlocks) {
       expectOwnBlocks(*copy);
       EXPECT_EQ(serializeCompileResult(*copy), bytes);
     }
-    if (kernel) EXPECT_EQ(kernel->unit.source, kernel->analysis.tileBlock.get());
-    if (kernel) EXPECT_EQ(kernel->analysis.plan.block, kernel->analysis.tileBlock.get());
+    if (kernel) {
+      EXPECT_EQ(kernel->unit.source, kernel->analysis.tileBlock.get());
+      EXPECT_EQ(kernel->analysis.plan.block, kernel->analysis.tileBlock.get());
+    }
   }
 }
 

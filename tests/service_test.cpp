@@ -4,6 +4,14 @@
 // tile evaluator.
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sys/resource.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
+#include <cerrno>
+#endif
+
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -17,6 +25,7 @@
 #include "driver/plan_cache.h"
 #include "ir/interp.h"
 #include "kernels/blocks.h"
+#include "service/server.h"
 #include "support/fingerprint.h"
 #include "support/serialize.h"
 #include "support/thread_pool.h"
@@ -147,6 +156,41 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
   EXPECT_EQ(count.load(), 50);
 }
 
+#if defined(__linux__)
+/// The calling thread's nice value (per thread on Linux).
+int ownNice() {
+  errno = 0;
+  return ::getpriority(PRIO_PROCESS, static_cast<id_t>(::syscall(SYS_gettid)));
+}
+
+TEST(ThreadPoolTest, WorkersLowerTheirOwnPriorityOnly) {
+  const int nice = svc::ServiceServer::kCompilePoolNice;
+  const int base = ownNice();
+  if (base >= nice) GTEST_SKIP() << "the test already runs at nice " << base;
+  // Lowering one's own priority is unprivileged, but a sandbox may refuse
+  // setpriority outright: probe on a throwaway thread.
+  bool refused = false;
+  std::thread([&] {
+    refused = ::setpriority(PRIO_PROCESS, static_cast<id_t>(::syscall(SYS_gettid)), nice) != 0;
+  }).join();
+  if (refused) GTEST_SKIP() << "the kernel refuses setpriority";
+
+  // The daemon's compile pool runs at kCompilePoolNice; a default pool keeps
+  // its creator's priority, and so does the creator.
+  std::atomic<int> lowered{0};
+  ThreadPool compilePool(2, nice);
+  for (int i = 0; i < 8; ++i) compilePool.submit([&] { lowered += ownNice() == nice; });
+  compilePool.wait();
+  int normal = 0;
+  ThreadPool plainPool(1);
+  plainPool.submit([&] { normal = ownNice(); });
+  plainPool.wait();
+  EXPECT_EQ(lowered.load(), 8);
+  EXPECT_EQ(normal, base);
+  EXPECT_EQ(ownNice(), base);
+}
+#endif
+
 // ---- Memoized tile evaluator. ----
 
 struct EvalSetup {
@@ -259,7 +303,7 @@ Compiler meFamilyCompiler(i64 ni, PlanCache* cache) {
 }
 
 TEST(PlanCacheTest, WarmHitIsByteIdenticalAcrossBackends) {
-  for (const std::string& backend : {"c", "cuda", "cell"}) {
+  for (const char* backend : {"c", "cuda", "cell"}) {
     PlanCache cache;
     Compiler compiler = cachedMeCompiler(&cache, backend);
     CompileResult cold = compiler.compile();

@@ -2,9 +2,16 @@
 // skewing legality and semantics preservation.
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "codegen/scan.h"
+#include "driver/compiler.h"
 #include "ir/interp.h"
 #include "kernels/blocks.h"
+#include "support/field_codec.h"
+#include "support/serialize.h"
+#include "testgen/diff_runner.h"
+#include "testgen/generator.h"
 #include "transform/transform.h"
 
 namespace emm {
@@ -175,6 +182,89 @@ TEST_P(SkewFactorProperty, WiderStencilsNeedLargerFactors) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Radii, SkewFactorProperty, ::testing::Values(1, 2, 3));
+
+/// Generated programs (seed, index) that makeTilable skews: factors 1 to 4,
+/// a skew of loop 2 by loop 1, and a skew of two loops (seed 3, 191).
+const std::pair<u64, u64> kSkewedPrograms[] = {{1, 29}, {1, 56}, {2, 17}, {1, 18},
+                                               {1, 151}, {3, 191}};
+
+testgen::GeneratedProgram generated(u64 seed, u64 index) {
+  testgen::GeneratorOptions gen;
+  gen.seed = seed;
+  return testgen::ProgramGenerator(gen).generate(index);
+}
+
+struct SkewCase {
+  std::string name;
+  ProgramBlock block;
+  IntVec params;
+};
+
+/// The four built-in kernels at their default sizes, then kSkewedPrograms.
+std::vector<SkewCase> skewCases() {
+  std::vector<SkewCase> out;
+  for (const char* kernel : {"me", "jacobi", "jacobi2d", "matmul"}) {
+    SkewCase c{kernel, {}, {}};
+    c.block = buildKernelByName(kernel, {}, c.params);
+    out.push_back(std::move(c));
+  }
+  for (const auto& [seed, index] : kSkewedPrograms) {
+    testgen::GeneratedProgram g = generated(seed, index);
+    out.push_back({"seed " + std::to_string(seed) + " program " + std::to_string(index),
+                   std::move(g.block), std::move(g.paramValues)});
+  }
+  return out;
+}
+
+void expectSameTransform(const TransformResult& a, const TransformResult& b) {
+  EXPECT_EQ(serializeProgramBlock(a.block), serializeProgramBlock(b.block));
+  EXPECT_EQ(a.appliedSkews, b.appliedSkews);
+  EXPECT_EQ(encode(a.plan), encode(b.plan));
+}
+
+TEST(Transform, MakeTilableFromGivenDependencesMatchesTheOneArgumentForm) {
+  int skewed = 0;
+  for (const SkewCase& c : skewCases()) {
+    SCOPED_TRACE(c.name);
+    const TransformResult own = makeTilable(c.block);
+    expectSameTransform(makeTilable(c.block, computeDependences(c.block)), own);
+    skewed += !own.appliedSkews.empty();
+    // The plan comes from the dependences the accepted skew's legality
+    // check built; rebuilding them from the result block agrees.
+    EXPECT_EQ(encode(findParallelism(own.block, computeDependences(own.block))),
+              encode(own.plan));
+  }
+  EXPECT_EQ(skewed, 2 + static_cast<int>(std::size(kSkewedPrograms)));
+
+  // A block with no permutable outer band fails the same way in both forms.
+  const ProgramBlock bandless = generated(1, 0).block;
+  EXPECT_THROW(makeTilable(bandless), ApiError);
+  EXPECT_THROW(makeTilable(bandless, computeDependences(bandless)), ApiError);
+}
+
+TEST(Transform, SkippingTheDepsPassGivesTheSameTransform) {
+  // With the deps pass the transform pass starts from its dependences;
+  // without it, it computes them itself.
+  const testgen::DiffOptions diff;
+  for (const SkewCase& c : skewCases()) {
+    SCOPED_TRACE(c.name);
+    auto compile = [&](bool skipDeps) {
+      Compiler compiler(c.block);
+      compiler.options(diff.baseOptions).parameters(c.params);
+      if (skipDeps) compiler.skipPass("deps");
+      return compiler.compile();
+    };
+    const CompileResult full = compile(false);
+    const CompileResult noDeps = compile(true);
+    EXPECT_TRUE(full.haveDeps);
+    EXPECT_FALSE(noDeps.haveDeps);
+    ASSERT_TRUE(full.transformed && noDeps.transformed);
+    EXPECT_EQ(serializeProgramBlock(*full.transformed),
+              serializeProgramBlock(*noDeps.transformed));
+    EXPECT_EQ(full.appliedSkews, noDeps.appliedSkews);
+    EXPECT_EQ(encode(full.plan), encode(noDeps.plan));
+  }
+}
 
 }  // namespace
 }  // namespace emm
