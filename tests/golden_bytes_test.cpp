@@ -8,7 +8,9 @@
 // the complete .emmplan file DiskPlanCache::insert writes for ME, and the six
 // daemon wire payloads (an ME kernel request, the ME reply, a StatsReply with
 // distinct counters, a drain ErrorReply, and the two BoundReplies of an ME
-// bind: the one that carries the record and the lean one). Each is recorded in
+// bind: the one that carries the record and the lean one), and the
+// `plan_search_<kernel>` rows: the binder's tile searches for ME and matmul
+// over a fixed grid of sizes (see planSearchPayload). Each is recorded in
 // tests/golden/plan_bytes.txt as its byte length and digestBytes value.
 //
 // The `results_seed<N>` rows (a test of their own) digest the compile results
@@ -53,6 +55,8 @@
 #include "driver/plan_cache.h"
 #include "kernels/blocks.h"
 #include "service/protocol.h"
+#include "driver/runtime_binder.h"
+#include "support/field_codec.h"
 #include "support/fingerprint.h"
 #include "support/serialize.h"
 #include "testgen/diff_runner.h"
@@ -131,6 +135,67 @@ std::string familyPayload(const fs::path& dir) {
   const u64 len = header.u64v();
   if (len + 8 > header.remaining()) return {};
   return file.substr(8 + header.position(), len);
+}
+
+/// The binder's tile searches for `kernel` over `grid`, both solvers per
+/// size: the family is warmed at the kernel's default size, each request is
+/// certified (certifyBind), and the search it ran is read back from the
+/// family's search memo, which keeps rejected outcomes too. The serialized
+/// TileSearchResults (clocks zeroed) are concatenated; a size whose binding
+/// throws stores no search and contributes "none".
+std::string planSearchPayload(const std::string& kernel,
+                              const std::vector<std::vector<i64>>& grid) {
+  PlanCache cache;
+  IntVec seedParams;
+  Compiler seed(buildKernelByName(kernel, {}, seedParams));
+  seed.options(builtinOptions(kernel, seedParams)).cache(&cache);
+  EXPECT_TRUE(seed.compile().ok) << kernel;
+  const std::shared_ptr<const FamilyPlan> family =
+      seed.cachedFamily(buildKernelByName(kernel, {}, seedParams));
+  EXPECT_TRUE(family != nullptr && family->haveRecord) << kernel;
+  if (family == nullptr) return {};
+  std::string out;
+  for (const std::vector<i64>& sizes : grid) {
+    for (TileSearchMode mode : {TileSearchMode::CoordinateDescent, TileSearchMode::Exhaustive}) {
+      IntVec params;
+      const ProgramBlock block = buildKernelByName(kernel, sizes, params);
+      CompileOptions o = seed.opts();
+      o.paramValues = params;
+      o.searchMode = mode;
+      certifyBind(*family, block, o, nullptr);
+      const std::shared_ptr<const SearchMemo::Entry> entry =
+          family->searchMemo.find(o.tileSearchOptions(), mode == TileSearchMode::Exhaustive);
+      if (entry == nullptr) {
+        out += "none";
+        continue;
+      }
+      TileSearchResult result = entry->result;
+      result.planBuildMillis = 0;
+      result.evalMillis = 0;
+      ByteWriter w;
+      writeValue(w, result);
+      out += w.take();
+    }
+  }
+  return out;
+}
+
+/// The `plan_search_<kernel>` payloads. The grids cover sizes the record's
+/// tile binds at, sizes where the argmin moves, sizes with no feasible tile
+/// and (ME) a size whose footprint formulas overflow.
+std::vector<std::pair<std::string, std::string>> planSearchPayloads() {
+  std::vector<std::vector<i64>> me = {{2, 2, 2},        {8, 128, 16},
+                                      {272, 128, 16},   {1040, 128, 16},
+                                      {2048, 2048, 64}, {i64{1} << 40, i64{1} << 40, 16}};
+  std::vector<std::vector<i64>> matmul = {{2, 2, 2},       {4, 4, 4},
+                                          {448, 64, 64},   {160, 132, 144},
+                                          {1024, 1024, 1024}, {4096, 64, 4096}};
+  for (i64 k = 0; k < 18; ++k) {
+    me.push_back({16 + 56 * k, 32 << (k % 3), 4 << (k % 4)});
+    matmul.push_back({16 + 40 * k, 8 + 60 * ((k * 7) % 11), 32 + 24 * ((k * 5) % 9)});
+  }
+  return {{"plan_search_me", planSearchPayload("me", me)},
+          {"plan_search_matmul", planSearchPayload("matmul", matmul)}};
 }
 
 /// Every golden payload, by name, in file order.
@@ -257,6 +322,7 @@ std::vector<std::pair<std::string, std::string>> goldenPayloads() {
       out.emplace_back("wire_bound_reply_me_lean", svc::encodeBoundReply(reply));
     }
   }
+  for (auto& row : planSearchPayloads()) out.push_back(std::move(row));
   return out;
 }
 
@@ -344,7 +410,7 @@ std::map<std::string, std::string> recordedLines() {
 
 TEST(GoldenPlanBytes, SerializedResultsMatchTheRecordedDigests) {
   const auto payloads = goldenPayloads();
-  ASSERT_EQ(payloads.size(), 22u);
+  ASSERT_EQ(payloads.size(), 24u);
 
   if (std::getenv("EMM_UPDATE_GOLDEN") != nullptr) {
     std::ofstream f(kGoldenFile);
