@@ -35,8 +35,8 @@ SearchMemo& SearchMemo::operator=(const SearchMemo&) noexcept {
 SearchMemo::~SearchMemo() { delete[] table_.load(std::memory_order_acquire); }
 
 size_t SearchMemo::slotOf(const IntVec& paramValues) {
-  // splitmix64 steps: a --size sweep differs in low bits only, and a
-  // direct-mapped slot needs every bit of every size to move the index.
+  // splitmix64 steps: a --size sweep differs in low bits only, and the
+  // set index needs every bit of every size to move it.
   u64 h = 0x9e3779b97f4a7c15ULL;
   for (i64 v : paramValues) {
     h ^= static_cast<u64>(v);
@@ -50,27 +50,35 @@ size_t SearchMemo::slotOf(const IntVec& paramValues) {
 
 std::shared_ptr<const SearchMemo::Entry> SearchMemo::find(const TileSearchOptions& options,
                                                           bool exhaustive) const {
-  Slot* table = table_.load(std::memory_order_acquire);
+  Set* table = table_.load(std::memory_order_acquire);
   if (table == nullptr) return nullptr;
-  std::shared_ptr<const Entry> e =
-      table[slotOf(options.paramValues)].load(std::memory_order_acquire);
-  if (e == nullptr || e->exhaustive != exhaustive || !(e->options == options)) return nullptr;
-  return e;
+  for (auto& way : table[slotOf(options.paramValues)].ways) {
+    std::shared_ptr<const Entry> e = way.load(std::memory_order_acquire);
+    if (e != nullptr && e->exhaustive == exhaustive && e->options == options) return e;
+  }
+  return nullptr;
 }
 
 void SearchMemo::store(std::shared_ptr<const Entry> entry) const {
-  Slot* table = table_.load(std::memory_order_acquire);
+  Set* table = table_.load(std::memory_order_acquire);
   if (table == nullptr) {
     // First store: allocate the table; a racing first store that loses
     // the exchange frees its own and uses the winner's.
-    Slot* fresh = new Slot[kSearchMemoSlots];
+    Set* fresh = new Set[kSearchMemoSlots];
     if (table_.compare_exchange_strong(table, fresh, std::memory_order_acq_rel))
       table = fresh;
     else
       delete[] fresh;
   }
-  const size_t slot = slotOf(entry->options.paramValues);
-  table[slot].store(std::move(entry), std::memory_order_release);
+  Set& set = table[slotOf(entry->options.paramValues)];
+  // A racing bind of the same request stored the same search already.
+  if (find(entry->options, entry->exhaustive) != nullptr) return;
+  for (auto& way : set.ways) {
+    std::shared_ptr<const Entry> empty;
+    if (way.compare_exchange_strong(empty, entry, std::memory_order_acq_rel)) return;
+  }
+  const unsigned victim = set.next.fetch_add(1) % kSearchMemoWays;
+  set.ways[victim].store(std::move(entry), std::memory_order_release);
 }
 
 u64 hashProgramBlockFamily(const ProgramBlock& block) {

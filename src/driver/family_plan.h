@@ -58,18 +58,21 @@ struct FamilyKey {
   auto operator<=>(const FamilyKey&) const = default;
 };
 
-/// Number of slots in a family's search memo (FamilyPlan::searchMemo).
+/// Number of sets in a family's search memo (FamilyPlan::searchMemo).
 inline constexpr size_t kSearchMemoSlots = 256;
+/// Entries per set: two requests whose sizes share a set both stay.
+inline constexpr size_t kSearchMemoWays = 2;
 
 /// The plan-only tile searches the runtime binder has run against one
 /// family plan, memoized per request: step 2 of certifyBind
 /// (runtime_binder.h) re-runs the Section-4.3 search at every bind, and the
 /// search is a pure function of the immutable tile plan, the requested
-/// sizes, the search options and the solver. A direct-mapped table of
-/// kSearchMemoSlots slots, indexed by the sizes; a slot holds one
-/// immutable Entry behind an atomic shared_ptr (the primitive of the
-/// PlanCache snapshots), so concurrent binds read and publish without a
-/// lock. A colliding store replaces the slot: the last writer wins.
+/// sizes, the search options and the solver. A set-associative table of
+/// kSearchMemoSlots sets of kSearchMemoWays ways, indexed by the sizes; a
+/// way holds one immutable Entry behind an atomic shared_ptr (the
+/// primitive of the PlanCache snapshots), so concurrent binds read and
+/// publish without a lock. A store fills an empty way of its set, or
+/// replaces the ways in turn, oldest first.
 ///
 /// Derived state: never serialized, and a copy starts empty. The table is
 /// allocated by the first store, so a family that never binds costs one
@@ -94,14 +97,18 @@ public:
 
   /// The stored entry for exactly this request, or null.
   std::shared_ptr<const Entry> find(const TileSearchOptions& options, bool exhaustive) const;
-  /// Stores `entry` in its slot, replacing whatever the slot held.
+  /// Stores `entry` in its set: a no-op when the set already holds the
+  /// same request, otherwise into an empty way or over the oldest one.
   void store(std::shared_ptr<const Entry> entry) const;
-  /// The slot a request for `paramValues` maps to.
+  /// The set a request for `paramValues` maps to.
   static size_t slotOf(const IntVec& paramValues);
 
 private:
-  using Slot = std::atomic<std::shared_ptr<const Entry>>;
-  mutable std::atomic<Slot*> table_{nullptr};
+  struct Set {
+    std::atomic<std::shared_ptr<const Entry>> ways[kSearchMemoWays];
+    std::atomic<unsigned> next{0};  ///< the way the next full-set store replaces
+  };
+  mutable std::atomic<Set*> table_{nullptr};
 };
 
 /// The family-invariant pipeline products (see file comment). The listed

@@ -14,9 +14,8 @@ SmemOptions CompileOptions::smemOptions() const {
 
 TileSearchOptions CompileOptions::tileSearchOptions() const {
   TileSearchOptions t;
-  // Double-buffering rotates the move-in buffers, so tiles are certified
-  // against half the store; the Cell emitter re-checks the doubled total.
-  t.memLimitElems = (doubleBuffer ? memLimitBytes / 2 : memLimitBytes) / elementBytes;
+  // The Cell emitter re-checks the doubled total of a double-buffered tile.
+  t.memLimitElems = scratchpadBudgetBytes() / elementBytes;
   t.innerProcs = innerProcs;
   t.syncCost = syncCost;
   t.transferCost = transferCost;

@@ -114,6 +114,10 @@ struct CompileOptions {
   bool runtimeSizeArgs = true;
 
   // ---- derived per-stage views ----
+  /// The scratchpad bytes one buffer instance may use: memLimitBytes, or
+  /// half of it under doubleBuffer so the rotated move-in buffers fit the
+  /// full store. The tile search and the layout planner certify against it.
+  i64 scratchpadBudgetBytes() const { return doubleBuffer ? memLimitBytes / 2 : memLimitBytes; }
   SmemOptions smemOptions() const;
   TileSearchOptions tileSearchOptions() const;
   CudaEmitOptions cudaEmitOptions() const;

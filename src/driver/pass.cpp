@@ -174,16 +174,9 @@ public:
     SmemOptions smem = s.options.smemOptions();
     if (!s.options.subTile.empty()) {
       // Explicit tile sizes: evaluate the Section-4.3 objective for them so
-      // the result still carries cost/footprint/per-buffer terms. Candidate
-      // ladders are irrelevant on this path (and historically ignored), so
-      // drop them: an unrelated candidate arity mismatch must not fail an
-      // explicitly tiled compile. A one-shot evaluation gains nothing from
-      // a symbolic plan, so it stays on the concrete path.
-      topts.candidates.clear();
-      topts.parametric = false;
-      TileEvaluator evaluator(block, s.plan, topts, smem);
+      // the result still carries cost/footprint/per-buffer terms.
       s.search.subTile = s.options.subTile;
-      s.search.eval = evaluator.evaluate(s.options.subTile);
+      s.search.eval = evaluateTileSizes(block, s.plan, s.options.subTile, topts, smem);
       s.search.evaluations = 1;
       if (!s.search.eval.feasible)
         s.warn(name(), "given tile (" + joinInts(s.options.subTile) +
@@ -334,10 +327,7 @@ private:
     lo.bank.banks = s.options.smemBanks;
     lo.bank.widthBytes = s.options.smemBankWidthBytes;
     lo.elementBytes = s.options.elementBytes;
-    // Double-buffering halves the per-instance budget (tileSearchOptions
-    // applies the same split) so the rotated buffers fit the full store.
-    lo.memLimitBytes =
-        s.options.doubleBuffer ? s.options.memLimitBytes / 2 : s.options.memLimitBytes;
+    lo.memLimitBytes = s.options.scratchpadBudgetBytes();
     lo.paramValues = s.options.paramValues;
     BufferLayout layout = planBufferLayout(unit, lo);
     applyBufferLayout(unit, layout);
@@ -406,8 +396,7 @@ private:
     }
     std::vector<i64> sample(s.options.paramValues.begin(), s.options.paramValues.end());
     sample.resize(unit.source == nullptr ? sample.size() : unit.source->paramNames.size(), 0);
-    const i64 limit =
-        s.options.doubleBuffer ? s.options.memLimitBytes / 2 : s.options.memLimitBytes;
+    const i64 limit = s.options.scratchpadBudgetBytes();
     FamilyGuard fit;
     fit.kind = FamilyGuard::Kind::SymLe;
     fit.lhs = SymExpr::mul(layout->totalElems, SymExpr::constant(layout->elementBytes));

@@ -5,6 +5,7 @@
 #include "driver/family_plan.h"
 #include "support/diagnostics.h"
 #include "support/serialize.h"
+#include "tilesearch/tile_evaluator.h"
 
 namespace emm {
 
@@ -66,16 +67,16 @@ std::optional<BindOverlay> certifyBind(const FamilyPlan& family, const ProgramBl
   // 2. Argmin re-certification: a per-size compile re-runs the tile search
   // at its own size, so the record may only serve sizes where its tile
   // choice is still THE chosen one — mere feasibility is not enough, the
-  // cost-model argmin can move with the problem size. The plan-only
-  // re-search is pure expression evaluation (no analysis, no emission) and
-  // its outcome becomes the bound result's search record, so the reported
-  // cost/footprint are this size's, not the record's. The search depends
-  // on nothing but the plan, the sizes, the search options and the solver,
-  // so the family's search memo answers a repeated request — rejections
-  // included — without re-running it. Records from no-search pipelines
-  // (scratchpad-only / pipeline-parallel fallback) made no tile decision at
-  // all: nothing can move with size, and the step-3 guards carry the whole
-  // envelope contract.
+  // cost-model argmin can move with the problem size. The re-search runs the
+  // compile's solver over a plan-only TileEvaluator — pure expression
+  // evaluation, no analysis, no emission — and its outcome becomes the bound
+  // result's search record, so the reported cost/footprint are this size's,
+  // not the record's. The search depends on nothing but the plan, the sizes,
+  // the search options and the solver, so the family's search memo answers
+  // a repeated request — rejections included — without re-running it.
+  // Records from no-search pipelines (scratchpad-only / pipeline-parallel
+  // fallback) made no tile decision at all: nothing can move with size, and
+  // the step-3 guards carry the whole envelope contract.
   if (!options.subTile.empty()) {
     explain(diagnostics, "explicitly tiled request; bind-and-emit");
     return std::nullopt;
@@ -94,10 +95,11 @@ std::optional<BindOverlay> certifyBind(const FamilyPlan& family, const ProgramBl
               family.searchMemo.find(searchOptions, exhaustive)) {
         search = hit->result;
       } else {
-        // A size the binding rejects throws past the store: only a search
-        // that ran is memoized.
-        ParametricTilePlan::SizeBinding binding = family.tilePlan->bindSizes(sizes);
-        search = searchTileSizesWithPlan(*family.tilePlan, binding, searchOptions, exhaustive);
+        // The compile's search, over the family plan alone. A size the
+        // binding rejects throws past the store: only a search that ran is
+        // memoized.
+        TileEvaluator evaluator(family.tilePlan, searchOptions);
+        search = exhaustive ? exhaustiveTileSearch(evaluator) : searchTileSizes(evaluator);
         family.searchMemo.store(std::make_shared<const SearchMemo::Entry>(
             SearchMemo::Entry{std::move(searchOptions), exhaustive, search}));
       }

@@ -10,13 +10,16 @@
 //   1. identity check — the codegen-only options the family key
 //      neutralizes (backend, kernel name, element type, bound count) must
 //      match the record's,
-//   2. argmin re-certification — a plan-only re-run of the tile search at
-//      the requested size must choose the record's tile again (feasibility
-//      alone is not enough: the cost-model argmin can move with the size).
-//      The search is a pure function of the family's tile plan, the sizes,
-//      the search options and the solver, so the family plan memoizes its
-//      outcome per request (FamilyPlan::searchMemo): a size bound or
-//      rejected before is certified again without searching,
+//   2. argmin re-certification — the compile's tile search, re-run at the
+//      requested size over a plan-only TileEvaluator (the family's tile
+//      plan, no block; tilesearch/tile_evaluator.h), must choose the
+//      record's tile again (feasibility alone is not enough: the cost-model
+//      argmin can move with the size). Ladders, constraints, pruning and
+//      solver are the compile's own, so the search is a pure function of
+//      the tile plan, the sizes, the search options and the solver, and
+//      the family plan memoizes its outcome per request
+//      (FamilyPlan::searchMemo): a size bound or rejected before is
+//      certified again without searching,
 //   3. guard validation — every FamilyGuard of the record's ArtifactInfo
 //      must hold at the requested size; a violation (pad decision or
 //      packed-arena verdict would differ) rejects with a clean diagnostic

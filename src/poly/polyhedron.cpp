@@ -536,14 +536,6 @@ DivExpr dropLeadingCoeffs(const DivExpr& e, int count) {
   return out;
 }
 
-i64 evalStrippedLower(const DimBounds& b, int count, const IntVec& params) {
-  EMM_CHECK(!b.lower.empty(), "dimension has no lower bound");
-  i64 best = INT64_MIN;
-  for (const DivExpr& e : b.lower)
-    best = std::max(best, dropLeadingCoeffs(e, count).evalCeil(params));
-  return best;
-}
-
 bool overlaps(const Polyhedron& a, const Polyhedron& b) {
   return !Polyhedron::intersect(a, b).isEmpty();
 }

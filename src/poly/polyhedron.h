@@ -224,11 +224,6 @@ private:
 /// zero (rectangular bounds) — the single place that encodes this slicing.
 DivExpr dropLeadingCoeffs(const DivExpr& e, int count);
 
-/// Max over the ceil-evaluated lower bounds of `b` with the leading `count`
-/// variable slots dropped: the canonical "pin this loop's origin at its
-/// lower bound" evaluation shared by the tiler and both tile evaluators.
-i64 evalStrippedLower(const DimBounds& b, int count, const IntVec& params);
-
 /// Disjunction of polyhedra (all with identical dim/nparam).
 using PolySet = std::vector<Polyhedron>;
 

@@ -8,25 +8,6 @@ namespace emm {
 
 namespace {
 
-/// A constraint row drives Section-4.2 hoisting only when it couples the
-/// data space to the origin — pure parameter residues of the projection do
-/// not (mirrors the rule in tiling/multilevel.cpp).
-bool rowUsesData(const IntVec& row, int dim) {
-  for (int j = 0; j < dim; ++j)
-    if (row[j] != 0) return true;
-  return false;
-}
-
-/// Iteration range (trip count at tile 1) of loop `l` from parameter-only
-/// bounds; mirrors the TileEvaluator's computation so bindings agree.
-i64 strippedRange(const DimBounds& b, int l, const IntVec& params) {
-  DimBounds s;
-  for (const DivExpr& e : b.lower) s.lower.push_back(dropLeadingCoeffs(e, l));
-  for (const DivExpr& e : b.upper) s.upper.push_back(dropLeadingCoeffs(e, l));
-  if (s.lower.empty() || s.upper.empty()) return 0;
-  return std::max<i64>(0, s.evalUpper(params) - s.evalLower(params) + 1);
-}
-
 /// True when every constraint involves at most one set variable: the
 /// integer hull is then the product of the per-dimension ranges, so the
 /// bounding-box point count IS the exact point count countPoints measures.
@@ -113,19 +94,8 @@ ParametricTilePlan::ParametricTilePlan(const ProgramBlock& block, const Parallel
       rf.orderReuse = r.hasOrderReuse();
       rf.ctxBox = compileBox(spaceWithContext(r.dataSpace, ctx));
       rf.rawBox = compileBox(r.dataSpace);
-      rf.usesOrigin.assign(depth_, false);
-      const int dim = r.dataSpace.dim();
-      for (int l = 0; l < depth_; ++l) {
-        const int col = dim + np_ + l;
-        for (int rr = 0; rr < r.dataSpace.equalities().rows() && !rf.usesOrigin[l]; ++rr) {
-          IntVec row = r.dataSpace.equalities().row(rr);
-          if (row[col] != 0 && rowUsesData(row, dim)) rf.usesOrigin[l] = true;
-        }
-        for (int rr = 0; rr < r.dataSpace.inequalities().rows() && !rf.usesOrigin[l]; ++rr) {
-          IntVec row = r.dataSpace.inequalities().row(rr);
-          if (row[col] != 0 && rowUsesData(row, dim)) rf.usesOrigin[l] = true;
-        }
-      }
+      for (int l = 0; l < depth_; ++l)
+        rf.usesOrigin.push_back(dataSpaceDependsOn(r.dataSpace, np_ + l));
       comp.refs.push_back(std::move(rf));
     }
     const int n = static_cast<int>(comp.refs.size());
@@ -227,16 +197,7 @@ ParametricTilePlan::SizeBinding ParametricTilePlan::bindSizes(const IntVec& size
   EMM_REQUIRE(static_cast<int>(sizes.size()) == np_,
               "bindSizes: expected " + std::to_string(np_) + " problem sizes, got " +
                   std::to_string(sizes.size()));
-  SizeBinding b;
-  b.ext = sizes;
-  b.loopRange.resize(depth_);
-  for (int l = 0; l < depth_; ++l) {
-    // Origins pinned at the loop lower bounds — exactly the binding the
-    // concrete evaluator uses.
-    b.ext.push_back(evalStrippedLower(analysis_.loopBounds[l], l, sizes));
-    b.loopRange[l] = strippedRange(analysis_.loopBounds[l], l, sizes);
-  }
-  return b;
+  return bindLoopBounds(analysis_.loopBounds, sizes);
 }
 
 SymPtr ParametricTilePlan::compileDiv(const DivExpr& e, bool ceil) const {

@@ -52,7 +52,8 @@
 // Instances are immutable after construction and safe to share across
 // threads and compiles: the driver's family tier (driver/family_plan.h)
 // stores one per kernel family and every per-size compile evaluates through
-// its own SizeBinding.
+// its own SizeBinding; the runtime binder searches a family plan at a new
+// size through a plan-only TileEvaluator (tile_evaluator.h).
 #pragma once
 
 #include <cstdint>
@@ -68,20 +69,10 @@ namespace emm {
 
 class ParametricTilePlan {
 public:
-  /// Everything evaluation derives from one concrete problem size: the
-  /// binding of the leading formula symbols ([sizes, origins]) and the
-  /// per-loop iteration ranges. Computing one is a handful of DivExpr
-  /// evaluations — the "cheap bind" step of family reuse.
-  struct SizeBinding {
-    IntVec ext;                  ///< [sizes, origins(sizes)] symbol binding
-    std::vector<i64> loopRange;  ///< iteration range per common loop
-
-    static constexpr void fields(auto& v) {
-      v.tag(kTagSizeBinding, "SizeBinding");
-      v("ext", &SizeBinding::ext);
-      v("loopRange", &SizeBinding::loopRange);
-    }
-  };
+  /// Everything evaluation derives from one concrete problem size
+  /// (tiling/multilevel.h): SizeBinding::ext binds the leading formula
+  /// symbols [sizes, origins].
+  using SizeBinding = emm::SizeBinding;
 
   /// Runs the symbolic Section-3 analysis and compiles the cost-model
   /// formulas. `loopRange` holds the shared per-loop iteration ranges the
@@ -93,9 +84,8 @@ public:
                      const TileSearchOptions& options, const SmemOptions& smemBase,
                      const std::vector<i64>& loopRange, const std::vector<i64>& tileSample);
 
-  /// Binds a concrete problem size: evaluates the tile origins (pinned at
-  /// the loop lower bounds, exactly as the concrete evaluator does) and the
-  /// per-loop ranges. Throws ApiError on arity mismatch. The binding is a
+  /// Binds a concrete problem size to the plan's loop bounds
+  /// (bindLoopBounds). Throws ApiError on arity mismatch. The binding is a
   /// plain value; one plan may serve many bindings concurrently.
   SizeBinding bindSizes(const IntVec& sizes) const;
 
@@ -381,19 +371,5 @@ private:
   friend struct FieldAccess;
   friend void finishDecode(ParametricTilePlan& plan);
 };
-
-/// Plan-only re-run of the tile-size solver at one size binding: ladder
-/// construction, the cheap range/volume constraints, footprint-interval box
-/// pruning and the solver itself all run against the compiled formulas —
-/// no program block, no concrete Section-3 analysis, no emission. When the
-/// plan is Active at this size (probe validation would pass), the chosen
-/// tile and its evaluation are identical to what the evaluator-backed
-/// pipeline search produces, which is what lets the runtime binder certify
-/// that a family record's tile choice is still THE argmin at a new size.
-/// Throws ApiError on arity mismatches (binding or options.candidates).
-TileSearchResult searchTileSizesWithPlan(const ParametricTilePlan& plan,
-                                         const ParametricTilePlan::SizeBinding& binding,
-                                         const TileSearchOptions& options,
-                                         bool exhaustive = false);
 
 }  // namespace emm

@@ -2,39 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 
 namespace emm {
 
 namespace {
-
-/// Drops the leading `l` iterator coefficient slots (all zero for the
-/// rectangular bounds the tiler certifies) so bounds evaluate against the
-/// parameter vector alone.
-DimBounds stripLoopBounds(const DimBounds& b, int l) {
-  DimBounds out;
-  for (const DivExpr& e : b.lower) out.lower.push_back(dropLeadingCoeffs(e, l));
-  for (const DivExpr& e : b.upper) out.upper.push_back(dropLeadingCoeffs(e, l));
-  return out;
-}
-
-/// Trip count of loop `l` at the given binding when tiled by `t`.
-i64 tripCount(const DimBounds& bounds, int l, const IntVec& params, i64 t) {
-  DimBounds b = stripLoopBounds(bounds, l);
-  i64 lo = b.evalLower(params);
-  i64 hi = b.evalUpper(params);
-  i64 range = std::max<i64>(0, hi - lo + 1);
-  return ceilDiv(range, t);
-}
-
-/// Binding of the extended (origin-including) parameter vector with origins
-/// pinned at their loop lower bounds, for volume/footprint evaluation.
-IntVec extendedBinding(const TileAnalysis& ta, const IntVec& params) {
-  IntVec ext = params;
-  // Bounds are parameter-only; strip leading iterator slots.
-  for (int l = 0; l < ta.depth; ++l)
-    ext.push_back(evalStrippedLower(ta.loopBounds[l], l, params));
-  return ext;
-}
 
 double millisSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
@@ -47,36 +19,88 @@ std::string joinTile(const std::vector<i64>& tile) {
   return out;
 }
 
+std::uint64_t hashTile(const i64* key, size_t n) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (size_t i = 0; i < n; ++i) h = (h ^ static_cast<std::uint64_t>(key[i])) * 0x100000001b3ULL;
+  return h ^ (h >> 32);
+}
+
 }  // namespace
 
-TileEvaluator::TileEvaluator(const ProgramBlock& block, const ParallelismPlan& plan,
-                             const TileSearchOptions& options, const SmemOptions& smemBase)
-    : block_(block), plan_(plan), options_(options), smemBase_(smemBase) {
-  depth_ = commonLoopDepth(block);
-  EMM_REQUIRE(static_cast<int>(options_.paramValues.size()) == block.nparam(),
-              "paramValues arity mismatch");
-  loopBounds_ = rectangularLoopBounds(block, depth_);
-  loopRange_.resize(depth_);
-  for (int l = 0; l < depth_; ++l)
-    loopRange_[l] = loopBounds_[l].lower.empty() || loopBounds_[l].upper.empty()
-                        ? 0
-                        : tripCount(loopBounds_[l], l, options_.paramValues, 1);
-  if (options_.candidates.empty()) {
-    // Geometric ladder clipped to each loop's range.
-    for (int l = 0; l < depth_; ++l) {
-      std::vector<i64> ladder;
-      for (i64 t = 1; t < loopRange_[l]; t *= 2) ladder.push_back(t);
-      ladder.push_back(std::max<i64>(loopRange_[l], 1));
-      candidates_.push_back(std::move(ladder));
-    }
-  } else {
-    EMM_REQUIRE(static_cast<int>(options_.candidates.size()) == depth_,
-                "candidate arity mismatch");
-    candidates_ = options_.candidates;
+TileEvaluation* TileMemo::find(const std::vector<i64>& tile) {
+  const int e = slots_[probe(tile.data())];
+  return e < 0 ? nullptr : &values_[static_cast<size_t>(e)];
+}
+
+TileEvaluation& TileMemo::insert(const std::vector<i64>& tile, TileEvaluation ev) {
+  if (2 * (values_.size() + 1) > slots_.size()) grow();
+  slots_[probe(tile.data())] = static_cast<int>(values_.size());
+  keys_.insert(keys_.end(), tile.begin(), tile.end());
+  values_.push_back(std::move(ev));
+  return values_.back();
+}
+
+size_t TileMemo::probe(const i64* key) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t s = hashTile(key, depth_) & mask;; s = (s + 1) & mask) {
+    const int e = slots_[s];
+    if (e < 0 || std::equal(key, key + depth_, keys_.begin() + static_cast<size_t>(e) * depth_))
+      return s;
   }
 }
 
+void TileMemo::grow() {
+  slots_.assign(slots_.size() * 2, -1);
+  for (size_t e = 0; e < values_.size(); ++e)
+    slots_[probe(keys_.data() + e * depth_)] = static_cast<int>(e);
+}
+
+TileEvaluator::TileEvaluator(const ProgramBlock& block, const ParallelismPlan& plan,
+                             const TileSearchOptions& options, const SmemOptions& smemBase)
+    : block_(&block),
+      plan_(&plan),
+      options_(options),
+      smemBase_(smemBase),
+      depth_(commonLoopDepth(block)),
+      memo_(depth_) {
+  EMM_REQUIRE(static_cast<int>(options_.paramValues.size()) == block.nparam(),
+              "paramValues arity mismatch");
+  binding_ = bindLoopBounds(rectangularLoopBounds(block, depth_), options_.paramValues);
+  buildLadders();
+}
+
+TileEvaluator::TileEvaluator(std::shared_ptr<const ParametricTilePlan> plan,
+                             const TileSearchOptions& options)
+    : options_(options),
+      depth_(plan->depth()),
+      binding_(plan->bindSizes(options.paramValues)),
+      memo_(depth_),
+      paramPlan_(std::move(plan)),
+      state_(ParametricState::Active),
+      familyAdopted_(true) {
+  buildLadders();
+  // No concrete fallback to report an empty ladder through: reject.
+  for (const std::vector<i64>& ladder : candidates_)
+    EMM_REQUIRE(!ladder.empty(), "empty candidate ladder");
+}
+
 TileEvaluator::~TileEvaluator() = default;
+
+void TileEvaluator::buildLadders() {
+  if (!options_.candidates.empty()) {
+    EMM_REQUIRE(static_cast<int>(options_.candidates.size()) == depth_,
+                "candidate arity mismatch");
+    candidates_ = options_.candidates;
+    return;
+  }
+  // Geometric ladder clipped to each loop's range.
+  for (int l = 0; l < depth_; ++l) {
+    std::vector<i64> ladder;
+    for (i64 t = 1; t < binding_.loopRange[l]; t *= 2) ladder.push_back(t);
+    ladder.push_back(std::max<i64>(binding_.loopRange[l], 1));
+    candidates_.push_back(std::move(ladder));
+  }
+}
 
 void TileEvaluator::adoptFamilyPlan(std::shared_ptr<const ParametricTilePlan> plan) {
   EMM_REQUIRE(state_ == ParametricState::Pending && !prepared_,
@@ -85,43 +109,63 @@ void TileEvaluator::adoptFamilyPlan(std::shared_ptr<const ParametricTilePlan> pl
 }
 
 const TileEvaluation& TileEvaluator::evaluate(const std::vector<i64>& subTile) {
-  auto it = memo_.find(subTile);
-  if (it != memo_.end()) {
-    ++memoHits_;
-    return it->second;
-  }
+  TileEvaluation& ev = memoized(subTile);
+  if (ev.feasible && ev.terms.empty() && paramPlan_ != nullptr)
+    ev.terms = paramPlan_->evaluate(binding_, subTile, scratch_, /*withTerms=*/true).terms;
+  return ev;
+}
+
+const TileEvaluation& TileEvaluator::evaluateCost(const std::vector<i64>& subTile) {
+  return memoized(subTile);
+}
+
+TileEvaluation TileEvaluator::withTerms(const std::vector<i64>& subTile,
+                                        const TileEvaluation& ev) {
+  if (!ev.feasible || !ev.terms.empty() || paramPlan_ == nullptr) return ev;
+  return paramPlan_->evaluate(binding_, subTile, scratch_, /*withTerms=*/true);
+}
+
+TileEvaluation& TileEvaluator::memoized(const std::vector<i64>& subTile) {
   EMM_REQUIRE(static_cast<int>(subTile.size()) == depth_, "subTile arity mismatch");
+  if (TileEvaluation* hit = memo_.find(subTile)) {
+    ++memoHits_;
+    return *hit;
+  }
 
   // Constraints that need no analysis come first, so the search discards
   // infeasible candidates without building a plan or paying for Section 3.
   TileEvaluation cheap = cheapCheck(subTile);
   if (!cheap.reason.empty()) {
     ++evaluations_;
-    return memo_.emplace(subTile, std::move(cheap)).first->second;
+    return memo_.insert(subTile, std::move(cheap));
   }
 
   // First surviving candidate: build (and probe-validate) the symbolic plan.
-  ensurePlan();
-  it = memo_.find(subTile);  // the candidate may have served as a probe
-  if (it != memo_.end()) {
-    ++memoHits_;
-    return it->second;
+  if (state_ == ParametricState::Pending) {
+    ensurePlan();
+    if (TileEvaluation* hit = memo_.find(subTile)) {  // it may have served as a probe
+      ++memoHits_;
+      return *hit;
+    }
   }
 
   ++evaluations_;
-  const auto start = std::chrono::steady_clock::now();
+  // A plan-only evaluator (the binder's) reads no clock per candidate.
+  const bool timed = block_ != nullptr;
+  const auto start = timed ? std::chrono::steady_clock::now()
+                           : std::chrono::steady_clock::time_point{};
   TileEvaluation ev = paramPlan_ != nullptr
-                          ? paramPlan_->evaluate(binding_, subTile, scratch_, /*withTerms=*/true)
+                          ? paramPlan_->evaluate(binding_, subTile, scratch_, /*withTerms=*/false)
                           : evaluateConcrete(subTile);
-  evalMillis_ += millisSince(start);
-  return memo_.emplace(subTile, std::move(ev)).first->second;
+  if (timed) evalMillis_ += millisSince(start);
+  return memo_.insert(subTile, std::move(ev));
 }
 
 TileEvaluation TileEvaluator::cheapCheck(const std::vector<i64>& subTile) const {
   TileEvaluation ev;
   // Constraint (1): 0 < t_i <= N_i (shared, tile-size-independent bounds).
   for (int l = 0; l < depth_; ++l) {
-    if (subTile[l] < 1 || subTile[l] > std::max<i64>(loopRange_[l], 1)) {
+    if (subTile[l] < 1 || subTile[l] > std::max<i64>(binding_.loopRange[l], 1)) {
       ev.reason = "tile size out of loop range";
       return ev;
     }
@@ -165,7 +209,7 @@ void TileEvaluator::ensurePlan() {
   // cheap check whenever any candidate does.
   std::vector<i64> mid(depth_), corner(depth_);
   for (int l = 0; l < depth_; ++l) {
-    const i64 range = std::max<i64>(loopRange_[l], 1);
+    const i64 range = std::max<i64>(binding_.loopRange[l], 1);
     mid[l] = std::min(candidates_[l][candidates_[l].size() / 2], range);
     corner[l] = std::min(candidates_[l].back(), range);
   }
@@ -175,14 +219,14 @@ void TileEvaluator::ensurePlan() {
   // hit can never change a result the concrete analysis would produce.
   std::vector<std::pair<std::vector<i64>, TileEvaluation>> probes;
   for (const std::vector<i64>& probe : {mid, corner}) {
-    if (memo_.count(probe) != 0) continue;
+    if (memo_.find(probe) != nullptr) continue;
     bool seen = false;
     for (const auto& [tile, ev] : probes) seen = seen || tile == probe;
     if (seen) continue;
     TileEvaluation cheap = cheapCheck(probe);
     ++evaluations_;
     if (!cheap.reason.empty()) {
-      memo_.emplace(probe, std::move(cheap));
+      memo_.insert(probe, std::move(cheap));
       continue;  // both paths agree trivially; nothing to validate
     }
     probes.emplace_back(probe, evaluateConcrete(probe));
@@ -205,12 +249,11 @@ void TileEvaluator::ensurePlan() {
     try {
       std::shared_ptr<const ParametricTilePlan> plan =
           family ? familyCandidate_
-                 : std::make_shared<const ParametricTilePlan>(block_, plan_, options_,
-                                                              smemBase_, loopRange_, mid);
-      ParametricTilePlan::SizeBinding binding = plan->bindSizes(options_.paramValues);
+                 : std::make_shared<const ParametricTilePlan>(
+                       *block_, *plan_, options_, smemBase_, binding_.loopRange, mid);
       bool agree = true;
       for (const auto& [tile, concrete] : probes) {
-        if (concrete != plan->evaluate(binding, tile, scratch_, /*withTerms=*/true)) {
+        if (concrete != plan->evaluate(binding_, tile, scratch_, /*withTerms=*/true)) {
           agree = false;
           reason = std::string(family ? "family plan" : "symbolic plan") +
                    " disagrees with the concrete analysis at tile (" + joinTile(tile) + ")";
@@ -219,7 +262,6 @@ void TileEvaluator::ensurePlan() {
       }
       if (agree) {
         paramPlan_ = std::move(plan);
-        binding_ = std::move(binding);
         familyAdopted_ = family;
         state_ = ParametricState::Active;
       }
@@ -233,7 +275,7 @@ void TileEvaluator::ensurePlan() {
     paramPlan_.reset();
   }
   for (auto& [tile, concrete] : probes)
-    memo_.emplace(tile, std::move(concrete));  // authoritative either way
+    memo_.insert(tile, std::move(concrete));  // authoritative either way
   planBuildMillis_ = millisSince(start);
 }
 
@@ -291,8 +333,8 @@ TileEvaluation TileEvaluator::evaluateConcrete(const std::vector<i64>& subTile) 
   // The candidate survives the cheap constraints: run the Section-3
   // analysis (the dominant cost, memoized by the caller).
   ++analysesRun_;
-  TileAnalysis ta = analyzeTile(block_, plan_, subTile, smemBase_, options_.hoistCopies);
-  IntVec ext = extendedBinding(ta, options_.paramValues);
+  TileAnalysis ta = analyzeTile(*block_, *plan_, subTile, smemBase_, options_.hoistCopies);
+  const IntVec& ext = binding_.ext;
 
   // Constraint (2): footprint <= Mup.
   i64 footprint = 0;
@@ -314,7 +356,7 @@ TileEvaluation TileEvaluator::evaluateConcrete(const std::vector<i64>& subTile) 
     // level (the r_k of Section 4.3).
     i64 occ = 1;
     for (int l = 0; l < ta.hoistLevel[p]; ++l)
-      occ = mulChecked(occ, tripCount(ta.loopBounds[l], l, options_.paramValues, subTile[l]));
+      occ = mulChecked(occ, ceilDiv(binding_.loopRange[l], subTile[l]));
     i64 vin = ta.plan.moveInVolumeBound(static_cast<int>(p), ext);
     i64 vout = ta.plan.moveOutVolumeBound(static_cast<int>(p), ext);
     double termIn = bufferCostTerm(occ, vin, P, options_.syncCost, options_.transferCost);

@@ -3,39 +3,49 @@
 // Every candidate evaluation used to instantiate the full Section-3
 // analysis (analyzeTile -> analyzeBlock: data-space images, overlap
 // partitioning, volume sampling) from scratch — the dominant cost of the
-// whole pipeline (~90% of an ME compile). A TileEvaluator fixes the
-// (block, plan, options) context once and then:
+// whole pipeline (~90% of an ME compile). A TileEvaluator fixes the search
+// context once. It is the one home of the search's decisions: the
+// candidate ladders, the cheap constraints (1) and (3), footprint-interval
+// box pruning and the evaluation memo exist here and nowhere else, and
+// both solvers (searchTileSizes, exhaustiveTileSearch) run over it.
 //
-//  - computes the rectangular loop bounds a single time and shares them
-//    across all candidates (they do not depend on the tile sizes), so the
-//    range and minimum-volume constraints are checked BEFORE any analysis
-//    runs and infeasible candidates cost ~nothing,
-//  - lazily builds a ParametricTilePlan — the Section-3 analysis run ONCE
-//    with tile sizes symbolic — on the first candidate that survives the
-//    cheap constraints, validates it against concrete probe evaluations,
-//    and from then on serves evaluations as pure expression evaluation
-//    (parametric_plan.h); when the block is not parametrically analyzable
-//    or a probe disagrees, it falls back to the concrete per-candidate
-//    path and records the reason,
-//  - may ADOPT a shared family plan (adoptFamilyPlan) instead of building
-//    one: the driver's family tier keeps one size-generic ParametricTilePlan
-//    per kernel family, and a per-size compile binds it (bindSizes) and
-//    revalidates it against the same concrete probes — adoption that fails
-//    a probe falls back to building a fresh plan, so a family hit can never
-//    change the result of a compile,
-//  - prunes whole tile-size boxes before a solver seeds candidates
-//    (prepareSearch): when the partition structure is already coarsest at a
-//    box's minimum corner, ParametricTilePlan::footprintInterval encloses
-//    the true footprint of every candidate in the box, and a box whose
-//    lower bound exceeds the memory limit is dropped from the candidate
-//    ladders without evaluating anything,
-//  - memoizes full evaluations by candidate vector, so a tile probed by
-//    several descent sweeps, several seeds, or several solvers (the
-//    coordinate-descent solver and the exhaustive oracle used to certify
-//    it) is analyzed exactly once.
+// Two constructors:
 //
-// Both searchTileSizes and exhaustiveTileSearch route through a shared
-// TileEvaluator; the driver's tilesearch pass holds one per compile.
+//  - over a (block, plan, options) context, for the driver's tilesearch
+//    pass (one per compile). It binds the problem size to the block's
+//    rectangular loop bounds once (bindLoopBounds), so the range and
+//    minimum-volume constraints are checked BEFORE any analysis runs and
+//    infeasible candidates cost ~nothing. On the first candidate that
+//    survives them it lazily builds a ParametricTilePlan — the Section-3
+//    analysis run ONCE with tile sizes symbolic — validates it against
+//    concrete probe evaluations, and from then on serves evaluations as
+//    pure expression evaluation (parametric_plan.h); when the block is not
+//    parametrically analyzable or a probe disagrees, it falls back to the
+//    concrete per-candidate path and records the reason. It may instead
+//    ADOPT a shared family plan (adoptFamilyPlan): the driver's family tier
+//    keeps one size-generic ParametricTilePlan per kernel family, and a
+//    per-size compile revalidates it against the same concrete probes —
+//    adoption that fails a probe falls back to building a fresh plan, so a
+//    family hit can never change the result of a compile;
+//  - over a family plan alone, for the runtime binder's argmin
+//    re-certification (driver/runtime_binder.h): Active and adopted from
+//    the start, with no block, no probes and no concrete fallback. Where
+//    the plan would pass probe validation at this size, it chooses the
+//    tile the block evaluator would choose, with the same evaluation.
+//
+// Box pruning (prepareSearch): when the partition structure is already
+// coarsest at a box's minimum corner, ParametricTilePlan::footprintInterval
+// encloses the true footprint of every candidate in the box, and a box
+// whose lower bound exceeds the memory limit is dropped from the candidate
+// ladders without evaluating anything.
+//
+// The memo is keyed by candidate vector, so a tile probed by several
+// descent sweeps, several seeds, or several solvers (the coordinate-descent
+// solver and the exhaustive oracle used to certify it) is evaluated once.
+// The solvers decide on feasibility and cost alone, so a plan-served
+// candidate is memoized without its per-buffer terms (evaluateCost); the
+// terms are filled in for the evaluation a search returns and for
+// evaluate() callers.
 //
 // Accounting: evaluations() counts memo misses, including the probe
 // candidates evaluated during plan validation; analysesRun() counts the
@@ -44,7 +54,7 @@
 // active).
 #pragma once
 
-#include <map>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -52,6 +62,30 @@
 #include "tilesearch/tilesearch.h"
 
 namespace emm {
+
+/// Value-keyed memo of tile evaluations in flat storage: keys packed back
+/// to back in one vector, open addressing over entry indices. Entries live
+/// in a deque, so the references handed out stay valid for the memo's
+/// lifetime.
+class TileMemo {
+public:
+  explicit TileMemo(int depth) : depth_(static_cast<size_t>(depth)), slots_(64, -1) {}
+
+  /// The entry for `tile` (depth values), or null.
+  TileEvaluation* find(const std::vector<i64>& tile);
+  /// Adds an entry for a tile find() just missed.
+  TileEvaluation& insert(const std::vector<i64>& tile, TileEvaluation ev);
+
+private:
+  /// The slot holding `key` (depth_ values), or the free slot it belongs in.
+  size_t probe(const i64* key) const;
+  void grow();
+
+  size_t depth_;
+  std::vector<i64> keys_;
+  std::deque<TileEvaluation> values_;
+  std::vector<int> slots_;  ///< power-of-two table of entry indices, -1 = free
+};
 
 class TileEvaluator {
 public:
@@ -64,6 +98,11 @@ public:
   /// paramValues vs block parameters).
   TileEvaluator(const ProgramBlock& block, const ParallelismPlan& plan,
                 const TileSearchOptions& options, const SmemOptions& smemBase);
+  /// Plan-only evaluator: `plan` bound at options.paramValues, Active and
+  /// adopted from the start. Throws ApiError when the sizes do not bind
+  /// (arity) or the candidate ladders are malformed (arity, empty ladder).
+  TileEvaluator(std::shared_ptr<const ParametricTilePlan> plan,
+                const TileSearchOptions& options);
   ~TileEvaluator();
 
   /// Offers a size-generic family plan to adopt instead of building one.
@@ -77,13 +116,21 @@ public:
   /// a solver reads candidates(). Idempotent; called by both solvers.
   void prepareSearch();
 
-  /// Memoized Section-4.3 evaluation of one candidate tile-size vector.
-  /// The reference stays valid for the evaluator's lifetime.
+  /// Memoized Section-4.3 evaluation of one candidate tile-size vector,
+  /// per-buffer terms included. The reference stays valid for the
+  /// evaluator's lifetime.
   const TileEvaluation& evaluate(const std::vector<i64>& subTile);
+  /// What the solvers read: evaluate() without the per-buffer terms of a
+  /// plan-served candidate (no solver decision reads them). Counts as
+  /// evaluate() does.
+  const TileEvaluation& evaluateCost(const std::vector<i64>& subTile);
+  /// `ev`, an evaluateCost() result for `subTile`, with its per-buffer
+  /// terms. Counts nothing: a search calls it for the evaluation it returns.
+  TileEvaluation withTerms(const std::vector<i64>& subTile, const TileEvaluation& ev);
 
   int depth() const { return depth_; }
   /// Iteration range of common loop `l` at the bound parameter values.
-  i64 loopRange(int l) const { return loopRange_[l]; }
+  i64 loopRange(int l) const { return binding_.loopRange[l]; }
   /// Candidate ladder per loop: options.candidates when given, otherwise the
   /// geometric ladder {1, 2, 4, ...} clipped to each loop's range. After
   /// prepareSearch() the ladders exclude pruned boxes.
@@ -111,18 +158,25 @@ public:
   /// The active plan as a shareable handle (for the driver's family tier).
   std::shared_ptr<const ParametricTilePlan> sharedPlan() const { return paramPlan_; }
   /// True when the active plan came from adoptFamilyPlan (probe-validated
-  /// at this size) rather than a fresh symbolic analysis.
+  /// at this size) or the plan-only constructor, rather than a fresh
+  /// symbolic analysis.
   bool familyAdopted() const { return familyAdopted_; }
   /// Symbolic plan construction + probe-validation time, ms.
   double planBuildMillis() const { return planBuildMillis_; }
-  /// Cumulative time spent evaluating memo-miss candidates, ms.
+  /// Cumulative time spent evaluating memo-miss candidates, ms (0 for a
+  /// plan-only evaluator, which reads no clock).
   double evalMillis() const { return evalMillis_; }
 
 private:
+  /// The candidate ladders at this size (options.candidates or geometric).
+  void buildLadders();
   /// Tile-size-independent constraints (range, minimum volume). Returns an
   /// infeasible evaluation when one fails, feasible=false + empty reason
   /// when the candidate survives.
   TileEvaluation cheapCheck(const std::vector<i64>& subTile) const;
+  /// The memo entry of `subTile`, evaluated on a miss (plan-served entries
+  /// without their per-buffer terms).
+  TileEvaluation& memoized(const std::vector<i64>& subTile);
   /// Full concrete evaluation (cheap constraints + Section-3 analysis).
   TileEvaluation evaluateConcrete(const std::vector<i64>& subTile);
   /// Builds/adopts and validates the parametric plan once (no-op after).
@@ -131,18 +185,16 @@ private:
   /// Active plan.
   void pruneCandidateBoxes();
 
-  const ProgramBlock& block_;
-  const ParallelismPlan& plan_;
+  const ProgramBlock* block_ = nullptr;  ///< null for a plan-only evaluator
+  const ParallelismPlan* plan_ = nullptr;
   TileSearchOptions options_;
   SmemOptions smemBase_;
   int depth_ = 0;
-  std::vector<DimBounds> loopBounds_;  ///< tile-size independent, shared
-  std::vector<i64> loopRange_;
+  SizeBinding binding_;  ///< options_.paramValues bound to the loop bounds
   std::vector<std::vector<i64>> candidates_;
-  std::map<std::vector<i64>, TileEvaluation> memo_;
+  TileMemo memo_;
   std::shared_ptr<const ParametricTilePlan> paramPlan_;
-  ParametricTilePlan::SizeBinding binding_;  ///< paramPlan_ bound at our size
-  ParametricTilePlan::Scratch scratch_;       ///< for every plan evaluation
+  ParametricTilePlan::Scratch scratch_;  ///< for every plan evaluation
   std::shared_ptr<const ParametricTilePlan> familyCandidate_;
   ParametricState state_ = ParametricState::Pending;
   std::string fallbackReason_;

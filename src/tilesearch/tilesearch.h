@@ -11,11 +11,12 @@
 //
 // The evaluator instantiates the Section-3 analysis for each candidate, so
 // footprints, hoist levels and volumes are the real ones the code generator
-// would produce — not closed-form approximations. Candidate evaluation is
-// memoized by the TileEvaluator (tile_evaluator.h), which both solvers
-// share: cheap constraints are checked before any analysis runs, and a
-// candidate probed twice — across descent sweeps, seeds, or solvers — is
-// analyzed once.
+// would produce — not closed-form approximations. Both solvers run over a
+// TileEvaluator (tile_evaluator.h), the one home of the candidate ladders,
+// the cheap constraints, box pruning and the evaluation memo: a candidate
+// probed twice — across descent sweeps, seeds, or solvers — is analyzed
+// once. The compile's search and the runtime binder's re-search at a new
+// size are the same solver over two kinds of evaluator.
 //
 // Two solvers are provided:
 //  - searchTileSizes: geometric seeding + projected coordinate descent with
@@ -126,8 +127,8 @@ struct TileSearchResult {
   /// (Section-3 analysis run once, symbolically).
   bool parametric = false;
   /// True when that plan was adopted from the driver's family tier (built
-  /// once for the kernel family, bound at this compile's problem size and
-  /// revalidated against concrete probes) instead of being rebuilt.
+  /// once for the kernel family, bound at this problem size and, in a
+  /// compile, revalidated against concrete probes) instead of being rebuilt.
   bool familyAdopted = false;
   /// Candidate ladder entries discarded by footprint-interval box pruning
   /// before the solver ran (each entry is a whole box of the grid).

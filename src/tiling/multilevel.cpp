@@ -77,6 +77,38 @@ std::vector<DimBounds> rectangularLoopBounds(const ProgramBlock& block, int dept
   return out;
 }
 
+bool dataSpaceDependsOn(const Polyhedron& dataSpace, int param) {
+  const int dim = dataSpace.dim();
+  auto couples = [&](const IntVec& row) {
+    if (row[dim + param] == 0) return false;
+    for (int j = 0; j < dim; ++j)
+      if (row[j] != 0) return true;
+    return false;
+  };
+  for (int r = 0; r < dataSpace.equalities().rows(); ++r)
+    if (couples(dataSpace.equalities().row(r))) return true;
+  for (int r = 0; r < dataSpace.inequalities().rows(); ++r)
+    if (couples(dataSpace.inequalities().row(r))) return true;
+  return false;
+}
+
+SizeBinding bindLoopBounds(const std::vector<DimBounds>& bounds, const IntVec& sizes) {
+  SizeBinding b;
+  b.ext = sizes;
+  for (int l = 0; l < static_cast<int>(bounds.size()); ++l) {
+    // The bounds are parameter-only: drop the (zero) outer-loop slots.
+    DimBounds s;
+    for (const DivExpr& e : bounds[l].lower) s.lower.push_back(dropLeadingCoeffs(e, l));
+    for (const DivExpr& e : bounds[l].upper) s.upper.push_back(dropLeadingCoeffs(e, l));
+    const i64 lo = s.lower.empty() ? 0 : s.evalLower(sizes);
+    b.ext.push_back(lo);
+    b.loopRange.push_back(s.lower.empty() || s.upper.empty()
+                              ? 0
+                              : std::max<i64>(0, s.evalUpper(sizes) - lo + 1));
+  }
+  return b;
+}
+
 namespace {
 
 /// Shared implementation of analyzeTile / analyzeTileSymbolic. In symbolic
@@ -183,9 +215,7 @@ TileAnalysis analyzeTileImpl(const ProgramBlock& block, const std::vector<i64>& 
                 "sampleParams must bind the original parameters");
     // Sample tile origins at the loop lower bounds (which are functions of
     // the original parameters only).
-    IntVec base(opts.sampleParams.begin(), opts.sampleParams.begin() + oldNp);
-    for (int l = 0; l < depth; ++l)
-      opts.sampleParams.push_back(evalStrippedLower(ta.loopBounds[l], l, base));
+    opts.sampleParams = bindLoopBounds(ta.loopBounds, opts.sampleParams).ext;
     // Symbolic tile parameters sample at the probe sizes the caller gave.
     if (symbolic)
       opts.sampleParams.insert(opts.sampleParams.end(), tileValues.begin(), tileValues.end());
@@ -201,30 +231,12 @@ TileAnalysis analyzeTileImpl(const ProgramBlock& block, const std::vector<i64>& 
     if (!hoist) continue;  // ablation: keep copies innermost
     const PartitionPlan& part = ta.plan.partitions[p];
     std::vector<bool> uses(depth, false);
-    // A constraint that has no set-variable coefficient is a pure parameter
-    // residue of the projection (e.g. o2 + 1 >= 0 combined out of the tile
-    // box); it does not make the data space depend on that origin.
-    auto rowUsesData = [](const IntVec& row, int dim) {
-      for (int j = 0; j < dim; ++j)
-        if (row[j] != 0) return true;
-      return false;
-    };
     for (int l = 0; l < depth; ++l) {
       const std::string& oname = ta.originParams[l];
       for (const AffExpr& off : part.offset)
         if (off.mentions(oname)) uses[l] = true;
-      for (const RefSummary& r : part.refs) {
-        int dim = r.dataSpace.dim();
-        int col = dim + oldNp + l;
-        for (int rr = 0; rr < r.dataSpace.equalities().rows(); ++rr) {
-          IntVec row = r.dataSpace.equalities().row(rr);
-          if (row[col] != 0 && rowUsesData(row, dim)) uses[l] = true;
-        }
-        for (int rr = 0; rr < r.dataSpace.inequalities().rows(); ++rr) {
-          IntVec row = r.dataSpace.inequalities().row(rr);
-          if (row[col] != 0 && rowUsesData(row, dim)) uses[l] = true;
-        }
-      }
+      for (const RefSummary& r : part.refs)
+        if (dataSpaceDependsOn(r.dataSpace, oldNp + l)) uses[l] = true;
     }
     int levelNeeded = 0;
     for (int l = 0; l < depth; ++l)

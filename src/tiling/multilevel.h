@@ -87,12 +87,44 @@ TileAnalysis analyzeTileSymbolic(const ProgramBlock& block, const ParallelismPla
                                  const std::vector<i64>& tileSample, const SmemOptions& smemBase,
                                  bool hoist = true);
 
+/// The Section-4.2 dependence test behind copy-code hoisting: true when a
+/// constraint of `dataSpace` (a reference's data space over a tile block)
+/// couples the data to parameter `param`, a tile origin. A constraint with
+/// no set-variable coefficient is a pure parameter residue of the
+/// projection (e.g. o2 + 1 >= 0 combined out of the tile box); it does not
+/// make the data space depend on that origin.
+bool dataSpaceDependsOn(const Polyhedron& dataSpace, int param);
+
 /// Per-loop parameter-only bounds shared by all statements (the rectangular
 /// band shape the tiler requires); identical to TileAnalysis::loopBounds but
 /// computed without running the scratchpad analysis. Tile-size independent,
 /// so the tile-size search computes them once and shares them across all
 /// candidate evaluations. Throws ApiError on non-rectangular blocks.
 std::vector<DimBounds> rectangularLoopBounds(const ProgramBlock& block, int depth);
+
+/// One concrete problem size bound to a rectangular band: everything the
+/// Section-4.3 cost model reads from the sizes besides the formulas. A
+/// handful of DivExpr evaluations, so a kernel family binds a new size
+/// without re-running any analysis.
+struct SizeBinding {
+  /// [sizes, origins]: the block parameters extended by one tile origin per
+  /// loop, pinned at the loop's lower bound — the binding at which the
+  /// footprint and volume bounds of a TileAnalysis are evaluated.
+  IntVec ext;
+  /// Iteration range per loop (0 when the loop is empty or unbounded); a
+  /// tile size t runs ceilDiv(range, t) tiling-loop iterations.
+  std::vector<i64> loopRange;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagSizeBinding, "SizeBinding");
+    v("ext", &SizeBinding::ext);
+    v("loopRange", &SizeBinding::loopRange);
+  }
+};
+
+/// Binds `sizes` (one value per block parameter) to `bounds`, the per-loop
+/// parameter-only bounds of rectangularLoopBounds / TileAnalysis::loopBounds.
+SizeBinding bindLoopBounds(const std::vector<DimBounds>& bounds, const IntVec& sizes);
 
 /// Concrete tile sizes. Ordering follows loop index order of the block.
 struct TileConfig {

@@ -20,6 +20,7 @@
 #include <fstream>
 #include <map>
 #include <random>
+#include <thread>
 
 #include "deps/dependence.h"
 #include "driver/compiler.h"
@@ -716,8 +717,9 @@ TEST(FamilyTest, SearchMemoMissesOnOtherSearchOptions) {
     const Certified got = certify(*fam.plan, "me", sizes, *other, true);
     EXPECT_TRUE(memoized(*fam.plan, "me", sizes, *other));
     EXPECT_EQ(got, certify(*fam.fresh(), "me", sizes, *other, true));
-    // One slot per size: the other option set's entry replaced the base.
-    EXPECT_FALSE(memoized(*fam.plan, "me", sizes, fam.options));
+    // One set per size, two ways: the ladder's entry joins the base, the
+    // exhaustive one then replaces the oldest, the base.
+    EXPECT_EQ(memoized(*fam.plan, "me", sizes, fam.options), other == &ladder);
     EXPECT_EQ(certify(*fam.plan, "me", sizes, fam.options, true), base);
   }
   // The ladder excludes the record's tile, so its search must have run:
@@ -744,13 +746,88 @@ TEST(FamilyTest, SearchMemoSharedSlotsBindExactly) {
   const Certified wantB = certify(*fam.fresh(), "me", b, fam.options, true);
   ASSERT_TRUE(wantA.bound && wantB.bound);
   ASSERT_NE(wantA, wantB);
+  // Asked in turn, the two colliding sizes both stay: each ask after the
+  // first two is a hit.
   for (int round = 0; round < 2; ++round) {
     EXPECT_EQ(certify(*fam.plan, "me", a, fam.options, true), wantA);
     EXPECT_TRUE(memoized(*fam.plan, "me", a, fam.options));
-    EXPECT_EQ(certify(*fam.plan, "me", a, fam.options, true), wantA);
     EXPECT_EQ(certify(*fam.plan, "me", b, fam.options, true), wantB);
     EXPECT_TRUE(memoized(*fam.plan, "me", b, fam.options));
-    EXPECT_FALSE(memoized(*fam.plan, "me", a, fam.options));  // the last writer won
+    EXPECT_TRUE(memoized(*fam.plan, "me", a, fam.options));
+  }
+}
+
+/// `count` distinct sizes of the form (n, 128, 16) that share one memo set.
+std::vector<IntVec> collidingSizes(size_t count) {
+  std::map<size_t, std::vector<IntVec>> bySet;
+  for (i64 n = 1;; ++n) {
+    IntVec sizes = {n, 128, 16};
+    std::vector<IntVec>& set = bySet[SearchMemo::slotOf(sizes)];
+    set.push_back(std::move(sizes));
+    if (set.size() == count) return set;
+  }
+}
+
+/// A memo entry for `sizes` whose result records the sizes it was stored for.
+std::shared_ptr<const SearchMemo::Entry> memoEntry(const IntVec& sizes) {
+  SearchMemo::Entry e;
+  e.options.paramValues = sizes;
+  e.result.subTile.assign(sizes.begin(), sizes.end());
+  return std::make_shared<const SearchMemo::Entry>(std::move(e));
+}
+
+TEST(FamilyTest, SearchMemoSetEvictsItsOldestWay) {
+  const std::vector<IntVec> sizes = collidingSizes(3);
+  SearchMemo memo;
+  auto has = [&](const IntVec& s) {
+    TileSearchOptions o;
+    o.paramValues = s;
+    return memo.find(o, false) != nullptr;
+  };
+  memo.store(memoEntry(sizes[0]));
+  memo.store(memoEntry(sizes[1]));
+  memo.store(memoEntry(sizes[1]));  // already held: no way changes
+  EXPECT_TRUE(has(sizes[0]) && has(sizes[1]));
+  memo.store(memoEntry(sizes[2]));
+  EXPECT_FALSE(has(sizes[0]));
+  EXPECT_TRUE(has(sizes[1]) && has(sizes[2]));
+}
+
+TEST(FamilyTest, SearchMemoConcurrentStoresOnOneSet) {
+  // Four threads store and find four sizes that share one set. A find must
+  // return null or the entry of exactly the requested size, never another
+  // way's; afterwards the set still holds two sizes asked in turn.
+  const std::vector<IntVec> sizes = collidingSizes(4);
+  SearchMemo memo;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 300; ++i) {
+        const IntVec& s = sizes[static_cast<size_t>(t + i) % sizes.size()];
+        TileSearchOptions o;
+        o.paramValues = s;
+        std::shared_ptr<const SearchMemo::Entry> hit = memo.find(o, false);
+        if (hit == nullptr)
+          memo.store(memoEntry(s));
+        else if (hit->result.subTile != std::vector<i64>(s.begin(), s.end()))
+          ++wrong;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  for (int round = 0; round < 2; ++round) {
+    for (size_t k : {0, 1}) {
+      TileSearchOptions o;
+      o.paramValues = sizes[k];
+      if (memo.find(o, false) == nullptr) memo.store(memoEntry(sizes[k]));
+    }
+  }
+  for (size_t k : {0, 1}) {
+    TileSearchOptions o;
+    o.paramValues = sizes[k];
+    EXPECT_NE(memo.find(o, false), nullptr);
   }
 }
 

@@ -449,14 +449,15 @@ TEST(PlanOnlySearch, MatchesTheEvaluatorBackedSearch) {
     const TileSearchResult expected =
         exhaustive ? exhaustiveTileSearch(evaluator) : searchTileSizes(evaluator);
     ASSERT_TRUE(expected.parametric) << expected.parametricReason;
-    const ParametricTilePlan& symPlan = *evaluator.sharedPlan();
-    const TileSearchResult got = searchTileSizesWithPlan(
-        symPlan, symPlan.bindSizes(opts.paramValues), opts, exhaustive);
+    TileEvaluator planOnly(evaluator.sharedPlan(), opts);
+    const TileSearchResult got =
+        exhaustive ? exhaustiveTileSearch(planOnly) : searchTileSizes(planOnly);
 
     ASSERT_TRUE(got.eval.feasible);
     EXPECT_EQ(got.subTile, expected.subTile);
     expectSameEvaluation(got.eval, expected.eval, got.subTile);
     EXPECT_EQ(got.prunedBoxes, expected.prunedBoxes);
+    EXPECT_EQ(planOnly.candidates(), evaluator.candidates());  // the same pruned ladders
     // Same probes in the same order; the evaluator's validation probes may
     // turn some of its misses into hits, so compare the totals.
     EXPECT_EQ(got.evaluations + got.memoHits, expected.evaluations + expected.memoHits);
@@ -669,11 +670,13 @@ TEST_P(PlanOnlySearchOnGenerated, MatchesTheEvaluatorBackedSearch) {
             exhaustive ? exhaustiveTileSearch(evaluator) : searchTileSizes(evaluator);
         if (!expected.familyAdopted) continue;
         ++searches;
-        const TileSearchResult got = searchTileSizesWithPlan(
-            *g.tilePlan, g.tilePlan->bindSizes(size), opts, exhaustive);
+        TileEvaluator planOnly(g.tilePlan, opts);
+        const TileSearchResult got =
+            exhaustive ? exhaustiveTileSearch(planOnly) : searchTileSizes(planOnly);
         EXPECT_EQ(got.subTile, expected.subTile);
         expectSameEvaluation(got.eval, expected.eval, got.subTile);
         EXPECT_EQ(got.prunedBoxes, expected.prunedBoxes);
+        EXPECT_EQ(planOnly.candidates(), evaluator.candidates());  // the same pruned ladders
         EXPECT_EQ(got.evaluations + got.memoHits, expected.evaluations + expected.memoHits);
       }
     }

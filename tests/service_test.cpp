@@ -231,17 +231,38 @@ TEST(TileEvaluatorTest, MatchesDirectEvaluation) {
   }
 }
 
+/// The plan a parametric evaluator over `s` builds, for plan-only evaluators.
+std::shared_ptr<const ParametricTilePlan> setupPlan(const EvalSetup& s) {
+  TileEvaluator source(s.block, s.plan, s.opts, s.smem);
+  source.prepareSearch();
+  EXPECT_EQ(source.parametricState(), TileEvaluator::ParametricState::Active)
+      << source.fallbackReason();
+  return source.sharedPlan();
+}
+
 TEST(TileEvaluatorTest, MemoizesRepeatedProbes) {
+  // The concrete path (parametric off: no validation probes) and a
+  // plan-only evaluator both have exact miss accounting.
   EvalSetup s;
-  s.opts.parametric = false;  // pin the concrete path: exact miss accounting
-  TileEvaluator evaluator(s.block, s.plan, s.opts, s.smem);
-  evaluator.evaluate({8, 8, 8, 8});
-  EXPECT_EQ(evaluator.evaluations(), 1);
-  EXPECT_EQ(evaluator.memoHits(), 0);
-  evaluator.evaluate({8, 8, 8, 8});
-  evaluator.evaluate({8, 8, 8, 8});
-  EXPECT_EQ(evaluator.evaluations(), 1);
-  EXPECT_EQ(evaluator.memoHits(), 2);
+  TileSearchOptions concreteOpts = s.opts;
+  concreteOpts.parametric = false;
+  TileEvaluator concrete(s.block, s.plan, concreteOpts, s.smem);
+  TileEvaluator planOnly(setupPlan(s), s.opts);
+  const std::vector<i64> tile = {8, 8, 8, 8};
+  for (TileEvaluator* evaluator : {&concrete, &planOnly}) {
+    evaluator->evaluate(tile);
+    EXPECT_EQ(evaluator->evaluations(), 1);
+    EXPECT_EQ(evaluator->memoHits(), 0);
+    evaluator->evaluateCost(tile);
+    evaluator->evaluate(tile);
+    EXPECT_EQ(evaluator->evaluations(), 1);
+    EXPECT_EQ(evaluator->memoHits(), 2);
+  }
+  // A plan-served entry gets its per-buffer terms for evaluate() callers.
+  TileEvaluator fresh(setupPlan(s), s.opts);
+  EXPECT_TRUE(fresh.evaluateCost(tile).terms.empty());
+  EXPECT_EQ(fresh.evaluate(tile), concrete.evaluate(tile));
+  EXPECT_EQ(fresh.evaluations(), 1);
 }
 
 TEST(TileEvaluatorTest, CheapConstraintsSkipTheAnalysis) {
@@ -258,20 +279,30 @@ TEST(TileEvaluatorTest, CheapConstraintsSkipTheAnalysis) {
 }
 
 TEST(TileEvaluatorTest, SolversShareOneMemo) {
+  // The concrete path (parametric off: no validation probes) and a
+  // plan-only evaluator both have exact miss accounting.
   EvalSetup s;
   s.opts.candidates = {{4, 8, 16, 32}, {4, 8, 16, 32}, {4, 8}, {4, 8}};
-  s.opts.parametric = false;  // pin the concrete path: exact miss accounting
-  TileEvaluator evaluator(s.block, s.plan, s.opts, s.smem);
-  TileSearchResult fast = searchTileSizes(evaluator);
-  const int afterDescent = evaluator.evaluations();
-  TileSearchResult oracle = exhaustiveTileSearch(evaluator);
-  ASSERT_TRUE(fast.eval.feasible);
-  ASSERT_TRUE(oracle.eval.feasible);
-  EXPECT_DOUBLE_EQ(fast.eval.cost, oracle.eval.cost);
-  // The oracle's sweep re-used every candidate the descent had analyzed.
-  EXPECT_EQ(evaluator.evaluations(), 4 * 4 * 2 * 2);
-  EXPECT_EQ(oracle.evaluations, 4 * 4 * 2 * 2 - afterDescent);
-  EXPECT_GT(oracle.memoHits, 0);
+  TileSearchOptions concreteOpts = s.opts;
+  concreteOpts.parametric = false;
+  TileEvaluator concrete(s.block, s.plan, concreteOpts, s.smem);
+  TileEvaluator planOnly(setupPlan(s), s.opts);
+  for (TileEvaluator* evaluator : {&concrete, &planOnly}) {
+    TileSearchResult fast = searchTileSizes(*evaluator);
+    const int afterDescent = evaluator->evaluations();
+    TileSearchResult oracle = exhaustiveTileSearch(*evaluator);
+    ASSERT_TRUE(fast.eval.feasible);
+    ASSERT_TRUE(oracle.eval.feasible);
+    EXPECT_DOUBLE_EQ(fast.eval.cost, oracle.eval.cost);
+    // The oracle's sweep re-used every candidate the descent had analyzed.
+    int grid = 1;
+    for (const std::vector<i64>& ladder : evaluator->candidates())
+      grid *= static_cast<int>(ladder.size());
+    EXPECT_EQ(evaluator->evaluations(), grid);
+    EXPECT_EQ(oracle.evaluations, grid - afterDescent);
+    EXPECT_GT(oracle.memoHits, 0);
+  }
+  EXPECT_EQ(concrete.evaluations(), 4 * 4 * 2 * 2);  // nothing pruned without a plan
 }
 
 TEST(TileEvaluatorTest, ExplicitTileIgnoresUnrelatedCandidateArity) {
