@@ -19,6 +19,12 @@
 // framework's outcomes on programs the built-ins do not reach: skew factors
 // 1 to 4, a skew of two loops (seed 3, program 191) and the "no permutable
 // outer band" fallback.
+// The `artifacts_*` rows (a third test) pin the emitted text of every target:
+// `artifacts_builtin` compiles the built-in kernels for c, cuda and cell
+// under each runtimeSizeArgs/packBuffers setting (plus double-buffered cell
+// and a renamed CUDA kernel), `artifacts_seed1` compiles seed 1's programs
+// 0-199 for cuda and for cell. A result carries its artifact, ArtifactInfo
+// and codegen notes, so all three are pinned together.
 // Wall-clock values (PassTiming::millis, the tile search's
 // planBuildMillis/evalMillis, and the "N ms" figures the tile-search note
 // prints) are zeroed first; everything else in the payload is a
@@ -42,6 +48,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <regex>
@@ -329,6 +336,8 @@ std::vector<std::pair<std::string, std::string>> goldenPayloads() {
 /// Generator seeds of the `results_seed<N>` rows, and programs per seed.
 constexpr u64 kResultSeeds[] = {1, 2, 3};
 constexpr u64 kResultPrograms = 200;
+/// Names of the `artifacts_*` rows (see artifactPayloads).
+constexpr const char* kArtifactRows[] = {"artifacts_builtin", "artifacts_seed1"};
 
 /// The serialized results (timings zeroed) of compiling programs
 /// 0..kResultPrograms-1 of generator seed `seed` as the differential runner
@@ -354,6 +363,69 @@ std::vector<std::pair<std::string, std::string>> generatedResultPayloads() {
   for (u64 seed : kResultSeeds)
     out.emplace_back("results_seed" + std::to_string(seed), generatedResults(seed));
   return out;
+}
+
+/// The `artifacts_builtin` payload: every built-in kernel at its default
+/// sizes, compiled for each target with runtimeSizeArgs and packBuffers on
+/// and off, plus a double-buffered cell compile and a CUDA compile with
+/// another kernel name and element type; serialized results concatenated.
+std::string builtinArtifacts() {
+  std::vector<std::function<void(CompileOptions&)>> variants;
+  for (const char* target : {"c", "cuda", "cell"})
+    for (bool sizeArgs : {true, false})
+      for (bool pack : {true, false})
+        variants.push_back([=](CompileOptions& o) {
+          o.backendName = target;
+          o.runtimeSizeArgs = sizeArgs;
+          o.packBuffers = pack;
+        });
+  variants.push_back([](CompileOptions& o) {
+    o.backendName = "cell";
+    o.doubleBuffer = true;
+  });
+  variants.push_back([](CompileOptions& o) {
+    o.backendName = "cuda";
+    o.kernelName = "golden_kernel";
+    o.elementType = "double";
+  });
+  std::string out;
+  for (const std::string& kernel : builtinKernelNames())
+    for (const auto& variant : variants) {
+      IntVec params;
+      Compiler c(buildKernelByName(kernel, {}, params));
+      CompileOptions o = builtinOptions(kernel, params);
+      variant(o);
+      c.options(o);
+      out += resultBytes(c.compile());
+    }
+  return out;
+}
+
+/// The `artifacts_seed1` payload: generated programs 0..kResultPrograms-1 of
+/// seed 1 at the differential runner's default options, compiled for cuda
+/// and then for cell, concatenated in that order.
+std::string generatedArtifacts() {
+  testgen::GeneratorOptions gen;
+  gen.seed = 1;
+  const testgen::ProgramGenerator generator(gen);
+  std::string out;
+  for (const char* target : {"cuda", "cell"}) {
+    testgen::DiffOptions diff;
+    diff.baseOptions.backendName = target;
+    for (u64 index = 0; index < kResultPrograms; ++index) {
+      const testgen::GeneratedProgram program = generator.generate(index);
+      Compiler c(program.block);
+      c.options(diff.baseOptions).parameters(program.paramValues);
+      out += resultBytes(c.compile());
+    }
+  }
+  return out;
+}
+
+/// The `artifacts_*` payloads, by name, in file order. They pin the emitted
+/// text of every target together with its ArtifactInfo and codegen notes.
+std::vector<std::pair<std::string, std::string>> artifactPayloads() {
+  return {{"artifacts_builtin", builtinArtifacts()}, {"artifacts_seed1", generatedArtifacts()}};
 }
 
 std::string hex(u64 v) {
@@ -418,6 +490,7 @@ TEST(GoldenPlanBytes, SerializedResultsMatchTheRecordedDigests) {
     for (const auto& [name, bytes] : payloads) f << goldenLine(name, bytes) << "\n";
     for (const auto& [name, bytes] : generatedResultPayloads())
       f << goldenLine(name, bytes) << "\n";
+    for (const auto& [name, bytes] : artifactPayloads()) f << goldenLine(name, bytes) << "\n";
     f << "# schema fingerprint; key_<kernel> block-key options-key; file_<kernel> "
          ".emmplan .emmfam; famdigest_<kernel> block options\n";
     for (const auto& [name, line] : goldenValues()) f << line << "\n";
@@ -427,7 +500,8 @@ TEST(GoldenPlanBytes, SerializedResultsMatchTheRecordedDigests) {
   std::map<std::string, std::string> recorded = recordedLines();
   // A stale row (a payload renamed or dropped) fails here.
   EXPECT_EQ(recorded.size(),
-            payloads.size() + std::size(kResultSeeds) + goldenValues().size());
+            payloads.size() + std::size(kResultSeeds) + std::size(kArtifactRows) +
+                goldenValues().size());
   for (const auto& [name, bytes] : payloads) {
     SCOPED_TRACE(name);
     ASSERT_TRUE(recorded.count(name)) << "no golden entry";
@@ -440,6 +514,17 @@ TEST(GoldenPlanBytes, GeneratedProgramResultsMatchTheRecordedDigests) {
     GTEST_SKIP() << "rewritten by SerializedResultsMatchTheRecordedDigests";
   std::map<std::string, std::string> recorded = recordedLines();
   for (const auto& [name, bytes] : generatedResultPayloads()) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(recorded.count(name)) << "no golden entry";
+    EXPECT_EQ(goldenLine(name, bytes), recorded[name]);
+  }
+}
+
+TEST(GoldenPlanBytes, ArtifactsOfEveryTargetMatchTheRecordedDigests) {
+  if (std::getenv("EMM_UPDATE_GOLDEN") != nullptr)
+    GTEST_SKIP() << "rewritten by SerializedResultsMatchTheRecordedDigests";
+  std::map<std::string, std::string> recorded = recordedLines();
+  for (const auto& [name, bytes] : artifactPayloads()) {
     SCOPED_TRACE(name);
     ASSERT_TRUE(recorded.count(name)) << "no golden entry";
     EXPECT_EQ(goldenLine(name, bytes), recorded[name]);
