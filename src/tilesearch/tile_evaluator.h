@@ -98,6 +98,12 @@ public:
   /// paramValues vs block parameters).
   TileEvaluator(const ProgramBlock& block, const ParallelismPlan& plan,
                 const TileSearchOptions& options, const SmemOptions& smemBase);
+  /// The evaluator keeps pointers to `block` and `plan`: binding either to
+  /// a temporary is a compile error.
+  TileEvaluator(ProgramBlock&&, const ParallelismPlan&, const TileSearchOptions&,
+                const SmemOptions&) = delete;
+  TileEvaluator(const ProgramBlock&, ParallelismPlan&&, const TileSearchOptions&,
+                const SmemOptions&) = delete;
   /// Plan-only evaluator: `plan` bound at options.paramValues, Active and
   /// adopted from the start. Throws ApiError when the sizes do not bind
   /// (arity) or the candidate ladders are malformed (arity, empty ladder).

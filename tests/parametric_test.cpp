@@ -236,8 +236,9 @@ TEST(ParametricEquivalence, StageEverythingModeMatchesToo) {
   smem.onlyBeneficial = false;
   TileSearchOptions concreteOpts = opts;
   concreteOpts.parametric = false;
-  TileEvaluator parametric(block, ParallelismPlan{}, opts, smem);
-  TileEvaluator concrete(block, ParallelismPlan{}, concreteOpts, smem);
+  const ParallelismPlan plan;
+  TileEvaluator parametric(block, plan, opts, smem);
+  TileEvaluator concrete(block, plan, concreteOpts, smem);
   for (const std::vector<i64>& tile :
        {std::vector<i64>{8, 8, 8, 8}, {4, 4, 8, 8}, {16, 8, 4, 4}, {32, 32, 8, 8}})
     expectSameEvaluation(parametric.evaluate(tile), concrete.evaluate(tile), tile);
@@ -298,8 +299,9 @@ TEST(ParametricEquivalence, InterleavedComponentsRefineInConcreteOrder) {
   smem.sampleParams = {32, 8};
   TileSearchOptions concreteOpts = opts;
   concreteOpts.parametric = false;
-  TileEvaluator parametric(block, ParallelismPlan{}, opts, smem);
-  TileEvaluator concrete(block, ParallelismPlan{}, concreteOpts, smem);
+  const ParallelismPlan plan;
+  TileEvaluator parametric(block, plan, opts, smem);
+  TileEvaluator concrete(block, plan, concreteOpts, smem);
   // T_j = 1 splits {r0,r2}; partition order must come out in global
   // discovery order (r0, r1, r2), not component-by-component (r0, r2, r1).
   for (const std::vector<i64>& tile :
@@ -378,8 +380,9 @@ TEST(ParametricFallback, RectangularBenefitVerdictCompilesSymbolically) {
   smem.sampleParams = {32};
   TileSearchOptions concreteOpts = opts;
   concreteOpts.parametric = false;
-  TileEvaluator parametric(block, ParallelismPlan{}, opts, smem);
-  TileEvaluator concrete(block, ParallelismPlan{}, concreteOpts, smem);
+  const ParallelismPlan plan;
+  TileEvaluator parametric(block, plan, opts, smem);
+  TileEvaluator concrete(block, plan, concreteOpts, smem);
   for (const std::vector<i64>& tile :
        {std::vector<i64>{8, 8}, {1, 1}, {4, 16}, {32, 32}, {2, 8}})
     expectSameEvaluation(parametric.evaluate(tile), concrete.evaluate(tile), tile);
@@ -404,7 +407,8 @@ TEST(ParametricFallback, NonRectangularBenefitVerdictFallsBackWithAReason) {
   opts.innerProcs = 1;
   SmemOptions smem;
   smem.sampleParams = {32};
-  TileEvaluator evaluator(block, ParallelismPlan{}, opts, smem);
+  const ParallelismPlan plan;
+  TileEvaluator evaluator(block, plan, opts, smem);
   const TileEvaluation& ev = evaluator.evaluate({8, 8});
   EXPECT_EQ(evaluator.parametricState(), TileEvaluator::ParametricState::Fallback);
   EXPECT_NE(evaluator.fallbackReason().find("order-of-magnitude"), std::string::npos)
@@ -420,7 +424,8 @@ TEST(ParametricFallback, DisablingTheOptionPinsTheConcretePath) {
   opts.parametric = false;
   SmemOptions smem;
   smem.sampleParams = {32, 32, 8};
-  TileEvaluator evaluator(block, ParallelismPlan{}, opts, smem);
+  const ParallelismPlan plan;
+  TileEvaluator evaluator(block, plan, opts, smem);
   evaluator.evaluate({8, 8, 8, 8});
   EXPECT_EQ(evaluator.parametricState(), TileEvaluator::ParametricState::Fallback);
   EXPECT_NE(evaluator.fallbackReason().find("disabled"), std::string::npos);
