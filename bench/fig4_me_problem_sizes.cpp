@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "driver/backend.h"
+#include "codegen/emit.h"
 #include "driver/compiler.h"
 #include "driver/plan_cache.h"
 #include "kernels/me_pipeline.h"

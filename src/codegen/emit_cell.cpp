@@ -1,7 +1,28 @@
-#include "codegen/emit_cell.h"
-
+// The cell target: an SPE kernel for the paper's second architecture class
+// (Section 3's Cell discussion), whose explicitly managed 256 KB local
+// stores mean compute cannot touch global memory at all. Every reference is
+// staged through a local-store buffer (the driver forces
+// CompileOptions::stageEverything for this target), local buffers become
+// static arrays with extents folded at the bound environment, Copy nodes
+// become dma_get/dma_put transfers against effective addresses (one strided
+// transfer per contiguous row, one per element otherwise), Sync nodes
+// become DMA-tag fences, and block-parallel loops are strided across SPEs.
+//
+// Size-generic emission makes the global-array strides runtime SPE
+// arguments. Local-store arrays stay static (C forbids variable extents
+// there), so every extent that depends on a bound size parameter is pinned
+// by a BufExtentEq guard: inside the guarded envelope the folded
+// declarations, the double-buffer fit verdict and the text are invariant.
+//
+// Under options.doubleBuffer the innermost move-in stage is
+// double-buffered: the buffers staged there are declared twice, the steady
+// state prefetches iteration i+1 on the opposite DMA tag while computing on
+// iteration i, and in-loop fences become per-tag waits. The doubled
+// footprint must fit options.memLimitBytes; otherwise the synchronous
+// schedule is emitted and a leading comment says why.
 #include <set>
-#include <sstream>
+
+#include "codegen/emitter.h"
 
 namespace emm {
 
@@ -52,44 +73,35 @@ void renameVar(AstNode& n, const std::string& from, const std::string& to) {
   for (const AstPtr& c : n.children) renameVar(*c, from, to);
 }
 
-class CellEmitter {
+class CellEmitter : public Emitter {
 public:
-  CellEmitter(const CodeUnit& unit, const CellEmitOptions& options, ArtifactInfo* info)
-      : unit_(unit), opts_(options), info_(info) {
+  CellEmitter(const CodeUnit& unit, const CompileOptions& options, ArtifactInfo* info)
+      : Emitter(unit, options, info, kStyle) {
     EMM_CHECK(unit.source != nullptr, "CodeUnit without source block");
-    int bound = opts_.numBoundParams < 0 ? static_cast<int>(opts_.paramValues.size())
-                                         : opts_.numBoundParams;
-    EMM_CHECK(static_cast<int>(opts_.paramValues.size()) >= bound,
-              "parameter binding shorter than numBoundParams");
-    for (int j = 0; j < bound; ++j)
-      env_.emplace_back(unit.source->paramNames[j], opts_.paramValues[j]);
     if (opts_.doubleBuffer) planDoubleBuffer();
   }
 
-  std::string emit() {
-    std::ostringstream os;
-    os << "// Generated by emmap (Baskaran et al. PPoPP'08 reproduction).\n";
-    os << "// SPE kernel " << opts_.kernelName << " for block '" << unit_.source->name
-       << "' (Cell-like target: all references staged through the local store).\n";
-    if (!dbNote_.empty()) os << "// " << dbNote_ << "\n";
-    os << "\n";
+private:
+  static constexpr EmitStyle kStyle = {"// ", "", "mfc_read_tag_status_all();  // DMA fence",
+                                       true, false, true, 1};
+
+  void header() override {
+    const std::vector<ArrayDecl>& arrays = unit_.source->arrays;
+    out_ += "// Generated by emmap (Baskaran et al. PPoPP'08 reproduction).\n";
+    out_ += "// SPE kernel " + opts_.kernelName + " for block '" + unit_.source->name +
+            "' (Cell-like target: all references staged through the local store).\n";
+    if (!dbNote_.empty()) out_ += "// " + dbNote_ + "\n";
+    out_ += "\n";
 
     // SPE signature: one effective address per global array + bound
-    // parameters + the SPE's position in the gang.
-    os << "void " << opts_.kernelName << "_spe(";
-    for (size_t a = 0; a < unit_.source->arrays.size(); ++a)
-      os << "uint64_t " << unit_.source->arrays[a].name << "_ea, ";
-    for (size_t j = 0; j < env_.size(); ++j) os << "int " << env_[j].first << ", ";
-    if (opts_.symbolicSizes) {
-      // Global-array strides are runtime arguments in size-generic mode, so
-      // DMA displacement math never bakes a problem size into the text.
-      for (size_t a = 0; a < unit_.source->arrays.size(); ++a) {
-        const ArrayDecl& d = unit_.source->arrays[a];
-        for (int q = 1; q < d.ndim(); ++q)
-          os << "long " << d.name << "_n" << q << ", ";
-      }
-    }
-    os << "int spe_id, int num_spes) {\n";
+    // parameters + the SPE's position in the gang. In size-generic mode the
+    // global-array strides are runtime arguments too, so DMA displacement
+    // math never bakes a problem size into the text.
+    out_ += "void " + opts_.kernelName + "_spe(";
+    for (const ArrayDecl& d : arrays) out_ += "uint64_t " + d.name + "_ea, ";
+    for (const auto& [name, value] : env_) out_ += "int " + name + ", ";
+    for (const BindSlot& s : strides_) out_ += "long " + s.name + ", ";
+    out_ += "int spe_id, int num_spes) {\n";
 
     // Local-store buffers with folded extents. Pipelined buffers get a
     // leading rotation dimension: [0] and [1] alternate between the tile
@@ -97,68 +109,105 @@ public:
     for (size_t i = 0; i < unit_.localBuffers.size(); ++i) {
       const LocalBuffer& b = unit_.localBuffers[i];
       const bool rotated = dbLoop_ != nullptr && rotatedLocal_.count(static_cast<int>(i)) > 0;
-      os << "  static " << opts_.elementType << " " << b.name;
-      if (rotated) os << "[2]";
+      out_ += "  static " + opts_.elementType + " " + b.name;
+      if (rotated) out_ += "[2]";
       for (int d = 0; d < b.ndim; ++d) {
         i64 extent = b.paddedExtent(d, env_);
         EMM_CHECK(extent > 0, "buffer extent must fold to a positive constant for the SPE");
-        os << "[" << extent << "]";
+        out_ += "[" + std::to_string(extent) + "]";
       }
-      os << " __attribute__((aligned(128)));  // local store"
-         << (rotated ? ", double-buffered" : "") << "\n";
+      out_ += std::string(" __attribute__((aligned(128)));  // local store") +
+              (rotated ? ", double-buffered" : "") + "\n";
     }
-    os << "\n";
-    if (unit_.root != nullptr) emitNode(*unit_.root, os, 1);
-    os << "}\n\n";
-    emitLaunchStub(os);
-    if (info_ != nullptr) fillArtifactInfo();
-    return os.str();
+    out_ += "\n";
   }
 
-private:
-  void indent(std::ostringstream& os, int depth) {
-    for (int i = 0; i < depth; ++i) os << "  ";
+  void footer() override {
+    out_ += "}\n\n";
+    out_ += "// PPU-side launch stub.\n";
+    out_ += "// for (int spe = 0; spe < num_spes; ++spe)\n";
+    out_ += "//   spe_create_thread(gang, &" + opts_.kernelName + "_spe, ";
+    for (const ArrayDecl& d : unit_.source->arrays) out_ += d.name + "_ea, ";
+    if (sizeGeneric_) {
+      // Argument names: values are filled per request by the RuntimeBinder.
+      for (const auto& [name, value] : env_) out_ += name + ", ";
+      for (const BindSlot& s : strides_) out_ += s.name + ", ";
+    } else {
+      for (const auto& [name, value] : env_) out_ += std::to_string(value) + ", ";
+    }
+    out_ += "spe, num_spes);\n";
   }
 
-  bool isLocal(int arrayId) const { return arrayId >= unit_.numGlobalArrays(); }
+  /// Pins every folded local-store extent that depends on a bound size
+  /// parameter with a BufExtentEq guard; inside that envelope the static
+  /// declarations, the double-buffer fit verdict and therefore the whole
+  /// text are invariant.
+  void finishInfo(ArtifactInfo& info) override {
+    for (size_t i = 0; i < unit_.localBuffers.size(); ++i) {
+      const LocalBuffer& b = unit_.localBuffers[i];
+      for (int d = 0; d < b.ndim; ++d) {
+        bool dependsOnSize = false;
+        for (const auto& [name, value] : env_) dependsOnSize |= b.sizeExpr[d].mentions(name);
+        if (!dependsOnSize) continue;
+        FamilyGuard g;
+        g.kind = FamilyGuard::Kind::BufExtentEq;
+        g.bufferIndex = static_cast<int>(i);
+        g.dim = d;
+        g.expected = b.paddedExtent(d, env_);
+        g.what = "local-store extent of " + b.name + " dim " + std::to_string(d) +
+                 " folded at " + std::to_string(g.expected);
+        info.guards.push_back(std::move(g));
+      }
+    }
+  }
 
-  std::string arrayName(int arrayId) const {
-    int nglobal = unit_.numGlobalArrays();
-    if (arrayId < nglobal) return unit_.source->arrays[arrayId].name;
-    std::string name = unit_.localBuffers[arrayId - nglobal].name;
-    // Inside the pipelined region a rotated buffer is addressed through the
-    // current rotation selector.
-    if (!dbSel_.empty() && rotatedLocal_.count(arrayId - nglobal) > 0)
-      name += "[" + dbSel_ + "]";
-    return name;
+  /// The array's name; inside the pipelined region a rotated buffer is
+  /// addressed through the current rotation selector.
+  std::string bufferName(int arrayId) const {
+    const int local = arrayId - unit_.numGlobalArrays();
+    if (!dbSel_.empty() && local >= 0 && rotatedLocal_.count(local) > 0)
+      return arrayName(arrayId) + "[" + dbSel_ + "]";
+    return arrayName(arrayId);
+  }
+
+  /// On the Cell path every reference is staged, so computation may only
+  /// touch local-store buffers (the driver forces stageEverything; a
+  /// hand-built unit that bypasses staging is a user error).
+  std::string reference(int arrayId, const std::vector<AffExpr>& index) override {
+    EMM_REQUIRE(isLocal(arrayId), "cell backend requires fully staged references");
+    return bufferName(arrayId) + bracketIndex(index);
   }
 
   /// Trailing DMA-tag argument in the pipelined region ("" = classic 3-arg
   /// form with a global fence).
   std::string dmaTagArg() const { return dmaTag_.empty() ? "" : ", " + dmaTag_; }
 
-  /// Flat element offset of a global array reference (row-major, declared
-  /// extents), used as the DMA effective-address displacement.
-  std::string flatOffsetText(int arrayId, const std::vector<std::string>& index) const {
-    const ArrayDecl& d = unit_.source->arrays[arrayId];
-    std::ostringstream os;
-    for (int k = 0; k < d.ndim(); ++k) {
-      if (k > 0) os << " + ";
-      os << "(" << index[k] << ")";
-      for (int q = k + 1; q < d.ndim(); ++q) {
-        if (opts_.symbolicSizes)
-          os << " * " << d.name << "_n" << q;
-        else
-          os << " * " << d.extents[q];
-      }
-    }
-    return os.str();
+  /// "dma_get(&<local>, <A>_ea + sizeof(T) * (<offset>), sizeof(T)<size>"
+  /// (or dma_put), with the trailing tag argument and ");".
+  std::string dmaCall(const char* op, int localArray, const std::string& localIndex,
+                      int globalArray, const std::string& offset, const std::string& size) const {
+    const std::string elem = "sizeof(" + opts_.elementType + ")";
+    return std::string(op) + "(&" + bufferName(localArray) + localIndex + ", " +
+           arrayName(globalArray) + "_ea + " + elem + " * (" + offset + "), " + elem + size +
+           dmaTagArg() + ");";
   }
 
-  std::string flatOffset(int arrayId, const std::vector<AffExpr>& index) const {
-    std::vector<std::string> texts;
-    for (const AffExpr& e : index) texts.push_back(e.str());
-    return flatOffsetText(arrayId, texts);
+  void emitCopy(const AstNode& n, int depth) override {
+    const bool dstLocal = isLocal(n.dstArray);
+    const bool srcLocal = isLocal(n.srcArray);
+    if (dstLocal && !srcLocal) {
+      // Move-in: global memory -> local store.
+      line(depth, dmaCall("dma_get", n.dstArray, bracketIndex(n.dstIndex), n.srcArray,
+                          linearIndex(n.srcArray, n.srcIndex), ""));
+    } else if (!dstLocal && srcLocal) {
+      // Move-out: local store -> global memory.
+      line(depth, dmaCall("dma_put", n.srcArray, bracketIndex(n.srcIndex), n.dstArray,
+                          linearIndex(n.dstArray, n.dstIndex), ""));
+    } else {
+      // Local-to-local (or staged global-to-global) copies stay plain.
+      line(depth, bufferName(n.dstArray) + bracketIndex(n.dstIndex) + " = " +
+                      bufferName(n.srcArray) + bracketIndex(n.srcIndex) + ";");
+    }
   }
 
   /// True when the loop iterator advances `index` contiguously: it appears
@@ -186,79 +235,15 @@ private:
     return stripped.str() + " + (" + repl + ")";
   }
 
-  std::string localIndex(const std::vector<AffExpr>& index) const {
-    std::ostringstream os;
-    for (const AffExpr& e : index) os << "[" << e.str() << "]";
-    return os.str();
-  }
-
-  void emitNode(const AstNode& n, std::ostringstream& os, int depth) {
-    switch (n.kind) {
-      case AstNode::Kind::Block:
-        for (const AstPtr& c : n.children) emitNode(*c, os, depth);
-        break;
-      case AstNode::Kind::For:
-        emitFor(n, os, depth);
-        break;
-      case AstNode::Kind::Guard: {
-        indent(os, depth);
-        os << "if (";
-        for (size_t i = 0; i < n.guards.size(); ++i)
-          os << (i ? " && " : "") << "(" << n.guards[i].str() << ") >= 0";
-        os << ") {\n";
-        for (const AstPtr& c : n.children) emitNode(*c, os, depth + 1);
-        indent(os, depth);
-        os << "}\n";
-        break;
-      }
-      case AstNode::Kind::Call:
-        emitCall(n, os, depth);
-        break;
-      case AstNode::Kind::Copy:
-        emitCopy(n, os, depth);
-        break;
-      case AstNode::Kind::Sync:
-        indent(os, depth);
-        os << "mfc_read_tag_status_all();  // DMA fence\n";
-        break;
-      case AstNode::Kind::Comment:
-        indent(os, depth);
-        os << "// " << n.text << "\n";
-        break;
-    }
-  }
-
-  void emitCopy(const AstNode& n, std::ostringstream& os, int depth) {
-    indent(os, depth);
-    const bool dstLocal = isLocal(n.dstArray);
-    const bool srcLocal = isLocal(n.srcArray);
-    if (dstLocal && !srcLocal) {
-      // Move-in: global memory -> local store.
-      os << "dma_get(&" << arrayName(n.dstArray) << localIndex(n.dstIndex) << ", "
-         << arrayName(n.srcArray) << "_ea + sizeof(" << opts_.elementType << ") * ("
-         << flatOffset(n.srcArray, n.srcIndex) << "), sizeof(" << opts_.elementType << ")"
-         << dmaTagArg() << ");\n";
-    } else if (!dstLocal && srcLocal) {
-      // Move-out: local store -> global memory.
-      os << "dma_put(&" << arrayName(n.srcArray) << localIndex(n.srcIndex) << ", "
-         << arrayName(n.dstArray) << "_ea + sizeof(" << opts_.elementType << ") * ("
-         << flatOffset(n.dstArray, n.dstIndex) << "), sizeof(" << opts_.elementType << ")"
-         << dmaTagArg() << ");\n";
-    } else {
-      // Local-to-local (or staged global-to-global) copies stay plain.
-      os << arrayName(n.dstArray) << localIndex(n.dstIndex) << " = " << arrayName(n.srcArray)
-         << localIndex(n.srcIndex) << ";\n";
-    }
-  }
-
   /// Collapses an innermost unit-stride copy loop into one strided DMA
   /// transfer per row:
   ///   for (m = lb..ub) dma_get(&L[..][m - off], A_ea + sz*(.. + m), sz);
   /// becomes
   ///   dma_get(&L[..][lb - off], A_ea + sz*(.. + lb), sz * (ub - lb + 1));
-  /// Returns false (caller emits the plain loop) unless the loop body is a
-  /// single global<->local copy contiguous in the iterator on both sides.
-  bool tryEmitCoalescedDma(const AstNode& loop, std::ostringstream& os, int depth) {
+  /// Returns false (caller emits the plain loop, whose non-contiguous
+  /// copies stay per-element transfers) unless the loop body is a single
+  /// global<->local copy contiguous in the iterator on both sides.
+  bool tryEmitCoalescedDma(const AstNode& loop, int depth) {
     if (loop.step != 1 || loop.children.size() != 1) return false;
     const AstNode& copy = *loop.children[0];
     if (copy.kind != AstNode::Kind::Copy) return false;
@@ -270,40 +255,38 @@ private:
 
     const std::string lb = loop.lb.str();
     const std::string ub = loop.ub.str();
-    const std::string count = "(" + ub + ") - (" + lb + ") + 1";
+    const std::string count = " * ((" + ub + ") - (" + lb + ") + 1)";
     auto localStart = [&](const std::vector<AffExpr>& idx) {
-      std::ostringstream s;
-      for (size_t d = 0; d + 1 < idx.size(); ++d) s << "[" << idx[d].str() << "]";
-      s << "[" << substIter(idx.back(), loop.iter, lb) << "]";
-      return s.str();
+      std::string s;
+      for (size_t d = 0; d + 1 < idx.size(); ++d) s += "[" + idx[d].str() + "]";
+      return s + "[" + substIter(idx.back(), loop.iter, lb) + "]";
     };
     auto globalStart = [&](int arrayId, const std::vector<AffExpr>& idx) {
       std::vector<std::string> texts;
       for (size_t d = 0; d + 1 < idx.size(); ++d) texts.push_back(idx[d].str());
       texts.push_back(substIter(idx.back(), loop.iter, lb));
-      return flatOffsetText(arrayId, texts);
+      return linearIndex(arrayId, texts);
     };
-    indent(os, depth);
     // The row can be empty at boundary tiles; guard like the loop would.
-    os << "if ((" << ub << ") >= (" << lb << ")) ";
-    if (dstLocal) {
-      os << "dma_get(&" << arrayName(copy.dstArray) << localStart(copy.dstIndex) << ", "
-         << arrayName(copy.srcArray) << "_ea + sizeof(" << opts_.elementType << ") * ("
-         << globalStart(copy.srcArray, copy.srcIndex) << "), sizeof(" << opts_.elementType
-         << ") * (" << count << ")" << dmaTagArg() << ");  // coalesced row\n";
-    } else {
-      os << "dma_put(&" << arrayName(copy.srcArray) << localStart(copy.srcIndex) << ", "
-         << arrayName(copy.dstArray) << "_ea + sizeof(" << opts_.elementType << ") * ("
-         << globalStart(copy.dstArray, copy.dstIndex) << "), sizeof(" << opts_.elementType
-         << ") * (" << count << ")" << dmaTagArg() << ");  // coalesced row\n";
-    }
+    const std::string guard = "if ((" + ub + ") >= (" + lb + ")) ";
+    if (dstLocal)
+      line(depth, guard + dmaCall("dma_get", copy.dstArray, localStart(copy.dstIndex),
+                                  copy.srcArray, globalStart(copy.srcArray, copy.srcIndex),
+                                  count) +
+                      "  // coalesced row");
+    else
+      line(depth, guard + dmaCall("dma_put", copy.srcArray, localStart(copy.srcIndex),
+                                  copy.dstArray, globalStart(copy.dstArray, copy.dstIndex),
+                                  count) +
+                      "  // coalesced row");
     return true;
   }
 
-  /// Picks the pipeline stage loop and checks the doubled footprint. Called
-  /// from the constructor when options.doubleBuffer is set; on any failure
-  /// dbLoop_ stays null and dbNote_ records why (emitted as a leading
-  /// comment, synchronous schedule follows).
+  /// Picks the pipeline stage loop and checks the doubled footprint against
+  /// the local store (options.memLimitBytes). Called from the constructor
+  /// when options.doubleBuffer is set; on any failure dbLoop_ stays null and
+  /// dbNote_ records why (emitted as a leading comment, synchronous schedule
+  /// follows).
   void planDoubleBuffer() {
     if (unit_.root == nullptr) return;
     dbLoop_ = findPipelineLoop(*unit_.root);
@@ -325,11 +308,11 @@ private:
       elems = addChecked(elems, footprint);
     }
     const i64 bytes = mulChecked(elems, opts_.elementBytes);
-    if (rotatedLocal_.empty() || bytes > opts_.localStoreBudgetBytes) {
+    if (rotatedLocal_.empty() || bytes > opts_.memLimitBytes) {
       if (!rotatedLocal_.empty())
         dbNote_ = "double-buffering requested, but the doubled footprint (" +
                   std::to_string(bytes) + " bytes) exceeds the " +
-                  std::to_string(opts_.localStoreBudgetBytes) +
+                  std::to_string(opts_.memLimitBytes) +
                   "-byte local store; synchronous schedule emitted.";
       else
         dbNote_ = "double-buffering requested, but the staged stage moves no data in; "
@@ -370,9 +353,10 @@ private:
   /// tile's move-in on the opposite tag, computes, and flips the selector.
   /// Move-in data for iteration i is always requested one iteration early,
   /// so its DMA flight time overlaps iteration i-1's compute.
-  void emitPipelinedFor(const AstNode& n, std::ostringstream& os, int depth) {
+  void emitPipelinedFor(const AstNode& n, int depth) {
     const int nglobal = unit_.numGlobalArrays();
     const std::string next = n.iter + "_nxt";
+    const std::string step = std::to_string(n.step);
 
     // Group a "// move-in ..." banner comment with the stage it announces.
     std::vector<bool> inPrefetch(n.children.size(), false);
@@ -381,220 +365,77 @@ private:
       inPrefetch[i] = true;
       if (i > 0 && n.children[i - 1]->kind == AstNode::Kind::Comment) inPrefetch[i - 1] = true;
     }
-    auto emitMoveIns = [&](const std::string& iterValue, int d) {
+    auto emitMoveIns = [&](const std::string& iterValue, const char* selector, int d) {
+      dbSel_ = dmaTag_ = selector;
       for (size_t i = 0; i < n.children.size(); ++i) {
         if (!inPrefetch[i]) continue;
         AstPtr copy = n.children[i];
         renameVar(*copy, n.iter, iterValue);
-        emitNode(*copy, os, d);
+        emitNode(*copy, d);
       }
+      dbSel_.clear();
+      dmaTag_.clear();
     };
 
-    indent(os, depth);
-    os << "int emm_db = 0;  // double-buffer selector\n";
-    indent(os, depth);
-    os << "{  // pipeline prologue: stage the first " << n.iter << " tile on tag 0\n";
-    indent(os, depth + 1);
-    os << "int " << n.iter << " = " << n.lb.str() << ";\n";
-    dbSel_ = "emm_db";
-    dmaTag_ = "emm_db";
-    emitMoveIns(n.iter, depth + 1);
-    dbSel_.clear();
-    dmaTag_.clear();
-    indent(os, depth);
-    os << "}\n";
+    line(depth, "int emm_db = 0;  // double-buffer selector");
+    line(depth, "{  // pipeline prologue: stage the first " + n.iter + " tile on tag 0");
+    line(depth + 1, "int " + n.iter + " = " + n.lb.str() + ";");
+    emitMoveIns(n.iter, "emm_db", depth + 1);
+    line(depth, "}");
 
-    indent(os, depth);
-    os << "for (int " << n.iter << " = " << n.lb.str() << "; " << n.iter
-       << " <= " << n.ub.str() << "; " << n.iter << " += " << n.step
-       << ") {  // software-pipelined\n";
-    indent(os, depth + 1);
-    os << "mfc_write_tag_mask(1 << emm_db); mfc_read_tag_status_all();  // wait on this tile\n";
-    indent(os, depth + 1);
-    os << "{  // prefetch the next tile on the opposite tag\n";
-    indent(os, depth + 2);
-    os << "int " << next << " = " << n.iter << " + " << n.step << ";\n";
-    indent(os, depth + 2);
-    os << "if (" << next << " <= " << n.ub.str() << ") {\n";
-    dbSel_ = "1 - emm_db";
-    dmaTag_ = "1 - emm_db";
-    emitMoveIns(next, depth + 3);
-    dbSel_.clear();
-    dmaTag_.clear();
-    indent(os, depth + 2);
-    os << "}\n";
-    indent(os, depth + 1);
-    os << "}\n";
+    line(depth, "for (int " + n.iter + " = " + n.lb.str() + "; " + n.iter + " <= " + n.ub.str() +
+                    "; " + n.iter + " += " + step + ") {  // software-pipelined");
+    line(depth + 1,
+         "mfc_write_tag_mask(1 << emm_db); mfc_read_tag_status_all();  // wait on this tile");
+    line(depth + 1, "{  // prefetch the next tile on the opposite tag");
+    line(depth + 2, "int " + next + " = " + n.iter + " + " + step + ";");
+    line(depth + 2, "if (" + next + " <= " + n.ub.str() + ") {");
+    emitMoveIns(next, "1 - emm_db", depth + 3);
+    line(depth + 2, "}");
+    line(depth + 1, "}");
 
     // The rest of the body in original order, computing on this tile's
     // buffer half. In-loop fences would stall the in-flight prefetch, so
     // they are elided: the per-tag wait above is the only synchronization.
-    dbSel_ = "emm_db";
-    dmaTag_ = "emm_db";
+    dbSel_ = dmaTag_ = "emm_db";
     for (size_t i = 0; i < n.children.size(); ++i) {
       if (inPrefetch[i]) continue;
-      if (n.children[i]->kind == AstNode::Kind::Sync) {
-        indent(os, depth + 1);
-        os << "// DMA fence elided: per-tag wait covers this tile\n";
-        continue;
-      }
-      emitNode(*n.children[i], os, depth + 1);
+      if (n.children[i]->kind == AstNode::Kind::Sync)
+        line(depth + 1, "// DMA fence elided: per-tag wait covers this tile");
+      else
+        emitNode(*n.children[i], depth + 1);
     }
     dbSel_.clear();
     dmaTag_.clear();
-    indent(os, depth + 1);
-    os << "emm_db = 1 - emm_db;  // rotate buffers\n";
-    indent(os, depth);
-    os << "}\n";
+    line(depth + 1, "emm_db = 1 - emm_db;  // rotate buffers");
+    line(depth, "}");
   }
 
-  void emitFor(const AstNode& n, std::ostringstream& os, int depth) {
-    if (&n == dbLoop_) {
-      emitPipelinedFor(n, os, depth);
-      return;
-    }
-    if (opts_.coalesceDma && n.loopKind == LoopKind::Sequential &&
-        tryEmitCoalescedDma(n, os, depth))
-      return;
+  void emitFor(const AstNode& n, int depth) override {
+    if (&n == dbLoop_) return emitPipelinedFor(n, depth);
+    if (n.loopKind == LoopKind::Sequential && tryEmitCoalescedDma(n, depth)) return;
+    const std::string step = std::to_string(n.step);
     switch (n.loopKind) {
       case LoopKind::BlockParallel:
-        indent(os, depth);
-        if (blockDims_++ == 0) {
+        if (blockDims_++ == 0)
           // Outermost block-parallel loop: tiles are strided across the gang.
-          os << "for (int " << n.iter << " = (" << n.lb.str() << ") + spe_id * " << n.step
-             << "; " << n.iter << " <= " << n.ub.str() << "; " << n.iter << " += num_spes * "
-             << n.step << ") {  // distributed across SPEs\n";
-        } else {
+          intLoop(n, depth, "(" + n.lb.str() + ") + spe_id * " + step, "num_spes * " + step,
+                  "  // distributed across SPEs");
+        else
           // Further block-parallel loops fold onto the same SPE.
-          os << "for (int " << n.iter << " = " << n.lb.str() << "; " << n.iter
-             << " <= " << n.ub.str() << "; " << n.iter << " += " << n.step
-             << ") {  // block-parallel, folded onto this SPE\n";
-        }
+          intLoop(n, depth, n.lb.str(), step, "  // block-parallel, folded onto this SPE");
         break;
       case LoopKind::ThreadParallel:
         // The SPE is a single (SIMD) core: inner-level parallel loops run
         // sequentially on it.
-        indent(os, depth);
-        os << "for (int " << n.iter << " = " << n.lb.str() << "; " << n.iter
-           << " <= " << n.ub.str() << "; " << n.iter << " += " << n.step
-           << ") {  // SPE-sequential (SIMD lanes)\n";
+        intLoop(n, depth, n.lb.str(), step, "  // SPE-sequential (SIMD lanes)");
         break;
       case LoopKind::Sequential:
-        indent(os, depth);
-        os << "for (int " << n.iter << " = " << n.lb.str() << "; " << n.iter
-           << " <= " << n.ub.str() << "; " << n.iter << " += " << n.step << ") {\n";
+        intLoop(n, depth, n.lb.str(), step);
         break;
     }
-    for (const AstPtr& c : n.children) emitNode(*c, os, depth + 1);
-    indent(os, depth);
-    os << "}\n";
   }
 
-  void emitCall(const AstNode& n, std::ostringstream& os, int depth) {
-    const Statement& st = unit_.statements[n.stmtId];
-    if (st.writeAccess < 0) return;
-    // Compose each access function with the call arguments to index text.
-    std::vector<std::string> accessText;
-    for (const Access& acc : st.accesses) {
-      std::vector<AffExpr> index;
-      for (int r = 0; r < acc.fn.rows(); ++r) {
-        AffExpr composed;
-        composed.cnst = acc.fn.at(r, acc.fn.cols() - 1);
-        for (int j = 0; j < st.dim(); ++j) {
-          i64 c = acc.fn.at(r, j);
-          if (c == 0) continue;
-          const AffExpr& arg = n.callArgs[j];
-          for (const auto& [name, coeff] : arg.terms)
-            composed.terms.emplace_back(name, mulChecked(coeff, c));
-          composed.cnst = addChecked(composed.cnst, mulChecked(arg.cnst, c));
-        }
-        for (int j = 0; j < st.domain.nparam(); ++j) {
-          i64 c = acc.fn.at(r, st.dim() + j);
-          if (c != 0) composed.terms.emplace_back(unit_.source->paramNames[j], c);
-        }
-        index.push_back(std::move(composed));
-      }
-      // On the Cell path every reference is staged, so computation may only
-      // touch local-store buffers (the driver forces stageEverything; a
-      // hand-built unit that bypasses staging is a user error).
-      EMM_REQUIRE(isLocal(acc.arrayId), "cell backend requires fully staged references");
-      accessText.push_back(arrayName(acc.arrayId) + localIndex(index));
-    }
-    indent(os, depth);
-    os << accessText[st.writeAccess] << " = " << st.rhs->str(accessText) << ";  // " << st.name
-       << "\n";
-  }
-
-  void emitLaunchStub(std::ostringstream& os) {
-    os << "// PPU-side launch stub.\n";
-    os << "// for (int spe = 0; spe < num_spes; ++spe)\n";
-    os << "//   spe_create_thread(gang, &" << opts_.kernelName << "_spe, ";
-    for (size_t a = 0; a < unit_.source->arrays.size(); ++a)
-      os << unit_.source->arrays[a].name << "_ea, ";
-    if (opts_.symbolicSizes) {
-      // Argument names: values are filled per request by the RuntimeBinder.
-      for (size_t j = 0; j < env_.size(); ++j) os << env_[j].first << ", ";
-      for (size_t a = 0; a < unit_.source->arrays.size(); ++a) {
-        const ArrayDecl& d = unit_.source->arrays[a];
-        for (int q = 1; q < d.ndim(); ++q) os << d.name << "_n" << q << ", ";
-      }
-    } else {
-      for (size_t j = 0; j < env_.size(); ++j) os << env_[j].second << ", ";
-    }
-    os << "spe, num_spes);\n";
-  }
-
-  /// Reports the bind slots (size params + global strides) and pins every
-  /// folded local-store extent that depends on a bound size parameter with
-  /// a BufExtentEq guard; inside that envelope the static declarations, the
-  /// double-buffer fit verdict and therefore the whole text are invariant.
-  void fillArtifactInfo() {
-    info_->sizeGeneric = opts_.symbolicSizes;
-    if (!opts_.symbolicSizes) return;
-    info_->slots.clear();
-    for (size_t j = 0; j < env_.size(); ++j) {
-      BindSlot s;
-      s.name = env_[j].first;
-      s.kind = BindSlot::Kind::SizeParam;
-      s.a = static_cast<int>(j);
-      info_->slots.push_back(std::move(s));
-    }
-    for (size_t a = 0; a < unit_.source->arrays.size(); ++a) {
-      const ArrayDecl& d = unit_.source->arrays[a];
-      for (int q = 1; q < d.ndim(); ++q) {
-        BindSlot s;
-        s.name = d.name + "_n" + std::to_string(q);
-        s.kind = BindSlot::Kind::ArrayExtent;
-        s.a = static_cast<int>(a);
-        s.b = q;
-        info_->slots.push_back(std::move(s));
-      }
-    }
-    for (size_t i = 0; i < unit_.localBuffers.size(); ++i) {
-      const LocalBuffer& b = unit_.localBuffers[i];
-      for (int d = 0; d < b.ndim; ++d) {
-        bool dependsOnSize = false;
-        for (const auto& [name, value] : env_) {
-          (void)value;
-          dependsOnSize |= b.sizeExpr[d].mentions(name);
-        }
-        if (!dependsOnSize) continue;
-        FamilyGuard g;
-        g.kind = FamilyGuard::Kind::BufExtentEq;
-        g.bufferIndex = static_cast<int>(i);
-        g.dim = d;
-        g.expected = b.paddedExtent(d, env_);
-        g.what = "local-store extent of " + b.name + " dim " + std::to_string(d) +
-                 " folded at " + std::to_string(g.expected);
-        info_->guards.push_back(std::move(g));
-      }
-    }
-  }
-
-  const CodeUnit& unit_;
-  CellEmitOptions opts_;
-  ArtifactInfo* info_ = nullptr;
-  std::vector<std::pair<std::string, i64>> env_;
   int blockDims_ = 0;
 
   // Double-buffer pipeline state (planDoubleBuffer / emitPipelinedFor).
@@ -607,13 +448,8 @@ private:
 
 }  // namespace
 
-std::string emitCell(const CodeUnit& unit, const CellEmitOptions& options) {
-  return emitCell(unit, options, nullptr);
-}
-
-std::string emitCell(const CodeUnit& unit, const CellEmitOptions& options, ArtifactInfo* info) {
-  CellEmitter emitter(unit, options, info);
-  return emitter.emit();
+std::string renderCell(const CodeUnit& unit, const CompileOptions& options, ArtifactInfo* info) {
+  return CellEmitter(unit, options, info).run();
 }
 
 }  // namespace emm

@@ -1,7 +1,17 @@
-#include "codegen/emit_cuda.h"
-
+// The cuda target: a __global__ kernel whose __shared__ arrays are the
+// planned scratchpad buffers, whose outer FORALL (block-parallel) loops are
+// distributed over blockIdx, whose inner FORALL (thread-parallel) loops are
+// strided over threadIdx, and whose Sync nodes become __syncthreads().
+//
+// Size-generic emission keeps problem sizes and global-array strides as
+// runtime kernel arguments; the shared buffers then live in a dynamic
+// `extern __shared__` arena addressed through the BufferLayout's closed-form
+// offset and pitch expressions. Without a layout (packBuffers off) the
+// shared extents fold to constants at the bound environment and the
+// artifact is reported as size-baked.
 #include <sstream>
 
+#include "codegen/emitter.h"
 #include "smem/buffer_layout.h"
 #include "sym/sym_to_c.h"
 
@@ -9,107 +19,101 @@ namespace emm {
 
 namespace {
 
-class CudaEmitter {
+class CudaEmitter : public Emitter {
 public:
-  CudaEmitter(const CodeUnit& unit, const CudaEmitOptions& options, const BufferLayout* layout,
+  CudaEmitter(const CodeUnit& unit, const CompileOptions& options, const BufferLayout* layout,
               ArtifactInfo* info)
-      : unit_(unit), opts_(options), layout_(layout), info_(info) {
+      : Emitter(unit, options, info, kStyle), layout_(layout) {
     EMM_CHECK(unit.source != nullptr, "CodeUnit without source block");
-    int bound = opts_.numBoundParams < 0 ? static_cast<int>(opts_.paramValues.size())
-                                         : opts_.numBoundParams;
-    EMM_CHECK(static_cast<int>(opts_.paramValues.size()) >= bound,
-              "parameter binding shorter than numBoundParams");
-    for (int j = 0; j < bound; ++j)
-      env_.emplace_back(unit.source->paramNames[j], opts_.paramValues[j]);
-    symbolic_ = opts_.symbolicSizes;
-    if (symbolic_ && !unit_.localBuffers.empty() && layout_ == nullptr) {
+    if (sizeGeneric_ && !unit_.localBuffers.empty() && layout_ == nullptr) {
       // No geometry formulas to fold in — the artifact must bake extents.
-      symbolic_ = false;
+      sizeGeneric_ = false;
       if (info_ != nullptr)
         info_->note = "no buffer layout available; shared extents folded to constants";
     }
-    if (symbolic_)
-      for (size_t j = 0; j < env_.size(); ++j) symNames_.push_back(env_[j].first);
+    if (sizeGeneric_)
+      for (const auto& [name, value] : env_) symNames_.push_back(name);
   }
 
-  std::string emit() {
-    if (symbolic_) prepareArena();
+private:
+  static constexpr EmitStyle kStyle = {"// ", "", "__syncthreads();", true, false, true, 1};
 
-    std::ostringstream os;
-    os << "// Generated by emmap (Baskaran et al. PPoPP'08 reproduction).\n";
-    os << "// Kernel " << opts_.kernelName << " for block '" << unit_.source->name << "'.\n";
-    if (symbolic_)
-      os << "// Size-generic: problem sizes, array strides and scratchpad\n"
-            "// geometry are runtime arguments; one artifact serves the family.\n";
-    os << "\n";
+  void header() override {
+    if (sizeGeneric_) prepareArena();
+    const std::vector<ArrayDecl>& arrays = unit_.source->arrays;
+    out_ += "// Generated by emmap (Baskaran et al. PPoPP'08 reproduction).\n";
+    out_ += "// Kernel " + opts_.kernelName + " for block '" + unit_.source->name + "'.\n";
+    if (sizeGeneric_)
+      out_ += "// Size-generic: problem sizes, array strides and scratchpad\n"
+              "// geometry are runtime arguments; one artifact serves the family.\n";
+    out_ += "\n";
 
     // Kernel signature: one pointer per global array + bound parameters,
-    // then (symbolic mode) global-array strides and bind-table slots.
-    os << "__global__ void " << opts_.kernelName << "(";
-    for (size_t a = 0; a < unit_.source->arrays.size(); ++a)
-      os << opts_.elementType << "* __restrict__ " << unit_.source->arrays[a].name
-         << (a + 1 < unit_.source->arrays.size() ? ", " : "");
-    for (size_t j = 0; j < env_.size(); ++j) os << ", int " << env_[j].first;
-    if (symbolic_) {
-      for (const BindSlot& s : strideSlots_) os << ", long " << s.name;
-      for (const BindSlot& s : formulaSlots_) os << ", long " << s.name;
+    // then (size-generic) global-array strides and bind-table slots.
+    out_ += "__global__ void " + opts_.kernelName + "(";
+    for (size_t a = 0; a < arrays.size(); ++a)
+      out_ += opts_.elementType + "* __restrict__ " + arrays[a].name +
+              (a + 1 < arrays.size() ? ", " : "");
+    for (const auto& [name, value] : env_) out_ += ", int " + name;
+    if (sizeGeneric_) {
+      for (const BindSlot& s : strides_) out_ += ", long " + s.name;
+      for (const BindSlot& s : formulaSlots_) out_ += ", long " + s.name;
     }
-    os << ") {\n";
+    out_ += ") {\n";
 
-    if (symbolic_) {
+    if (sizeGeneric_) {
       if (!unit_.localBuffers.empty()) {
-        os << "  extern __shared__ " << opts_.elementType << " emm_smem[];\n";
-        for (const std::string& line : macroLines_) os << line;
+        out_ += "  extern __shared__ " + opts_.elementType + " emm_smem[];\n";
+        for (const std::string& macro : macroLines_) out_ += macro;
       }
     } else {
       // Shared-memory buffers with folded extents.
       for (const LocalBuffer& b : unit_.localBuffers) {
-        os << "  __shared__ " << opts_.elementType << " " << b.name;
+        out_ += "  __shared__ " + opts_.elementType + " " + b.name;
         bool padded = false;
         for (int d = 0; d < b.ndim; ++d) {
           i64 extent = b.paddedExtent(d, env_);
           EMM_CHECK(extent > 0, "buffer extent must fold to a positive constant for CUDA");
           padded |= d < static_cast<int>(b.pad.size()) && b.pad[d] != 0;
-          os << "[" << extent << "]";
+          out_ += "[" + std::to_string(extent) + "]";
         }
-        os << ";" << (padded ? "  // bank-conflict padded" : "") << "\n";
+        out_ += std::string(";") + (padded ? "  // bank-conflict padded" : "") + "\n";
       }
     }
-    os << "\n";
-    if (unit_.root != nullptr) emitNode(*unit_.root, os, 1);
-    os << "}\n";
-    if (symbolic_)
-      for (const LocalBuffer& b : unit_.localBuffers) os << "#undef " << b.name << "\n";
-    os << "\n";
-    emitLaunchStub(os);
+    out_ += "\n";
+  }
 
-    if (info_ != nullptr) {
-      info_->sizeGeneric = symbolic_;
-      if (symbolic_) {
-        info_->slots.clear();
-        for (size_t j = 0; j < env_.size(); ++j) {
-          BindSlot s;
-          s.name = env_[j].first;
-          s.kind = BindSlot::Kind::SizeParam;
-          s.a = static_cast<int>(j);
-          info_->slots.push_back(std::move(s));
-        }
-        for (const BindSlot& s : strideSlots_) info_->slots.push_back(s);
-        for (const BindSlot& s : formulaSlots_) info_->slots.push_back(s);
-      }
+  void footer() override {
+    out_ += "}\n";
+    if (sizeGeneric_)
+      for (const LocalBuffer& b : unit_.localBuffers) out_ += "#undef " + b.name + "\n";
+    out_ += "\n";
+
+    // Host-side launch stub.
+    const std::vector<ArrayDecl>& arrays = unit_.source->arrays;
+    const bool arena = sizeGeneric_ && !arenaElemsText_.empty();
+    out_ += "// Host-side launch stub.\n";
+    out_ += "// dim3 grid(<block tiles per space loop>);\n";
+    out_ += "// dim3 threads(<inner-level processes, a multiple of the warp size>);\n";
+    if (arena)
+      out_ += "// size_t smem = sizeof(" + opts_.elementType + ") * (" + arenaElemsText_ + ");\n";
+    out_ += "// " + opts_.kernelName + "<<<grid, threads" + (arena ? ", smem" : "") + ">>>(";
+    for (size_t a = 0; a < arrays.size(); ++a)
+      out_ += "d_" + arrays[a].name + (a + 1 < arrays.size() ? ", " : "");
+    if (sizeGeneric_) {
+      // Runtime binding: argument names, filled per request by the
+      // RuntimeBinder from the family's bind slots.
+      for (const auto& [name, value] : env_) out_ += ", " + name;
+      for (const BindSlot& s : strides_) out_ += ", " + s.name;
+      for (const BindSlot& s : formulaSlots_) out_ += ", " + s.name;
+    } else {
+      for (const auto& [name, value] : env_) out_ += ", " + std::to_string(value);
     }
-    return os.str();
+    out_ += ");\n";
   }
 
-private:
-  void indent(std::ostringstream& os, int depth) {
-    for (int i = 0; i < depth; ++i) os << "  ";
-  }
-
-  std::string arrayName(int arrayId) const {
-    int nglobal = unit_.numGlobalArrays();
-    if (arrayId < nglobal) return unit_.source->arrays[arrayId].name;
-    return unit_.localBuffers[arrayId - nglobal].name;
+  void finishInfo(ArtifactInfo& info) override {
+    info.slots.insert(info.slots.end(), formulaSlots_.begin(), formulaSlots_.end());
   }
 
   /// Renders a layout formula inline, or routes it through the
@@ -128,24 +132,10 @@ private:
   /// Builds the per-buffer arena access macros and the total arena size
   /// expression from the BufferLayout's closed forms.
   void prepareArena() {
-    int nglobal = unit_.numGlobalArrays();
-    for (size_t a = 0; a < unit_.source->arrays.size(); ++a) {
-      const ArrayDecl& d = unit_.source->arrays[a];
-      for (int q = 1; q < d.ndim(); ++q) {
-        BindSlot s;
-        s.name = d.name + "_n" + std::to_string(q);
-        s.kind = BindSlot::Kind::ArrayExtent;
-        s.a = static_cast<int>(a);
-        s.b = q;
-        strideSlots_.push_back(std::move(s));
-      }
-    }
-    for (size_t i = 0; i < unit_.localBuffers.size(); ++i) {
-      const LocalBuffer& b = unit_.localBuffers[i];
+    for (const LocalBuffer& b : unit_.localBuffers) {
       const BufferLayoutEntry* entry = nullptr;
-      if (layout_ != nullptr)
-        for (const BufferLayoutEntry& e : layout_->buffers)
-          if (e.name == b.name) entry = &e;
+      for (const BufferLayoutEntry& e : layout_->buffers)
+        if (e.name == b.name) entry = &e;
       EMM_CHECK(entry != nullptr, "buffer layout missing entry for local buffer");
       // Pitch of dim d = product of padded extents of dims d+1..n-1; only
       // the innermost dimension carries conflict padding.
@@ -169,94 +159,31 @@ private:
     }
     if (layout_ != nullptr && !unit_.localBuffers.empty())
       arenaElemsText_ = renderOrSlot(layout_->totalElems);
-    (void)nglobal;
   }
 
-  std::string strideText(const ArrayDecl& d, size_t arrayIdx, int q) const {
-    if (symbolic_) return d.name + "_n" + std::to_string(q);
-    (void)arrayIdx;
-    return std::to_string(d.extents[q]);
+  /// Global arrays are linearized; local buffers index multidimensionally
+  /// (size-generic: through the arena access macro, which takes the same
+  /// per-dimension index list).
+  std::string reference(int arrayId, const std::vector<AffExpr>& index) override {
+    if (!isLocal(arrayId)) return arrayName(arrayId) + "[" + linearIndex(arrayId, index) + "]";
+    if (!sizeGeneric_) return arrayName(arrayId) + bracketIndex(index);
+    std::string out = arrayName(arrayId) + "(";
+    for (size_t k = 0; k < index.size(); ++k) out += (k ? ", " : "") + index[k].str();
+    return out + ")";
   }
 
-  /// Global arrays are linearized with their declared extents; local
-  /// buffers index multidimensionally (symbolic mode: through the arena
-  /// access macro, which takes the same per-dimension index list).
-  std::string flatIndex(int arrayId, const std::vector<AffExpr>& index) const {
-    int nglobal = unit_.numGlobalArrays();
-    std::ostringstream os;
-    if (arrayId < nglobal) {
-      const ArrayDecl& d = unit_.source->arrays[arrayId];
-      os << "[";
-      for (int k = 0; k < d.ndim(); ++k) {
-        if (k > 0) os << " + ";
-        os << "(" << index[k].str() << ")";
-        for (int q = k + 1; q < d.ndim(); ++q)
-          os << " * " << strideText(d, static_cast<size_t>(arrayId), q);
-      }
-      os << "]";
-    } else if (symbolic_) {
-      os << "(";
-      for (size_t k = 0; k < index.size(); ++k) os << (k ? ", " : "") << index[k].str();
-      os << ")";
-    } else {
-      for (const AffExpr& e : index) os << "[" << e.str() << "]";
-    }
-    return os.str();
-  }
-
-  void emitNode(const AstNode& n, std::ostringstream& os, int depth) {
-    switch (n.kind) {
-      case AstNode::Kind::Block:
-        for (const AstPtr& c : n.children) emitNode(*c, os, depth);
-        break;
-      case AstNode::Kind::For:
-        emitFor(n, os, depth);
-        break;
-      case AstNode::Kind::Guard: {
-        indent(os, depth);
-        os << "if (";
-        for (size_t i = 0; i < n.guards.size(); ++i)
-          os << (i ? " && " : "") << "(" << n.guards[i].str() << ") >= 0";
-        os << ") {\n";
-        for (const AstPtr& c : n.children) emitNode(*c, os, depth + 1);
-        indent(os, depth);
-        os << "}\n";
-        break;
-      }
-      case AstNode::Kind::Call:
-        emitCall(n, os, depth);
-        break;
-      case AstNode::Kind::Copy: {
-        indent(os, depth);
-        os << arrayName(n.dstArray) << flatIndex(n.dstArray, n.dstIndex) << " = "
-           << arrayName(n.srcArray) << flatIndex(n.srcArray, n.srcIndex) << ";\n";
-        break;
-      }
-      case AstNode::Kind::Sync:
-        indent(os, depth);
-        os << "__syncthreads();\n";
-        break;
-      case AstNode::Kind::Comment:
-        indent(os, depth);
-        os << "// " << n.text << "\n";
-        break;
-    }
-  }
-
-  void emitFor(const AstNode& n, std::ostringstream& os, int depth) {
+  void emitFor(const AstNode& n, int depth) override {
+    const std::string step = std::to_string(n.step);
     switch (n.loopKind) {
       case LoopKind::BlockParallel: {
         // One grid dimension per block-parallel loop, outermost = x.
         const char* dims[] = {"blockIdx.x", "blockIdx.y", "blockIdx.z"};
         EMM_CHECK(blockDims_ < 3, "more than 3 block-parallel loops");
-        indent(os, depth);
-        os << "int " << n.iter << " = (" << n.lb.str() << ") + " << dims[blockDims_++] << " * "
-           << n.step << ";\n";
-        indent(os, depth);
-        os << "if (" << n.iter << " <= " << n.ub.str() << ") {\n";
-        for (const AstPtr& c : n.children) emitNode(*c, os, depth + 1);
-        indent(os, depth);
-        os << "}\n";
+        line(depth, "int " + n.iter + " = (" + n.lb.str() + ") + " + dims[blockDims_++] +
+                        " * " + step + ";");
+        line(depth, "if (" + n.iter + " <= " + n.ub.str() + ") {");
+        emitChildren(n, depth + 1);
+        line(depth, "}");
         break;
       }
       case LoopKind::ThreadParallel: {
@@ -265,92 +192,19 @@ private:
         EMM_CHECK(threadDims_ < 2, "more than 2 thread-parallel loops");
         int d = threadDims_++;
         // Grid-stride style: threads cooperatively cover the range.
-        indent(os, depth);
-        os << "for (int " << n.iter << " = (" << n.lb.str() << ") + " << dims[d] << " * "
-           << n.step << "; " << n.iter << " <= " << n.ub.str() << "; " << n.iter
-           << " += " << extents[d] << " * " << n.step << ") {\n";
-        for (const AstPtr& c : n.children) emitNode(*c, os, depth + 1);
-        indent(os, depth);
-        os << "}\n";
+        intLoop(n, depth, "(" + n.lb.str() + ") + " + dims[d] + " * " + step,
+                std::string(extents[d]) + " * " + step);
         --threadDims_;
         break;
       }
-      case LoopKind::Sequential: {
-        indent(os, depth);
-        os << "for (int " << n.iter << " = " << n.lb.str() << "; " << n.iter
-           << " <= " << n.ub.str() << "; " << n.iter << " += " << n.step << ") {\n";
-        for (const AstPtr& c : n.children) emitNode(*c, os, depth + 1);
-        indent(os, depth);
-        os << "}\n";
+      case LoopKind::Sequential:
+        intLoop(n, depth, n.lb.str(), step);
         break;
-      }
     }
   }
 
-  void emitCall(const AstNode& n, std::ostringstream& os, int depth) {
-    const Statement& st = unit_.statements[n.stmtId];
-    if (st.writeAccess < 0) return;
-    // Compose each access function with the call arguments to index text.
-    std::vector<std::string> accessText;
-    for (const Access& acc : st.accesses) {
-      std::vector<AffExpr> index;
-      for (int r = 0; r < acc.fn.rows(); ++r) {
-        AffExpr composed;
-        composed.cnst = acc.fn.at(r, acc.fn.cols() - 1);
-        for (int j = 0; j < st.dim(); ++j) {
-          i64 c = acc.fn.at(r, j);
-          if (c == 0) continue;
-          const AffExpr& arg = n.callArgs[j];
-          for (const auto& [name, coeff] : arg.terms)
-            composed.terms.emplace_back(name, mulChecked(coeff, c));
-          composed.cnst = addChecked(composed.cnst, mulChecked(arg.cnst, c));
-        }
-        for (int j = 0; j < st.domain.nparam(); ++j) {
-          i64 c = acc.fn.at(r, st.dim() + j);
-          if (c != 0) composed.terms.emplace_back(unit_.source->paramNames[j], c);
-        }
-        index.push_back(std::move(composed));
-      }
-      accessText.push_back(arrayName(acc.arrayId) + flatIndex(acc.arrayId, index));
-    }
-    indent(os, depth);
-    os << accessText[st.writeAccess] << " = " << st.rhs->str(accessText) << ";  // " << st.name
-       << "\n";
-  }
-
-  void emitLaunchStub(std::ostringstream& os) {
-    os << "// Host-side launch stub.\n";
-    os << "// dim3 grid(<block tiles per space loop>);\n";
-    os << "// dim3 threads(<inner-level processes, a multiple of the warp size>);\n";
-    if (symbolic_ && !arenaElemsText_.empty())
-      os << "// size_t smem = sizeof(" << opts_.elementType << ") * (" << arenaElemsText_
-         << ");\n";
-    os << "// " << opts_.kernelName << "<<<grid, threads";
-    if (symbolic_ && !arenaElemsText_.empty()) os << ", smem";
-    os << ">>>(";
-    for (size_t a = 0; a < unit_.source->arrays.size(); ++a)
-      os << "d_" << unit_.source->arrays[a].name
-         << (a + 1 < unit_.source->arrays.size() ? ", " : "");
-    if (symbolic_) {
-      // Runtime binding: argument names, filled per request by the
-      // RuntimeBinder from the family's bind slots.
-      for (size_t j = 0; j < env_.size(); ++j) os << ", " << env_[j].first;
-      for (const BindSlot& s : strideSlots_) os << ", " << s.name;
-      for (const BindSlot& s : formulaSlots_) os << ", " << s.name;
-    } else {
-      for (size_t j = 0; j < env_.size(); ++j) os << ", " << env_[j].second;
-    }
-    os << ");\n";
-  }
-
-  const CodeUnit& unit_;
-  CudaEmitOptions opts_;
-  const BufferLayout* layout_ = nullptr;
-  ArtifactInfo* info_ = nullptr;
-  bool symbolic_ = false;
-  std::vector<std::pair<std::string, i64>> env_;
+  const BufferLayout* layout_;
   std::vector<std::string> symNames_;  ///< C names of the runtime size args
-  std::vector<BindSlot> strideSlots_;
   std::vector<BindSlot> formulaSlots_;
   std::vector<std::string> macroLines_;
   std::string arenaElemsText_;
@@ -360,14 +214,9 @@ private:
 
 }  // namespace
 
-std::string emitCuda(const CodeUnit& unit, const CudaEmitOptions& options) {
-  return emitCuda(unit, options, nullptr, nullptr);
-}
-
-std::string emitCuda(const CodeUnit& unit, const CudaEmitOptions& options,
-                     const BufferLayout* layout, ArtifactInfo* info) {
-  CudaEmitter emitter(unit, options, layout, info);
-  return emitter.emit();
+std::string renderCuda(const CodeUnit& unit, const CompileOptions& options,
+                       const BufferLayout* layout, ArtifactInfo* info) {
+  return CudaEmitter(unit, options, layout, info).run();
 }
 
 }  // namespace emm

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "driver/backend.h"
 #include "driver/pass.h"
 
 namespace emm {
@@ -192,7 +191,7 @@ public:
   Compiler& scratchpadOnly(bool on = true);
   /// Uses the exhaustive candidate-grid oracle instead of the fast solver.
   Compiler& exhaustiveSearch(bool on = true);
-  /// Backend to render with ("c", "cuda", "cell"); resolved at compile().
+  /// Codegen target ("c", "cuda", "cell"); checked by the codegen pass.
   Compiler& backend(std::string name);
   /// Function name used in the emitted source.
   Compiler& kernelName(std::string name);

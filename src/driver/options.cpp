@@ -26,27 +26,4 @@ TileSearchOptions CompileOptions::tileSearchOptions() const {
   return t;
 }
 
-CudaEmitOptions CompileOptions::cudaEmitOptions() const {
-  CudaEmitOptions c;
-  c.paramValues = paramValues;
-  c.numBoundParams = numBoundParams;
-  c.kernelName = kernelName;
-  c.elementType = elementType;
-  c.symbolicSizes = runtimeSizeArgs;
-  return c;
-}
-
-CellEmitOptions CompileOptions::cellEmitOptions() const {
-  CellEmitOptions c;
-  c.paramValues = paramValues;
-  c.numBoundParams = numBoundParams;
-  c.kernelName = kernelName;
-  c.elementType = elementType;
-  c.doubleBuffer = doubleBuffer;
-  c.localStoreBudgetBytes = memLimitBytes;
-  c.elementBytes = elementBytes;
-  c.symbolicSizes = runtimeSizeArgs;
-  return c;
-}
-
 }  // namespace emm

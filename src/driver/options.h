@@ -1,17 +1,16 @@
 // CompileOptions: every knob of the pipeline in one struct.
 //
-// Consolidates the per-stage option structs (SmemOptions, TileSearchOptions,
-// CudaEmitOptions) plus the tiling configuration that tools/examples used to
-// assemble by hand. The per-stage structs remain the stage-local interfaces;
-// the conversion methods below derive them, so a caller sets each fact
-// (problem sizes, memory limit, ...) exactly once.
+// Consolidates the per-stage option structs (SmemOptions, TileSearchOptions)
+// plus the tiling and codegen configuration that tools/examples used to
+// assemble by hand. The per-stage structs remain the stage-local interfaces
+// of the analysis passes; the conversion methods below derive them, so a
+// caller sets each fact (problem sizes, memory limit, ...) exactly once. The
+// emitters (codegen/emit.h) read the codegen fields directly.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "codegen/emit_cell.h"
-#include "codegen/emit_cuda.h"
 #include "smem/data_manage.h"
 #include "tilesearch/tilesearch.h"
 
@@ -91,7 +90,7 @@ struct CompileOptions {
   i64 smemBankWidthBytes = 4;
 
   // ---- codegen ----
-  std::string backendName = "c";  ///< registered Backend to render with
+  std::string backendName = "c";  ///< codegen target: c, cuda or cell
   std::string kernelName = "emmap_kernel";
   std::string elementType = "float";
   /// Leading parameters bound at emission (CUDA extent folding);
@@ -120,8 +119,6 @@ struct CompileOptions {
   i64 scratchpadBudgetBytes() const { return doubleBuffer ? memLimitBytes / 2 : memLimitBytes; }
   SmemOptions smemOptions() const;
   TileSearchOptions tileSearchOptions() const;
-  CudaEmitOptions cudaEmitOptions() const;
-  CellEmitOptions cellEmitOptions() const;
 
   static constexpr void fields(auto& v) {
     v.tag(kTagCompileOptions, "CompileOptions");

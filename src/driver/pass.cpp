@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "driver/backend.h"
+#include "codegen/emit.h"
 #include "support/diagnostics.h"
 #include "tilesearch/tile_evaluator.h"
 
@@ -342,20 +342,12 @@ private:
   }
 };
 
-// ---- codegen: render through the registered backend. ----
+// ---- codegen: render for the target options.backendName. ----
 class CodegenPass : public Pass {
 public:
   CodegenPass() : Pass("codegen") {}
   void run(CompileState& s) override {
-    const Backend* backend = BackendRegistry::global().lookup(s.options.backendName);
-    if (backend == nullptr) {
-      std::string known;
-      for (const std::string& n : BackendRegistry::global().names())
-        known += (known.empty() ? "" : ", ") + n;
-      s.error(name(),
-              "unknown backend '" + s.options.backendName + "' (registered: " + known + ")");
-      return;
-    }
+    requireEmitTarget(s.options.backendName);
     const CodeUnit* unit = s.unit();
     if (unit == nullptr) {
       s.warn(name(), "no code unit on this pipeline path; nothing to emit");
@@ -363,7 +355,7 @@ public:
     }
     ArtifactInfo info;
     const BufferLayout* layout = s.bufferLayout ? &*s.bufferLayout : nullptr;
-    s.artifact = backend->emit(*unit, s.options, layout, &info);
+    s.artifact = emitArtifact(*unit, s.options, layout, &info);
     if (info.sizeGeneric) appendLayoutGuards(s, *unit, layout, info);
     if (info.sizeGeneric)
       s.note(name(), "size-generic artifact: " + std::to_string(info.slots.size()) +
@@ -373,11 +365,11 @@ public:
       s.note(name(), "artifact bakes sizes: " + info.note);
     s.artifactInfo.emplace(std::move(info));
     s.note(name(), "emitted " + std::to_string(s.artifact.size()) + " bytes of " +
-                       backend->name() + " source");
+                       s.options.backendName + " source");
   }
 
 private:
-  /// Backend-independent validity guards derived from the layout decisions
+  /// Target-independent validity guards derived from the layout decisions
   /// that were taken at this compile's sample sizes. A bound artifact is
   /// byte-identical to a per-size compile exactly when those decisions
   /// would repeat, so each one is pinned:

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "codegen/artifact_info.h"
 #include "driver/diagnostic.h"
 #include "driver/family_plan.h"
 #include "driver/options.h"

@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "codegen/emit.h"
 #include "driver/family_plan.h"
 #include "support/diagnostics.h"
 #include "support/serialize.h"
@@ -134,15 +135,10 @@ std::optional<BindOverlay> certifyBind(const FamilyPlan& family, const ProgramBl
   for (const BindSlot& s : info.slots) track(s.formula);
   IntVec env = sizes;
   env.resize(static_cast<size_t>(need), 0);
-  // Named env for folded local-store extents, exactly as the emitter built
-  // it: the leading (bound) parameters of the record unit's source block.
+  // Named env for folded local-store extents: the emitter's bound
+  // environment at the requested sizes.
   const CodeUnit* unit = rec.unit();
-  std::vector<std::pair<std::string, i64>> namedEnv;
-  const size_t bound = options.numBoundParams < 0
-                           ? sizes.size()
-                           : static_cast<size_t>(options.numBoundParams);
-  for (size_t j = 0; j < bound && j < sizes.size() && j < unit->source->paramNames.size(); ++j)
-    namedEnv.emplace_back(unit->source->paramNames[j], sizes[j]);
+  const BoundEnv namedEnv = boundEnvironment(*unit->source, sizes, options.numBoundParams);
   for (const FamilyGuard& g : info.guards) {
     bool holds = true;
     switch (g.kind) {

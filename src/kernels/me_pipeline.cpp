@@ -26,7 +26,7 @@ MePipeline buildMePipeline(const MeConfig& config) {
                         .useScratchpad(config.useScratchpad)
                         .hoistCopies(config.hoistCopies)
                         .skipPass("tilesearch")  // sizes are given; no need to re-evaluate
-                        .skipPass("codegen")     // callers render through a Backend themselves
+                        .skipPass("codegen")     // callers render the unit themselves
                         .compile();
   EMM_REQUIRE(r.ok, "ME pipeline failed: " + r.firstError());
   EMM_REQUIRE(r.plan.spaceLoops.size() == 2, "ME should expose two space loops");

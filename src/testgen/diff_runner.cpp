@@ -5,7 +5,7 @@
 #include <optional>
 #include <sstream>
 
-#include "driver/backend.h"
+#include "codegen/emit.h"
 #include "driver/plan_cache.h"
 #include "ir/interp.h"
 #include "poly/enumerate.h"
@@ -185,15 +185,17 @@ DiffResult DiffRunner::run(const GeneratedProgram& program) const {
     }
     if (ArrayStore::maxAbsDiff(got, want) != 0.0)
       return divergence(out, "serialize", "deserialized unit diverges from oracle");
-    // Re-emit: the deserialized unit must render to the same target text as
-    // the original one under identical options.
-    const Backend* backend = BackendRegistry::global().lookup(o.baseOptions.backendName);
-    if (backend != nullptr) {
-      CompileOptions eo = o.baseOptions;
-      eo.paramValues = program.paramValues;
-      if (backend->emit(*unit3, eo) != backend->emit(*unit, eo))
-        return divergence(out, "serialize", "re-emitted source differs after round trip");
+    // Re-emit: the deserialized unit, with the deserialized buffer layout,
+    // must render to the text the compile shipped.
+    const BufferLayout* layout3 = r3.bufferLayout ? &*r3.bufferLayout : nullptr;
+    std::string reemitted;
+    try {
+      reemitted = emitArtifact(*unit3, compiler.opts(), layout3, nullptr);
+    } catch (const std::exception& e) {
+      return divergence(out, "serialize", std::string("re-emit threw: ") + e.what());
     }
+    if (reemitted != r.artifact)
+      return divergence(out, "serialize", "re-emitted source differs from the shipped artifact");
   }
 
   // The first scaled size the bind view saw bound, for the wire view's lean

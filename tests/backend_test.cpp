@@ -1,9 +1,8 @@
-// Tests for the CUDA source backend, the Cell backend's DMA coalescing, the
+// Tests for the cuda target, the cell target's DMA coalescing, the
 // Cell-like machine profile, and the 2-D Jacobi extension kernel.
 #include <gtest/gtest.h>
 
-#include "codegen/emit_cell.h"
-#include "codegen/emit_cuda.h"
+#include "codegen/emit.h"
 #include "driver/compiler.h"
 #include "ir/interp.h"
 #include "kernels/blocks.h"
@@ -22,9 +21,10 @@ TEST(CudaBackend, Figure1BlockStructure) {
   o.onlyBeneficial = false;
   o.partitionMode = PartitionMode::PerArrayUnion;
   CodeUnit unit = buildScratchpadUnit(block, o);
-  CudaEmitOptions copts;
+  CompileOptions copts;
+  copts.backendName = "cuda";
   copts.kernelName = "figure1";
-  std::string cu = emitCuda(unit, copts);
+  std::string cu = emitArtifact(unit, copts, nullptr, nullptr);
   EXPECT_NE(cu.find("__global__ void figure1("), std::string::npos) << cu;
   EXPECT_NE(cu.find("__shared__ float LA0[19][10];"), std::string::npos) << cu;
   EXPECT_NE(cu.find("__shared__ float LB1[19][24];"), std::string::npos) << cu;
@@ -41,11 +41,12 @@ TEST(CudaBackend, TiledMeKernel) {
   c.numThreads = 32;
   c.subTile = {4, 4, 4, 4};
   MePipeline p = buildMePipeline(c);
-  CudaEmitOptions copts;
+  CompileOptions copts;
+  copts.backendName = "cuda";
   copts.paramValues = {c.ni, c.nj, c.w};
   copts.numBoundParams = 3;  // origins stay loop-bound
   copts.kernelName = "me_sad";
-  std::string cu = emitCuda(p.kernel.unit, copts);
+  std::string cu = emitArtifact(p.kernel.unit, copts, nullptr, nullptr);
   // Two block-parallel loops -> blockIdx.x and blockIdx.y.
   EXPECT_NE(cu.find("blockIdx.x"), std::string::npos) << cu;
   EXPECT_NE(cu.find("blockIdx.y"), std::string::npos) << cu;
@@ -65,9 +66,10 @@ TEST(CudaBackend, RequiresPositiveExtents) {
   SmemOptions o;
   o.sampleParams = {8, 8, 4};
   CodeUnit unit = buildScratchpadUnit(block, o);
-  CudaEmitOptions copts;
+  CompileOptions copts;
+  copts.backendName = "cuda";
   copts.paramValues = {0, 0, 0};  // folds extents to zero
-  EXPECT_DEATH(emitCuda(unit, copts), "positive");
+  EXPECT_DEATH(emitArtifact(unit, copts, nullptr, nullptr), "positive");
 }
 
 // ---- Cell-like machine. ----
@@ -226,39 +228,76 @@ size_t countOccurrences(const std::string& haystack, const std::string& needle) 
   return count;
 }
 
+/// Loops and global<->local copies of a unit's AST.
+void countLoopsAndTransfers(const AstNode& n, int numGlobalArrays, size_t& loops,
+                            size_t& transfers) {
+  if (n.kind == AstNode::Kind::For) ++loops;
+  if (n.kind == AstNode::Kind::Copy &&
+      (n.dstArray >= numGlobalArrays) != (n.srcArray >= numGlobalArrays))
+    ++transfers;
+  for (const AstPtr& c : n.children) countLoopsAndTransfers(*c, numGlobalArrays, loops, transfers);
+}
+
 TEST(CellBackend, CoalescesContiguousRowCopiesIntoStridedDma) {
   // The tiled ME kernel stages 2-D windows: its move-in/move-out scanners
   // end in unit-stride inner loops, so coalescing must replace the
   // per-element dma_get/dma_put with one strided transfer per row.
-  CompileResult r = Compiler(buildMeBlock(32, 32, 8))
-                        .parameters({32, 32, 8})
-                        .memoryLimitBytes(8 * 1024)
-                        .backend("cell")
-                        .compile();
+  CompileOptions opts;
+  opts.backendName = "cell";
+  opts.paramValues = {32, 32, 8};
+  opts.memLimitBytes = 8 * 1024;
+  CompileResult r = Compiler(buildMeBlock(32, 32, 8)).options(opts).compile();
   ASSERT_TRUE(r.ok) << r.firstError();
   ASSERT_NE(r.unit(), nullptr);
+  const std::string coalesced = emitArtifact(*r.unit(), opts, nullptr, nullptr);
+  EXPECT_EQ(coalesced, r.artifact);
 
-  CellEmitOptions opts;
-  opts.paramValues = {32, 32, 8};
-  opts.coalesceDma = false;
-  std::string elementWise = emitCell(*r.unit(), opts);
-  opts.coalesceDma = true;
-  std::string coalesced = emitCell(*r.unit(), opts);
-
-  // The transfer count drops from one DMA per element to one per row: the
-  // innermost copy loops disappear (each dma site loses its enclosing
-  // element loop) and every remaining transfer is row-sized — no transfer
-  // of exactly sizeof(float) survives.
-  ASSERT_GT(countOccurrences(elementWise, "dma_get("), 0u);
-  ASSERT_GT(countOccurrences(coalesced, "dma_get("), 0u);
-  size_t dmaSites = countOccurrences(elementWise, "dma_get(") +
-                    countOccurrences(elementWise, "dma_put(");
-  EXPECT_EQ(countOccurrences(elementWise, "for ("),
-            countOccurrences(coalesced, "for (") + dmaSites);
-  EXPECT_NE(coalesced.find("// coalesced row"), std::string::npos) << coalesced;
-  // Element-granularity transfers (size exactly sizeof(float)) are gone.
-  EXPECT_NE(elementWise.find("sizeof(float));"), std::string::npos);
+  // The transfer count drops from one DMA per element to one per row: each
+  // of the unit's transfers renders as one row-sized dma site whose
+  // innermost copy loop is gone, and no transfer of exactly sizeof(float)
+  // survives.
+  size_t loops = 0, transfers = 0;
+  countLoopsAndTransfers(*r.unit()->root, r.unit()->numGlobalArrays(), loops, transfers);
+  ASSERT_GT(transfers, 0u);
+  const size_t dmaSites =
+      countOccurrences(coalesced, "dma_get(") + countOccurrences(coalesced, "dma_put(");
+  EXPECT_EQ(dmaSites, transfers);
+  EXPECT_EQ(countOccurrences(coalesced, "// coalesced row"), transfers) << coalesced;
+  // Every loop of the unit but the coalesced ones survives, plus the launch
+  // stub's loop over the SPEs.
+  EXPECT_EQ(countOccurrences(coalesced, "for ("), loops - transfers + 1) << coalesced;
   EXPECT_EQ(coalesced.find("sizeof(float));"), std::string::npos) << coalesced;
+}
+
+/// The first loop whose only child is a copy, or null.
+AstNode* firstCopyLoop(AstNode& n) {
+  if (n.kind == AstNode::Kind::For && n.children.size() == 1 &&
+      n.children[0]->kind == AstNode::Kind::Copy)
+    return &n;
+  for (AstPtr& c : n.children)
+    if (AstNode* loop = firstCopyLoop(*c)) return loop;
+  return nullptr;
+}
+
+TEST(CellBackend, NonContiguousCopiesStayPerElementTransfers) {
+  CompileOptions opts;
+  opts.backendName = "cell";
+  opts.paramValues = {32, 32, 8};
+  opts.memLimitBytes = 8 * 1024;
+  CompileResult r = Compiler(buildMeBlock(32, 32, 8)).options(opts).compile();
+  ASSERT_TRUE(r.ok) << r.firstError();
+  CodeUnit unit = *r.unit();
+  // Make one row copy strided: its iterator now also advances the leading
+  // dimension on both sides, so consecutive iterations are not contiguous.
+  AstNode* loop = firstCopyLoop(*unit.root);
+  ASSERT_NE(loop, nullptr);
+  AstNode& copy = *loop->children[0];
+  copy.dstIndex.front().terms.emplace_back(loop->iter, 1);
+  copy.srcIndex.front().terms.emplace_back(loop->iter, 1);
+  const std::string text = emitArtifact(unit, opts, nullptr, nullptr);
+  EXPECT_EQ(countOccurrences(text, "sizeof(float));"), 1u) << text;
+  EXPECT_EQ(countOccurrences(text, "// coalesced row"),
+            countOccurrences(r.artifact, "// coalesced row") - 1);
 }
 
 TEST(CellBackend, DriverArtifactUsesCoalescedTransfers) {

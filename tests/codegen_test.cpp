@@ -6,7 +6,7 @@
 #include <set>
 
 #include "codegen/scan.h"
-#include "ir/emit.h"
+#include "codegen/emit.h"
 #include "ir/interp.h"
 #include "kernels/blocks.h"
 #include "poly/enumerate.h"

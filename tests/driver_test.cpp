@@ -3,6 +3,7 @@
 // and diagnostics ordering.
 #include <gtest/gtest.h>
 
+#include "codegen/emit.h"
 #include "driver/compiler.h"
 #include "ir/interp.h"
 #include "kernels/blocks.h"
@@ -208,21 +209,37 @@ TEST(CompilerPasses, UnknownPassNamesThrow) {
   EXPECT_THROW(c.replacePass("linker", nullptr), ApiError);
 }
 
-// ---- Backend registry. ----
+// ---- Codegen targets. ----
 
-TEST(BackendRegistryTest, StandardBackendsRegistered) {
-  BackendRegistry& reg = BackendRegistry::global();
-  ASSERT_NE(reg.lookup("c"), nullptr);
-  ASSERT_NE(reg.lookup("cuda"), nullptr);
-  ASSERT_NE(reg.lookup("cell"), nullptr);
-  EXPECT_EQ(reg.lookup("c")->name(), "c");
-  EXPECT_EQ(reg.lookup("spe"), nullptr);
-  std::vector<std::string> names = reg.names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "c"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "cuda"), names.end());
+TEST(EmitTargetTest, StandardTargetsRender) {
+  const i64 n = 16;
+  CompileResult r = Compiler(buildMatmulBlock(n, n, n))
+                        .parameters({n, n, n})
+                        .tileSizes({4, 4, 4})
+                        .backend("cell")
+                        .compile();
+  ASSERT_TRUE(r.ok) << r.firstError();
+  CompileOptions o;
+  o.paramValues = {n, n, n};
+  const std::uint64_t before = emitterInvocations();
+  for (const char* target : {"c", "cuda", "cell"}) {
+    o.backendName = target;
+    EXPECT_NO_THROW(requireEmitTarget(target));
+    EXPECT_FALSE(emitArtifact(*r.unit(), o, nullptr, nullptr).empty()) << target;
+  }
+  EXPECT_EQ(emitterInvocations() - before, 3u);
+  EXPECT_EQ(emitC(*r.unit()), emitArtifact(*r.unit(), CompileOptions{}, nullptr, nullptr));
+  o.backendName = "spe";
+  try {
+    emitArtifact(*r.unit(), o, nullptr, nullptr);
+    ADD_FAILURE() << "an unknown target rendered";
+  } catch (const ApiError& e) {
+    EXPECT_STREQ(e.what(), "unknown backend 'spe' (registered: c, cuda, cell)");
+  }
+  EXPECT_THROW(requireEmitTarget("spe"), ApiError);
 }
 
-TEST(BackendRegistryTest, UnknownBackendIsStructuredError) {
+TEST(EmitTargetTest, UnknownTargetIsStructuredError) {
   const i64 n = 16;
   CompileResult r = Compiler(buildMatmulBlock(n, n, n))
                         .parameters({n, n, n})
@@ -230,8 +247,7 @@ TEST(BackendRegistryTest, UnknownBackendIsStructuredError) {
                         .backend("vliw")
                         .compile();
   EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.firstError().find("unknown backend 'vliw'"), std::string::npos)
-      << r.firstError();
+  EXPECT_EQ(r.firstError(), "unknown backend 'vliw' (registered: c, cuda, cell)");
   ASSERT_FALSE(r.diagnostics.empty());
   const Diagnostic& last = r.diagnostics.back();
   EXPECT_EQ(last.severity, Severity::Error);
@@ -240,7 +256,33 @@ TEST(BackendRegistryTest, UnknownBackendIsStructuredError) {
   EXPECT_TRUE(r.kernel.has_value());
 }
 
-TEST(BackendRegistryTest, CudaBackendThroughDriver) {
+TEST(EmitTargetTest, ShortBindingIsStructuredError) {
+  // numBoundParams arrives from the wire: a binding shorter than it fails
+  // the codegen pass with a diagnostic on every target.
+  const i64 n = 16;
+  for (const char* target : {"c", "cuda", "cell"}) {
+    SCOPED_TRACE(target);
+    CompileResult r = Compiler(buildMatmulBlock(n, n, n))
+                          .parameters({n, n, n})
+                          .tileSizes({4, 4, 4})
+                          .backend(target)
+                          .compile();
+    ASSERT_TRUE(r.ok) << r.firstError();
+    CompileOptions o;
+    o.backendName = target;
+    o.paramValues = {n, n, n};
+    o.numBoundParams = 4;
+    EXPECT_THROW(emitArtifact(*r.unit(), o, nullptr, nullptr), ApiError);
+    Compiler c(buildMatmulBlock(n, n, n));
+    c.options(o).tileSizes({4, 4, 4});
+    r = c.compile();
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.firstError(), "parameter binding shorter than numBoundParams");
+    EXPECT_EQ(r.diagnostics.back().stage, "codegen");
+  }
+}
+
+TEST(EmitTargetTest, CudaTargetThroughDriver) {
   const i64 ni = 16, nj = 8, w = 4;
   CompileResult r = Compiler(buildMeBlock(ni, nj, w))
                         .parameters({ni, nj, w})

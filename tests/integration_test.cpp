@@ -8,7 +8,7 @@
 //  - tile-size search choices actually being the fastest under simulation.
 #include <gtest/gtest.h>
 
-#include "ir/emit.h"
+#include "codegen/emit.h"
 #include "ir/interp.h"
 #include "kernels/jacobi_mapped.h"
 #include "kernels/me_pipeline.h"

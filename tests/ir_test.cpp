@@ -1,7 +1,7 @@
 // Tests for the program IR, reference executor, AST, emitter, interpreter.
 #include <gtest/gtest.h>
 
-#include "ir/emit.h"
+#include "codegen/emit.h"
 #include "ir/interp.h"
 #include "kernels/blocks.h"
 

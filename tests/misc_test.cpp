@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "gpusim/machine.h"
-#include "ir/emit.h"
+#include "codegen/emit.h"
 #include "ir/interp.h"
 #include "kernels/blocks.h"
 #include "linalg/matrix.h"

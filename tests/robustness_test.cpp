@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "codegen/scan.h"
-#include "ir/emit.h"
+#include "codegen/emit.h"
 #include "ir/interp.h"
 #include "kernels/blocks.h"
 #include "poly/enumerate.h"

@@ -20,7 +20,7 @@
 #include <mutex>
 #include <thread>
 
-#include "driver/backend.h"
+#include "codegen/emit.h"
 #include "driver/compiler.h"
 #include "driver/plan_cache.h"
 #include "ir/interp.h"

@@ -5,7 +5,7 @@
 // optimization.
 #include <gtest/gtest.h>
 
-#include "ir/emit.h"
+#include "codegen/emit.h"
 #include "ir/interp.h"
 #include "kernels/blocks.h"
 #include "poly/enumerate.h"

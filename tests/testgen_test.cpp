@@ -84,6 +84,20 @@ TEST(Differential, TwoHundredProgramSweepIsClean) {
   // compile to an executable unit and programs that fall back cleanly.
   EXPECT_GT(stats.compiled, 0);
   EXPECT_GT(stats.fallbacks, 0);
+
+  // The other targets over the first 50 programs: the serialize view
+  // re-emits each deserialized unit with its deserialized buffer layout
+  // and must reproduce the shipped artifact.
+  for (const char* target : {"cuda", "cell"}) {
+    SCOPED_TRACE(target);
+    SweepOptions other = sweep;
+    other.programs = 50;
+    other.diff.baseOptions.backendName = target;
+    const SweepStats s = runDifferentialSweep(other);
+    EXPECT_EQ(s.programs, 50);
+    EXPECT_EQ(s.divergences, 0);
+    EXPECT_GT(s.compiled, 0);
+  }
 }
 
 TEST(Differential, BindViewServesScaledSizesFromTheFamilyRecord) {

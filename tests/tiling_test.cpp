@@ -3,7 +3,7 @@
 // accounting, hoisting of data-movement code (Section 4.2).
 #include <gtest/gtest.h>
 
-#include "ir/emit.h"
+#include "codegen/emit.h"
 #include "ir/interp.h"
 #include "kernels/blocks.h"
 #include "tiling/multilevel.h"

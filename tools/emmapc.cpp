@@ -34,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "driver/backend.h"
+#include "codegen/emit.h"
 #include "driver/compiler.h"
 #include "driver/disk_cache.h"
 #include "driver/plan_cache.h"
