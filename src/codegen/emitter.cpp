@@ -14,6 +14,22 @@ std::atomic<std::uint64_t> g_emitterInvocations{0};
 const std::string& text(const std::string& s) { return s; }
 std::string text(const AffExpr& e) { return e.str(); }
 
+/// Row-major element offset of an index list over a global array.
+template <class Index>
+std::string linearize(const ArrayDecl& d, const std::vector<Index>& index, bool sizeGeneric) {
+  std::string out;
+  for (int k = 0; k < d.ndim(); ++k) {
+    if (k > 0) out += " + ";
+    out += "(";
+    out += text(index[k]);
+    out += ")";
+    for (int q = k + 1; q < d.ndim(); ++q)
+      out += sizeGeneric ? " * " + d.name + "_n" + std::to_string(q)
+                         : " * " + std::to_string(d.extents[q]);
+  }
+  return out;
+}
+
 /// The c target: readable C in the presentation style of the paper's
 /// Figure 1 / Figure 3. The text is already size-generic (sizes appear as
 /// named parameters, local extents print their closed-form bound
@@ -242,25 +258,6 @@ std::string Emitter::bracketIndex(const std::vector<AffExpr>& index) {
   for (const AffExpr& e : index) out += "[" + e.str() + "]";
   return out;
 }
-
-namespace {
-
-template <class Index>
-std::string linearize(const ArrayDecl& d, const std::vector<Index>& index, bool sizeGeneric) {
-  std::string out;
-  for (int k = 0; k < d.ndim(); ++k) {
-    if (k > 0) out += " + ";
-    out += "(";
-    out += text(index[k]);
-    out += ")";
-    for (int q = k + 1; q < d.ndim(); ++q)
-      out += sizeGeneric ? " * " + d.name + "_n" + std::to_string(q)
-                         : " * " + std::to_string(d.extents[q]);
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string Emitter::linearIndex(int arrayId, const std::vector<std::string>& index) const {
   return linearize(unit_.source->arrays[arrayId], index, sizeGeneric_);
