@@ -147,7 +147,7 @@ SignRange distanceSign(const Dependence& dep, int loop) {
   // Scan remaining constraints on delta.
   bool hasLower = false, hasUpper = false;
   i64 lo = INT64_MIN, hi = INT64_MAX;
-  auto absorb = [&](const IntVec& row) {
+  auto absorb = [&](std::span<const i64> row) {
     i64 c = row[0], k = row.back();
     if (c == 0) return;
     if (c > 0) {
@@ -160,7 +160,7 @@ SignRange distanceSign(const Dependence& dep, int loop) {
     }
   };
   for (int r = 0; r < all.equalities().rows(); ++r) {
-    IntVec row = all.equalities().row(r);
+    std::span<const i64> row = all.equalities().rowSpan(r);
     if (row[0] != 0) {
       // c*delta + k == 0 -> delta == -k/c (if integral; else empty handled above)
       i64 c = row[0], k = row.back();
@@ -172,7 +172,7 @@ SignRange distanceSign(const Dependence& dep, int loop) {
       }
     }
   }
-  for (int r = 0; r < all.inequalities().rows(); ++r) absorb(all.inequalities().row(r));
+  for (int r = 0; r < all.inequalities().rows(); ++r) absorb(all.inequalities().rowSpan(r));
 
   if (hasLower && hasUpper && lo == 0 && hi == 0) return SignRange::Zero;
   if (hasLower && lo >= 1) return SignRange::Positive;

@@ -1,5 +1,6 @@
 #include "driver/pass.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "codegen/emit.h"
@@ -69,6 +70,32 @@ std::string joinInts(const std::vector<i64>& v) {
   std::string out;
   for (size_t i = 0; i < v.size(); ++i) out += (i ? "," : "") + std::to_string(v[i]);
   return out;
+}
+
+/// Why a search found no feasible tile, named by the constraint that rules
+/// candidates out: a loop whose trip count no candidate size fits, trip
+/// counts whose product stays below innerProcs (so no tile keeps every
+/// inner-level process busy), or else the scratchpad budget.
+std::string noFeasibleTileReason(const TileEvaluator& evaluator, const CompileOptions& options) {
+  std::vector<i64> tripCounts;
+  i128 maxVolume = 1;
+  for (int l = 0; l < evaluator.depth(); ++l) {
+    const i64 trips = std::max<i64>(evaluator.loopRange(l), 1);
+    const std::vector<i64>& ladder = evaluator.candidates()[l];
+    if (std::none_of(ladder.begin(), ladder.end(), [&](i64 t) { return t >= 1 && t <= trips; }))
+      return "no candidate size of loop " + std::to_string(l) + " fits its trip count " +
+             std::to_string(trips);
+    tripCounts.push_back(trips);
+    maxVolume = std::min<i128>(maxVolume * trips, INT64_MAX);
+  }
+  if (maxVolume < options.innerProcs)
+    return "the loop trip counts (" + joinInts(tripCounts) + ") allow at most " +
+           std::to_string(static_cast<i64>(maxVolume)) +
+           " iterations per tile, fewer than innerProcs = " + std::to_string(options.innerProcs);
+  return "every candidate tile evaluated with at least innerProcs = " +
+         std::to_string(options.innerProcs) + " iterations exceeds the scratchpad budget of " +
+         std::to_string(options.scratchpadBudgetBytes()) + " bytes (" +
+         std::to_string(options.scratchpadBudgetBytes() / options.elementBytes) + " elements)";
 }
 
 // ---- deps: dependence polyhedra over all reference pairs. ----
@@ -221,7 +248,7 @@ public:
                          s.search.parametricReason);
     }
     if (!s.search.eval.feasible) {
-      s.error(name(), "no feasible tile: " + s.search.eval.reason);
+      s.error(name(), "no feasible tile: " + noFeasibleTileReason(evaluator, s.options));
       return;
     }
     // Hand the tiler the buffer geometry instantiated at the chosen tile so

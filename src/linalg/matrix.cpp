@@ -32,11 +32,17 @@ void IntMat::setRow(int r, const IntVec& v) {
   std::copy(v.begin(), v.end(), data_.begin() + size_t(r) * cols_);
 }
 
-void IntMat::appendRow(const IntVec& v) {
+void IntMat::appendRow(std::span<const i64> v) {
   if (rows_ == 0 && cols_ == 0) cols_ = static_cast<int>(v.size());
   EMM_CHECK(static_cast<int>(v.size()) == cols_, "row width mismatch");
   data_.insert(data_.end(), v.begin(), v.end());
   ++rows_;
+}
+
+void IntMat::resizeRows(int rows) {
+  EMM_CHECK(rows >= 0, "negative matrix shape");
+  data_.resize(size_t(rows) * cols_);
+  rows_ = rows;
 }
 
 void IntMat::removeRow(int r) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,9 +46,21 @@ public:
   }
 
   IntVec row(int r) const;
+  /// Row r in place, without a copy. Valid until the row count changes.
+  std::span<const i64> rowSpan(int r) const {
+    EMM_CHECK(r >= 0 && r < rows_, "row index out of range");
+    return {data_.data() + size_t(r) * cols_, size_t(cols_)};
+  }
+  std::span<i64> rowSpan(int r) {
+    EMM_CHECK(r >= 0 && r < rows_, "row index out of range");
+    return {data_.data() + size_t(r) * cols_, size_t(cols_)};
+  }
   void setRow(int r, const IntVec& v);
   /// Appends a row, growing the matrix by one.
-  void appendRow(const IntVec& v);
+  void appendRow(std::span<const i64> v);
+  void appendRow(const IntVec& v) { appendRow(std::span<const i64>(v)); }
+  /// Truncates to, or grows with zero rows to, `rows` rows.
+  void resizeRows(int rows);
   /// Removes row r.
   void removeRow(int r);
 

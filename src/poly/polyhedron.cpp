@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <set>
 #include <sstream>
 
 namespace emm {
@@ -35,15 +34,17 @@ i64 DimBounds::evalUpper(const IntVec& vals) const {
   return best;
 }
 
-void Polyhedron::addEquality(const IntVec& row) {
+void Polyhedron::addEquality(std::span<const i64> row) {
   EMM_CHECK(static_cast<int>(row.size()) == cols(), "constraint width mismatch");
   eqs_.appendRow(row);
+  simplified_ = false;
   forgetEmptiness();
 }
 
-void Polyhedron::addInequality(const IntVec& row) {
+void Polyhedron::addInequality(std::span<const i64> row) {
   EMM_CHECK(static_cast<int>(row.size()) == cols(), "constraint width mismatch");
   ineqs_.appendRow(row);
+  simplified_ = false;
   forgetEmptiness();
 }
 
@@ -73,12 +74,87 @@ void Polyhedron::addUpperBound(int var, const IntVec& coeffs) {
   addInequality(row);
 }
 
+// ---- The Fourier-Motzkin core. ----
+//
+// Rows live in the IntMats' flat row-major storage and are rewritten there:
+// a row is an `n`-entry pointer (n = cols(), the constant last), and no
+// step allocates per row.
+
 namespace {
 
-bool isZeroButConst(const IntVec& row) {
-  for (size_t i = 0; i + 1 < row.size(); ++i)
+bool isZeroButConst(const i64* row, int n) {
+  for (int i = 0; i + 1 < n; ++i)
     if (row[i] != 0) return false;
   return true;
+}
+
+/// Gcd of a row's coefficients (the constant excluded). Stops at 1, so
+/// callers must already have ruled out an INT64_MIN coefficient, on which
+/// gcd64 throws.
+i64 coeffGcd(const i64* row, int n) {
+  i64 g = 0;
+  for (int i = 0; i + 1 < n && g != 1; ++i) g = gcd64(g, row[i]);
+  return g;
+}
+
+/// Throws gcd64's ApiError when a coefficient is INT64_MIN, as a full gcd
+/// of the row would.
+void requireGcdRange(const i64* row, int n) {
+  for (int i = 0; i + 1 < n; ++i)
+    if (row[i] == INT64_MIN) gcd64(row[i], 0);
+}
+
+i64 leadingCoeff(const i64* row, int n) {
+  for (int i = 0; i + 1 < n; ++i)
+    if (row[i] != 0) return row[i];
+  return 0;
+}
+
+/// Copies `row` without column `var`.
+void copyDroppingColumn(const i64* row, int n, int var, i64* out) {
+  out = std::copy(row, row + var, out);
+  std::copy(row + var + 1, row + n, out);
+}
+
+/// Cancels column `var` of `row` with the equality `eq` (eq[var] != 0): a
+/// positive multiple of `row` plus a multiple of `eq`, written without
+/// column `var`.
+void substituteRow(const i64* row, const i64* eq, int n, int var, i64* out) {
+  if (row[var] == 0) return copyDroppingColumn(row, n, var, out);
+  const i64 c = eq[var];
+  const i64 g = gcd64(c, row[var]);
+  const i64 fr = (c < 0 ? -c : c) / g;  // positive scale of the row
+  const i64 fe = -(row[var] * ((c < 0) ? -1 : 1)) / g;
+  for (int j = 0; j < n; ++j) {
+    const i64 v = mulAddChecked(fr, row[j], fe, eq[j]);
+    if (j == var)
+      EMM_CHECK(v == 0, "equality substitution failed to cancel");
+    else
+      *out++ = v;
+  }
+}
+
+/// The Fourier-Motzkin combination of `pos` (pos[var] > 0) and `neg`
+/// (neg[var] < 0) that cancels column `var`, divided by the gcd of all its
+/// entries and written without column `var`.
+void combineRows(const i64* pos, const i64* neg, int n, int var, i64* out) {
+  const i64 a = pos[var];
+  const i64 b = neg[var];
+  const i64 g = gcd64(a, b);
+  const i64 fp = -b / g;  // multiplier for pos, positive
+  const i64 fn = a / g;   // multiplier for neg, positive
+  i64* o = out;
+  for (int j = 0; j < n; ++j) {
+    const i64 v = mulAddChecked(fp, pos[j], fn, neg[j]);
+    if (j == var)
+      EMM_CHECK(v == 0, "FM combination failed to cancel");
+    else
+      *o++ = v;
+  }
+  i64 rowGcd = 0;
+  for (int j = 0; j + 1 < n; ++j) rowGcd = gcd64(rowGcd, out[j]);
+  if (rowGcd > 1)
+    for (int j = 0; j + 1 < n; ++j) out[j] /= rowGcd;
 }
 
 }  // namespace
@@ -86,60 +162,90 @@ bool isZeroButConst(const IntVec& row) {
 bool Polyhedron::simplify() {
   forgetEmptiness();
   if (markedEmpty_) return markEmpty();
+  if (simplified_) return true;  // the canonical form is a fixed point
+  const int n = cols();
+
   // Equalities: gcd-normalize; an equality a.x + c == 0 with gcd(a) not
-  // dividing c has no integer solution.
-  IntMat newEqs(0, cols());
-  std::set<IntVec> seenEq;
+  // dividing c has no integer solution. An empty set keeps its equalities
+  // unchanged, so every contradiction (and every overflow) is found before
+  // any row is rewritten.
   for (int r = 0; r < eqs_.rows(); ++r) {
-    IntVec row = eqs_.row(r);
-    if (isZeroButConst(row)) {
-      if (row.back() != 0) return markEmpty();
+    const i64* row = eqs_.rowSpan(r).data();
+    if (isZeroButConst(row, n)) {
+      if (row[n - 1] != 0) return markEmpty();
       continue;
     }
-    i64 g = 0;
-    for (size_t i = 0; i + 1 < row.size(); ++i) g = gcd64(g, row[i]);
-    if (g > 0 && row.back() % g != 0) return markEmpty();  // integer-infeasible equality
-    if (g > 1)
-      for (i64& x : row) x /= g;
-    // Canonical sign: first nonzero coefficient positive.
-    for (size_t i = 0; i < row.size(); ++i)
-      if (row[i] != 0) {
-        if (row[i] < 0)
-          for (i64& x : row) x = narrow(-static_cast<i128>(x));
-        break;
-      }
-    if (seenEq.insert(row).second) newEqs.appendRow(row);
+    requireGcdRange(row, n);
+    const i64 g = coeffGcd(row, n);
+    if (row[n - 1] % g != 0) return markEmpty();  // integer-infeasible equality
+    // Flipping the sign overflows only on an undivided INT64_MIN constant.
+    if (g == 1 && leadingCoeff(row, n) < 0) narrow(-static_cast<i128>(row[n - 1]));
   }
-  eqs_ = std::move(newEqs);
+  int kept = 0;
+  for (int r = 0; r < eqs_.rows(); ++r) {
+    i64* row = eqs_.rowSpan(r).data();
+    if (isZeroButConst(row, n)) continue;
+    const i64 g = coeffGcd(row, n);
+    if (g > 1)
+      for (int j = 0; j < n; ++j) row[j] /= g;
+    // Canonical sign: first nonzero coefficient positive.
+    if (leadingCoeff(row, n) < 0)
+      for (int j = 0; j < n; ++j) row[j] = -row[j];
+    // First-seen order: a row equal to a kept one is dropped.
+    bool seen = false;
+    for (int k = 0; k < kept && !seen; ++k) seen = std::equal(row, row + n, eqs_.rowSpan(k).data());
+    if (seen) continue;
+    if (kept != r) std::copy(row, row + n, eqs_.rowSpan(kept).data());
+    ++kept;
+  }
+  eqs_.resizeRows(kept);
+  if (eqs_.cols() != n) eqs_ = IntMat(0, n);
 
   // Inequalities: gcd-tighten (a.x + c >= 0 -> a/g.x + floor(c/g) >= 0),
   // drop tautologies, detect contradictions, dedupe keeping the tightest.
-  IntMat newIneqs(0, cols());
-  std::vector<IntVec> rows;
+  // An empty set keeps its inequalities unchanged, as above.
   for (int r = 0; r < ineqs_.rows(); ++r) {
-    IntVec row = ineqs_.row(r);
-    if (isZeroButConst(row)) {
-      if (row.back() < 0) return markEmpty();
+    const i64* row = ineqs_.rowSpan(r).data();
+    if (isZeroButConst(row, n)) {
+      if (row[n - 1] < 0) return markEmpty();
       continue;
     }
-    i64 g = 0;
-    for (size_t i = 0; i + 1 < row.size(); ++i) g = gcd64(g, row[i]);
+    requireGcdRange(row, n);
+  }
+  int live = 0;
+  for (int r = 0; r < ineqs_.rows(); ++r) {
+    i64* row = ineqs_.rowSpan(r).data();
+    if (isZeroButConst(row, n)) continue;
+    const i64 g = coeffGcd(row, n);
     if (g > 1) {
-      for (size_t i = 0; i + 1 < row.size(); ++i) row[i] /= g;
-      row.back() = floorDiv(row.back(), g);
+      for (int j = 0; j + 1 < n; ++j) row[j] /= g;
+      row[n - 1] = floorDiv(row[n - 1], g);
     }
-    rows.push_back(std::move(row));
+    if (live != r) std::copy(row, row + n, ineqs_.rowSpan(live).data());
+    ++live;
   }
-  // Keep the tightest constant per coefficient vector.
-  std::sort(rows.begin(), rows.end());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    IntVec coeffsOnly(rows[i].begin(), rows[i].end() - 1);
-    // rows with same coefficients are adjacent after sort; the first has the
-    // smallest constant, which is the tightest (a.x >= -c with smallest c).
-    if (i > 0 && std::equal(coeffsOnly.begin(), coeffsOnly.end(), rows[i - 1].begin())) continue;
-    newIneqs.appendRow(rows[i]);
+  // Sort row indices lexicographically by the whole row: rows with the
+  // same coefficients become adjacent, the smallest (tightest) constant
+  // first, and only that one is kept.
+  thread_local std::vector<int> order;  // reused, so sorting allocates nothing per call
+  order.resize(live);
+  for (int r = 0; r < live; ++r) order[r] = r;
+  const i64* base = live > 0 ? ineqs_.rowSpan(0).data() : nullptr;
+  auto at = [&](int r) { return base + static_cast<size_t>(r) * n; };
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    return std::lexicographical_compare(at(a), at(a) + n, at(b), at(b) + n);
+  });
+  IntMat sorted(0, n);
+  sorted.resizeRows(live);
+  int out = 0;
+  for (int i = 0; i < live; ++i) {
+    const i64* row = at(order[i]);
+    if (i > 0 && std::equal(row, row + n - 1, at(order[i - 1]))) continue;
+    std::copy(row, row + n, sorted.rowSpan(out++).data());
   }
-  ineqs_ = std::move(newIneqs);
+  sorted.resizeRows(out);
+  ineqs_ = std::move(sorted);
+  simplified_ = true;
   return true;
 }
 
@@ -160,116 +266,73 @@ bool Polyhedron::contains(const IntVec& point) const {
   return true;
 }
 
-namespace {
-
-/// Combines two rows so that column `var` cancels:
-///   result = (pos[var]) * neg  + (-neg[var]) * pos   scaled by 1/g.
-IntVec combineRows(const IntVec& pos, const IntVec& neg, int var) {
-  i64 a = pos[var];  // > 0
-  i64 b = neg[var];  // < 0
-  i64 g = gcd64(a, b);
-  i64 fp = -b / g;  // multiplier for pos, positive
-  i64 fn = a / g;   // multiplier for neg, positive
-  IntVec out(pos.size());
-  for (size_t j = 0; j < pos.size(); ++j) out[j] = mulAddChecked(fp, pos[j], fn, neg[j]);
-  EMM_CHECK(out[var] == 0, "FM combination failed to cancel");
-  return out;
-}
-
-}  // namespace
-
 Polyhedron Polyhedron::eliminated(int var) const {
   EMM_CHECK(var >= 0 && var < dim_, "variable index out of range");
-  Polyhedron work = *this;
-  if (!work.simplify()) {
+  Polyhedron out(dim_ - 1, nparam_);
+  if (markedEmpty_) {
     // Empty set: the projection is the empty set in the smaller space.
-    Polyhedron out(dim_ - 1, nparam_);
     out.markEmpty();
     return out;
   }
+  if (!simplified_) {
+    Polyhedron work = *this;
+    if (!work.simplify()) {
+      out.markEmpty();
+      return out;
+    }
+    return work.eliminated(var);
+  }
+  const int n = cols();
+  auto eqRow = [&](int r) { return eqs_.rowSpan(r).data(); };
+  auto ineqRow = [&](int r) { return ineqs_.rowSpan(r).data(); };
 
   // Prefer substitution through an equality that mentions `var`.
   int eqIdx = -1;
-  for (int r = 0; r < work.eqs_.rows(); ++r)
-    if (work.eqs_.at(r, var) != 0) {
-      eqIdx = r;
-      break;
-    }
-
-  auto dropColumn = [&](const IntVec& row) {
-    IntVec out;
-    out.reserve(row.size() - 1);
-    for (size_t j = 0; j < row.size(); ++j)
-      if (static_cast<int>(j) != var) out.push_back(row[j]);
-    return out;
-  };
-
-  Polyhedron out(dim_ - 1, nparam_);
+  for (int r = 0; r < eqs_.rows() && eqIdx < 0; ++r)
+    if (eqRow(r)[var] != 0) eqIdx = r;
   if (eqIdx >= 0) {
-    IntVec eq = work.eqs_.row(eqIdx);
-    i64 c = eq[var];
-    for (int r = 0; r < work.eqs_.rows(); ++r) {
-      if (r == eqIdx) continue;
-      IntVec row = work.eqs_.row(r);
-      if (row[var] != 0) {
-        i64 g = gcd64(c, row[var]);
-        i64 fr = (c < 0 ? -c : c) / g;
-        i64 fe = -(row[var] * ((c < 0) ? -1 : 1)) / g;
-        IntVec comb(row.size());
-        for (size_t j = 0; j < row.size(); ++j) comb[j] = mulAddChecked(fr, row[j], fe, eq[j]);
-        EMM_CHECK(comb[var] == 0, "equality substitution failed to cancel");
-        row = comb;
-      }
-      out.addEquality(dropColumn(row));
-    }
-    for (int r = 0; r < work.ineqs_.rows(); ++r) {
-      IntVec row = work.ineqs_.row(r);
-      if (row[var] != 0) {
-        // Multiply the inequality by a positive factor and add a multiple of
-        // the equality to cancel `var`.
-        i64 g = gcd64(c, row[var]);
-        i64 fr = (c < 0 ? -c : c) / g;  // positive scale of inequality
-        i64 fe = -(row[var] * ((c < 0) ? -1 : 1)) / g;
-        IntVec comb(row.size());
-        for (size_t j = 0; j < row.size(); ++j) comb[j] = mulAddChecked(fr, row[j], fe, eq[j]);
-        EMM_CHECK(comb[var] == 0, "equality substitution failed to cancel");
-        row = comb;
-      }
-      out.addInequality(dropColumn(row));
-    }
+    const i64* eq = eqRow(eqIdx);
+    out.eqs_.resizeRows(eqs_.rows() - 1);
+    int w = 0;
+    for (int r = 0; r < eqs_.rows(); ++r)
+      if (r != eqIdx) substituteRow(eqRow(r), eq, n, var, out.eqs_.rowSpan(w++).data());
+    out.ineqs_.resizeRows(ineqs_.rows());
+    for (int r = 0; r < ineqs_.rows(); ++r)
+      substituteRow(ineqRow(r), eq, n, var, out.ineqs_.rowSpan(r).data());
     out.simplify();
     return out;
   }
 
-  // Classic Fourier-Motzkin on inequalities.
-  std::vector<IntVec> pos, neg, none;
-  for (int r = 0; r < work.ineqs_.rows(); ++r) {
-    IntVec row = work.ineqs_.row(r);
-    if (row[var] > 0)
-      pos.push_back(std::move(row));
-    else if (row[var] < 0)
-      neg.push_back(std::move(row));
-    else
-      none.push_back(std::move(row));
+  // Classic Fourier-Motzkin on inequalities: the rows without `var`, then
+  // every (positive, negative) pair in row order. No equality mentions
+  // `var` here.
+  int nPos = 0, nNeg = 0;
+  for (int r = 0; r < ineqs_.rows(); ++r) {
+    nPos += ineqRow(r)[var] > 0;
+    nNeg += ineqRow(r)[var] < 0;
   }
-  for (int r = 0; r < work.eqs_.rows(); ++r) {
-    // No equality mentions `var` here.
-    out.addEquality(dropColumn(work.eqs_.row(r)));
+  out.eqs_.resizeRows(eqs_.rows());
+  for (int r = 0; r < eqs_.rows(); ++r)
+    copyDroppingColumn(eqRow(r), n, var, out.eqs_.rowSpan(r).data());
+  out.ineqs_.resizeRows(ineqs_.rows() - nPos - nNeg + nPos * nNeg);
+  int w = 0;
+  for (int r = 0; r < ineqs_.rows(); ++r)
+    if (ineqRow(r)[var] == 0)
+      copyDroppingColumn(ineqRow(r), n, var, out.ineqs_.rowSpan(w++).data());
+  for (int p = 0; p < ineqs_.rows(); ++p) {
+    if (ineqRow(p)[var] <= 0) continue;
+    for (int q = 0; q < ineqs_.rows(); ++q)
+      if (ineqRow(q)[var] < 0)
+        combineRows(ineqRow(p), ineqRow(q), n, var, out.ineqs_.rowSpan(w++).data());
   }
-  for (const IntVec& row : none) out.addInequality(dropColumn(row));
-  for (const IntVec& p : pos)
-    for (const IntVec& n : neg) {
-      IntVec comb = combineRows(p, n, var);
-      normalizeByGcd(comb);
-      out.addInequality(dropColumn(comb));
-    }
   out.simplify();
   return out;
 }
 
 Polyhedron Polyhedron::projectedOnto(int keep) const {
   EMM_CHECK(keep >= 0 && keep <= dim_, "projection arity out of range");
-  Polyhedron cur = *this;
+  if (keep == dim_) return *this;
+  Polyhedron cur = eliminated(dim_ - 1);
   while (cur.dim() > keep) cur = cur.eliminated(cur.dim() - 1);
   return cur;
 }
@@ -278,14 +341,14 @@ Polyhedron Polyhedron::withInsertedVars(int pos, int count) const {
   EMM_CHECK(pos >= 0 && pos <= dim_ && count >= 0, "bad var insertion");
   Polyhedron out(dim_ + count, nparam_);
   out.markedEmpty_ = markedEmpty_;
-  auto widen = [&](const IntVec& row) {
-    IntVec wide(out.cols(), 0);
+  IntVec wide(out.cols(), 0);
+  auto widen = [&](std::span<const i64> row) -> const IntVec& {
     for (int j = 0; j < pos; ++j) wide[j] = row[j];
     for (int j = pos; j < dim_ + nparam_ + 1; ++j) wide[j + count] = row[j];
     return wide;
   };
-  for (int r = 0; r < eqs_.rows(); ++r) out.addEquality(widen(eqs_.row(r)));
-  for (int r = 0; r < ineqs_.rows(); ++r) out.addInequality(widen(ineqs_.row(r)));
+  for (int r = 0; r < eqs_.rows(); ++r) out.addEquality(widen(eqs_.rowSpan(r)));
+  for (int r = 0; r < ineqs_.rows(); ++r) out.addInequality(widen(ineqs_.rowSpan(r)));
   return out;
 }
 
@@ -293,8 +356,8 @@ Polyhedron Polyhedron::intersect(const Polyhedron& a, const Polyhedron& b) {
   EMM_CHECK(a.dim_ == b.dim_ && a.nparam_ == b.nparam_, "intersect arity mismatch");
   Polyhedron out = a;
   out.markedEmpty_ = a.markedEmpty_ || b.markedEmpty_;
-  for (int r = 0; r < b.eqs_.rows(); ++r) out.addEquality(b.eqs_.row(r));
-  for (int r = 0; r < b.ineqs_.rows(); ++r) out.addInequality(b.ineqs_.row(r));
+  for (int r = 0; r < b.eqs_.rows(); ++r) out.addEquality(b.eqs_.rowSpan(r));
+  for (int r = 0; r < b.ineqs_.rows(); ++r) out.addInequality(b.ineqs_.rowSpan(r));
   out.simplify();
   return out;
 }
@@ -306,14 +369,14 @@ Polyhedron Polyhedron::image(const IntMat& f) const {
   Polyhedron joint(outDim + dim_, nparam_);
   joint.markedEmpty_ = markedEmpty_;
   // Embed the domain constraints on x.
-  auto embed = [&](const IntVec& row) {
-    IntVec wide(joint.cols(), 0);
+  IntVec wide(joint.cols(), 0);
+  auto embed = [&](std::span<const i64> row) -> const IntVec& {
     for (int j = 0; j < dim_; ++j) wide[outDim + j] = row[j];
     for (int j = 0; j < nparam_ + 1; ++j) wide[outDim + dim_ + j] = row[dim_ + j];
     return wide;
   };
-  for (int r = 0; r < eqs_.rows(); ++r) joint.addEquality(embed(eqs_.row(r)));
-  for (int r = 0; r < ineqs_.rows(); ++r) joint.addInequality(embed(ineqs_.row(r)));
+  for (int r = 0; r < eqs_.rows(); ++r) joint.addEquality(embed(eqs_.rowSpan(r)));
+  for (int r = 0; r < ineqs_.rows(); ++r) joint.addInequality(embed(ineqs_.rowSpan(r)));
   // y_i == f_i(x, p).
   for (int i = 0; i < outDim; ++i) {
     IntVec row(joint.cols(), 0);
@@ -323,9 +386,8 @@ Polyhedron Polyhedron::image(const IntMat& f) const {
     joint.addEquality(row);
   }
   // Eliminate the x block.
-  Polyhedron cur = joint;
-  for (int k = 0; k < dim_; ++k) cur = cur.eliminated(outDim);
-  return cur;
+  for (int k = 0; k < dim_; ++k) joint = joint.eliminated(outDim);
+  return joint;
 }
 
 Polyhedron Polyhedron::preimage(const IntMat& f, int newDim) const {
@@ -333,7 +395,7 @@ Polyhedron Polyhedron::preimage(const IntMat& f, int newDim) const {
   EMM_CHECK(f.cols() == newDim + nparam_ + 1, "preimage map width mismatch");
   Polyhedron out(newDim, nparam_);
   out.markedEmpty_ = markedEmpty_;
-  auto substitute = [&](const IntVec& row) {
+  auto substitute = [&](std::span<const i64> row) {
     // row over [x (dim_), p, 1] with x = f(z, p) becomes a row over [z, p, 1].
     IntVec res(newDim + nparam_ + 1, 0);
     for (int j = 0; j < dim_; ++j) {
@@ -345,8 +407,8 @@ Polyhedron Polyhedron::preimage(const IntMat& f, int newDim) const {
       res[newDim + j] = addChecked(res[newDim + j], row[dim_ + j]);
     return res;
   };
-  for (int r = 0; r < eqs_.rows(); ++r) out.addEquality(substitute(eqs_.row(r)));
-  for (int r = 0; r < ineqs_.rows(); ++r) out.addInequality(substitute(ineqs_.row(r)));
+  for (int r = 0; r < eqs_.rows(); ++r) out.addEquality(substitute(eqs_.rowSpan(r)));
+  for (int r = 0; r < ineqs_.rows(); ++r) out.addInequality(substitute(ineqs_.rowSpan(r)));
   out.simplify();
   return out;
 }
@@ -355,12 +417,12 @@ bool Polyhedron::isEmpty() const {
   const std::int8_t known = emptiness_.load(std::memory_order_relaxed);
   if (known != kUnknown) return known == kEmpty;
   const bool empty = [&] {
-    Polyhedron work = *this;
-    if (!work.simplify()) return true;
+    // Treat parameters as variables for the feasibility check (the
+    // canonical form does not depend on which columns are parameters).
+    Polyhedron all = paramsAsVars();
+    if (!all.simplify()) return true;
     // Eliminate every variable and parameter; what remains are constant
     // rows whose satisfiability simplify() decides.
-    // Treat parameters as variables for the feasibility check.
-    Polyhedron all = work.paramsAsVars();
     while (all.dim() > 0) {
       all = all.eliminated(all.dim() - 1);
       if (all.markedEmpty_) return true;
@@ -374,8 +436,10 @@ bool Polyhedron::isEmpty() const {
 Polyhedron Polyhedron::paramsAsVars() const {
   Polyhedron out(dim_ + nparam_, 0);
   out.markedEmpty_ = markedEmpty_;
-  for (int r = 0; r < eqs_.rows(); ++r) out.addEquality(eqs_.row(r));
-  for (int r = 0; r < ineqs_.rows(); ++r) out.addInequality(ineqs_.row(r));
+  out.simplified_ = simplified_;
+  // The rows are unchanged; only a 0x0 default matrix keeps out's shape.
+  if (eqs_.rows() > 0) out.eqs_ = eqs_;
+  if (ineqs_.rows() > 0) out.ineqs_ = ineqs_;
   return out;
 }
 
@@ -384,7 +448,7 @@ namespace {
 DimBounds boundsFromConstraints(const Polyhedron& p, int var, int prefixLen) {
   // All constraints mention only vars < prefixLen, `var`, and params.
   DimBounds b;
-  auto scan = [&](const IntVec& row, bool equality) {
+  auto scan = [&](std::span<const i64> row, bool equality) {
     i64 c = row[var];
     if (c == 0) return;
     // c*var + rest >= 0  (or == 0)
@@ -415,8 +479,8 @@ DimBounds boundsFromConstraints(const Polyhedron& p, int var, int prefixLen) {
       }
     }
   };
-  for (int r = 0; r < p.equalities().rows(); ++r) scan(p.equalities().row(r), true);
-  for (int r = 0; r < p.inequalities().rows(); ++r) scan(p.inequalities().row(r), false);
+  for (int r = 0; r < p.equalities().rows(); ++r) scan(p.equalities().rowSpan(r), true);
+  for (int r = 0; r < p.inequalities().rows(); ++r) scan(p.inequalities().rowSpan(r), false);
   EMM_CHECK(!b.lower.empty() && !b.upper.empty(),
             "dimension is unbounded; polyhedron is not a polytope in var " + std::to_string(var));
   return b;
@@ -448,13 +512,13 @@ std::string Polyhedron::str() const {
   os << "{ dim=" << dim_ << " nparam=" << nparam_;
   if (markedEmpty_) os << " EMPTY";
   os << "\n";
-  auto rowStr = [&](const IntVec& row, const char* rel) {
+  auto rowStr = [&](std::span<const i64> row, const char* rel) {
     os << "  [";
     for (size_t j = 0; j < row.size(); ++j) os << row[j] << (j + 1 < row.size() ? " " : "");
     os << "] " << rel << " 0\n";
   };
-  for (int r = 0; r < eqs_.rows(); ++r) rowStr(eqs_.row(r), "==");
-  for (int r = 0; r < ineqs_.rows(); ++r) rowStr(ineqs_.row(r), ">=");
+  for (int r = 0; r < eqs_.rows(); ++r) rowStr(eqs_.rowSpan(r), "==");
+  for (int r = 0; r < ineqs_.rows(); ++r) rowStr(ineqs_.rowSpan(r), ">=");
   os << "}";
   return os.str();
 }

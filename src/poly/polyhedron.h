@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,9 +69,11 @@ public:
     EMM_CHECK(dim >= 0 && nparam >= 0, "negative polyhedron shape");
   }
 
-  /// Copies and moves carry the stored isEmpty() answer.
+  /// Copies and moves carry the stored isEmpty() answer and the
+  /// simplified mark.
   Polyhedron(const Polyhedron& o)
       : markedEmpty_(o.markedEmpty_),
+        simplified_(o.simplified_),
         dim_(o.dim_),
         nparam_(o.nparam_),
         eqs_(o.eqs_),
@@ -78,6 +81,7 @@ public:
         emptiness_(o.emptiness_.load(std::memory_order_relaxed)) {}
   Polyhedron(Polyhedron&& o) noexcept
       : markedEmpty_(o.markedEmpty_),
+        simplified_(o.simplified_),
         dim_(o.dim_),
         nparam_(o.nparam_),
         eqs_(std::move(o.eqs_)),
@@ -89,6 +93,7 @@ public:
   }
   Polyhedron& operator=(Polyhedron&& o) noexcept {
     markedEmpty_ = o.markedEmpty_;
+    simplified_ = o.simplified_;
     dim_ = o.dim_;
     nparam_ = o.nparam_;
     eqs_ = std::move(o.eqs_);
@@ -109,9 +114,11 @@ public:
   int numConstraints() const { return eqs_.rows() + ineqs_.rows(); }
 
   /// Adds row . v == 0.
-  void addEquality(const IntVec& row);
+  void addEquality(std::span<const i64> row);
+  void addEquality(const IntVec& row) { addEquality(std::span<const i64>(row)); }
   /// Adds row . v >= 0.
-  void addInequality(const IntVec& row);
+  void addInequality(std::span<const i64> row);
+  void addInequality(const IntVec& row) { addInequality(std::span<const i64>(row)); }
 
   /// Convenience: adds lo <= x_var <= hi for constants lo, hi.
   void addRange(int var, i64 lo, i64 hi);
@@ -123,6 +130,25 @@ public:
   /// Gcd-normalizes rows, drops tautologies and duplicates. Returns false if
   /// a trivially unsatisfiable constraint (e.g. 0 >= 1 or gcd test on an
   /// equality) was found, in which case the polyhedron is marked empty.
+  ///
+  /// The output is a canonical form that serialized plans (and so the
+  /// golden bytes) depend on:
+  /// - equalities are divided by the gcd of their coefficients, signed so
+  ///   the first nonzero coefficient is positive, and kept in first-seen
+  ///   order with later duplicates dropped;
+  /// - inequalities are tightened to a.x/g + floor(c/g) >= 0, sorted
+  ///   lexicographically over the whole row, and one row per coefficient
+  ///   vector is kept: the one with the smallest (tightest) constant;
+  /// - constant rows that always hold (0 == 0, or c >= 0 for a constant
+  ///   c >= 0) are dropped;
+  /// - a set marked empty keeps the rows it had when the contradiction was
+  ///   found: all of them unchanged for a contradictory equality, the
+  ///   normalized equalities and the unchanged inequalities for a
+  ///   contradictory inequality.
+  /// The form is a fixed point: simplifying it again changes nothing, so
+  /// the polyhedron remembers it is simplified until a row is added.
+  /// Overflow throws ApiError as the checked arithmetic does, leaving the
+  /// equalities normalized if it happens among the inequalities.
   bool simplify();
 
   /// True when the polyhedron is syntactically marked empty or the rational
@@ -208,6 +234,11 @@ private:
   }
 
   bool markedEmpty_ = false;
+  /// True while the rows are simplify()'s canonical form (set by a
+  /// successful simplify(), cleared by every added row), so eliminated()
+  /// and isEmpty() work on the rows directly instead of simplifying a copy.
+  /// Written only by non-const members.
+  bool simplified_ = false;
   int dim_ = 0;
   int nparam_ = 0;
   IntMat eqs_;

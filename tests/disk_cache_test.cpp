@@ -399,9 +399,18 @@ TEST(DiskCache, ZeroLengthEntriesAreSweptOnOpenAndIgnoredByStats) {
 
 TEST(DiskCache, LruEvictionKeepsTheCacheUnderTheByteCap) {
   // Two compiles of different families, each writing an .emmplan and an
-  // .emmfam record; both kinds count against the one byte cap.
-  const auto tighter = [] {
+  // .emmfam record; both kinds count against the one byte cap. The caps
+  // below are derived from the records of earlier compiles, so every
+  // compile must write the same bytes each time: a given tile skips the
+  // search, whose note prints wall-clock milliseconds (a record would
+  // shrink or grow by a byte as a time crosses a power of ten).
+  const auto pinned = [] {
     Compiler c = meCompiler();
+    c.tileSizes({32, 16, 8, 4});  // feasible under both scratchpad budgets
+    return c;
+  };
+  const auto tighter = [&] {
+    Compiler c = pinned();
     c.memoryLimitBytes(8 * 1024);
     return c;
   };
@@ -410,7 +419,7 @@ TEST(DiskCache, LruEvictionKeepsTheCacheUnderTheByteCap) {
   i64 allBytes = 0;
   {
     DiskPlanCache probe(dir.str());
-    Compiler first = meCompiler();
+    Compiler first = pinned();
     first.diskCache(&probe);
     ASSERT_TRUE(first.compile().ok);
     firstPlanBytes = probe.stats().bytes;
@@ -429,7 +438,7 @@ TEST(DiskCache, LruEvictionKeepsTheCacheUnderTheByteCap) {
     // A cap just above one .emmplan: storing the plan evicts the family
     // record written before it, never the plan just written.
     DiskPlanCache disk(dir.str(), firstPlanBytes + 1);
-    Compiler first = meCompiler();
+    Compiler first = pinned();
     first.diskCache(&disk);
     ASSERT_TRUE(first.compile().ok);
     DiskPlanCache::Stats s = disk.stats();
@@ -443,7 +452,7 @@ TEST(DiskCache, LruEvictionKeepsTheCacheUnderTheByteCap) {
   // One byte below all four records: the second compile's last store
   // evicts one record of the first compile.
   DiskPlanCache disk(dir.str(), allBytes - 1);
-  Compiler first = meCompiler();
+  Compiler first = pinned();
   first.diskCache(&disk);
   ASSERT_TRUE(first.compile().ok);
   EXPECT_EQ(disk.stats().evictions, 0);
@@ -460,7 +469,7 @@ TEST(DiskCache, LruEvictionKeepsTheCacheUnderTheByteCap) {
   // the first compile is still served from its surviving record (which of
   // its two records is older depends on the filesystem's mtime grain).
   EXPECT_TRUE(second.compile().diskHit);
-  Compiler firstAgain = meCompiler();
+  Compiler firstAgain = pinned();
   firstAgain.diskCache(&disk);
   const CompileResult again = firstAgain.compile();
   ASSERT_TRUE(again.ok);

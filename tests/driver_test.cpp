@@ -337,5 +337,35 @@ TEST(CompilerDiagnostics, InfeasibleSearchReportsError) {
   EXPECT_TRUE(r.artifact.empty());
 }
 
+TEST(CompilerDiagnostics, InfeasibleSearchNamesWhatRuledTheCandidatesOut) {
+  // emmapc --kernel=matmul --emit=cell --mem=64: the scratchpad budget.
+  IntVec params;
+  CompileResult tight = Compiler(buildKernelByName("matmul", {}, params))
+                            .parameters(params)
+                            .memoryLimitBytes(64)
+                            .backend("cell")
+                            .compile();
+  EXPECT_FALSE(tight.ok);
+  EXPECT_EQ(tight.firstError(),
+            "no feasible tile: every candidate tile evaluated with at least innerProcs = 32 "
+            "iterations exceeds the scratchpad budget of 64 bytes (16 elements)");
+  // emmapc --kernel=me --size=1,1,1: the trip counts against innerProcs.
+  CompileResult tiny = Compiler(buildKernelByName("me", {1, 1, 1}, params))
+                           .parameters(params)
+                           .compile();
+  EXPECT_FALSE(tiny.ok);
+  EXPECT_EQ(tiny.firstError(),
+            "no feasible tile: the loop trip counts (1,1,1,1) allow at most 1 iterations per "
+            "tile, fewer than innerProcs = 32");
+  // Given candidate sizes, none of which fits loop 0.
+  CompileResult wide = Compiler(buildMatmulBlock(8, 8, 8))
+                           .parameters({8, 8, 8})
+                           .tileCandidates({{16, 32}, {4, 8}, {4, 8}})
+                           .compile();
+  EXPECT_FALSE(wide.ok);
+  EXPECT_EQ(wide.firstError(),
+            "no feasible tile: no candidate size of loop 0 fits its trip count 8");
+}
+
 }  // namespace
 }  // namespace emm

@@ -2,7 +2,9 @@
 // intersection/difference, emptiness, parametric bounds, enumeration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <random>
 #include <set>
 #include <thread>
 
@@ -10,6 +12,7 @@
 #include "kernels/blocks.h"
 #include "poly/enumerate.h"
 #include "poly/polyhedron.h"
+#include "support/field_codec.h"
 #include "support/serialize.h"
 
 namespace emm {
@@ -396,6 +399,361 @@ TEST_P(ProjectionProperty, ProjectionOfSimplexCountsMatchBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ProjectionProperty, ::testing::Values(0, 1, 2, 5, 13));
+
+// ---- The flat-row Fourier-Motzkin kernel against the row-vector one. ----
+
+/// The rows and mark of one polyhedron, as the reference kernel sees them.
+struct RefPoly {
+  int dim = 0;
+  int nparam = 0;
+  IntMat eqs;
+  IntMat ineqs;
+  bool empty = false;
+
+  int cols() const { return dim + nparam + 1; }
+};
+
+RefPoly refOf(const Polyhedron& p) {
+  return {p.dim(), p.nparam(), p.equalities(), p.inequalities(), p.markedEmpty()};
+}
+
+bool refZeroButConst(const IntVec& row) {
+  for (size_t i = 0; i + 1 < row.size(); ++i)
+    if (row[i] != 0) return false;
+  return true;
+}
+
+/// Polyhedron::simplify as it was written over one IntVec per row, kept
+/// as the reference the flat-row kernel must match row for row.
+bool refSimplify(RefPoly& p) {
+  if (p.empty) return false;
+  IntMat newEqs(0, p.cols());
+  std::set<IntVec> seenEq;
+  for (int r = 0; r < p.eqs.rows(); ++r) {
+    IntVec row = p.eqs.row(r);
+    if (refZeroButConst(row)) {
+      if (row.back() != 0) return !(p.empty = true);
+      continue;
+    }
+    i64 g = 0;
+    for (size_t i = 0; i + 1 < row.size(); ++i) g = gcd64(g, row[i]);
+    if (g > 0 && row.back() % g != 0) return !(p.empty = true);
+    if (g > 1)
+      for (i64& x : row) x /= g;
+    for (size_t i = 0; i < row.size(); ++i)
+      if (row[i] != 0) {
+        if (row[i] < 0)
+          for (i64& x : row) x = narrow(-static_cast<i128>(x));
+        break;
+      }
+    if (seenEq.insert(row).second) newEqs.appendRow(row);
+  }
+  p.eqs = std::move(newEqs);
+
+  IntMat newIneqs(0, p.cols());
+  std::vector<IntVec> rows;
+  for (int r = 0; r < p.ineqs.rows(); ++r) {
+    IntVec row = p.ineqs.row(r);
+    if (refZeroButConst(row)) {
+      if (row.back() < 0) return !(p.empty = true);
+      continue;
+    }
+    i64 g = 0;
+    for (size_t i = 0; i + 1 < row.size(); ++i) g = gcd64(g, row[i]);
+    if (g > 1) {
+      for (size_t i = 0; i + 1 < row.size(); ++i) row[i] /= g;
+      row.back() = floorDiv(row.back(), g);
+    }
+    rows.push_back(std::move(row));
+  }
+  std::sort(rows.begin(), rows.end());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i > 0 && std::equal(rows[i].begin(), rows[i].end() - 1, rows[i - 1].begin())) continue;
+    newIneqs.appendRow(rows[i]);
+  }
+  p.ineqs = std::move(newIneqs);
+  return true;
+}
+
+/// Polyhedron::eliminated as it was written over one IntVec per row.
+RefPoly refEliminated(const RefPoly& in, int var) {
+  RefPoly work = in;
+  RefPoly out{in.dim - 1, in.nparam, IntMat(0, in.cols() - 1), IntMat(0, in.cols() - 1), false};
+  if (!refSimplify(work)) {
+    out.empty = true;
+    return out;
+  }
+  int eqIdx = -1;
+  for (int r = 0; r < work.eqs.rows(); ++r)
+    if (work.eqs.at(r, var) != 0) {
+      eqIdx = r;
+      break;
+    }
+  auto dropColumn = [&](const IntVec& row) {
+    IntVec o;
+    for (size_t j = 0; j < row.size(); ++j)
+      if (static_cast<int>(j) != var) o.push_back(row[j]);
+    return o;
+  };
+  auto substitute = [&](IntVec row, const IntVec& eq) {
+    const i64 c = eq[var];
+    if (row[var] != 0) {
+      i64 g = gcd64(c, row[var]);
+      i64 fr = (c < 0 ? -c : c) / g;
+      i64 fe = -(row[var] * ((c < 0) ? -1 : 1)) / g;
+      IntVec comb(row.size());
+      for (size_t j = 0; j < row.size(); ++j) comb[j] = mulAddChecked(fr, row[j], fe, eq[j]);
+      row = comb;
+    }
+    return dropColumn(row);
+  };
+  if (eqIdx >= 0) {
+    const IntVec eq = work.eqs.row(eqIdx);
+    for (int r = 0; r < work.eqs.rows(); ++r)
+      if (r != eqIdx) out.eqs.appendRow(substitute(work.eqs.row(r), eq));
+    for (int r = 0; r < work.ineqs.rows(); ++r)
+      out.ineqs.appendRow(substitute(work.ineqs.row(r), eq));
+    refSimplify(out);
+    return out;
+  }
+  std::vector<IntVec> pos, neg, none;
+  for (int r = 0; r < work.ineqs.rows(); ++r) {
+    IntVec row = work.ineqs.row(r);
+    (row[var] > 0 ? pos : row[var] < 0 ? neg : none).push_back(std::move(row));
+  }
+  for (int r = 0; r < work.eqs.rows(); ++r) out.eqs.appendRow(dropColumn(work.eqs.row(r)));
+  for (const IntVec& row : none) out.ineqs.appendRow(dropColumn(row));
+  for (const IntVec& a : pos)
+    for (const IntVec& b : neg) {
+      i64 g = gcd64(a[var], b[var]);
+      i64 fa = -b[var] / g, fb = a[var] / g;
+      IntVec comb(a.size());
+      for (size_t j = 0; j < a.size(); ++j) comb[j] = mulAddChecked(fa, a[j], fb, b[j]);
+      normalizeByGcd(comb);
+      out.ineqs.appendRow(dropColumn(comb));
+    }
+  refSimplify(out);
+  return out;
+}
+
+RefPoly refProjectedOnto(RefPoly cur, int keep) {
+  while (cur.dim > keep) cur = refEliminated(cur, cur.dim - 1);
+  return cur;
+}
+
+bool refIsEmpty(const RefPoly& p) {
+  RefPoly all = p;
+  if (!refSimplify(all)) return true;
+  all.dim += all.nparam;
+  all.nparam = 0;
+  while (all.dim > 0) {
+    all = refEliminated(all, all.dim - 1);
+    if (all.empty) return true;
+  }
+  return !refSimplify(all);
+}
+
+std::string matText(const IntMat& m) {
+  return std::to_string(m.rows()) + "x" + std::to_string(m.cols()) + " " + m.str();
+}
+
+/// Everything a polyhedron's serialized bytes carry except the derived
+/// emptiness byte: shape, rows and the empty mark.
+std::string rowsText(int dim, int nparam, const IntMat& eqs, const IntMat& ineqs, bool empty) {
+  return std::to_string(dim) + "/" + std::to_string(nparam) + (empty ? " EMPTY" : "") +
+         "\n eqs " + matText(eqs) + "\n ineqs " + matText(ineqs);
+}
+std::string rowsText(const Polyhedron& p) {
+  return rowsText(p.dim(), p.nparam(), p.equalities(), p.inequalities(), p.markedEmpty());
+}
+std::string rowsText(const RefPoly& p) {
+  return rowsText(p.dim, p.nparam, p.eqs, p.ineqs, p.empty);
+}
+
+/// `f()`'s text, or the text of the ApiError it throws.
+template <class F>
+std::string outcome(F&& f) {
+  try {
+    return f();
+  } catch (const ApiError& e) {
+    return std::string("ApiError: ") + e.what();
+  }
+}
+
+/// Random rows in [-3, 3] over `dim` variables and up to two parameters,
+/// seasoned with the rows simplify() treats specially: duplicates, zero
+/// rows, rows with a common factor, loose copies of earlier rows, and
+/// (rarely) entries near the int64 limits.
+Polyhedron randomPolyhedron(std::mt19937_64& rng) {
+  auto pick = [&](i64 lo, i64 hi) { return std::uniform_int_distribution<i64>(lo, hi)(rng); };
+  const int dim = static_cast<int>(pick(1, 8));
+  const int nparam = static_cast<int>(pick(0, 2));
+  const int n = dim + nparam + 1;
+  const bool huge = pick(0, 19) == 0;
+  Polyhedron p(dim, nparam);
+  std::vector<IntVec> made;
+  auto row = [&] {
+    IntVec r(n, 0);
+    for (int j = 0; j + 1 < n; ++j) r[j] = pick(0, 2) == 0 ? 0 : pick(-3, 3);
+    r.back() = pick(-6, 6);
+    switch (pick(0, 9)) {
+      case 0:  // a duplicate, or a copy with another constant
+        if (!made.empty()) {
+          r = made[pick(0, static_cast<i64>(made.size()) - 1)];
+          if (r.back() > -100 && r.back() < 100) r.back() += pick(-1, 1);
+        }
+        break;
+      case 1:  // a zero row: a tautology or a contradiction
+        std::fill(r.begin(), r.end() - 1, 0);
+        r.back() = pick(-1, 1);
+        break;
+      case 2:  // a common factor of the coefficients
+        for (i64& x : r) x *= pick(2, 4);
+        r.back() += pick(-2, 2);
+        break;
+      default:
+        break;
+    }
+    if (huge && pick(0, 2) == 0) {
+      const i64 edges[] = {INT64_MIN, INT64_MIN + 1, INT64_MAX, INT64_MAX / 2, INT64_MIN / 2,
+                           INT64_MAX / 3 + 1};
+      r[pick(0, n - 1)] = edges[pick(0, 5)];
+    }
+    made.push_back(r);
+    return r;
+  };
+  // A box on most variables keeps the projections small and bounded.
+  for (int v = 0; v < dim; ++v)
+    if (pick(0, 3) != 0) p.addRange(v, pick(-4, 0), pick(0, 6));
+  const int neq = static_cast<int>(pick(0, 3));
+  const int nineq = static_cast<int>(pick(0, 4));
+  for (int k = 0; k < neq; ++k) p.addEquality(row());
+  for (int k = 0; k < nineq; ++k) p.addInequality(row());
+  return p;
+}
+
+TEST(PolyKernel, MatchesTheRowVectorKernelOnRandomPolyhedra) {
+  std::mt19937_64 rng(24);
+  int emptyVerdicts = 0, errors = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    const Polyhedron p = randomPolyhedron(rng);
+    SCOPED_TRACE("case " + std::to_string(iter) + ": " + p.str());
+    // simplify(), including the rows it leaves behind when it throws.
+    Polyhedron got = p;
+    RefPoly want = refOf(p);
+    const std::string gotText =
+        outcome([&] { return std::string(got.simplify() ? "ok" : "empty"); }) + rowsText(got);
+    const std::string wantText =
+        outcome([&] { return std::string(refSimplify(want) ? "ok" : "empty"); }) +
+        rowsText(want);
+    ASSERT_EQ(gotText, wantText);
+    errors += gotText.starts_with("ApiError");
+    // Simplifying the canonical form again changes nothing.
+    if (!got.markedEmpty() && !gotText.starts_with("ApiError")) {
+      Polyhedron again = got;
+      again.addEquality(IntVec(again.cols(), 0));  // 0 == 0 drops the mark, not a row
+      ASSERT_TRUE(again.simplify());
+      ASSERT_EQ(rowsText(again), rowsText(got));
+    }
+    // eliminated(v) from the raw rows and from the simplified ones.
+    for (int v = 0; v < p.dim(); ++v) {
+      ASSERT_EQ(outcome([&] { return rowsText(p.eliminated(v)); }),
+                outcome([&] { return rowsText(refEliminated(refOf(p), v)); }))
+          << "eliminated(" << v << ")";
+      if (gotText.starts_with("ApiError")) continue;
+      ASSERT_EQ(outcome([&] { return rowsText(got.eliminated(v)); }),
+                outcome([&] { return rowsText(refEliminated(want, v)); }))
+          << "eliminated(" << v << ") of the simplified rows";
+    }
+    // Fourier-Motzkin grows doubly exponentially in the eliminated
+    // variables, so whole projections and emptiness run on small spaces.
+    const int vars = p.dim() + p.nparam();
+    for (int keep = std::max(0, p.dim() - 3); keep < p.dim(); ++keep)
+      ASSERT_EQ(outcome([&] { return rowsText(p.projectedOnto(keep)); }),
+                outcome([&] { return rowsText(refProjectedOnto(refOf(p), keep)); }))
+          << "projectedOnto(" << keep << ")";
+    if (vars > 5) continue;
+    const std::string verdict =
+        outcome([&] { return std::string(p.isEmpty() ? "empty" : "non-empty"); });
+    ASSERT_EQ(verdict,
+              outcome([&] { return std::string(refIsEmpty(refOf(p)) ? "empty" : "non-empty"); }));
+    emptyVerdicts += verdict == "empty";
+  }
+  // The corpus exercises both verdicts and the overflow errors.
+  EXPECT_GT(emptyVerdicts, 100);
+  EXPECT_GT(errors, 10);
+}
+
+TEST(PolyKernel, ContradictionKeepsTheRowsSerializedBytesCarry) {
+  // A contradictory inequality: the equalities are already normalized,
+  // the inequalities stay exactly as they were added.
+  Polyhedron p(2, 0);
+  p.addEquality({-2, 4, 6});  // normalizes to x - 2y - 3 == 0
+  p.addInequality({4, 2, 6});
+  p.addInequality({0, 0, -1});  // 0 >= 1
+  p.addInequality({3, 3, 1});
+  EXPECT_FALSE(p.simplify());
+  EXPECT_TRUE(p.markedEmpty());
+  EXPECT_EQ(matText(p.equalities()), matText(IntMat{{1, -2, -3}}));
+  EXPECT_EQ(matText(p.inequalities()), matText(IntMat{{4, 2, 6}, {0, 0, -1}, {3, 3, 1}}));
+
+  // A contradictory equality leaves the equalities unnormalized too.
+  Polyhedron q(2, 0);
+  q.addEquality({-2, 4, 6});
+  q.addEquality({2, 4, 1});  // 2x + 4y + 1 == 0 has no integer point
+  q.addInequality({4, 2, 6});
+  EXPECT_FALSE(q.simplify());
+  EXPECT_EQ(matText(q.equalities()), matText(IntMat{{-2, 4, 6}, {2, 4, 1}}));
+  EXPECT_EQ(matText(q.inequalities()), matText(IntMat{{4, 2, 6}}));
+
+  // The bytes carry exactly those rows.
+  auto bytesOf = [](const Polyhedron& poly) {
+    ByteWriter w;
+    writeValue(w, poly);
+    return w.take();
+  };
+  Polyhedron keptP(2, 0);
+  keptP.addEquality({1, -2, -3});
+  keptP.addInequality({4, 2, 6});
+  keptP.addInequality({0, 0, -1});
+  keptP.addInequality({3, 3, 1});
+  EXPECT_EQ(bytesOf(p), bytesOf(keptP));
+  Polyhedron keptQ(2, 0);
+  keptQ.addEquality({-2, 4, 6});
+  keptQ.addEquality({2, 4, 1});
+  keptQ.addInequality({4, 2, 6});
+  EXPECT_EQ(bytesOf(q), bytesOf(keptQ));
+}
+
+TEST(PolyEmptiness, ConcurrentEliminationOfASharedSimplifiedPolyhedron) {
+  // eliminated(), projectedOnto() and isEmpty() read the simplified mark
+  // and fill the stored emptiness answer of one shared const polyhedron;
+  // every thread must get the results a single thread gets.
+  Polyhedron built(4, 1);
+  for (int v = 0; v < 4; ++v) built.addRange(v, 0, 9);
+  built.addInequality({1, -1, 2, 0, 1, -3});
+  built.addInequality({-1, 2, 0, 1, -1, 4});
+  built.addEquality({2, 0, 0, -2, 0, 0});
+  ASSERT_TRUE(built.simplify());
+  auto results = [](const Polyhedron& p) {
+    std::string text;
+    for (int v = 0; v < p.dim(); ++v) text += rowsText(p.eliminated(v));
+    for (int keep = 0; keep < p.dim(); ++keep) text += rowsText(p.projectedOnto(keep));
+    return text + (p.isEmpty() ? "empty" : "non-empty");
+  };
+  const std::string expected = results(Polyhedron(built));
+  const auto shared = std::make_shared<const Polyhedron>(built);
+  ASSERT_EQ(shared->storedEmptiness(), std::nullopt);
+
+  constexpr int kThreads = 4;
+  std::vector<std::string> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] { got[t] = results(*shared); });
+  for (std::thread& t : threads) t.join();
+  for (const std::string& g : got) EXPECT_EQ(g, expected);
+  EXPECT_EQ(shared->storedEmptiness(), std::optional<bool>(false));
+}
 
 }  // namespace
 }  // namespace emm
