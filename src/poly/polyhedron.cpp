@@ -314,7 +314,11 @@ Polyhedron Polyhedron::eliminated(int var) const {
   out.eqs_.resizeRows(eqs_.rows());
   for (int r = 0; r < eqs_.rows(); ++r)
     copyDroppingColumn(eqRow(r), n, var, out.eqs_.rowSpan(r).data());
-  out.ineqs_.resizeRows(ineqs_.rows() - nPos - nNeg + nPos * nNeg);
+  // Rows come from outside the program too (decoded plans and requests),
+  // so a product past the matrix's int row count is an error, not a wrap.
+  const i64 outRows = i64(ineqs_.rows()) - nPos - nNeg + i64(nPos) * nNeg;
+  EMM_REQUIRE(outRows <= INT32_MAX, "Fourier-Motzkin elimination exceeds the row limit");
+  out.ineqs_.resizeRows(static_cast<int>(outRows));
   int w = 0;
   for (int r = 0; r < ineqs_.rows(); ++r)
     if (ineqRow(r)[var] == 0)

@@ -725,6 +725,17 @@ TEST(PolyKernel, ContradictionKeepsTheRowsSerializedBytesCarry) {
   EXPECT_EQ(bytesOf(q), bytesOf(keptQ));
 }
 
+TEST(PolyKernel, EliminationPastTheRowLimitThrows) {
+  // 46,341 distinct rows on each side of x0 combine into more than 2^31
+  // rows: an ApiError, before any of them is written.
+  Polyhedron p(2, 0);
+  for (i64 k = 1; k <= 46341; ++k) {
+    p.addInequality({1, k, 0});
+    p.addInequality({-1, k, 0});
+  }
+  EXPECT_THROW(p.eliminated(0), ApiError);
+}
+
 TEST(PolyEmptiness, ConcurrentEliminationOfASharedSimplifiedPolyhedron) {
   // eliminated(), projectedOnto() and isEmpty() read the simplified mark
   // and fill the stored emptiness answer of one shared const polyhedron;
