@@ -56,16 +56,14 @@ int main() {
     c.numBlocks = 4;
     c.numThreads = 32;
     c.subTile = {8, 8, 4, 4};
-    MePipeline on = buildMePipeline(c);
+    const CompileResult on = buildMePipeline(c);
     c.hoistCopies = false;
-    MePipeline off = buildMePipeline(c);
+    const CompileResult off = buildMePipeline(c);
 
-    auto run = [](MePipeline& p) {
-      ArrayStore store(p.block.arrays);
+    auto run = [&](const CompileResult& p) {
+      ArrayStore store(p.input->arrays);
       store.fillAllPattern(5);
-      IntVec ext = p.paramValues;
-      ext.resize(p.kernel.analysis.tileBlock->paramNames.size(), 0);
-      return executeCodeUnit(p.kernel.unit, ext, store);
+      return executeCodeUnit(p.kernel->unit, p.kernel->unitParams(c.params()), store);
     };
     MemTrace tOn = run(on), tOff = run(off);
     std::printf("\n  interpreter (32x16, w=8): copies %lld vs %lld, global reads %lld vs %lld\n",

@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "driver/compiler.h"
+#include "gpusim/machine.h"
 #include "kernels/me_pipeline.h"
 
 using namespace emm;
@@ -45,8 +45,7 @@ void runTarget(const char* name, const Machine& machine, i64 memBytes, i64 inner
   c.numBlocks = machine.numSMs * 2;
   c.numThreads = innerProcs;
   c.subTile = r.subTile;
-  KernelModel km = modelMe(c);
-  SimResult sim = simulateLaunch(machine, km.launch, km.perBlock);
+  SimResult sim = simulateKernel(machine, *buildMePipeline(c).kernel, c.params(), c.numThreads);
   std::printf("  %-6s tile (%lld,%lld,%lld,%lld) footprint %6lld elems -> %s\n", name,
               r.subTile[0], r.subTile[1], r.subTile[2], r.subTile[3], r.eval.footprint,
               sim.feasible ? (std::to_string(sim.milliseconds) + " ms").c_str()

@@ -15,6 +15,7 @@
 
 #include "bench_util.h"
 #include "driver/compiler.h"
+#include "gpusim/machine.h"
 #include "kernels/me_pipeline.h"
 
 using namespace emm;
@@ -52,8 +53,9 @@ bool has(const std::string& artifact, const char* marker) {
   return artifact.find(marker) != std::string::npos;
 }
 
-/// Machine-model time of one schedule at the given overlap factor. The
-/// synchronous schedule cannot overlap, so it is always costed at 0.
+/// Machine-model time of one schedule's tiles, mapped as Section 6 maps ME,
+/// at the given overlap factor. The synchronous schedule cannot overlap, so
+/// it is always costed at 0.
 double scheduleMs(const CompileResult& r, double overlap) {
   Machine m = Machine::cellLike();
   m.copyComputeOverlap = overlap;
@@ -64,8 +66,7 @@ double scheduleMs(const CompileResult& r, double overlap) {
   c.numBlocks = m.numSMs * 2;
   c.numThreads = 1;  // one context per SPE
   c.subTile = r.search.subTile;
-  KernelModel km = modelMe(c);
-  SimResult sim = simulateLaunch(m, km.launch, km.perBlock);
+  SimResult sim = simulateKernel(m, *buildMePipeline(c).kernel, c.params(), c.numThreads);
   return sim.feasible ? sim.milliseconds : -1.0;
 }
 

@@ -3,7 +3,9 @@
 //
 // Paper setup: NVIDIA 8800 GTX, 32 thread blocks, 256 threads, W = 16,
 // tile sizes (32, 16, 16, 16) from the Section-4.3 search. Expected shape:
-// scratchpad version ~8x faster than DRAM-only; >100x faster than CPU.
+// scratchpad version ~8x faster than DRAM-only; >100x faster than CPU. Each
+// row compiles ME at its size, with and without the scratchpad, and prices
+// the work countCodeUnit counts in the compiled unit.
 //
 // The second table exercises the compilation service in SHARED-PLAN mode:
 // the whole size sweep is compiled with one kernel-family plan (problem
@@ -20,6 +22,8 @@
 #include "codegen/emit.h"
 #include "driver/compiler.h"
 #include "driver/plan_cache.h"
+#include "gpusim/machine.h"
+#include "ir/interp.h"
 #include "kernels/me_pipeline.h"
 
 using namespace emm;
@@ -62,13 +66,12 @@ int main() {
     c.numThreads = 256;
     c.subTile = {32, 16, 16, 16};
 
-    KernelModel with = modelMe(c);
+    MemTrace counted;
+    SimResult rw =
+        simulateKernel(m, *buildMePipeline(c).kernel, c.params(), c.numThreads, &counted);
     c.useScratchpad = false;
-    KernelModel without = modelMe(c);
-
-    SimResult rw = simulateLaunch(m, with.launch, with.perBlock);
-    SimResult rwo = simulateLaunch(m, without.launch, without.perBlock);
-    double cpu = simulateCpuMs(m, with.cpuOps, with.cpuMemElems);
+    SimResult rwo = simulateKernel(m, *buildMePipeline(c).kernel, c.params(), c.numThreads);
+    double cpu = simulateCpuMs(m, counted.arithOps, counted.stmtInstances);
     if (!rw.feasible || !rwo.feasible) {
       std::printf("  %-10s infeasible: %s%s\n", bench::sizeLabel(points).c_str(),
                   rw.infeasibleReason.c_str(), rwo.infeasibleReason.c_str());

@@ -2,14 +2,15 @@
 //
 // Paper setup: 32 blocks, 256 threads, W = 16, problem sizes 8M..64M; the
 // Section-4.3 search picked (32, 16, 16, 16), which beat the alternatives.
-// This driver replays the paper's tile-size legend, prints the simulated
-// time for each, and runs the actual tile-size search to confirm it selects
-// the winning configuration.
+// This driver replays the paper's tile-size legend, compiles ME at each
+// tile and size, prints the simulated time of the work countCodeUnit counts
+// in the compiled unit, and runs the actual tile-size search. It exits 1
+// unless the search's pick is the fastest feasible tile at every size.
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
-#include "driver/compiler.h"
+#include "gpusim/machine.h"
 #include "kernels/me_pipeline.h"
 
 using namespace emm;
@@ -40,8 +41,7 @@ int main() {
       c.numBlocks = 32;
       c.numThreads = 256;
       c.subTile = tiles[t];
-      KernelModel km = modelMe(c);
-      SimResult r = simulateLaunch(m, km.launch, km.perBlock);
+      SimResult r = simulateKernel(m, *buildMePipeline(c).kernel, c.params(), c.numThreads);
       if (!r.feasible) {
         std::printf(" %11s", "infeasible");
         continue;
@@ -63,6 +63,7 @@ int main() {
   // The real tile-size search over the same candidate grid (Section 4.3),
   // through the unified driver (codegen stages skipped: only the search
   // outcome is needed here).
+  std::vector<i64> picked;
   {
     Compiler compiler(buildMeBlock(8192, 1024, 16));
     compiler.parameters({8192, 1024, 16})
@@ -75,12 +76,16 @@ int main() {
     compiler.opts().syncCost = Machine::geforce8800gtx().syncBaseCycles;
     compiler.opts().transferCost = 4;
     CompileResult r = compiler.compile();
-    if (r.ok && r.search.eval.feasible)
+    if (r.ok && r.search.eval.feasible) picked = r.search.subTile;
+    if (!picked.empty())
       std::printf("\n  tile-size search (Sec 4.3) picks (%lld,%lld,%lld,%lld), footprint %lld "
                   "elems, %d evaluations\n",
                   r.search.subTile[0], r.search.subTile[1], r.search.subTile[2],
                   r.search.subTile[3], r.search.eval.footprint, r.search.evaluations);
   }
   std::printf("  paper reports: (32,16,16,16) chosen by the search performs best\n");
+  for (size_t s = 0; s < sizes.size(); ++s)
+    bench::require(bestTile[s] >= 0 && tiles[bestTile[s]] == picked,
+                   "the searched tile is not the fastest feasible tile at every size");
   return 0;
 }

@@ -9,12 +9,14 @@
 //   3. the mapped ME kernel (multi-level tiling + scratchpad management,
 //      Figure 3) built over the same driver,
 //   4. execution + verification against the plain reference,
-//   5. simulated time on the 8800 GTX-like machine.
+//   5. simulated time on the 8800 GTX-like machine, from the work counted
+//      in the compiled unit at the paper's frame size.
 //
 //   ./examples/me_pipeline [--size=NI,NJ,W]
 #include <cstdio>
 
 #include "driver/compiler.h"
+#include "gpusim/machine.h"
 #include "ir/interp.h"
 #include "kernels/me_pipeline.h"
 #include "support/cli.h"
@@ -65,19 +67,18 @@ int main(int argc, char** argv) {
   config.numBlocks = 8;
   config.numThreads = 64;
   config.subTile = r.search.subTile;
-  MePipeline pipeline = buildMePipeline(config);
+  const CompileResult mapped = buildMePipeline(config);
+  const TiledKernel& kernel = *mapped.kernel;
   std::printf("\nbuffers per block (%lld scratchpad elements):\n",
-              pipeline.kernel.footprintPerBlock(pipeline.paramValues));
-  for (const LocalBuffer& b : pipeline.kernel.unit.localBuffers)
+              kernel.footprintPerBlock(config.params()));
+  for (const LocalBuffer& b : kernel.unit.localBuffers)
     std::printf("  %s (%d-d)\n", b.name.c_str(), b.ndim);
 
   // 4. Execute + verify.
-  ArrayStore store(pipeline.block.arrays);
+  ArrayStore store(mapped.input->arrays);
   store.fillAllPattern(11);
   std::vector<double> cur = store.raw(0), ref = store.raw(1), out = store.raw(2);
-  IntVec ext = pipeline.paramValues;
-  ext.resize(pipeline.kernel.analysis.tileBlock->paramNames.size(), 0);
-  MemTrace trace = executeCodeUnit(pipeline.kernel.unit, ext, store);
+  MemTrace trace = executeCodeUnit(kernel.unit, kernel.unitParams(config.params()), store);
   referenceMe(cur, ref, out, ni, nj, w);
   double worst = 0;
   for (i64 i = 0; i < ni; ++i)
@@ -88,18 +89,20 @@ int main(int argc, char** argv) {
               trace.stmtInstances, trace.globalReads + trace.globalWrites, worst,
               worst == 0 ? "OK" : "MISMATCH");
 
-  // 5. Simulated performance at paper scale.
+  // 5. Simulated performance at paper scale: the compiled unit's work,
+  //    counted without executing it.
   MeConfig paperScale;
   paperScale.ni = 8192;
   paperScale.nj = 1024;
   paperScale.w = 16;
   paperScale.subTile = {32, 16, 16, 16};
-  KernelModel km = modelMe(paperScale);
   Machine m = Machine::geforce8800gtx();
-  SimResult sim = simulateLaunch(m, km.launch, km.perBlock);
+  auto simulate = [&](const MeConfig& c) {
+    return simulateKernel(m, *buildMePipeline(c).kernel, c.params(), c.numThreads);
+  };
+  SimResult sim = simulate(paperScale);
   paperScale.useScratchpad = false;
-  KernelModel kmNo = modelMe(paperScale);
-  SimResult simNo = simulateLaunch(m, kmNo.launch, kmNo.perBlock);
+  SimResult simNo = simulate(paperScale);
   std::printf("simulated 8M-point frame: %.0f ms with scratchpad, %.0f ms without (%.1fx)\n",
               sim.milliseconds, simNo.milliseconds, simNo.milliseconds / sim.milliseconds);
   return worst == 0 ? 0 : 1;

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <sstream>
 
+#include "ir/interp.h"
+#include "tiling/multilevel.h"
+
 namespace emm {
 
 BlockWork& BlockWork::operator+=(const BlockWork& o) {
@@ -20,6 +23,16 @@ BlockWork BlockWork::scaled(double f) const {
   w.smemElems = static_cast<i64>(std::llround(static_cast<double>(smemElems) * f));
   w.computeOps = static_cast<i64>(std::llround(static_cast<double>(computeOps) * f));
   w.intraSyncs = static_cast<i64>(std::llround(static_cast<double>(intraSyncs) * f));
+  return w;
+}
+
+BlockWork blockShare(const MemTrace& total, i64 numBlocks) {
+  EMM_CHECK(numBlocks >= 1, "a launch needs at least one block");
+  BlockWork w;
+  w.globalElems = ceilDiv(addChecked(total.globalReads, total.globalWrites), numBlocks);
+  w.smemElems = ceilDiv(addChecked(total.localReads, total.localWrites), numBlocks);
+  w.computeOps = ceilDiv(total.arithOps, numBlocks);
+  w.intraSyncs = ceilDiv(total.syncs, numBlocks);
   return w;
 }
 
@@ -114,6 +127,17 @@ SimResult simulateLaunch(const Machine& m, const LaunchConfig& launch, const Blo
                          static_cast<double>(m.elemBytes);
   r.milliseconds = totalCycles / (m.clockGHz * 1e6);
   return r;
+}
+
+SimResult simulateKernel(const Machine& m, const TiledKernelMembers& kernel,
+                         const IntVec& paramValues, i64 threadsPerBlock, MemTrace* counted) {
+  LaunchConfig launch;
+  launch.numBlocks = kernel.numBlockTiles(paramValues);
+  launch.threadsPerBlock = threadsPerBlock;
+  launch.smemBytesPerBlock = mulChecked(m.elemBytes, kernel.footprintPerBlock(paramValues));
+  const MemTrace total = countCodeUnit(kernel.unit, kernel.unitParams(paramValues));
+  if (counted != nullptr) *counted = total;
+  return simulateLaunch(m, launch, blockShare(total, launch.numBlocks));
 }
 
 double simulateCpuMs(const Machine& m, i64 ops, i64 memElems) {

@@ -23,13 +23,19 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "support/checked_int.h"
 
 namespace emm {
 
+struct MemTrace;
+struct TiledKernelMembers;
+
 /// Machine description. Defaults are the calibrated 8800 GTX-like model;
-/// constants are calibrated once (see DESIGN.md) and reused by every figure.
+/// the constants are calibrated once, so that the machine reproduces the
+/// paper's ~8x ME and ~10x Jacobi scratchpad speedups (see
+/// globalIssueCyclesPerWarp), and reused by every figure.
 struct Machine {
   int numSMs = 16;
   int simdPerSM = 8;
@@ -121,6 +127,11 @@ struct BlockWork {
   BlockWork scaled(double f) const;
 };
 
+/// One block's share of `total`, the trace of a whole unit run by
+/// `numBlocks` blocks: each count divided by the blocks and rounded up, with
+/// the unit's arithmetic operations as compute.
+BlockWork blockShare(const MemTrace& total, i64 numBlocks);
+
 /// Launch shape.
 struct LaunchConfig {
   i64 numBlocks = 1;
@@ -151,6 +162,14 @@ struct SimResult {
 
 /// Simulates a launch where every block performs `perBlock` work.
 SimResult simulateLaunch(const Machine& m, const LaunchConfig& launch, const BlockWork& perBlock);
+
+/// Simulates one launch of a compiled kernel at a binding: one block of
+/// `threadsPerBlock` threads per outer-level tile, each holding
+/// footprintPerBlock scratchpad elements and doing its blockShare of the
+/// unit's counted trace. `counted`, when given, receives that trace.
+SimResult simulateKernel(const Machine& m, const TiledKernelMembers& kernel,
+                         const std::vector<i64>& paramValues, i64 threadsPerBlock,
+                         MemTrace* counted = nullptr);
 
 /// Simulates the single-core CPU baseline executing `ops` scalar operations
 /// and `memElems` memory element accesses.

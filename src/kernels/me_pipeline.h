@@ -1,18 +1,16 @@
-// End-to-end compiler pipeline for the Motion Estimation kernel, plus the
-// analytic performance-counter model used at benchmark problem sizes.
+// The Motion Estimation kernel compiled with the paper's Section-6 mapping.
 //
-// The pipeline is the real thing: block construction -> dependence analysis
-// -> parallelism detection -> multi-level tiling with the Section-3
-// scratchpad framework. Tests execute the resulting CodeUnit through the
-// interpreter at small sizes and check both semantics (against the plain
-// reference) and counters (against the analytic model below); benchmarks
-// then evaluate the analytic model at the paper's problem sizes, where
-// interpretation would be impractically slow.
+// buildMePipeline runs the real pipeline (block construction -> dependence
+// analysis -> parallelism detection -> multi-level tiling with the
+// Section-3 scratchpad framework) at given sub-tile sizes, with block tiles
+// that divide the i range among the thread blocks. Tests execute the
+// resulting unit through the interpreter against the plain reference; the
+// figure benches count it with countCodeUnit at the paper's problem sizes
+// and price the counts on the simulated machine.
 #pragma once
 
-#include "gpusim/machine.h"
+#include "driver/compiler.h"
 #include "kernels/blocks.h"
-#include "tiling/multilevel.h"
 
 namespace emm {
 
@@ -24,28 +22,13 @@ struct MeConfig {
   std::vector<i64> subTile = {32, 16, 16, 16};  ///< (i, j, k, l) sub-tile
   bool useScratchpad = true;
   bool hoistCopies = true;
+
+  IntVec params() const { return {ni, nj, w}; }
 };
 
-/// The compiled kernel (real pipeline output).
-struct MePipeline {
-  ProgramBlock block;
-  TransformResult transform;
-  TiledKernel kernel;
-  IntVec paramValues;  ///< {ni, nj, w}
-};
-
-/// Runs the full pipeline. Block tiles divide the i-range across
-/// `numBlocks` (the paper divides the problem equally among blocks).
-MePipeline buildMePipeline(const MeConfig& config);
-
-/// Analytic per-block work and launch shape for the same mapping.
-/// Validated against interpreter traces in tests/kernels_test.cpp.
-struct KernelModel {
-  LaunchConfig launch;
-  BlockWork perBlock;
-  i64 cpuOps = 0;     ///< scalar ops for the CPU baseline
-  i64 cpuMemElems = 0;  ///< memory elements for the CPU baseline
-};
-KernelModel modelMe(const MeConfig& config);
+/// Compiles ME at `config`: the result's kernel is the mapped Figure-3 unit
+/// over the parameters config.params(). Block tiles divide the i range
+/// across `numBlocks` (the paper divides the problem equally among blocks).
+CompileResult buildMePipeline(const MeConfig& config);
 
 }  // namespace emm

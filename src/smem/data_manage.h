@@ -22,7 +22,8 @@
 //
 // Dimensions of the original array whose accessed extent is a single point
 // are kept as size-1 buffer dimensions rather than dropped; storage cost is
-// identical and access-function rewriting stays uniform (see DESIGN.md).
+// identical and access-function rewriting stays uniform: a buffer has its
+// array's rank, so a rewritten access keeps one index per dimension.
 #pragma once
 
 #include <optional>
@@ -43,8 +44,9 @@ struct Dependence;
 /// (connected components of the overlap graph), but its Figure 1 allocates a
 /// single buffer per array spanning the convex union of ALL of the array's
 /// data spaces (LA[19][10] covers two disjoint row bands). Both behaviors
-/// are provided; MaximalDisjoint is the default and PerArrayUnion
-/// reproduces the figure exactly (see DESIGN.md).
+/// are provided; MaximalDisjoint is the default, since disjoint buffers hold
+/// no storage for the gap between two bands, and PerArrayUnion reproduces
+/// the figure exactly.
 enum class PartitionMode { MaximalDisjoint, PerArrayUnion };
 constexpr PartitionMode enumMax(PartitionMode) { return PartitionMode::PerArrayUnion; }
 

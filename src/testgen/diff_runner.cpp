@@ -22,10 +22,19 @@ namespace {
 /// are bound by the tile loops at run time, so their slots are zero-filled
 /// (the idiom every oracle-comparison test in tests/ uses).
 IntVec unitParams(const CompileResult& r, const IntVec& paramValues) {
-  IntVec ext = paramValues;
   if (r.kernel.has_value() && r.kernel->analysis.tileBlock != nullptr)
-    ext.resize(r.kernel->analysis.tileBlock->paramNames.size(), 0);
-  return ext;
+    return r.kernel->unitParams(paramValues);
+  return paramValues;
+}
+
+/// Executes `unit` into `store` and holds the count view to the run:
+/// countCodeUnit must return the executed trace field for field. Returns
+/// the disagreement, or "" when there is none.
+std::string executeCounted(const CodeUnit& unit, const IntVec& params, ArrayStore& store) {
+  const MemTrace executed = executeCodeUnit(unit, params, store);
+  const MemTrace counted = countCodeUnit(unit, params);
+  if (counted == executed) return "";
+  return "counted " + counted.str() + " but executed " + executed.str();
 }
 
 DiffResult divergence(DiffResult base, const std::string& check, const std::string& detail) {
@@ -133,11 +142,13 @@ DiffResult DiffRunner::run(const GeneratedProgram& program) const {
   if (o.checkPipeline) {
     ArrayStore got(program.block.arrays);
     got.fillAllPattern(o.fillSeed);
+    std::string miscount;
     try {
-      executeCodeUnit(*unit, unitParams(r, program.paramValues), got);
+      miscount = executeCounted(*unit, unitParams(r, program.paramValues), got);
     } catch (const std::exception& e) {
       return divergence(out, "pipeline", std::string("unit execution threw: ") + e.what());
     }
+    if (!miscount.empty()) return divergence(out, "count", "pipeline unit " + miscount);
     const double diff = ArrayStore::maxAbsDiff(got, want);
     if (diff != 0.0)
       return divergence(out, "pipeline",
@@ -178,11 +189,13 @@ DiffResult DiffRunner::run(const GeneratedProgram& program) const {
       return divergence(out, "serialize", "deserialized result lost its code unit");
     ArrayStore got(program.block.arrays);
     got.fillAllPattern(o.fillSeed);
+    std::string miscount;
     try {
-      executeCodeUnit(*unit3, unitParams(r3, program.paramValues), got);
+      miscount = executeCounted(*unit3, unitParams(r3, program.paramValues), got);
     } catch (const std::exception& e) {
       return divergence(out, "serialize", std::string("deserialized unit threw: ") + e.what());
     }
+    if (!miscount.empty()) return divergence(out, "count", "deserialized unit " + miscount);
     if (ArrayStore::maxAbsDiff(got, want) != 0.0)
       return divergence(out, "serialize", "deserialized unit diverges from oracle");
     // Re-emit: the deserialized unit, with the deserialized buffer layout,
@@ -272,11 +285,14 @@ DiffResult DiffRunner::run(const GeneratedProgram& program) const {
             return divergence(out, "bind", what + " result lost its code unit");
           ArrayStore gotS(probeBlock.arrays);
           gotS.fillAllPattern(o.fillSeed);
+          std::string miscount;
           try {
-            executeCodeUnit(*unit, unitParams(*res, scaled), gotS);
+            miscount = executeCounted(*unit, unitParams(*res, scaled), gotS);
           } catch (const std::exception& e) {
             return divergence(out, "bind", what + " unit threw at scaled size: " + e.what());
           }
+          if (!miscount.empty())
+            return divergence(out, "count", what + " unit at a scaled size " + miscount);
           const double diffS = ArrayStore::maxAbsDiff(gotS, wantS);
           if (diffS != 0.0)
             return divergence(out, "bind",
@@ -316,11 +332,14 @@ DiffResult DiffRunner::run(const GeneratedProgram& program) const {
         return divergence(out, "wire", "served result " + what + " lost its code unit");
       ArrayStore got(block.arrays);
       got.fillAllPattern(o.fillSeed);
+      std::string miscount;
       try {
-        executeCodeUnit(*unitW, unitParams(reply.result, sizes), got);
+        miscount = executeCounted(*unitW, unitParams(reply.result, sizes), got);
       } catch (const std::exception& e) {
         return divergence(out, "wire", "served unit " + what + " threw: " + e.what());
       }
+      if (!miscount.empty())
+        return divergence(out, "count", "served unit " + what + " " + miscount);
       if (ArrayStore::maxAbsDiff(got, wantStore) != 0.0)
         return divergence(out, "wire", "served unit " + what + " diverges from oracle");
       return std::nullopt;

@@ -27,6 +27,10 @@
 //                guards or the argmin re-certification reject must fall
 //                back to a clean full pipeline — never a wrong answer
 //
+// Every unit a view executes is also counted (countCodeUnit): the count
+// view must return the executed trace field for field, or the run reports
+// a "count" divergence.
+//
 // Element-exact comparison is sound here: a legal transformation preserves
 // each element's read/write operand sequence, so results are bit-identical
 // — any nonzero difference is a real miscompile, not noise.
@@ -77,7 +81,8 @@ struct DiffResult {
   bool compiled = false;  ///< pipeline produced an executable unit
   bool fellBack = false;  ///< clean rejection (error diagnostic, or no unit)
   int boundSizes = 0;     ///< bind view: scaled sizes served by a record bind
-  std::string failedCheck;  ///< "pipeline" | "parametric" | "serialize" | "bind" | "wire"
+  /// "pipeline" | "parametric" | "serialize" | "bind" | "wire" | "count"
+  std::string failedCheck;
   std::string detail;       ///< human-readable description of the divergence
 };
 

@@ -279,12 +279,17 @@ i64 TiledKernelMembers::numBlockTiles(const IntVec& paramValues) const {
 
 i64 TiledKernelMembers::footprintPerBlock(const IntVec& paramValues) const {
   if (analysis.plan.block == nullptr) return 0;
-  IntVec extended = paramValues;
-  extended.resize(analysis.tileBlock->paramNames.size(), 0);
+  const IntVec extended = unitParams(paramValues);
   i64 total = 0;
   for (size_t p = 0; p < analysis.plan.partitions.size(); ++p)
     total = addChecked(total, analysis.plan.bufferFootprint(static_cast<int>(p), extended));
   return total;
+}
+
+IntVec TiledKernelMembers::unitParams(const IntVec& paramValues) const {
+  IntVec extended = paramValues;
+  extended.resize(analysis.tileBlock->paramNames.size(), 0);
+  return extended;
 }
 
 TiledKernel buildTiledKernel(const ProgramBlock& block, const ParallelismPlan& plan,

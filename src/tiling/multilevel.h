@@ -153,6 +153,9 @@ struct TiledKernelMembers {
   i64 numBlockTiles(const IntVec& paramValues) const;
   /// Scratchpad elements needed per block instance.
   i64 footprintPerBlock(const IntVec& paramValues) const;
+  /// `paramValues` extended by the tile-origin parameters, zero-filled: the
+  /// binding executeCodeUnit and countCodeUnit take for `unit`.
+  IntVec unitParams(const IntVec& paramValues) const;
 
   void rebindBlocks(const TiledKernelMembers&) { unit.source = analysis.tileBlock.get(); }
 

@@ -4,6 +4,7 @@
 
 #include "codegen/emit.h"
 #include "driver/compiler.h"
+#include "gpusim/machine.h"
 #include "ir/interp.h"
 #include "kernels/blocks.h"
 #include "kernels/jacobi2d_mapped.h"
@@ -40,13 +41,13 @@ TEST(CudaBackend, TiledMeKernel) {
   c.numBlocks = 2;
   c.numThreads = 32;
   c.subTile = {4, 4, 4, 4};
-  MePipeline p = buildMePipeline(c);
+  CompileResult p = buildMePipeline(c);
   CompileOptions copts;
   copts.backendName = "cuda";
   copts.paramValues = {c.ni, c.nj, c.w};
   copts.numBoundParams = 3;  // origins stay loop-bound
   copts.kernelName = "me_sad";
-  std::string cu = emitArtifact(p.kernel.unit, copts, nullptr, nullptr);
+  std::string cu = emitArtifact(p.kernel->unit, copts, nullptr, nullptr);
   // Two block-parallel loops -> blockIdx.x and blockIdx.y.
   EXPECT_NE(cu.find("blockIdx.x"), std::string::npos) << cu;
   EXPECT_NE(cu.find("blockIdx.y"), std::string::npos) << cu;
@@ -106,11 +107,9 @@ TEST(CellMachine, StagedMeRunsFasterThanDma) {
   c.numBlocks = 8;
   c.numThreads = 1;
   c.subTile = {32, 16, 16, 16};
-  KernelModel with = modelMe(c);
+  SimResult rw = simulateKernel(cell, *buildMePipeline(c).kernel, c.params(), c.numThreads);
   c.useScratchpad = false;
-  KernelModel without = modelMe(c);
-  SimResult rw = simulateLaunch(cell, with.launch, with.perBlock);
-  SimResult rwo = simulateLaunch(cell, without.launch, without.perBlock);
+  SimResult rwo = simulateKernel(cell, *buildMePipeline(c).kernel, c.params(), c.numThreads);
   ASSERT_TRUE(rw.feasible) << rw.infeasibleReason;
   ASSERT_TRUE(rwo.feasible);
   EXPECT_GT(rwo.milliseconds, rw.milliseconds);

@@ -2,6 +2,7 @@
 // module test can check.
 //
 //  - transform -> tiling -> smem -> interpreter round trips on every kernel,
+//  - the count view (countCodeUnit) against executed traces,
 //  - plan-level volume bounds vs interpreter-measured traffic,
 //  - cost-model occurrence counts vs interpreter-measured copy executions,
 //  - footprint accounting vs simulator feasibility,
@@ -9,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "codegen/emit.h"
+#include "driver/compiler.h"
+#include "gpusim/machine.h"
 #include "ir/interp.h"
 #include "kernels/jacobi_mapped.h"
 #include "kernels/me_pipeline.h"
@@ -36,24 +39,20 @@ TEST_P(MePipelineRoundTrip, SemanticsAndCounters) {
   c.subTile = pc.subTile;
   c.numBlocks = pc.blocks;
   c.numThreads = pc.threads;
-  MePipeline p = buildMePipeline(c);
+  CompileResult p = buildMePipeline(c);
 
-  ArrayStore store(p.block.arrays);
+  ArrayStore store(p.input->arrays);
   store.fillAllPattern(3);
   std::vector<double> cur = store.raw(0), ref = store.raw(1), out = store.raw(2);
-  IntVec ext = p.paramValues;
-  ext.resize(p.kernel.analysis.tileBlock->paramNames.size(), 0);
-  MemTrace t = executeCodeUnit(p.kernel.unit, ext, store);
+  const IntVec ext = p.kernel->unitParams(c.params());
+  MemTrace t = executeCodeUnit(p.kernel->unit, ext, store);
   referenceMe(cur, ref, out, c.ni, c.nj, c.w);
   for (i64 i = 0; i < c.ni; ++i)
     for (i64 j = 0; j < c.nj; ++j)
       ASSERT_NEAR(store.get(2, {i, j}), out[i * c.nj + j], 1e-9);
 
-  // Counter model agrees with the measured trace.
-  KernelModel m = modelMe(c);
-  i64 blocks = p.kernel.numBlockTiles(p.paramValues);
-  EXPECT_EQ(m.perBlock.globalElems * blocks, t.globalReads + t.globalWrites);
-  EXPECT_EQ(m.perBlock.smemElems * blocks, t.localReads + t.localWrites);
+  // The count view agrees with the measured trace.
+  EXPECT_EQ(countCodeUnit(p.kernel->unit, ext), t);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -62,6 +61,49 @@ INSTANTIATE_TEST_SUITE_P(
                       PipelineCase{32, 16, 4, {8, 8, 4, 4}, 4, 64},
                       PipelineCase{16, 16, 8, {8, 8, 8, 8}, 2, 32},
                       PipelineCase{24, 12, 4, {4, 4, 2, 2}, 6, 32}));
+
+// ---- The count view equals execution on every built-in unit. ----
+
+TEST(Integration, CountedTraceEqualsExecutedOnBuiltins) {
+  struct Case {
+    std::string kernel;
+    std::vector<i64> sizes;
+  };
+  for (const Case& k : {Case{"me", {24, 12, 4}}, Case{"matmul", {20, 12, 16}},
+                        Case{"figure1", {}}})
+    for (bool scratchpad : {true, false})
+      for (bool hoist : {true, false}) {
+        IntVec params;
+        ProgramBlock block = buildKernelByName(k.kernel, k.sizes, params);
+        const bool fig1 = k.kernel == "figure1";
+        CompileResult r = Compiler(block)
+                              .parameters(params)
+                              .scratchpadOnly(fig1)
+                              .stageEverything(fig1)
+                              .partition(fig1 ? PartitionMode::PerArrayUnion
+                                              : PartitionMode::MaximalDisjoint)
+                              .useScratchpad(scratchpad)
+                              .hoistCopies(hoist)
+                              .memoryLimitBytes(1 << 20)
+                              .innerProcs(4)
+                              .compile();
+        const std::string what = k.kernel + (scratchpad ? " smem" : " global") +
+                                 (hoist ? " hoisted" : " innermost");
+        ASSERT_TRUE(r.ok) << what << ": " << r.firstError();
+        ASSERT_NE(r.unit(), nullptr) << what;
+        const IntVec ext = r.kernel ? r.kernel->unitParams(params) : params;
+        ArrayStore got(r.block().arrays), want(r.block().arrays);
+        got.fillAllPattern(9);
+        want.fillAllPattern(9);
+        const MemTrace executed = executeCodeUnit(*r.unit(), ext, got);
+        executeReference(r.block(), params, want);
+        EXPECT_EQ(ArrayStore::maxAbsDiff(got, want), 0.0) << what;
+        EXPECT_EQ(countCodeUnit(*r.unit(), ext), executed)
+            << what << ": counted " << countCodeUnit(*r.unit(), ext).str() << " vs executed "
+            << executed.str();
+        EXPECT_GT(executed.arithOps, 0) << what;
+      }
+}
 
 // ---- Volume bounds dominate measured traffic. ----
 
@@ -139,23 +181,29 @@ TEST(Integration, OccurrenceCountsMatchInterpreter) {
 // ---- Footprint accounting matches the simulator's occupancy rule. ----
 
 TEST(Integration, FootprintDrivesOccupancy) {
+  // 64 block tiles of 16 rows, more than the footprint lets the 16 SMs
+  // hold at once.
   MeConfig c;
-  c.ni = 64;
+  c.ni = 1024;
   c.nj = 64;
   c.w = 8;
-  c.numBlocks = 32;
+  c.numBlocks = 64;
   c.numThreads = 64;
   c.subTile = {16, 16, 8, 8};
-  MePipeline p = buildMePipeline(c);
-  KernelModel m = modelMe(c);
-  EXPECT_EQ(m.launch.smemBytesPerBlock, 4 * p.kernel.footprintPerBlock(p.paramValues));
+  CompileResult p = buildMePipeline(c);
+  ASSERT_EQ(p.kernel->numBlockTiles(c.params()), c.numBlocks);
+  const i64 smemBytesPerBlock = 4 * p.kernel->footprintPerBlock(c.params());
+  // The footprint is the unit's declared buffers, conflict padding aside.
+  EXPECT_LE(p.kernel->footprintPerBlock(c.params()),
+            scratchpadFootprint(p.kernel->unit, p.kernel->unitParams(c.params())));
 
   Machine machine = Machine::geforce8800gtx();
-  SimResult r = simulateLaunch(machine, m.launch, m.perBlock);
+  SimResult r = simulateKernel(machine, *p.kernel, c.params(), c.numThreads);
   ASSERT_TRUE(r.feasible);
-  i64 expectPerSM = std::min<i64>(machine.maxBlocksPerSM,
-                                  machine.smemBytesPerSM / m.launch.smemBytesPerBlock);
+  i64 expectPerSM =
+      std::min<i64>(machine.maxBlocksPerSM, machine.smemBytesPerSM / smemBytesPerBlock);
   EXPECT_EQ(r.concurrentBlocks, std::min<i64>(c.numBlocks, expectPerSM * machine.numSMs));
+  EXPECT_LT(r.concurrentBlocks, c.numBlocks);
 }
 
 // ---- The searched tile is the fastest simulated configuration. ----
@@ -174,8 +222,7 @@ TEST(Integration, SearchedTileWinsSimulation) {
     c.nj = 1024;
     c.w = 16;
     c.subTile = tiles[t];
-    KernelModel km = modelMe(c);
-    SimResult r = simulateLaunch(m, km.launch, km.perBlock);
+    SimResult r = simulateKernel(m, *buildMePipeline(c).kernel, c.params(), c.numThreads);
     ASSERT_TRUE(r.feasible);
     if (r.milliseconds < bestMs) {
       bestMs = r.milliseconds;
@@ -231,16 +278,15 @@ TEST(Integration, MeScratchpadSpeedupInPaperRange) {
   c.nj = 1024;
   c.w = 16;
   c.subTile = {32, 16, 16, 16};
-  KernelModel with = modelMe(c);
+  MemTrace counted;
+  SimResult rw = simulateKernel(m, *buildMePipeline(c).kernel, c.params(), c.numThreads, &counted);
   c.useScratchpad = false;
-  KernelModel without = modelMe(c);
-  SimResult rw = simulateLaunch(m, with.launch, with.perBlock);
-  SimResult rwo = simulateLaunch(m, without.launch, without.perBlock);
+  SimResult rwo = simulateKernel(m, *buildMePipeline(c).kernel, c.params(), c.numThreads);
   ASSERT_TRUE(rw.feasible && rwo.feasible);
   double speedup = rwo.milliseconds / rw.milliseconds;
   EXPECT_GT(speedup, 5.0);
   EXPECT_LT(speedup, 12.0);  // paper: ~8x
-  double cpuRatio = simulateCpuMs(m, with.cpuOps, with.cpuMemElems) / rw.milliseconds;
+  double cpuRatio = simulateCpuMs(m, counted.arithOps, counted.stmtInstances) / rw.milliseconds;
   EXPECT_GT(cpuRatio, 50.0);  // paper: >100x
 }
 
@@ -254,8 +300,8 @@ TEST(Integration, EmittedTiledCodeIsComplete) {
   c.numBlocks = 2;
   c.numThreads = 32;
   c.subTile = {4, 4, 4, 4};
-  MePipeline p = buildMePipeline(c);
-  std::string code = emitC(p.kernel.unit);
+  CompileResult p = buildMePipeline(c);
+  std::string code = emitC(p.kernel->unit);
   // All three buffers declared.
   EXPECT_NE(code.find("Lcur0"), std::string::npos);
   EXPECT_NE(code.find("Lref1"), std::string::npos);

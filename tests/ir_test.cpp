@@ -149,6 +149,16 @@ TEST(BoundExprAst, MaxMinEval) {
   EXPECT_EQ(ub.str(), "min(10, n)");
 }
 
+/// Executes `unit` and holds the count view to the run: countCodeUnit must
+/// return the executed trace on every field.
+MemTrace executeAndCount(const CodeUnit& unit, const IntVec& params, ArrayStore& store) {
+  const MemTrace executed = executeCodeUnit(unit, params, store);
+  const MemTrace counted = countCodeUnit(unit, params);
+  EXPECT_EQ(counted, executed) << "counted " << counted.str() << " vs executed "
+                               << executed.str();
+  return executed;
+}
+
 TEST(Interp, ForLoopWithCopies) {
   // Unit: for i in [0, 7]: B[i] = A[i], on global arrays only.
   ProgramBlock block;
@@ -164,7 +174,7 @@ TEST(Interp, ForLoopWithCopies) {
 
   ArrayStore store(block.arrays);
   store.fillPattern(0, 1);
-  MemTrace trace = executeCodeUnit(unit, {}, store);
+  MemTrace trace = executeAndCount(unit, {}, store);
   EXPECT_EQ(trace.globalReads, 8);
   EXPECT_EQ(trace.globalWrites, 8);
   EXPECT_EQ(trace.copyElements, 8);
@@ -198,7 +208,7 @@ TEST(Interp, LocalBufferRoundTrip) {
 
   ArrayStore store(block.arrays);
   store.fillPattern(0, 9);
-  MemTrace trace = executeCodeUnit(unit, {}, store);
+  MemTrace trace = executeAndCount(unit, {}, store);
   EXPECT_EQ(trace.globalReads, 4);
   EXPECT_EQ(trace.globalWrites, 4);
   EXPECT_EQ(trace.localReads, 4);
@@ -220,8 +230,13 @@ TEST(Interp, GuardSkipsBody) {
   // Guard i - 2 >= 0: only i in {2, 3} copy.
   AstNode* g = loop->addChild(AstNode::guard({AffExpr::var("i").plus(-2)}));
   g->addChild(AstNode::copy(1, {AffExpr::var("i")}, 0, {AffExpr::var("i")}));
+  // An empty range: for j in [i + 1, i] runs nothing.
+  AstNode* empty = loop->addChild(AstNode::forLoop(
+      "j", BoundExpr::single(AffExpr::var("i").plus(1), true),
+      BoundExpr::single(AffExpr::var("i"), false)));
+  empty->addChild(AstNode::copy(1, {AffExpr::var("j")}, 0, {AffExpr::var("j")}));
   ArrayStore store(block.arrays);
-  MemTrace trace = executeCodeUnit(unit, {}, store);
+  MemTrace trace = executeAndCount(unit, {}, store);
   EXPECT_EQ(trace.copyElements, 2);
 }
 
@@ -235,8 +250,14 @@ TEST(Interp, SyncCounting) {
       "i", BoundExpr::single(AffExpr::constant(0), true),
       BoundExpr::single(AffExpr::constant(4), false)));
   loop->addChild(AstNode::sync());
+  // for p in [i, min(4, i)]: the enclosing i <= 4 implies the bound is i,
+  // so the counter sees one trip whatever i is.
+  AstNode* point = loop->addChild(AstNode::forLoop(
+      "p", BoundExpr::single(AffExpr::var("i"), true),
+      BoundExpr{{AffExpr::constant(4), AffExpr::var("i")}, false}));
+  point->addChild(AstNode::sync());
   ArrayStore store(block.arrays);
-  EXPECT_EQ(executeCodeUnit(unit, {}, store).syncs, 5);
+  EXPECT_EQ(executeAndCount(unit, {}, store).syncs, 10);
 }
 
 TEST(Interp, StepLoop) {
@@ -251,7 +272,7 @@ TEST(Interp, StepLoop) {
                        BoundExpr::single(AffExpr::constant(15), false), 4));
   loop->addChild(AstNode::copy(1, {AffExpr::var("i")}, 0, {AffExpr::var("i")}));
   ArrayStore store(block.arrays);
-  EXPECT_EQ(executeCodeUnit(unit, {}, store).copyElements, 4);  // i = 0,4,8,12
+  EXPECT_EQ(executeAndCount(unit, {}, store).copyElements, 4);  // i = 0,4,8,12
 }
 
 TEST(Emit, RendersLoopAndCopy) {

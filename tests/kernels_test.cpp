@@ -1,10 +1,12 @@
-// End-to-end kernel tests: the full ME compiler pipeline, the Jacobi
-// concurrent-start mapped kernel, and the analytic counter models the
-// benchmarks rely on (validated against executed counts).
+// End-to-end kernel tests: the full ME compiler pipeline with its counted
+// work (checked against executed counts, and pinned at a paper-scale row),
+// the Jacobi concurrent-start mapped kernel and its analytic counter model
+// (validated against executed counts).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "gpusim/machine.h"
 #include "ir/interp.h"
 #include "kernels/jacobi_mapped.h"
 #include "kernels/me_pipeline.h"
@@ -27,14 +29,12 @@ MeConfig smallMe() {
 
 TEST(MePipeline, EndToEndSemantics) {
   MeConfig c = smallMe();
-  MePipeline p = buildMePipeline(c);
+  CompileResult p = buildMePipeline(c);
 
-  ArrayStore got(p.block.arrays);
+  ArrayStore got(p.input->arrays);
   got.fillAllPattern(31);
   std::vector<double> cur = got.raw(0), ref = got.raw(1), out = got.raw(2);
-  IntVec ext = p.paramValues;
-  ext.resize(p.kernel.analysis.tileBlock->paramNames.size(), 0);
-  executeCodeUnit(p.kernel.unit, ext, got);
+  executeCodeUnit(p.kernel->unit, p.kernel->unitParams(c.params()), got);
   referenceMe(cur, ref, out, c.ni, c.nj, c.w);
   for (i64 i = 0; i < c.ni; ++i)
     for (i64 j = 0; j < c.nj; ++j)
@@ -42,59 +42,97 @@ TEST(MePipeline, EndToEndSemantics) {
 }
 
 TEST(MePipeline, TransformFindsSpaceLoops) {
-  MePipeline p = buildMePipeline(smallMe());
-  EXPECT_EQ(p.transform.plan.spaceLoops, (std::vector<int>{0, 1}));
-  EXPECT_FALSE(p.transform.plan.needsInterBlockSync);
+  CompileResult p = buildMePipeline(smallMe());
+  EXPECT_EQ(p.plan.spaceLoops, (std::vector<int>{0, 1}));
+  EXPECT_FALSE(p.plan.needsInterBlockSync);
 }
 
-TEST(MePipeline, ModelMatchesInterpreterWithScratchpad) {
-  MeConfig c = smallMe();
-  MePipeline p = buildMePipeline(c);
-  KernelModel m = modelMe(c);
-
-  ArrayStore store(p.block.arrays);
-  IntVec ext = p.paramValues;
-  ext.resize(p.kernel.analysis.tileBlock->paramNames.size(), 0);
-  MemTrace t = executeCodeUnit(p.kernel.unit, ext, store);
-
-  i64 blocks = p.kernel.numBlockTiles(p.paramValues);
-  EXPECT_EQ(blocks, c.numBlocks);
-  // Analytic per-block counters * blocks == interpreted totals.
-  EXPECT_EQ(m.perBlock.globalElems * blocks, t.globalReads + t.globalWrites);
-  EXPECT_EQ(m.perBlock.smemElems * blocks, t.localReads + t.localWrites);
-  EXPECT_EQ(m.perBlock.intraSyncs * blocks, t.syncs);
-  // Scratchpad footprint matches the model's smem bytes.
-  EXPECT_EQ(m.launch.smemBytesPerBlock, 4 * p.kernel.footprintPerBlock(p.paramValues));
+/// The executed trace of the compiled ME unit at `c`, checked against the
+/// count view, which must agree on every field.
+MemTrace executedAndCounted(const MeConfig& c, const CompileResult& p) {
+  ArrayStore store(p.input->arrays);
+  const IntVec ext = p.kernel->unitParams(c.params());
+  const MemTrace executed = executeCodeUnit(p.kernel->unit, ext, store);
+  EXPECT_EQ(countCodeUnit(p.kernel->unit, ext), executed)
+      << "counted " << countCodeUnit(p.kernel->unit, ext).str() << " vs executed "
+      << executed.str();
+  return executed;
 }
 
-TEST(MePipeline, ModelMatchesInterpreterWithoutScratchpad) {
-  MeConfig c = smallMe();
-  c.useScratchpad = false;
-  MePipeline p = buildMePipeline(c);
-  KernelModel m = modelMe(c);
-  ArrayStore store(p.block.arrays);
-  IntVec ext = p.paramValues;
-  ext.resize(p.kernel.analysis.tileBlock->paramNames.size(), 0);
-  MemTrace t = executeCodeUnit(p.kernel.unit, ext, store);
-  i64 blocks = p.kernel.numBlockTiles(p.paramValues);
-  EXPECT_EQ(m.perBlock.globalElems * blocks, t.globalReads + t.globalWrites);
-  EXPECT_EQ(t.localReads + t.localWrites, 0);
+TEST(MePipeline, CountMatchesInterpreterWithScratchpad) {
+  for (bool hoist : {true, false}) {
+    MeConfig c = smallMe();
+    c.hoistCopies = hoist;
+    CompileResult p = buildMePipeline(c);
+    const MemTrace t = executedAndCounted(c, p);
+    EXPECT_EQ(p.kernel->numBlockTiles(c.params()), c.numBlocks);
+    // Every statement instance does |cur - ref| and the accumulation.
+    EXPECT_EQ(t.stmtInstances, c.ni * c.nj * c.w * c.w);
+    EXPECT_EQ(t.arithOps, 3 * t.stmtInstances);
+    EXPECT_GT(t.syncs, 0);
+    EXPECT_GT(t.localReads, 0);
+  }
+}
+
+TEST(MePipeline, CountMatchesInterpreterWithoutScratchpad) {
+  for (bool hoist : {true, false}) {
+    MeConfig c = smallMe();
+    c.useScratchpad = false;
+    c.hoistCopies = hoist;
+    CompileResult p = buildMePipeline(c);
+    const MemTrace t = executedAndCounted(c, p);
+    EXPECT_EQ(t.globalReads + t.globalWrites, 4 * t.stmtInstances);
+    EXPECT_EQ(t.localReads + t.localWrites, 0);
+    EXPECT_EQ(t.syncs, 0);
+  }
 }
 
 TEST(MePipeline, ScratchpadCutsGlobalTraffic) {
+  auto globalElems = [](const MeConfig& c) {
+    const CompileResult p = buildMePipeline(c);
+    const MemTrace t = countCodeUnit(p.kernel->unit, p.kernel->unitParams(c.params()));
+    return t.globalReads + t.globalWrites;
+  };
   MeConfig c = smallMe();
-  KernelModel with = modelMe(c);
+  const i64 with = globalElems(c);
   c.useScratchpad = false;
-  KernelModel without = modelMe(c);
   // At w=4 the per-element reuse factor is ~8; at the paper's w=16 it is
   // far larger (checked below).
-  EXPECT_LT(with.perBlock.globalElems * 4, without.perBlock.globalElems);
+  EXPECT_LT(with * 4, globalElems(c));
 
   MeConfig paper;  // defaults: w=16, tiles {32,16,16,16}
-  KernelModel pw = modelMe(paper);
+  const i64 paperWith = globalElems(paper);
   paper.useScratchpad = false;
-  KernelModel pwo = modelMe(paper);
-  EXPECT_LT(pw.perBlock.globalElems * 30, pwo.perBlock.globalElems);
+  EXPECT_LT(paperWith * 30, globalElems(paper));
+}
+
+TEST(MePipeline, CountsFig4RowAtPaperScale) {
+  // Figure 4's 4M-point row, counted in the compiled unit: per-block work
+  // at 32 blocks. The switch to the scratchpad moves no statement instance.
+  MeConfig c;
+  c.ni = 4096;
+  c.nj = 1024;
+  c.w = 16;
+  c.numBlocks = 32;
+  auto perBlock = [](const MeConfig& c, MemTrace& total) {
+    const CompileResult p = buildMePipeline(c);
+    EXPECT_EQ(p.kernel->numBlockTiles(c.params()), 32);
+    total = countCodeUnit(p.kernel->unit, p.kernel->unitParams(c.params()));
+    return blockShare(total, 32);
+  };
+  MemTrace with, without;
+  const BlockWork w = perBlock(c, with);
+  EXPECT_EQ(w.globalElems, 1'008'128);
+  EXPECT_EQ(w.smemElems, 135'225'856);
+  EXPECT_EQ(w.intraSyncs, 1'024);
+  EXPECT_EQ(ceilDiv(with.stmtInstances, 32), 33'554'432);
+  EXPECT_EQ(w.computeOps, 3 * 33'554'432);
+
+  c.useScratchpad = false;
+  const BlockWork wo = perBlock(c, without);
+  EXPECT_EQ(wo.globalElems, 134'217'728);
+  EXPECT_EQ(wo.smemElems, 0);
+  EXPECT_EQ(without.stmtInstances, with.stmtInstances);
 }
 
 // ---- Jacobi mapped kernel. ----

@@ -323,7 +323,7 @@ TEST(SmemEdges, ScalarLikeAccessSizeOneBuffer) {
 
 TEST(SmemEdges, MultiDimBufferWithMixedExtent) {
   // Access A[i][5]: dim-1 extent is 1; buffer is R x 1 (rank-deficient dims
-  // kept as size-1, see DESIGN.md).
+  // kept as size-1, see src/smem/data_manage.h).
   ProgramBlock block;
   block.name = "col";
   block.arrays = {{"A", {16, 16}}, {"B", {16}}};

@@ -37,7 +37,7 @@ void expectSemanticsPreserved(const ProgramBlock& block, const IntVec& params,
 // ---- Figure 1 worked example. ----
 
 /// Figure 1 allocates one buffer per array (convex union of all of the
-/// array's data spaces) — the PerArrayUnion mode; see DESIGN.md.
+/// array's data spaces) — the PerArrayUnion mode; see PartitionMode.
 SmemOptions figure1Options() {
   SmemOptions o = basicOptions();
   o.partitionMode = PartitionMode::PerArrayUnion;

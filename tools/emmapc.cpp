@@ -24,7 +24,7 @@
 // With a comma-separated --kernel list, the blocks are compiled as one
 // batch over --jobs workers and one summary line is printed per kernel
 // (--emit=stats adds per-kernel search/timing lines; artifacts and
-// interpreter counters are printed for single-kernel runs only). Repeating
+// work counters are printed for single-kernel runs only). Repeating
 // a kernel with --cache=on --jobs=1 demonstrates a warm plan-cache hit in
 // a single process; running twice with the same --cache-dir demonstrates a
 // disk hit across processes (the second run skips the pipeline entirely
@@ -80,7 +80,7 @@ constexpr const char* kHelp =
     "  --emit=MODE              artifact to print (default plan):\n"
     "                           c | cuda | cell  rendered source for that backend\n"
     "                           plan             scratchpad plan summary\n"
-    "                           stats            interpreter counters + timings\n"
+    "                           stats            counted work counters + timings\n"
     "  --no-hoist               disable Section-4.2 copy hoisting\n"
     "  --machine=gpu|cell       simulated target (default gpu); cell stages every\n"
     "                           reference through the local store\n"
@@ -199,8 +199,7 @@ void printTiledPlan(const CompileResult& r, const IntVec& params) {
         std::printf("%s%s", d ? ", " : "", part.offset[d].str().c_str());
       std::printf(")  size (");
       std::vector<std::pair<std::string, i64>> env;
-      IntVec ext = params;
-      ext.resize(kernel.analysis.tileBlock->paramNames.size(), 0);
+      const IntVec ext = kernel.unitParams(params);
       for (size_t j = 0; j < kernel.analysis.tileBlock->paramNames.size(); ++j)
         env.emplace_back(kernel.analysis.tileBlock->paramNames[j], ext[j]);
       for (size_t d = 0; d < part.sizeExpr.size(); ++d)
@@ -214,11 +213,8 @@ void printTiledPlan(const CompileResult& r, const IntVec& params) {
 }
 
 void printStats(const CompileResult& r, const IntVec& params) {
-  ArrayStore store(r.input->arrays);
-  store.fillAllPattern(1);
-  IntVec ext = params;
-  ext.resize(r.kernel->analysis.tileBlock->paramNames.size(), 0);
-  MemTrace t = executeCodeUnit(*r.unit(), ext, store);
+  const IntVec ext = r.kernel->unitParams(params);
+  const MemTrace t = countCodeUnit(*r.unit(), ext);
   std::printf("statement instances : %lld\n", t.stmtInstances);
   std::printf("global reads/writes : %lld / %lld\n", t.globalReads, t.globalWrites);
   std::printf("local reads/writes  : %lld / %lld\n", t.localReads, t.localWrites);
@@ -299,7 +295,7 @@ int runBatch(Compiler& compiler, const std::vector<std::string>& kernels,
         std::printf("           bind %.3fms: %zu runtime args filled, no emission\n", bindMs,
                     r.boundArgs.size());
       }
-      // Per-kernel summary stats (full interpreter counters need the
+      // Per-kernel summary stats (full work counters need the
       // single-kernel path).
       std::printf("           tile search %d evaluations (%d memo hits)%s%s",
                   r.search.evaluations, r.search.memoHits,
