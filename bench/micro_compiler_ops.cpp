@@ -1,13 +1,16 @@
 // Google-benchmark microbenchmarks of the compiler substrate: the
 // polyhedral operations dominating compile time (Fourier-Motzkin
-// projection, images, set difference, scanning), dependence analysis and
-// the Section-3 block analysis.
+// projection, images, set difference, scanning), dependence analysis, the
+// Section-3 block analysis, and the family binder's plan-only tile search.
 #include <benchmark/benchmark.h>
 
 #include "codegen/scan.h"
 #include "deps/dependence.h"
 #include "driver/compiler.h"
+#include "driver/family_plan.h"
+#include "driver/plan_cache.h"
 #include "kernels/blocks.h"
+#include "tilesearch/tile_evaluator.h"
 #include "poly/enumerate.h"
 #include "smem/data_manage.h"
 #include "tiling/multilevel.h"
@@ -136,6 +139,40 @@ void BM_DriverFullPipeline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DriverFullPipeline);
+
+void BM_PlanOnlySearch(benchmark::State& state) {
+  // The search step of a family bind (runtime_binder.h, certifyBind step
+  // 2): the compile's descent solver over a plan-only TileEvaluator at a
+  // size the family has not seen, so every iteration binds fresh sizes and
+  // evaluates its candidates from scratch. Arg 0: ME (sizes from the
+  // family-sweep workload's pool, Ni = 256 + 16k); arg 1: matmul (a step-4
+  // grid over [128, 256]^3).
+  const bool me = state.range(0) == 0;
+  IntVec params;
+  ProgramBlock block = me ? buildKernelByName("me", {256, 128, 16}, params)
+                          : buildKernelByName("matmul", {128, 128, 128}, params);
+  PlanCache cache;
+  Compiler c(block);
+  c.parameters(params).cache(&cache);
+  if (!c.compile().ok) state.SkipWithError("family warm-up did not compile");
+  std::shared_ptr<const FamilyPlan> family = c.cachedFamily(block);
+  if (family == nullptr || family->tilePlan == nullptr) {
+    state.SkipWithError("family has no tile plan");
+    return;
+  }
+  TileSearchOptions options = c.opts().tileSearchOptions();
+  i64 k = 0;
+  for (auto _ : state) {
+    ++k;
+    options.paramValues = me ? IntVec{256 + 16 * (k % 4096 + 1), 128, 16}
+                             : IntVec{128 + 4 * (k % 33), 128 + 4 * (k / 33 % 33),
+                                      128 + 4 * (k / 1089 % 33)};
+    TileEvaluator evaluator(family->tilePlan, options);
+    TileSearchResult r = searchTileSizes(evaluator);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_PlanOnlySearch)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace emm

@@ -201,4 +201,44 @@ SignRange combineSigns(SignRange a, SignRange b) {
   return SignRange::Mixed;
 }
 
+namespace {
+
+bool loadsArray(const Expr& e, const Statement& st, int arrayId) {
+  if (e.kind() == Expr::Kind::Load) return st.accesses[e.accessIndex()].arrayId == arrayId;
+  return (e.lhs() != nullptr && loadsArray(*e.lhs(), st, arrayId)) ||
+         (e.rhs() != nullptr && loadsArray(*e.rhs(), st, arrayId));
+}
+
+}  // namespace
+
+int accumulateReadAccess(const Statement& st) {
+  if (st.writeAccess < 0 || st.rhs == nullptr) return -1;
+  const Expr& e = *st.rhs;
+  if (e.kind() != Expr::Kind::Add && e.kind() != Expr::Kind::Mul &&
+      e.kind() != Expr::Kind::Min && e.kind() != Expr::Kind::Max)
+    return -1;
+  const Access& w = st.accesses[st.writeAccess];
+  int read = -1;
+  for (const auto& [self, other] : {std::pair{e.lhs(), e.rhs()}, std::pair{e.rhs(), e.lhs()}}) {
+    if (self == nullptr || other == nullptr || self->kind() != Expr::Kind::Load) continue;
+    const Access& r = st.accesses[self->accessIndex()];
+    if (!r.isWrite && r.arrayId == w.arrayId && r.fn == w.fn &&
+        !loadsArray(*other, st, w.arrayId)) {
+      read = self->accessIndex();
+      break;
+    }
+  }
+  for (int a = 0; read >= 0 && a < static_cast<int>(st.accesses.size()); ++a)
+    if (a != read && a != st.writeAccess && st.accesses[a].arrayId == w.arrayId) return -1;
+  return read;
+}
+
+bool isReductionDependence(const ProgramBlock& block, const Dependence& dep) {
+  if (dep.srcStmt != dep.dstStmt) return false;
+  const Statement& st = block.statements[dep.srcStmt];
+  const int read = accumulateReadAccess(st);
+  auto isEnd = [&](int a) { return a == st.writeAccess || a == read; };
+  return read >= 0 && isEnd(dep.srcAccess) && isEnd(dep.dstAccess);
+}
+
 }  // namespace emm

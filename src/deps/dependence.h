@@ -84,4 +84,15 @@ SignRange distanceSign(const Dependence& dep, int loop);
 /// restricted to loops common to both statements.
 SignRange combineSigns(SignRange a, SignRange b);
 
+/// The read access of `st`'s accumulate form X = X (+) f(...), or -1. The
+/// form needs (+) to be associative and commutative (add, mul, min, max),
+/// the read to have the written access function, and X to be read nowhere
+/// else in the statement: no other access to X's array, no load of it in f.
+int accumulateReadAccess(const Statement& st);
+
+/// True for a reduction dependence: both ends are one statement's
+/// accumulate form (accumulateReadAccess), so the dependence only orders
+/// the terms of an associative update and any order of them is legal.
+bool isReductionDependence(const ProgramBlock& block, const Dependence& dep);
+
 }  // namespace emm

@@ -37,9 +37,13 @@
 // connection thread and ships the overlay alone once the connection holds
 // the record, and the client materializes against its copy
 // (service/protocol.h, BoundReply). Either way the bound result is the
-// same, byte for byte. A bind is table evaluation with no polyhedral work;
-// bench/svc_family_bind.cpp gates a warm compile() through the family tier
-// at 10x under bind-and-emit.
+// same, byte for byte. A bind is table evaluation with no polyhedral work:
+// step 2 at a never-seen size is the plan-only search over the family
+// plan specialized to the requested sizes (tilesearch/parametric_plan.h),
+// BM_PlanOnlySearch in bench/micro_compiler_ops.cpp (44 µs for ME,
+// 31 µs for matmul on a shared 4-core x86 box), and a repeated size is a
+// search-memo hit. bench/svc_family_bind.cpp gates a warm compile()
+// through the family tier at 10x under bind-and-emit.
 #pragma once
 
 #include <optional>

@@ -21,15 +21,31 @@ using i128 = __int128;
 /// is a recoverable precondition failure, not a broken internal invariant —
 /// the pipeline turns it into an error diagnostic and the plan decoders
 /// into a SerializeError.
+[[noreturn, gnu::cold, gnu::noinline]] inline void throwOverflow() {
+  throw ApiError("int64 overflow in exact arithmetic");
+}
+
 inline i64 narrow(i128 v) {
-  EMM_REQUIRE(v >= static_cast<i128>(INT64_MIN) && v <= static_cast<i128>(INT64_MAX),
-              "int64 overflow in exact arithmetic");
+  if (v < static_cast<i128>(INT64_MIN) || v > static_cast<i128>(INT64_MAX)) throwOverflow();
   return static_cast<i64>(v);
 }
 
-inline i64 addChecked(i64 a, i64 b) { return narrow(static_cast<i128>(a) + b); }
-inline i64 subChecked(i64 a, i64 b) { return narrow(static_cast<i128>(a) - b); }
-inline i64 mulChecked(i64 a, i64 b) { return narrow(static_cast<i128>(a) * b); }
+/// a + b, a - b and a * b, throwing what narrow() throws on overflow.
+inline i64 addChecked(i64 a, i64 b) {
+  i64 r;
+  if (__builtin_add_overflow(a, b, &r)) throwOverflow();
+  return r;
+}
+inline i64 subChecked(i64 a, i64 b) {
+  i64 r;
+  if (__builtin_sub_overflow(a, b, &r)) throwOverflow();
+  return r;
+}
+inline i64 mulChecked(i64 a, i64 b) {
+  i64 r;
+  if (__builtin_mul_overflow(a, b, &r)) throwOverflow();
+  return r;
+}
 
 /// a*b + c*d in one checked expression (the FM row-combination primitive).
 inline i64 mulAddChecked(i64 a, i64 b, i64 c, i64 d) {

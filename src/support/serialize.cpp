@@ -205,6 +205,8 @@ void finishDecode(FamilyPlan& plan) {
 void finishDecode(ParametricTilePlan& plan) {
   checkShape(plan.depth_, "plan depth");
   checkShape(plan.np_, "plan size-parameter count");
+  if (plan.tilableDepth_ < 0 || plan.tilableDepth_ > plan.depth_)
+    throw SerializeError("plan tilable depth out of range");
   for (const ParametricTilePlan::ArrayFormula& af : plan.arrays_) {
     checkShape(af.numRefs, "array reference count");
     for (const ParametricTilePlan::ComponentFormula& comp : af.comps) {

@@ -62,8 +62,10 @@ public:
 /// the BufferLayout product, and the packing/banking compile options); v4
 /// added runtime-size-bound codegen (ArtifactInfo bind slots and guards, the
 /// symbolic benefit-verdict plan fields, and the size-generic compiled
-/// record embedded in .emmfam files) — see docs/PLAN_FORMAT.md.
-inline constexpr u32 kPlanFormatVersion = 4;
+/// record embedded in .emmfam files); v5 added the tile plan's tilable
+/// depth, the loop prefix a tile may split (the family binder's ladders
+/// read it) — see docs/PLAN_FORMAT.md.
+inline constexpr u32 kPlanFormatVersion = 5;
 
 /// The schema manifest: every serialized struct as "Name@tag{field:type,...};"
 /// in wire order, generated from the field lists.

@@ -36,12 +36,32 @@
 // Construction and decode compile the formulas into flat tables (Tables,
 // never serialized): one hash-consed op table over [sizes, origins, tiles]
 // holding every box bound and every component footprint, and the overlap
-// predicates as coefficient rows. Per size binding the ops and row parts
-// that read no tile symbol run once; per candidate the remaining ops run
-// as one linear pass and each predicate row adds its tile terms to its
-// pre-summed binding part. An overflow or a non-positive divisor is kept
-// as the op's poison and raised, with the error the tree evaluation
+// predicates as coefficient rows. An overflow or a non-positive divisor is
+// kept as the op's poison and raised, with the error the tree evaluation
 // would raise, only when evaluate() reads that op.
+//
+// The binding part. Everything fixed once a size is bound is settled once
+// per binding, in the caller's Scratch, over the fold box: each tile size
+// in [1, loop range], the only candidates a search evaluates.
+//   - The ops that read no tile symbol run, and each predicate row sums
+//     its binding terms.
+//   - Predicate rows are folded: a row whose value over the box (affine in
+//     the tiles, so its extremes are box corners) fits in i64 and keeps one
+//     verdict is decided, so a per-candidate overflow error is never folded
+//     away. A predicate whose rows are all decided is Always or Never.
+//   - Each tile-reading op the box bounds need is specialized: an op that
+//     stays an affine function of the tiles over the box, without leaving
+//     i64 anywhere in its subtree, becomes its value at the unit tile plus
+//     one term per tile it reads; the rest are stepped per candidate.
+// Per candidate, evaluate() then computes only the box bounds whose tiles
+// changed since the last candidate, checks the predicates left live, looks
+// up the partition structure of that outcome (groups, members, volume
+// sub-groups, hoist levels, naming; built once per outcome and memoized in
+// the scratch), and sums footprints and costs. footprintInterval() reads
+// the binding's values of the ops that read no tile. A tile outside the
+// fold box (a caller's own candidate) is evaluated with every row and op,
+// unspecialized. The tests in tests/parametric_fold_test.cpp hold all of
+// this to a per-candidate evaluation of the formula trees.
 //
 // Construction throws ApiError when the block cannot be analyzed
 // parametrically (e.g. a reference without order-of-magnitude reuse makes
@@ -82,7 +102,8 @@ public:
   /// not parametrically analyzable.
   ParametricTilePlan(const ProgramBlock& block, const ParallelismPlan& plan,
                      const TileSearchOptions& options, const SmemOptions& smemBase,
-                     const std::vector<i64>& loopRange, const std::vector<i64>& tileSample);
+                     const std::vector<i64>& loopRange, const std::vector<i64>& tileSample,
+                     int tilableDepth);
 
   /// Binds a concrete problem size to the plan's loop bounds
   /// (bindLoopBounds). Throws ApiError on arity mismatch. The binding is a
@@ -94,10 +115,12 @@ public:
 
   /// Working storage for evaluate(), footprintInterval() and
   /// coarsestStructureAt(), reused across calls so that a search allocates
-  /// only the evaluations it keeps. It also keeps the binding part of the
-  /// tables (ops and row sums that read no tile symbol) for the last size
-  /// binding it saw, so a search at one binding computes that part once.
-  /// One per thread: a plan is shared, its scratch is not.
+  /// only the evaluations it keeps. It keeps the binding part (see the file
+  /// comment) for the last size binding it saw, so a search at one binding
+  /// settles it once, and the partition structures of the last plan it
+  /// served. One per thread: a plan is shared, its scratch is not. A
+  /// destroyed scratch leaves its storage to the next one its thread
+  /// creates.
   struct Scratch {
     Scratch();
     ~Scratch();
@@ -115,6 +138,9 @@ public:
   /// search fills them in just for the evaluation it returns.
   TileEvaluation evaluate(const SizeBinding& binding, const std::vector<i64>& subTile,
                           Scratch& scratch, bool withTerms) const;
+  /// The same, written over `out` (a memo entry keeps its string storage).
+  void evaluate(const SizeBinding& binding, const std::vector<i64>& subTile, Scratch& scratch,
+                bool withTerms, TileEvaluation& out) const;
   /// Evaluation at the construction-time size binding.
   TileEvaluation evaluate(const std::vector<i64>& subTile) const {
     return evaluate(defaultBinding_, subTile);
@@ -152,6 +178,10 @@ public:
 
   /// Number of tiled loops (= tile symbols T1..Tk the plan is over).
   int depth() const { return depth_; }
+  /// Loops [0, tilableDepth()) may be tiled below their full extent
+  /// (transform.h, reductionTilableDepth): the verdict of the compile that
+  /// built the plan, carried so a plan-only search needs no dependences.
+  int tilableDepth() const { return tilableDepth_; }
   /// Number of original block parameters (problem-size symbols).
   int sizeParams() const { return np_; }
   /// The underlying symbolic analysis (tile block, partitions, ...).
@@ -288,8 +318,20 @@ private:
     /// Topologically ordered; ops [0, bindingOps) read no tile symbol.
     std::vector<Op> ops;
     int bindingOps = 0;
-    /// The ops the component footprints read, in table order.
+    /// Per op: the tile symbols it reads, bit min(l, 63) for loop l. An op
+    /// whose symbols did not change since its last run keeps its value.
+    std::vector<std::uint64_t> tileMask;
+    /// Per tile bit: the interval ops that read it, in table order; what a
+    /// change of that one tile range reruns.
+    std::vector<std::vector<int>> intervalOpsOf;
+    /// The tile ops the box bounds read, in table order: what the binding
+    /// part specializes, and what evaluate() steps for a tile outside the
+    /// fold box.
+    std::vector<int> candidateOps;
+    /// The ops the component footprints read, in table order; the first
+    /// intervalBindingOps of them read no tile symbol.
     std::vector<int> intervalOps;
+    int intervalBindingOps = 0;
     /// Per component, per local ref, per dimension: the op of each box
     /// bound (ComponentFormula::boxOp).
     std::vector<int> boxOps;
@@ -299,8 +341,13 @@ private:
     struct Pred {
       enum class Kind : std::uint8_t { Always, Never, Rows } kind = Kind::Never;
       int row = 0, eqs = 0, rowEnd = 0;
+      int bit = -1;  ///< Rows: its bit in its array's predicate outcome
     };
     std::vector<Pred> preds;
+    /// The Rows predicates of array a, in evaluation order (component, then
+    /// pair): rowPreds[arrayPreds[a], arrayPreds[a + 1]).
+    std::vector<int> rowPreds;
+    std::vector<int> arrayPreds;
     /// Coefficient rows of width np + 2 * depth + 1: [sizes, origins,
     /// tiles, constant].
     std::vector<i64> rows;
@@ -308,7 +355,7 @@ private:
     std::uint64_t id = 0;
   };
 
-  struct LiveGroup;     ///< a partition live at evaluated tile sizes
+  struct Structure;     ///< one array's partitions at one predicate outcome
   class TableBuilder;   ///< appends hash-consed ops to Tables
   class TableRun;       ///< the tables at one binding, in one scratch
 
@@ -322,6 +369,11 @@ private:
   /// Throws ApiError on formulas that do not fit the symbol space.
   void compileTables();
 
+  /// The partition structure of `af` at the predicate outcome `key`
+  /// (Structure::key), refined with `s`'s union-finds.
+  Structure buildStructure(const ArrayFormula& af, const std::vector<std::uint64_t>& key,
+                           Scratch::Buffers& s) const;
+
   SymPtr compileDiv(const DivExpr& e, bool ceil) const;
   Box compileBox(const Polyhedron& space) const;
   PairPredicate compilePredicate(const Polyhedron& a, const Polyhedron& b) const;
@@ -329,6 +381,7 @@ private:
 
   int depth_ = 0;
   int np_ = 0;  ///< original block parameters (problem sizes)
+  int tilableDepth_ = 0;
   TileSearchOptions options_;
   /// One SymExpr parameter per formula symbol: [sizes, origins, tiles].
   std::vector<SymPtr> symParams_;
@@ -355,6 +408,7 @@ private:
     v.tag(kTagParametricPlan, "ParametricTilePlan");
     v("depth_", &ParametricTilePlan::depth_);
     v("np_", &ParametricTilePlan::np_);
+    v("tilableDepth_", &ParametricTilePlan::tilableDepth_);
     v("options_", &ParametricTilePlan::options_);
     v.skip("symParams_", "derived by rebuildSymbols");
     v("analysis_", &ParametricTilePlan::analysis_);
@@ -370,6 +424,8 @@ private:
 
   friend struct FieldAccess;
   friend void finishDecode(ParametricTilePlan& plan);
+  /// The per-candidate reference evaluation of tests/parametric_fold_test.cpp.
+  friend struct ParametricPlanOracle;
 };
 
 }  // namespace emm

@@ -27,32 +27,84 @@ std::uint64_t hashTile(const i64* key, size_t n) {
 
 }  // namespace
 
-TileEvaluation* TileMemo::find(const std::vector<i64>& tile) {
-  const int e = slots_[probe(tile.data())];
-  return e < 0 ? nullptr : &values_[static_cast<size_t>(e)];
+struct TileMemo::Storage {
+  static constexpr size_t kChunk = 64;  ///< entries per chunk
+  std::vector<i64> keys;
+  std::vector<int> slots;  ///< power-of-two table of entry indices, -1 = free
+  std::vector<std::unique_ptr<TileEvaluation[]>> chunks;
+  TileEvaluation& entry(size_t e) { return chunks[e / kChunk][e % kChunk]; }
+};
+
+namespace {
+
+constexpr size_t kPooledMemos = 4;
+thread_local std::vector<std::unique_ptr<TileMemo::Storage>> pooledMemos;
+
+}  // namespace
+
+TileMemo::TileMemo(int depth) : depth_(static_cast<size_t>(depth)) {
+  if (pooledMemos.empty()) {
+    s_ = std::make_unique<Storage>();
+  } else {
+    s_ = std::move(pooledMemos.back());
+    pooledMemos.pop_back();
+  }
+  s_->keys.clear();
+  s_->slots.assign(64, -1);
 }
 
-TileEvaluation& TileMemo::insert(const std::vector<i64>& tile, TileEvaluation ev) {
-  if (2 * (values_.size() + 1) > slots_.size()) grow();
-  slots_[probe(tile.data())] = static_cast<int>(values_.size());
-  keys_.insert(keys_.end(), tile.begin(), tile.end());
-  values_.push_back(std::move(ev));
-  return values_.back();
+TileMemo::~TileMemo() {
+  if (s_ != nullptr && pooledMemos.size() < kPooledMemos) pooledMemos.push_back(std::move(s_));
+}
+
+TileEvaluation* TileMemo::find(const std::vector<i64>& tile, size_t& slot) {
+  slot = probe(tile.data());
+  const int e = s_->slots[slot];
+  return e < 0 ? nullptr : &s_->entry(static_cast<size_t>(e));
+}
+
+TileEvaluation& TileMemo::add(size_t slot, const std::vector<i64>& tile) {
+  if (2 * (size_ + 1) > s_->slots.size()) {
+    grow();
+    slot = probe(tile.data());
+  }
+  s_->slots[slot] = static_cast<int>(size_);
+  for (i64 t : tile) s_->keys.push_back(t);
+  if (size_ == s_->chunks.size() * Storage::kChunk)
+    s_->chunks.push_back(std::make_unique<TileEvaluation[]>(Storage::kChunk));
+  TileEvaluation& ev = s_->entry(size_++);
+  ev.feasible = false;
+  ev.reason.clear();
+  ev.cost = 0;
+  ev.footprint = 0;
+  ev.terms.clear();
+  return ev;
+}
+
+void TileMemo::dropLast() {
+  // The last entry ends no other entry's probe sequence: every slot it
+  // passes was taken before it was placed.
+  --size_;
+  s_->slots[probe(s_->keys.data() + size_ * depth_)] = -1;
+  s_->keys.resize(size_ * depth_);
 }
 
 size_t TileMemo::probe(const i64* key) const {
-  const size_t mask = slots_.size() - 1;
+  const size_t mask = s_->slots.size() - 1;
   for (size_t s = hashTile(key, depth_) & mask;; s = (s + 1) & mask) {
-    const int e = slots_[s];
-    if (e < 0 || std::equal(key, key + depth_, keys_.begin() + static_cast<size_t>(e) * depth_))
-      return s;
+    const int e = s_->slots[s];
+    if (e < 0) return s;
+    const i64* stored = s_->keys.data() + static_cast<size_t>(e) * depth_;
+    size_t i = 0;
+    while (i < depth_ && key[i] == stored[i]) ++i;  // inline: depth_ is a handful
+    if (i == depth_) return s;
   }
 }
 
 void TileMemo::grow() {
-  slots_.assign(slots_.size() * 2, -1);
-  for (size_t e = 0; e < values_.size(); ++e)
-    slots_[probe(keys_.data() + e * depth_)] = static_cast<int>(e);
+  s_->slots.assign(s_->slots.size() * 2, -1);
+  for (size_t e = 0; e < size_; ++e)
+    s_->slots[probe(s_->keys.data() + e * depth_)] = static_cast<int>(e);
 }
 
 TileEvaluator::TileEvaluator(const ProgramBlock& block, const ParallelismPlan& plan,
@@ -66,6 +118,7 @@ TileEvaluator::TileEvaluator(const ProgramBlock& block, const ParallelismPlan& p
   EMM_REQUIRE(static_cast<int>(options_.paramValues.size()) == block.nparam(),
               "paramValues arity mismatch");
   binding_ = bindLoopBounds(rectangularLoopBounds(block, depth_), options_.paramValues);
+  tilableDepth_ = reductionTilableDepth(block, plan);
   buildLadders();
 }
 
@@ -78,6 +131,7 @@ TileEvaluator::TileEvaluator(std::shared_ptr<const ParametricTilePlan> plan,
       paramPlan_(std::move(plan)),
       state_(ParametricState::Active),
       familyAdopted_(true) {
+  tilableDepth_ = paramPlan_->tilableDepth();
   buildLadders();
   // No concrete fallback to report an empty ladder through: reject.
   for (const std::vector<i64>& ladder : candidates_)
@@ -91,15 +145,19 @@ void TileEvaluator::buildLadders() {
     EMM_REQUIRE(static_cast<int>(options_.candidates.size()) == depth_,
                 "candidate arity mismatch");
     candidates_ = options_.candidates;
-    return;
+  } else {
+    // Geometric ladder clipped to each loop's range.
+    for (int l = 0; l < depth_; ++l) {
+      std::vector<i64> ladder;
+      for (i64 t = 1; t < binding_.loopRange[l]; t *= 2) ladder.push_back(t);
+      ladder.push_back(std::max<i64>(binding_.loopRange[l], 1));
+      candidates_.push_back(std::move(ladder));
+    }
   }
-  // Geometric ladder clipped to each loop's range.
-  for (int l = 0; l < depth_; ++l) {
-    std::vector<i64> ladder;
-    for (i64 t = 1; t < binding_.loopRange[l]; t *= 2) ladder.push_back(t);
-    ladder.push_back(std::max<i64>(binding_.loopRange[l], 1));
-    candidates_.push_back(std::move(ladder));
-  }
+  // A loop past the tilable depth is ordered by a dependence that is not a
+  // reduction: its one candidate is its full extent, a single tile.
+  for (int l = tilableDepth_; l < depth_; ++l)
+    candidates_[l].assign(1, std::max<i64>(binding_.loopRange[l], 1));
 }
 
 void TileEvaluator::adoptFamilyPlan(std::shared_ptr<const ParametricTilePlan> plan) {
@@ -127,23 +185,25 @@ TileEvaluation TileEvaluator::withTerms(const std::vector<i64>& subTile,
 
 TileEvaluation& TileEvaluator::memoized(const std::vector<i64>& subTile) {
   EMM_REQUIRE(static_cast<int>(subTile.size()) == depth_, "subTile arity mismatch");
-  if (TileEvaluation* hit = memo_.find(subTile)) {
+  size_t slot;
+  if (TileEvaluation* hit = memo_.find(subTile, slot)) {
     ++memoHits_;
     return *hit;
   }
 
   // Constraints that need no analysis come first, so the search discards
   // infeasible candidates without building a plan or paying for Section 3.
-  TileEvaluation cheap = cheapCheck(subTile);
-  if (!cheap.reason.empty()) {
+  if (const char* reason = cheapReason(subTile)) {
     ++evaluations_;
-    return memo_.insert(subTile, std::move(cheap));
+    TileEvaluation& ev = memo_.add(slot, subTile);
+    ev.reason = reason;
+    return ev;
   }
 
   // First surviving candidate: build (and probe-validate) the symbolic plan.
   if (state_ == ParametricState::Pending) {
     ensurePlan();
-    if (TileEvaluation* hit = memo_.find(subTile)) {  // it may have served as a probe
+    if (TileEvaluation* hit = memo_.find(subTile, slot)) {  // it may have served as a probe
       ++memoHits_;
       return *hit;
     }
@@ -154,30 +214,32 @@ TileEvaluation& TileEvaluator::memoized(const std::vector<i64>& subTile) {
   const bool timed = block_ != nullptr;
   const auto start = timed ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point{};
-  TileEvaluation ev = paramPlan_ != nullptr
-                          ? paramPlan_->evaluate(binding_, subTile, scratch_, /*withTerms=*/false)
-                          : evaluateConcrete(subTile);
+  // The evaluation fills its memo entry in place; one that throws leaves
+  // no entry behind.
+  TileEvaluation& ev = memo_.add(slot, subTile);
+  try {
+    if (paramPlan_ != nullptr)
+      paramPlan_->evaluate(binding_, subTile, scratch_, /*withTerms=*/false, ev);
+    else
+      ev = evaluateConcrete(subTile);
+  } catch (...) {
+    memo_.dropLast();
+    throw;
+  }
   if (timed) evalMillis_ += millisSince(start);
-  return memo_.insert(subTile, std::move(ev));
+  return ev;
 }
 
-TileEvaluation TileEvaluator::cheapCheck(const std::vector<i64>& subTile) const {
-  TileEvaluation ev;
+const char* TileEvaluator::cheapReason(const std::vector<i64>& subTile) const {
   // Constraint (1): 0 < t_i <= N_i (shared, tile-size-independent bounds).
-  for (int l = 0; l < depth_; ++l) {
-    if (subTile[l] < 1 || subTile[l] > std::max<i64>(binding_.loopRange[l], 1)) {
-      ev.reason = "tile size out of loop range";
-      return ev;
-    }
-  }
+  for (int l = 0; l < depth_; ++l)
+    if (subTile[l] < 1 || subTile[l] > std::max<i64>(binding_.loopRange[l], 1))
+      return "tile size out of loop range";
   // Constraint (3): tile volume keeps all inner-level processes busy.
   i64 tileVolume = 1;
   for (int l = 0; l < depth_; ++l) tileVolume = mulChecked(tileVolume, subTile[l]);
-  if (tileVolume < options_.innerProcs) {
-    ev.reason = "tile smaller than inner-level process count";
-    return ev;
-  }
-  return ev;  // survived: feasible stays false, reason stays empty
+  if (tileVolume < options_.innerProcs) return "tile smaller than inner-level process count";
+  return nullptr;
 }
 
 void TileEvaluator::ensurePlan() {
@@ -219,14 +281,14 @@ void TileEvaluator::ensurePlan() {
   // hit can never change a result the concrete analysis would produce.
   std::vector<std::pair<std::vector<i64>, TileEvaluation>> probes;
   for (const std::vector<i64>& probe : {mid, corner}) {
-    if (memo_.find(probe) != nullptr) continue;
+    size_t slot;
+    if (memo_.find(probe, slot) != nullptr) continue;
     bool seen = false;
     for (const auto& [tile, ev] : probes) seen = seen || tile == probe;
     if (seen) continue;
-    TileEvaluation cheap = cheapCheck(probe);
     ++evaluations_;
-    if (!cheap.reason.empty()) {
-      memo_.insert(probe, std::move(cheap));
+    if (const char* reason = cheapReason(probe)) {
+      memo_.add(slot, probe).reason = reason;
       continue;  // both paths agree trivially; nothing to validate
     }
     probes.emplace_back(probe, evaluateConcrete(probe));
@@ -249,15 +311,17 @@ void TileEvaluator::ensurePlan() {
     try {
       std::shared_ptr<const ParametricTilePlan> plan =
           family ? familyCandidate_
-                 : std::make_shared<const ParametricTilePlan>(
-                       *block_, *plan_, options_, smemBase_, binding_.loopRange, mid);
-      bool agree = true;
-      for (const auto& [tile, concrete] : probes) {
+                 : std::make_shared<const ParametricTilePlan>(*block_, *plan_, options_,
+                                                              smemBase_, binding_.loopRange,
+                                                              mid, tilableDepth_);
+      bool agree = plan->tilableDepth() == tilableDepth_;
+      if (!agree) reason = "family plan tiles a different loop prefix";
+      for (size_t i = 0; agree && i < probes.size(); ++i) {
+        const auto& [tile, concrete] = probes[i];
         if (concrete != plan->evaluate(binding_, tile, scratch_, /*withTerms=*/true)) {
           agree = false;
           reason = std::string(family ? "family plan" : "symbolic plan") +
                    " disagrees with the concrete analysis at tile (" + joinTile(tile) + ")";
-          break;
         }
       }
       if (agree) {
@@ -274,8 +338,11 @@ void TileEvaluator::ensurePlan() {
     fallbackReason_ = reason;
     paramPlan_.reset();
   }
-  for (auto& [tile, concrete] : probes)
-    memo_.insert(tile, std::move(concrete));  // authoritative either way
+  for (auto& [tile, concrete] : probes) {  // authoritative either way
+    size_t slot;
+    memo_.find(tile, slot);
+    memo_.add(slot, tile) = std::move(concrete);
+  }
   planBuildMillis_ = millisSince(start);
 }
 
@@ -293,6 +360,8 @@ void TileEvaluator::pruneCandidateBoxes() {
   // user ladders opt out of pruning.
   for (const std::vector<i64>& ladder : candidates_)
     if (!std::is_sorted(ladder.begin(), ladder.end())) return;
+  std::vector<SymInterval> box(depth_);
+  std::vector<i64> minCorner(depth_);
   for (int l = 0; l < depth_; ++l) {
     std::vector<i64>& ladder = candidates_[l];
     size_t cut = ladder.size();
@@ -305,8 +374,6 @@ void TileEvaluator::pruneCandidateBoxes() {
     // infeasible. The smallest ladder entry is always kept so the solvers
     // see a non-empty grid and report infeasibility through evaluation.
     for (size_t k = 1; k < ladder.size(); ++k) {
-      std::vector<SymInterval> box(depth_);
-      std::vector<i64> minCorner(depth_);
       for (int j = 0; j < depth_; ++j) {
         const i64 lo = j == l ? ladder[k] : candidates_[j].front();
         const i64 hi = j == l ? ladder.back() : candidates_[j].back();
@@ -327,8 +394,11 @@ void TileEvaluator::pruneCandidateBoxes() {
 }
 
 TileEvaluation TileEvaluator::evaluateConcrete(const std::vector<i64>& subTile) {
-  TileEvaluation ev = cheapCheck(subTile);
-  if (!ev.reason.empty()) return ev;
+  TileEvaluation ev;
+  if (const char* reason = cheapReason(subTile)) {
+    ev.reason = reason;
+    return ev;
+  }
 
   // The candidate survives the cheap constraints: run the Section-3
   // analysis (the dominant cost, memoized by the caller).

@@ -32,6 +32,15 @@
 //    the start, with no block, no probes and no concrete fallback. Where
 //    the plan would pass probe validation at this size, it chooses the
 //    tile the block evaluator would choose, with the same evaluation.
+//    bench/micro_compiler_ops.cpp times it at fresh sizes
+//    (BM_PlanOnlySearch).
+//
+// Ladders (buildLadders): a loop outside the permutable band may be split
+// into tiles only when every dependence keeping it out of the band is a
+// reduction (transform.h, reductionTilableDepth); otherwise its one
+// candidate is its full extent. The block evaluator computes that verdict
+// from the block; the symbolic plan records it, and a plan-only evaluator
+// reads it from there, so all three build the same ladders.
 //
 // Box pruning (prepareSearch): when the partition structure is already
 // coarsest at a box's minimum corner, ParametricTilePlan::footprintInterval
@@ -45,7 +54,9 @@
 // The solvers decide on feasibility and cost alone, so a plan-served
 // candidate is memoized without its per-buffer terms (evaluateCost); the
 // terms are filled in for the evaluation a search returns and for
-// evaluate() callers.
+// evaluate() callers. A plan evaluation writes straight into its memo
+// entry, and the memo's storage is reused from an earlier search on the
+// same thread.
 //
 // Accounting: evaluations() counts memo misses, including the probe
 // candidates evaluated during plan validation; analysesRun() counts the
@@ -54,7 +65,6 @@
 // active).
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -64,17 +74,27 @@
 namespace emm {
 
 /// Value-keyed memo of tile evaluations in flat storage: keys packed back
-/// to back in one vector, open addressing over entry indices. Entries live
-/// in a deque, so the references handed out stay valid for the memo's
-/// lifetime.
+/// to back in one vector, open addressing over entry indices, entries in
+/// fixed-size chunks, so the references handed out stay valid for the
+/// memo's lifetime. The storage comes from, and goes back to, a small
+/// per-thread pool: a search reuses the vectors, chunks and entry strings
+/// an earlier search on its thread allocated.
 class TileMemo {
 public:
-  explicit TileMemo(int depth) : depth_(static_cast<size_t>(depth)), slots_(64, -1) {}
+  explicit TileMemo(int depth);
+  ~TileMemo();
+  TileMemo(const TileMemo&) = delete;
+  TileMemo& operator=(const TileMemo&) = delete;
 
-  /// The entry for `tile` (depth values), or null.
-  TileEvaluation* find(const std::vector<i64>& tile);
-  /// Adds an entry for a tile find() just missed.
-  TileEvaluation& insert(const std::vector<i64>& tile, TileEvaluation ev);
+  /// The entry for `tile` (depth values), or null; on a miss `slot` is
+  /// where add() puts the tile.
+  TileEvaluation* find(const std::vector<i64>& tile, size_t& slot);
+  /// A cleared entry for a tile find() just missed at `slot`.
+  TileEvaluation& add(size_t slot, const std::vector<i64>& tile);
+  /// Removes the entry the last add() made.
+  void dropLast();
+
+  struct Storage;  ///< keys, slots and entry chunks
 
 private:
   /// The slot holding `key` (depth_ values), or the free slot it belongs in.
@@ -82,9 +102,8 @@ private:
   void grow();
 
   size_t depth_;
-  std::vector<i64> keys_;
-  std::deque<TileEvaluation> values_;
-  std::vector<int> slots_;  ///< power-of-two table of entry indices, -1 = free
+  size_t size_ = 0;
+  std::unique_ptr<Storage> s_;
 };
 
 class TileEvaluator {
@@ -138,8 +157,10 @@ public:
   /// Iteration range of common loop `l` at the bound parameter values.
   i64 loopRange(int l) const { return binding_.loopRange[l]; }
   /// Candidate ladder per loop: options.candidates when given, otherwise the
-  /// geometric ladder {1, 2, 4, ...} clipped to each loop's range. After
-  /// prepareSearch() the ladders exclude pruned boxes.
+  /// geometric ladder {1, 2, 4, ...} clipped to each loop's range; a loop
+  /// past the tilable depth (transform.h, reductionTilableDepth) has its
+  /// full extent as its only candidate. After prepareSearch() the ladders
+  /// exclude pruned boxes.
   const std::vector<std::vector<i64>>& candidates() const { return candidates_; }
 
   const TileSearchOptions& options() const { return options_; }
@@ -176,10 +197,9 @@ public:
 private:
   /// The candidate ladders at this size (options.candidates or geometric).
   void buildLadders();
-  /// Tile-size-independent constraints (range, minimum volume). Returns an
-  /// infeasible evaluation when one fails, feasible=false + empty reason
-  /// when the candidate survives.
-  TileEvaluation cheapCheck(const std::vector<i64>& subTile) const;
+  /// Tile-size-independent constraints (range, minimum volume): the reason
+  /// of the first that fails, or null when the candidate survives.
+  const char* cheapReason(const std::vector<i64>& subTile) const;
   /// The memo entry of `subTile`, evaluated on a miss (plan-served entries
   /// without their per-buffer terms).
   TileEvaluation& memoized(const std::vector<i64>& subTile);
@@ -197,6 +217,9 @@ private:
   SmemOptions smemBase_;
   int depth_ = 0;
   SizeBinding binding_;  ///< options_.paramValues bound to the loop bounds
+  /// Loops [0, tilableDepth_) may be tiled below their full extent
+  /// (reductionTilableDepth, carried by the plan for a plan-only evaluator).
+  int tilableDepth_ = 0;
   std::vector<std::vector<i64>> candidates_;
   TileMemo memo_;
   std::shared_ptr<const ParametricTilePlan> paramPlan_;

@@ -25,8 +25,8 @@ void solveExhaustive(TileEvaluator& evaluator, TileSearchResult& best) {
   const std::vector<std::vector<i64>>& cands = evaluator.candidates();
   const int depth = static_cast<int>(cands.size());
   std::vector<size_t> idx(depth, 0);
+  std::vector<i64> tile(depth);
   while (true) {
-    std::vector<i64> tile(depth);
     for (int l = 0; l < depth; ++l) tile[l] = cands[l][idx[l]];
     const TileEvaluation& ev = evaluator.evaluateCost(tile);
     if (ev.feasible && (!best.eval.feasible || ev.cost < best.eval.cost)) {
@@ -52,11 +52,12 @@ void solveDescent(TileEvaluator& evaluator, TileSearchResult& result) {
     return evaluator.evaluateCost(tile);
   };
 
-  // Coordinate descent over ladder positions from one seed. This plays the
-  // role of the paper's relaxed continuous solve + rounding; multi-start
-  // covers the non-convexity introduced by the constraint boundaries.
-  // Evaluations are held by pointer: the memo's references outlive the solve.
-  auto descend = [&](std::vector<size_t> pos) {
+  // Coordinate descent over ladder positions from one seed, in place. This
+  // plays the role of the paper's relaxed continuous solve + rounding;
+  // multi-start covers the non-convexity introduced by the constraint
+  // boundaries. Evaluations are held by pointer: the memo's references
+  // outlive the solve.
+  auto descend = [&](std::vector<size_t>& pos) {
     const TileEvaluation* cur = &evalPos(pos);
     bool improved = true;
     int guard = 0;
@@ -80,34 +81,28 @@ void solveDescent(TileEvaluator& evaluator, TileSearchResult& result) {
         }
       }
     }
-    return std::make_pair(std::move(pos), cur);
+    return cur;
   };
 
-  // Seeds: midpoint, all-smallest, all-largest, and per-loop extremes.
-  std::vector<std::vector<size_t>> seeds;
-  std::vector<size_t> mid(depth), lo(depth, 0), hi(depth);
+  // Seeds, in order: midpoint, all-smallest, all-largest, then per loop the
+  // midpoint with that loop at its largest and at its smallest.
+  std::vector<size_t> mid(depth), hi(depth), pos(depth), bestPos;
   for (int l = 0; l < depth; ++l) {
     mid[l] = cands[l].size() / 2;
     hi[l] = cands[l].size() - 1;
   }
-  seeds.push_back(mid);
-  seeds.push_back(lo);
-  seeds.push_back(hi);
-  for (int l = 0; l < depth; ++l) {
-    std::vector<size_t> s = mid;
-    s[l] = hi[l];
-    seeds.push_back(s);
-    s[l] = 0;
-    seeds.push_back(s);
-  }
-
-  std::vector<size_t> bestPos;
   const TileEvaluation* best = nullptr;
-  for (const std::vector<size_t>& seed : seeds) {
-    auto [pos, ev] = descend(seed);
+  for (int k = 0; k < 3 + 2 * depth; ++k) {
+    if (k == 1) {
+      pos.assign(depth, 0);
+    } else {
+      pos = k == 2 ? hi : mid;
+      if (k >= 3) pos[(k - 3) / 2] = (k - 3) % 2 == 0 ? hi[(k - 3) / 2] : 0;
+    }
+    const TileEvaluation* ev = descend(pos);
     if (ev->feasible && (best == nullptr || ev->cost < best->cost)) {
       best = ev;
-      bestPos = std::move(pos);
+      bestPos = pos;
     }
   }
   if (best != nullptr) result.eval = *best;

@@ -98,6 +98,19 @@ ParallelismPlan findParallelism(const ProgramBlock& block, const std::vector<Dep
   return planFromSummaries(signs);
 }
 
+int reductionTilableDepth(const ProgramBlock& block, const ParallelismPlan& plan) {
+  const int depth = commonLoopDepth(block);
+  int tilable = static_cast<int>(plan.band.size());
+  if (tilable >= depth) return depth;
+  std::vector<Dependence> ordering;
+  visitDependences(block, [&](Dependence&& d) {
+    if (!isReductionDependence(block, d)) ordering.push_back(std::move(d));
+    return true;
+  });
+  while (tilable < depth && nonneg(loopSign(ordering, tilable))) ++tilable;
+  return tilable;
+}
+
 namespace {
 
 /// Rewrites `st` over new iterators z related to the old ones x by x = M z,

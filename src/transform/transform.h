@@ -73,6 +73,17 @@ std::vector<LoopDepSummary> summarizeLoops(const ProgramBlock& block,
 /// non-negative (apply skewing first if not).
 ParallelismPlan findParallelism(const ProgramBlock& block, const std::vector<Dependence>& deps);
 
+/// Number of leading common loops a tile may split below their full
+/// extent: the permutable band, extended by each following loop on which
+/// every dependence that is not a reduction dependence
+/// (isReductionDependence) has a non-negative distance. Tiling a loop past
+/// that point would interchange its tile loop with inner point loops that
+/// a non-reduction dependence orders (the tile search gives such a loop
+/// its full extent only). Builds the block's dependences only when the
+/// band is shorter than the common depth; `plan` is findParallelism's for
+/// `block`.
+int reductionTilableDepth(const ProgramBlock& block, const ParallelismPlan& plan);
+
 /// Applies the unit skew  loop_target += factor * loop_source  to every
 /// statement (domains, access functions; schedules stay canonical since the
 /// new iterator replaces the old one in place). Returns the transformed
