@@ -203,7 +203,25 @@ public:
       // Explicit tile sizes: evaluate the Section-4.3 objective for them so
       // the result still carries cost/footprint/per-buffer terms.
       s.search.subTile = s.options.subTile;
-      s.search.eval = evaluateTileSizes(block, s.plan, s.options.subTile, topts, smem);
+      // The search's own rule binds a given tile too: a loop that a
+      // dependence other than a reduction keeps outside the permutable band
+      // runs as one tile, or the tiled loops reorder what it orders.
+      TileSearchOptions one = topts;
+      one.parametric = false;
+      one.candidates.clear();
+      TileEvaluator evaluator(block, s.plan, one, smem);
+      const std::vector<i64>& tile = s.options.subTile;
+      for (int l = evaluator.tilableDepth(); l < std::min<int>(evaluator.depth(), tile.size()); ++l) {
+        const i64 extent = std::max<i64>(evaluator.loopRange(l), 1);
+        if (tile[l] < extent) {
+          s.error(name(), "given tile (" + joinInts(tile) + ") splits loop " + std::to_string(l) +
+                              ", which a dependence other than a reduction keeps outside the "
+                              "permutable band; its size must be at least its extent " +
+                              std::to_string(extent));
+          return;
+        }
+      }
+      s.search.eval = evaluator.evaluate(tile);
       s.search.evaluations = 1;
       if (!s.search.eval.feasible)
         s.warn(name(), "given tile (" + joinInts(s.options.subTile) +

@@ -154,6 +154,9 @@ public:
   TileEvaluation withTerms(const std::vector<i64>& subTile, const TileEvaluation& ev);
 
   int depth() const { return depth_; }
+  /// Loops [0, tilableDepth()) may be tiled below their full extent
+  /// (reductionTilableDepth); the ladders hold the rest at it.
+  int tilableDepth() const { return tilableDepth_; }
   /// Iteration range of common loop `l` at the bound parameter values.
   i64 loopRange(int l) const { return binding_.loopRange[l]; }
   /// Candidate ladder per loop: options.candidates when given, otherwise the

@@ -133,6 +133,31 @@ TEST(ReductionBand, Seed7Program17KeepsItsUnusedLoopWhole) {
   EXPECT_EQ(r.search.subTile[2], 7);
 }
 
+TEST(ReductionBand, GivenTileMayNotSplitALoopANonReductionOrders) {
+  const ProgramBlock block = seed7Program17();
+  const testgen::DiffOptions diff;
+  Compiler split(block);
+  split.options(diff.baseOptions).tileSizes({3, 2, 4});
+  const CompileResult rejected = split.compile();
+  EXPECT_FALSE(rejected.ok);
+  EXPECT_NE(rejected.firstError().find("outside the permutable band"), std::string::npos)
+      << rejected.firstError();
+
+  // The whole loop is a valid given tile, and agrees with the oracle.
+  testgen::DiffOptions whole = diff;
+  whole.baseOptions.subTile = {3, 2, 7};
+  const testgen::DiffResult result = testgen::DiffRunner(whole).run({block, {}, 7, 17});
+  EXPECT_TRUE(result.compiled);
+  EXPECT_TRUE(result.ok) << result.failedCheck << ": " << result.detail;
+
+  // ME's window loop is ordered only by its reduction: a given tile may
+  // split it.
+  IntVec params;
+  Compiler me(buildKernelByName("me", {64, 32, 8}, params));
+  me.parameters(params).tileSizes({16, 16, 8, 4});
+  EXPECT_TRUE(me.compile().ok);
+}
+
 TEST(ReductionBand, FamilyPlanCarriesTheVerdictToThePlanOnlySearch) {
   // Program 96 of seed 1: band (i0, i1) of a depth-3 nest whose third loop
   // is ordered by a dependence that is not a reduction; the symbolic plan
