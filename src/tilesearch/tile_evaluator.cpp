@@ -37,7 +37,11 @@ struct TileMemo::Storage {
 
 namespace {
 
+/// Storage kept per thread, and the most chunks a kept storage may hold:
+/// a search of a few hundred candidates reuses its storage, while the
+/// storage of a large exhaustive grid is freed rather than kept.
 constexpr size_t kPooledMemos = 4;
+constexpr size_t kPooledChunks = 4;
 thread_local std::vector<std::unique_ptr<TileMemo::Storage>> pooledMemos;
 
 }  // namespace
@@ -54,7 +58,8 @@ TileMemo::TileMemo(int depth) : depth_(static_cast<size_t>(depth)) {
 }
 
 TileMemo::~TileMemo() {
-  if (s_ != nullptr && pooledMemos.size() < kPooledMemos) pooledMemos.push_back(std::move(s_));
+  if (s_ != nullptr && s_->chunks.size() <= kPooledChunks && pooledMemos.size() < kPooledMemos)
+    pooledMemos.push_back(std::move(s_));
 }
 
 TileEvaluation* TileMemo::find(const std::vector<i64>& tile, size_t& slot) {
