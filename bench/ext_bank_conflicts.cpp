@@ -25,7 +25,7 @@ namespace {
 /// tile-strided case conflict padding exists for.
 void markThreadParallel(AstNode& n, const std::string& iter) {
   if (n.kind == AstNode::Kind::For && n.iter == iter) n.loopKind = LoopKind::ThreadParallel;
-  for (const AstPtr& c : n.children) markThreadParallel(*c, iter);
+  for (AstPtr& c : n.children) markThreadParallel(c.mut(), iter);
 }
 
 /// Max |difference| between the unit's output and the reference execution
@@ -92,7 +92,7 @@ void runJacobi2d(bool packed, BankConflictStats& stats, double& diff) {
     std::printf("  jacobi2d: compile failed: %s\n", r.firstError().c_str());
     return;
   }
-  markThreadParallel(*r.scratchpadUnit->root, "c1");
+  markThreadParallel(r.scratchpadUnit->root.mut(), "c1");
   BankConflictOptions bc;
   stats = countBankConflicts(*r.scratchpadUnit, {n, m, t}, bc);
   diff = oracleDiff(buildJacobi2dBlock(n, m, t), *r.scratchpadUnit, {n, m, t});

@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the compiler substrate: the
 // polyhedral operations dominating compile time (Fourier-Motzkin
 // projection, images, set difference, scanning), dependence analysis, the
-// Section-3 block analysis, and the family binder's plan-only tile search.
+// Section-3 block analysis, the family binder's plan-only tile search and
+// bound-result materialization, and the copy of a compile result.
 #include <benchmark/benchmark.h>
 
 #include "codegen/scan.h"
@@ -9,6 +10,7 @@
 #include "driver/compiler.h"
 #include "driver/family_plan.h"
 #include "driver/plan_cache.h"
+#include "driver/runtime_binder.h"
 #include "kernels/blocks.h"
 #include "tilesearch/tile_evaluator.h"
 #include "poly/enumerate.h"
@@ -173,6 +175,75 @@ void BM_PlanOnlySearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlanOnlySearch)->Arg(0)->Arg(1);
+
+void BM_MaterializeBind(benchmark::State& state) {
+  // The second half of an in-process family bind (runtime_binder.h):
+  // materializeBind turns the family record and a certified overlay into
+  // the bound result, which the iteration then frees, as a family-sweep
+  // compile does. The overlays are certified up front at 16 sizes and, as
+  // compile() does, moved into the call; copying them is left out of the
+  // timing (in batches of 256, with the clock paused). Arg 0: ME; arg 1:
+  // matmul.
+  const bool me = state.range(0) == 0;
+  IntVec params;
+  ProgramBlock seed = me ? buildKernelByName("me", {256, 128, 16}, params)
+                         : buildKernelByName("matmul", {128, 128, 128}, params);
+  PlanCache cache;
+  Compiler c(seed);
+  c.parameters(params).cache(&cache);
+  if (!c.compile().ok) state.SkipWithError("family warm-up did not compile");
+  std::vector<FamilyBind> binds;
+  for (i64 k = 1; k <= 16; ++k) {
+    const std::vector<i64> sizes = me ? std::vector<i64>{256 + 16 * k, 128, 16}
+                                      : std::vector<i64>{128 + 4 * k, 132, 136};
+    ProgramBlock block = buildKernelByName(me ? "me" : "matmul", sizes, params);
+    c.parameters(params);
+    if (std::optional<FamilyBind> bind = c.tryCertifyFamily(block)) binds.push_back(*bind);
+  }
+  if (binds.empty()) {
+    state.SkipWithError("no size certified");
+    return;
+  }
+  constexpr size_t kBatch = 256;
+  std::vector<BindOverlay> overlays;
+  auto refill = [&] {
+    overlays.clear();
+    for (size_t i = 0; i < kBatch; ++i) overlays.push_back(binds[i % binds.size()].overlay);
+  };
+  refill();
+  size_t k = 0;
+  for (auto _ : state) {
+    if (k == kBatch) {
+      state.PauseTiming();
+      refill();
+      k = 0;
+      state.ResumeTiming();
+    }
+    CompileResult r = materializeBind(*binds[k % binds.size()].record, std::move(overlays[k]));
+    benchmark::DoNotOptimize(r);
+    ++k;
+  }
+}
+BENCHMARK(BM_MaterializeBind)->Arg(0)->Arg(1);
+
+void BM_ResultCopy(benchmark::State& state) {
+  // CompileResult::clone() of a warmed ME pipeline result: what the result
+  // tier pays per hit and per store (driver/plan_cache.cpp), and the copy
+  // benchsuite's cache.result_clone layer replays.
+  IntVec params;
+  ProgramBlock block = buildKernelByName("me", {256, 128, 16}, params);
+  PlanCache cache;
+  Compiler c(block);
+  c.parameters(params).cache(&cache);
+  c.compile();
+  const CompileResult warmed = c.compile();
+  if (!warmed.ok || !warmed.cacheHit) state.SkipWithError("no warmed ME result");
+  for (auto _ : state) {
+    CompileResult copy = warmed.clone();
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_ResultCopy);
 
 }  // namespace
 }  // namespace emm

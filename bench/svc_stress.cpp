@@ -144,7 +144,7 @@ void jsonLine(const char* mode, size_t shards, const char* dist, int threads,
 CompileResult syntheticResult(size_t key) {
   CompileResult r;
   r.ok = true;
-  r.input = std::make_unique<ProgramBlock>();
+  r.input = DeepPtr<ProgramBlock>::make();
   r.artifact = "plan-artifact-" + std::to_string(key) + "-" +
                std::string(128, static_cast<char>('a' + key % 26));
   return r;

@@ -70,7 +70,7 @@ void renameVar(AstNode& n, const std::string& from, const std::string& to) {
   for (AffExpr& e : n.dstIndex) renameVarInAff(e, from, to);
   for (AffExpr& e : n.srcIndex) renameVarInAff(e, from, to);
   if (n.kind == AstNode::Kind::For && n.iter == from) return;  // shadowed below
-  for (const AstPtr& c : n.children) renameVar(*c, from, to);
+  for (AstPtr& c : n.children) renameVar(c.mut(), from, to);
 }
 
 class CellEmitter : public Emitter {
@@ -370,7 +370,7 @@ private:
       for (size_t i = 0; i < n.children.size(); ++i) {
         if (!inPrefetch[i]) continue;
         AstPtr copy = n.children[i];
-        renameVar(*copy, n.iter, iterValue);
+        renameVar(copy.mut(), n.iter, iterValue);
         emitNode(*copy, d);
       }
       dbSel_.clear();

@@ -41,7 +41,7 @@ AstPtr scanPolyhedron(const Polyhedron& p, const std::vector<std::string>& iterN
   std::vector<Polyhedron> proj(p.dim());
   for (int k = 0; k < p.dim(); ++k) proj[k] = work.projectedOnto(k + 1);
 
-  AstNode* parent = root.get();
+  AstNode* parent = &root.mut();
   for (int k = 0; k < p.dim(); ++k) {
     DimBounds b = proj[k].loopBounds(k);
     std::vector<std::string> prefix(iterNames.begin(), iterNames.begin() + k);
@@ -58,7 +58,7 @@ AstPtr scanUnion(const PolySet& pieces, const std::vector<std::string>& iterName
   AstPtr root = AstNode::block();
   for (const Polyhedron& piece : makeDisjoint(pieces)) {
     AstPtr sub = scanPolyhedron(piece, iterNames, paramNames, makeBody);
-    if (!sub->children.empty()) root->addChild(std::move(sub));
+    if (!sub->children.empty()) root.mut().addChild(std::move(sub));
   }
   return root;
 }
@@ -188,7 +188,7 @@ AstPtr generateFromSchedules(const ProgramBlock& block, const std::string& iterP
   AstPtr root = AstNode::block();
   std::vector<int> all;
   for (size_t s = 0; s < block.statements.size(); ++s) all.push_back(static_cast<int>(s));
-  gen.generate(root.get(), all, 0);
+  gen.generate(&root.mut(), all, 0);
   return root;
 }
 

@@ -351,8 +351,8 @@ CompileResult Compiler::runPipeline(std::shared_ptr<const FamilyPlan> familyIn,
     state.familyOut = std::make_shared<FamilyPlan>();
   // Keep Compiler reusable by copying the source — except for one-shot
   // async snapshots, which own their source exclusively and may donate it.
-  state.input = consumeSource_ ? std::make_unique<ProgramBlock>(std::move(*source_))
-                               : std::make_unique<ProgramBlock>(*source_);
+  state.input = consumeSource_ ? DeepPtr<ProgramBlock>::make(std::move(*source_))
+                               : DeepPtr<ProgramBlock>::make(*source_);
   if (consumeSource_) source_.reset();
   std::vector<PassTiming> timings;
 

@@ -59,7 +59,8 @@ struct PassTiming {
 struct CompileResult : PipelineProducts {
   bool ok = false;  ///< pipeline completed without error diagnostics
   /// True when this result came from the PlanCache instead of a pipeline
-  /// run. The products are a deep copy of the cached plan; `timings`
+  /// run. The products are a copy of the cached plan that shares its
+  /// blocks, AST and tables until written (support/deep_ptr.h); `timings`
   /// describe the run that originally produced it.
   bool cacheHit = false;
   /// True when this result was deserialized from the on-disk plan cache
@@ -93,8 +94,10 @@ struct CompileResult : PipelineProducts {
   /// Timing entry for a pass, or nullptr.
   const PassTiming* timing(const std::string& pass) const;
 
-  /// A deep copy (the same as copying); used by the plan cache and the
-  /// runtime binder.
+  /// A copy (the same as copying): it behaves as a deep copy, but shares
+  /// the products behind DeepPtr and Cow handles with this result until
+  /// either side writes them (support/deep_ptr.h). Used by the plan cache
+  /// and the family record.
   CompileResult clone() const { return *this; }
 
   static constexpr void fields(auto& v) {
@@ -113,7 +116,8 @@ struct CompileResult : PipelineProducts {
 
 /// Everything a family bind writes into the record's copy
 /// (driver/runtime_binder.h): certifyBind computes it without touching the
-/// record, applyBindOverlay patches a copy with it. The daemon ships it in
+/// record, applyBindOverlay patches a copy with it, detaching only the
+/// blocks it writes. The daemon ships it in
 /// place of the bound result once the connection holds the record
 /// (service/protocol.h, BoundReply).
 struct BindOverlay {

@@ -118,7 +118,7 @@ private:
 struct FamilyPlan {
   // ---- deps tier ----
   bool haveDeps = false;
-  std::vector<Dependence> deps;
+  Cow<std::vector<Dependence>> deps;
 
   // ---- transform tier ----
   /// Valid when the transform pass ran (not on scratchpad-only pipelines).

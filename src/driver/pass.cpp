@@ -28,8 +28,27 @@ const ProgramBlock* PipelineProductsMembers::blockAt(BlockRef ref) const {
 }
 
 void PipelineProductsMembers::rebindBlocks(const PipelineProductsMembers& original) {
-  if (scratchpadUnit) scratchpadUnit->source = blockAt(original.blockRef(scratchpadUnit->source));
-  if (blockPlan) blockPlan->block = blockAt(original.blockRef(blockPlan->block));
+  rebindBlocks(original.input.get(), original.transformed.get());
+}
+
+void PipelineProductsMembers::rebindBlocks(const ProgramBlock* oldInput,
+                                           const ProgramBlock* oldTransformed) {
+  auto rebind = [&](const ProgramBlock* block) -> const ProgramBlock* {
+    if (block != nullptr && block == oldInput) return input.get();
+    if (block != nullptr && block == oldTransformed) return transformed.get();
+    return nullptr;
+  };
+  if (scratchpadUnit) scratchpadUnit->source = rebind(scratchpadUnit->source);
+  if (blockPlan) blockPlan->block = rebind(blockPlan->block);
+}
+
+ProgramBlock& PipelineProductsMembers::mutBlock(BlockRef ref) {
+  EMM_CHECK(blockAt(ref) != nullptr, "mutBlock names no block");
+  const ProgramBlock* oldInput = input.get();
+  const ProgramBlock* oldTransformed = transformed.get();
+  ProgramBlock& block = (ref == BlockRef::Input ? input : transformed).mut();
+  rebindBlocks(oldInput, oldTransformed);
+  return block;
 }
 
 void CompileState::note(const std::string& stage, const std::string& message) {
@@ -140,7 +159,7 @@ public:
       // table swapped in — the skew search is skipped entirely.
       ProgramBlock t = s.familyIn->transformedTemplate;
       t.arrays = s.input->arrays;
-      s.transformed = std::make_unique<ProgramBlock>(std::move(t));
+      s.transformed = DeepPtr<ProgramBlock>::make(std::move(t));
       s.plan = s.familyIn->plan;
       s.havePlan = true;
       s.appliedSkews = s.familyIn->appliedSkews;
@@ -149,8 +168,8 @@ public:
     } else {
       // The deps pass built the input's dependences; unless it was skipped,
       // the skew search starts from them instead of rebuilding them.
-      TransformResult tr = s.haveDeps ? makeTilable(*s.input, s.deps) : makeTilable(*s.input);
-      s.transformed = std::make_unique<ProgramBlock>(std::move(tr.block));
+      TransformResult tr = s.haveDeps ? makeTilable(*s.input, *s.deps) : makeTilable(*s.input);
+      s.transformed = DeepPtr<ProgramBlock>::make(std::move(tr.block));
       s.plan = std::move(tr.plan);
       s.havePlan = true;
       s.appliedSkews = std::move(tr.appliedSkews);

@@ -35,7 +35,7 @@ struct PipelineProductsMembers {
   /// this when present, else the input.
   DeepPtr<ProgramBlock> transformed;
 
-  std::vector<Dependence> deps;
+  Cow<std::vector<Dependence>> deps;
   bool haveDeps = false;
 
   ParallelismPlan plan;
@@ -50,7 +50,7 @@ struct PipelineProductsMembers {
   /// chosen tile sizes; the tiling pass threads them into the Section-3
   /// planner so buffer bounds are adopted instead of re-derived. Empty when
   /// the search ran on the concrete path.
-  std::vector<GeometryHint> geometryHints;
+  Cow<std::vector<GeometryHint>> geometryHints;
 
   /// Full tiled kernel (Figure-3 structure); absent on the scratchpad-only
   /// and pipeline-parallel fallback paths.
@@ -102,6 +102,13 @@ struct PipelineProductsMembers {
   /// A pointer to a block `original` does not own becomes null. (The
   /// kernel's own copy rebinds the kernel's.)
   void rebindBlocks(const PipelineProductsMembers& original);
+  /// The same for back-pointers that name the blocks at `oldInput` and
+  /// `oldTransformed`, where this object's blocks were before a detach.
+  void rebindBlocks(const ProgramBlock* oldInput, const ProgramBlock* oldTransformed);
+  /// Write access to the block `ref` names (Input or Transformed): detaches
+  /// it from the copies sharing it (DeepPtr::mut), which moves it, and
+  /// rebinds the back-pointers that named it.
+  ProgramBlock& mutBlock(BlockRef ref);
 
   static constexpr void fields(auto& v) {
     v.tag(kTagPipelineProducts, "PipelineProducts");
@@ -126,8 +133,11 @@ struct PipelineProductsMembers {
 /// Everything the pipeline produces. The working CompileState and the final
 /// CompileResult both embed this struct; Compiler::compile() moves it
 /// wholesale. Program blocks live behind DeepPtr, so the CodeUnit::source
-/// and DataPlan::block back-pointers into them survive moves, and a copy
-/// is deep with its back-pointers naming its own blocks.
+/// and DataPlan::block back-pointers into them survive moves. A copy
+/// shares the blocks, the AST and the tables behind Cow until one side
+/// writes them (support/deep_ptr.h), and its back-pointers name its own
+/// blocks: a writer detaches a block through mutBlock or mutTileBlock,
+/// which rebind them.
 using PipelineProducts = RebindOnCopy<PipelineProductsMembers>;
 
 /// Mutable state threaded through the pipeline: the accumulated products

@@ -4,8 +4,10 @@
 // blocks constantly (the same ME/matmul shapes with the same options). A
 // PlanCache keys a finished CompileResult on the structural fingerprint of
 // the source block plus the canonical hash of the option set (plus the
-// skipped-pass set), and hands out deep, independently owned copies, so a
-// repeated compile costs one clone instead of the full pipeline.
+// skipped-pass set), and hands out independently owned copies, so a
+// repeated compile costs one clone instead of the full pipeline. A clone
+// shares the entry's blocks, AST and tables copy-on-write
+// (support/deep_ptr.h): writing a hit never reaches the entry.
 //
 // What is cached: the complete, re-emittable plan products — the rendered
 // artifact, the tiled kernel / scratchpad unit IR, the data plan, the

@@ -35,8 +35,9 @@ void attachFamilyRecord(FamilyPlan& family, const CompileResult& result,
   if (!qualifiesAsFamilyRecord(result)) return;
   family.recordOptions = options;
   family.record = std::make_shared<CompileResult>(result.clone());
-  // Binds copy the record and the daemon encodes it once per connection;
-  // settle the derived answers once so no copy re-derives them.
+  // Binds share the record's products and the daemon encodes it once per
+  // connection; settle the derived answers once so no reader re-derives
+  // them.
   settleDerivedAnswers(*family.record);
   family.haveRecord = true;
 }
@@ -218,11 +219,14 @@ std::optional<BindOverlay> certifyBind(const FamilyPlan& family, const ProgramBl
 
 void applyBindOverlay(CompileResult& out, BindOverlay overlay) {
   if (overlay.search.has_value()) out.search = std::move(*overlay.search);
+  // Each block written is detached from the record it shares (mutBlock,
+  // mutTileBlock); the rest of the products stay shared.
+  using BlockRef = CompileResult::BlockRef;
   if (out.kernel.has_value() && out.kernel->analysis.tileBlock != nullptr &&
       sameArrayShape(out.kernel->analysis.tileBlock->arrays, overlay.arrays))
-    out.kernel->analysis.tileBlock->arrays = overlay.arrays;
-  if (out.transformed != nullptr) out.transformed->arrays = overlay.arrays;
-  if (out.input != nullptr) out.input->arrays = std::move(overlay.arrays);
+    out.kernel->mutTileBlock().arrays = overlay.arrays;
+  if (out.transformed != nullptr) out.mutBlock(BlockRef::Transformed).arrays = overlay.arrays;
+  if (out.input != nullptr) out.mutBlock(BlockRef::Input).arrays = std::move(overlay.arrays);
   out.ok = true;
   out.cacheHit = false;
   out.diskHit = false;
@@ -234,7 +238,9 @@ void applyBindOverlay(CompileResult& out, BindOverlay overlay) {
 }
 
 CompileResult materializeBind(const CompileResult& record, BindOverlay overlay) {
-  CompileResult out = record.clone();
+  // The products alone: applyBindOverlay replaces the rest of the record.
+  CompileResult out;
+  static_cast<PipelineProducts&>(out) = record;
   applyBindOverlay(out, std::move(overlay));
   return out;
 }

@@ -31,8 +31,10 @@
 // The bind is split in two. certifyBind runs steps 1-4 against the
 // immutable record and returns a BindOverlay — the re-search, the
 // request's arrays, the arguments, one note and one timing — without
-// copying the record. materializeBind copies the record and patches the
-// copy with applyBindOverlay, the one code path that patches a record. An
+// copying the record. materializeBind copies the record's products, which
+// shares their blocks, AST and tables (support/deep_ptr.h), and patches the
+// copy with applyBindOverlay, the one code path that patches a record: it
+// detaches only the three blocks whose array tables it writes. An
 // in-process compile() does both at once; the daemon certifies on its
 // connection thread and ships the overlay alone once the connection holds
 // the record, and the client materializes against its copy
@@ -42,7 +44,9 @@
 // plan specialized to the requested sizes (tilesearch/parametric_plan.h),
 // BM_PlanOnlySearch in bench/micro_compiler_ops.cpp (44 µs for ME,
 // 31 µs for matmul on a shared 4-core x86 box), and a repeated size is a
-// search-memo hit. bench/svc_family_bind.cpp gates a warm compile()
+// search-memo hit. Materializing then costs BM_MaterializeBind (about
+// 2.6 µs for ME and 2.5 µs for matmul on the same box, freeing the
+// result included). bench/svc_family_bind.cpp gates a warm compile()
 // through the family tier at 10x under bind-and-emit.
 #pragma once
 
@@ -83,9 +87,12 @@ std::optional<BindOverlay> certifyBind(const FamilyPlan& family, const ProgramBl
 /// overlay's search and array tables swapped in (the tiled block's too, when
 /// its table has the request's shape), boundArgs filled, the one bind note
 /// and timing in place of the record's, and familyHit/artifactBound set.
+/// Each block written is detached from the record (mutBlock, mutTileBlock);
+/// everything else stays shared.
 void applyBindOverlay(CompileResult& result, BindOverlay overlay);
 
-/// The bound result: a copy of `record` patched by applyBindOverlay.
+/// The bound result: a copy of `record`'s products patched by
+/// applyBindOverlay.
 CompileResult materializeBind(const CompileResult& record, BindOverlay overlay);
 
 /// Same array table modulo extents (names and ranks): the record's blocks

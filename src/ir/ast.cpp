@@ -122,67 +122,74 @@ std::string BoundExpr::str() const {
 }
 
 AstPtr AstNode::block() {
-  auto n = std::make_unique<AstNode>();
-  n->kind = Kind::Block;
-  return n;
+  AstPtr ptr = AstPtr::make();
+  AstNode& n = ptr.mut();
+  n.kind = Kind::Block;
+  return ptr;
 }
 
 AstPtr AstNode::forLoop(std::string iter, BoundExpr lb, BoundExpr ub, i64 step, LoopKind kind) {
   EMM_CHECK(step > 0, "loop step must be positive");
-  auto n = std::make_unique<AstNode>();
-  n->kind = Kind::For;
-  n->iter = std::move(iter);
-  n->lb = std::move(lb);
-  n->ub = std::move(ub);
-  n->step = step;
-  n->loopKind = kind;
-  return n;
+  AstPtr ptr = AstPtr::make();
+  AstNode& n = ptr.mut();
+  n.kind = Kind::For;
+  n.iter = std::move(iter);
+  n.lb = std::move(lb);
+  n.ub = std::move(ub);
+  n.step = step;
+  n.loopKind = kind;
+  return ptr;
 }
 
 AstPtr AstNode::guard(std::vector<AffExpr> guards) {
-  auto n = std::make_unique<AstNode>();
-  n->kind = Kind::Guard;
-  n->guards = std::move(guards);
-  return n;
+  AstPtr ptr = AstPtr::make();
+  AstNode& n = ptr.mut();
+  n.kind = Kind::Guard;
+  n.guards = std::move(guards);
+  return ptr;
 }
 
 AstPtr AstNode::call(int stmtId, std::vector<AffExpr> args) {
-  auto n = std::make_unique<AstNode>();
-  n->kind = Kind::Call;
-  n->stmtId = stmtId;
-  n->callArgs = std::move(args);
-  return n;
+  AstPtr ptr = AstPtr::make();
+  AstNode& n = ptr.mut();
+  n.kind = Kind::Call;
+  n.stmtId = stmtId;
+  n.callArgs = std::move(args);
+  return ptr;
 }
 
 AstPtr AstNode::copy(int dstArray, std::vector<AffExpr> dstIndex, int srcArray,
                      std::vector<AffExpr> srcIndex) {
-  auto n = std::make_unique<AstNode>();
-  n->kind = Kind::Copy;
-  n->dstArray = dstArray;
-  n->dstIndex = std::move(dstIndex);
-  n->srcArray = srcArray;
-  n->srcIndex = std::move(srcIndex);
-  return n;
+  AstPtr ptr = AstPtr::make();
+  AstNode& n = ptr.mut();
+  n.kind = Kind::Copy;
+  n.dstArray = dstArray;
+  n.dstIndex = std::move(dstIndex);
+  n.srcArray = srcArray;
+  n.srcIndex = std::move(srcIndex);
+  return ptr;
 }
 
 AstPtr AstNode::sync() {
-  auto n = std::make_unique<AstNode>();
-  n->kind = Kind::Sync;
-  return n;
+  AstPtr ptr = AstPtr::make();
+  AstNode& n = ptr.mut();
+  n.kind = Kind::Sync;
+  return ptr;
 }
 
 AstPtr AstNode::comment(std::string text) {
-  auto n = std::make_unique<AstNode>();
-  n->kind = Kind::Comment;
-  n->text = std::move(text);
-  return n;
+  AstPtr ptr = AstPtr::make();
+  AstNode& n = ptr.mut();
+  n.kind = Kind::Comment;
+  n.text = std::move(text);
+  return ptr;
 }
 
 AstNode* AstNode::addChild(AstPtr child) {
   EMM_CHECK(kind == Kind::Block || kind == Kind::For || kind == Kind::Guard,
             "node kind cannot have children");
   children.push_back(std::move(child));
-  return children.back().get();
+  return &children.back().mut();
 }
 
 }  // namespace emm

@@ -76,7 +76,8 @@ enum class LoopKind { Sequential, BlockParallel, ThreadParallel };
 constexpr LoopKind enumMax(LoopKind) { return LoopKind::ThreadParallel; }
 
 struct AstNode;
-/// Owning child pointer; copying a node copies its subtree.
+/// Owning child pointer; a copy of a node shares its subtree until one
+/// side writes it (support/deep_ptr.h).
 using AstPtr = DeepPtr<AstNode>;
 
 /// One node of generated code.
@@ -195,8 +196,8 @@ struct LocalBuffer {
 struct CodeUnit {
   std::string name;
   const ProgramBlock* source = nullptr;
-  std::vector<Statement> statements;  ///< bodies for Call nodes (by stmtId)
-  std::vector<LocalBuffer> localBuffers;
+  Cow<std::vector<Statement>> statements;  ///< bodies for Call nodes (by stmtId)
+  Cow<std::vector<LocalBuffer>> localBuffers;
   AstPtr root;
 
   int numGlobalArrays() const {

@@ -166,8 +166,9 @@ inline constexpr int kRecordSlots = 16;
 /// family records on the client side: the first bind of a family ships the
 /// stored record into a slot (hasRecord), later binds name the slot and
 /// ship only the overlay. The client materializes the bound result from
-/// its copy of the record (materializeBind), which is byte for byte the
-/// result an in-process bind returns, and hands it out as a
+/// the record in its slot (materializeBind, which shares the record's
+/// products and detaches only the blocks the overlay writes), byte for
+/// byte the result an in-process bind returns, and hands it out as a
 /// WireCompileReply with serverFamilyHit set.
 struct WireBoundReply {
   double serverMillis = 0;  ///< wall-clock of the server-side certification

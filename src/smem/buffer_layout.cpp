@@ -168,7 +168,7 @@ BufferLayout planBufferLayout(const CodeUnit& unit, const BufferLayoutOptions& o
 
 void applyBufferLayout(CodeUnit& unit, const BufferLayout& layout) {
   for (const BufferLayoutEntry& e : layout.buffers) {
-    for (LocalBuffer& b : unit.localBuffers) {
+    for (LocalBuffer& b : unit.localBuffers.mut()) {
       if (b.name != e.name) continue;
       b.pad.clear();
       if (e.rowPadElems != 0 && b.ndim > 0) {

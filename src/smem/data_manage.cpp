@@ -386,7 +386,7 @@ DataPlan analyzeBlock(const ProgramBlock& block, const SmemOptions& options) {
         for (const RefSummary& r : part.refs)
           plan.partitionOf[r.stmt][r.access] = static_cast<int>(plan.partitions.size());
       }
-      plan.partitions.push_back(std::move(part));
+      plan.partitions.mut().push_back(std::move(part));
     }
   }
   return plan;
@@ -592,29 +592,30 @@ CodeUnit buildScratchpadUnit(const ProgramBlock& block, const SmemOptions& optio
     buf.ndim = block.arrays[part.arrayId].ndim();
     buf.offset = part.offset;
     buf.sizeExpr = part.sizeExpr;
-    unit.localBuffers.push_back(std::move(buf));
+    unit.localBuffers.mut().push_back(std::move(buf));
   }
 
   // Rewritten statements.
   int numGlobals = static_cast<int>(block.arrays.size());
   for (size_t s = 0; s < block.statements.size(); ++s)
-    unit.statements.push_back(
+    unit.statements.mut().push_back(
         rewriteStatement(block.statements[s], static_cast<int>(s), planOut, block, numGlobals));
 
   // move-in; compute; move-out.
   const std::vector<Dependence> copySetDeps = copySetDependences(planOut);
   unit.root = AstNode::block();
+  AstNode& root = unit.root.mut();
   for (size_t p = 0; p < planOut.partitions.size(); ++p) {
     if (!planOut.partitions[p].hasBuffer) continue;
-    unit.root->addChild(AstNode::comment("move-in " + planOut.partitions[p].bufferName));
-    unit.root->addChild(buildCopyCode(planOut, static_cast<int>(p), true, copySetDeps));
+    root.addChild(AstNode::comment("move-in " + planOut.partitions[p].bufferName));
+    root.addChild(buildCopyCode(planOut, static_cast<int>(p), true, copySetDeps));
   }
-  unit.root->addChild(AstNode::comment("computation"));
-  unit.root->addChild(generateFromSchedules(block));
+  root.addChild(AstNode::comment("computation"));
+  root.addChild(generateFromSchedules(block));
   for (size_t p = 0; p < planOut.partitions.size(); ++p) {
     if (!planOut.partitions[p].hasBuffer) continue;
-    unit.root->addChild(AstNode::comment("move-out " + planOut.partitions[p].bufferName));
-    unit.root->addChild(buildCopyCode(planOut, static_cast<int>(p), false, copySetDeps));
+    root.addChild(AstNode::comment("move-out " + planOut.partitions[p].bufferName));
+    root.addChild(buildCopyCode(planOut, static_cast<int>(p), false, copySetDeps));
   }
   return unit;
 }

@@ -102,7 +102,7 @@ struct SmemOptions {
   i64 volumeCap = 4'000'000;
   /// Buffer-geometry hints from a parametric tile plan (see GeometryHint).
   /// Unmatched or invalid hints are ignored and bounds are derived as usual.
-  std::vector<GeometryHint> geometryHints;
+  Cow<std::vector<GeometryHint>> geometryHints;
 
   static constexpr void fields(auto& v) {
     v.tag(kTagSmemOptions, "SmemOptions");
@@ -179,7 +179,7 @@ struct PartitionPlan {
 struct DataPlan {
   const ProgramBlock* block = nullptr;
   SmemOptions options;
-  std::vector<PartitionPlan> partitions;
+  Cow<std::vector<PartitionPlan>> partitions;
   /// partitionOf[stmt][access] = partition index, or -1 when the reference
   /// stays in global memory.
   std::vector<std::vector<int>> partitionOf;

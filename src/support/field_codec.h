@@ -21,6 +21,7 @@
 //   DeepPtr<T>
 //   std::shared_ptr<T>    T, never null (v.nullable adds a presence byte)
 //   field-listed struct   its tag (unless kTagNone), then its fields
+//   Cow<T>                as T
 //   RebindOnCopy<M>       as M
 // Hand-written, because their wire form is not a plain field list: IntMat,
 // Polyhedron (its emptiness byte), the Expr and SymExpr trees (rebuilt
@@ -209,6 +210,8 @@ void writeValue(S& s, const T& value) {
   } else if constexpr (kIsA<std::shared_ptr, T>) {
     if (value == nullptr) throw SerializeError("null shared value");
     writeValue(s, *value);
+  } else if constexpr (kIsA<Cow, T>) {
+    writeValue(s, *value);
   } else if constexpr (kIsA<RebindOnCopy, T>) {
     writeValue(s, static_cast<const typename T::Members&>(value));
   } else {
@@ -354,16 +357,18 @@ void readValue(Decoder& d, T& value) {
     else
       value.reset();
   } else if constexpr (kIsA<DeepPtr, T>) {
-    using E = std::remove_reference_t<decltype(*value)>;
     value = nullptr;
     if (!r.boolean()) return;
-    value = std::make_unique<E>();
-    readValue(d, *value);
+    value = T::make();
+    readValue(d, value.mut());
   } else if constexpr (kIsA<std::shared_ptr, T>) {
     using E = std::remove_const_t<typename T::element_type>;
     E decoded = FieldAccess::make<E>();
     readValue(d, decoded);
     value = std::make_shared<const E>(std::move(decoded));
+  } else if constexpr (kIsA<Cow, T>) {
+    value = typename T::element_type{};  // a fresh pointee, not a detached copy
+    readValue(d, value.mut());
   } else if constexpr (kIsA<RebindOnCopy, T>) {
     readValue(d, static_cast<typename T::Members&>(value));
     value.rebindBlocks(value);  // a decoded value's back-pointers name its own blocks

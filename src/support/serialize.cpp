@@ -173,8 +173,8 @@ void readValue(Decoder& d, std::vector<AstPtr>& children) {
   ++d.astDepth;
   children.clear();
   for (u64 i = 0; i < n; ++i) {
-    children.push_back(std::make_unique<AstNode>());
-    readValue(d, *children.back());
+    children.push_back(AstPtr::make());
+    readValue(d, children.back().mut());
   }
   --d.astDepth;
 }
@@ -364,7 +364,7 @@ std::string Manifest::type() {
   } else if constexpr (kIsA<std::optional, T>) {
     return type<typename T::value_type>() + "?";
   } else if constexpr (kIsA<DeepPtr, T>) {
-    return type<std::remove_reference_t<decltype(*std::declval<T>())>>() + "?";
+    return type<typename T::element_type>() + "?";
   } else if constexpr (std::is_same_v<T, IntMat>) {
     return handWritten("IntMat", kTagIntMat, "rows:int,cols:int,entries:i64*rows*cols");
   } else if constexpr (std::is_same_v<T, Polyhedron>) {
@@ -381,6 +381,8 @@ std::string Manifest::type() {
                            ",Const:i64|Param:int,str|lhs:SymExpr,rhs:SymExpr");
   } else if constexpr (kIsA<std::shared_ptr, T>) {
     return type<std::remove_const_t<typename T::element_type>>();
+  } else if constexpr (kIsA<Cow, T>) {
+    return type<typename T::element_type>();
   } else if constexpr (kIsA<RebindOnCopy, T>) {
     return type<typename T::Members>();
   } else {

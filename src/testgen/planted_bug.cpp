@@ -34,7 +34,7 @@ bool corruptFirstCopyLoop(AstNode& node) {
     }
   }
   for (AstPtr& child : node.children)
-    if (corruptFirstCopyLoop(*child)) return true;
+    if (corruptFirstCopyLoop(child.mut())) return true;
   return false;
 }
 
@@ -43,7 +43,7 @@ bool corruptFirstCopyLoop(AstNode& node) {
 void PlantedTilerBugPass::run(CompileState& state) {
   PassRegistry::standard().create("codegen")->run(state);
   corrupted_ = false;
-  if (state.kernel.has_value()) corrupted_ = corruptFirstCopyLoop(*state.kernel->unit.root);
+  if (state.kernel.has_value()) corrupted_ = corruptFirstCopyLoop(state.kernel->unit.root.mut());
 }
 
 void plantTilerBug(Compiler& compiler) {

@@ -199,7 +199,7 @@ ParametricTilePlan::SizeBinding ParametricTilePlan::bindSizes(const IntVec& size
   EMM_REQUIRE(static_cast<int>(sizes.size()) == np_,
               "bindSizes: expected " + std::to_string(np_) + " problem sizes, got " +
                   std::to_string(sizes.size()));
-  return bindLoopBounds(analysis_.loopBounds, sizes);
+  return bindLoopBounds(*analysis_.loopBounds, sizes);
 }
 
 SymPtr ParametricTilePlan::compileDiv(const DivExpr& e, bool ceil) const {

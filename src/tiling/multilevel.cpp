@@ -132,8 +132,8 @@ TileAnalysis analyzeTileImpl(const ProgramBlock& block, const std::vector<i64>& 
 
   // ---- Extended block: tile origins (and, in symbolic mode, tile sizes)
   // become parameters. ----
-  ta.tileBlock = std::make_unique<ProgramBlock>(block);
-  ProgramBlock& ext = *ta.tileBlock;
+  ta.tileBlock = DeepPtr<ProgramBlock>::make(block);
+  ProgramBlock& ext = ta.tileBlock.mut();
   ext.name = block.name + "_tile";
   int oldNp = block.nparam();
   for (int l = 0; l < depth; ++l) {
@@ -215,7 +215,7 @@ TileAnalysis analyzeTileImpl(const ProgramBlock& block, const std::vector<i64>& 
                 "sampleParams must bind the original parameters");
     // Sample tile origins at the loop lower bounds (which are functions of
     // the original parameters only).
-    opts.sampleParams = bindLoopBounds(ta.loopBounds, opts.sampleParams).ext;
+    opts.sampleParams = bindLoopBounds(*ta.loopBounds, opts.sampleParams).ext;
     // Symbolic tile parameters sample at the probe sizes the caller gave.
     if (symbolic)
       opts.sampleParams.insert(opts.sampleParams.end(), tileValues.begin(), tileValues.end());
@@ -309,7 +309,7 @@ TiledKernel buildTiledKernel(const ProgramBlock& block, const ParallelismPlan& p
   result.analysis = analyzeTile(block, plan, config.subTile, smemBase, config.hoistCopies,
                                 config.useScratchpad);
   TileAnalysis& ta = result.analysis;
-  ProgramBlock& ext = *ta.tileBlock;
+  const ProgramBlock& ext = *ta.tileBlock;
   int depth = ta.depth;
   int oldNp = block.nparam();
   result.spaceLoops = plan.spaceLoops;
@@ -327,7 +327,7 @@ TiledKernel buildTiledKernel(const ProgramBlock& block, const ParallelismPlan& p
     buf.ndim = ext.arrays[part.arrayId].ndim();
     buf.offset = part.offset;
     buf.sizeExpr = part.sizeExpr;
-    unit.localBuffers.push_back(std::move(buf));
+    unit.localBuffers.mut().push_back(std::move(buf));
   }
   if (config.useScratchpad) {
     int numGlobals = static_cast<int>(ext.arrays.size());
@@ -354,7 +354,7 @@ TiledKernel buildTiledKernel(const ProgramBlock& block, const ParallelismPlan& p
           if (ta.plan.partitions[q].hasBuffer) ++bufferId;
         acc.arrayId = numGlobals + bufferId;
       }
-      unit.statements.push_back(std::move(st));
+      unit.statements.mut().push_back(std::move(st));
     }
   } else {
     unit.statements = ext.statements;
@@ -375,7 +375,7 @@ TiledKernel buildTiledKernel(const ProgramBlock& block, const ParallelismPlan& p
   };
 
   unit.root = AstNode::block();
-  AstNode* cursor = unit.root.get();
+  AstNode* cursor = &unit.root.mut();
 
   // Block-tile loops (outer level; FORALL across thread blocks).
   for (int l : plan.spaceLoops) {
@@ -481,7 +481,7 @@ TiledKernel buildTiledKernel(const ProgramBlock& block, const ParallelismPlan& p
       host->addChild(std::move(f.code));
     }
 
-  for (int l : plan.spaceLoops) result.spaceLoopRange.emplace_back(loopLb(l), loopUb(l));
+  for (int l : plan.spaceLoops) result.spaceLoopRange.mut().emplace_back(loopLb(l), loopUb(l));
   result.unit = std::move(unit);
   return result;
 }

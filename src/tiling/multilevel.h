@@ -40,7 +40,7 @@ struct TileAnalysisMembers {
   /// Symbolic tile-size parameter names (one per common loop) when the
   /// analysis ran in parametric mode (analyzeTileSymbolic); empty otherwise.
   std::vector<std::string> tileParams;
-  std::vector<DimBounds> loopBounds;      ///< parameter-only bounds per loop
+  Cow<std::vector<DimBounds>> loopBounds;  ///< parameter-only bounds per loop
   std::vector<i64> subTile;               ///< empty in parametric mode
   int depth = 0;
   /// Per partition index: sub-tile nesting level (0..depth) the copy code is
@@ -147,7 +147,7 @@ struct TiledKernelMembers {
   CodeUnit unit;
   std::vector<int> spaceLoops;
   std::vector<i64> blockTileSizes;  ///< per space loop
-  std::vector<std::pair<BoundExpr, BoundExpr>> spaceLoopRange;  ///< lb/ub per space loop
+  Cow<std::vector<std::pair<BoundExpr, BoundExpr>>> spaceLoopRange;  ///< lb/ub per space loop
 
   /// Number of outer-level tiles (= thread blocks launched) at a binding.
   i64 numBlockTiles(const IntVec& paramValues) const;
@@ -158,6 +158,15 @@ struct TiledKernelMembers {
   IntVec unitParams(const IntVec& paramValues) const;
 
   void rebindBlocks(const TiledKernelMembers&) { unit.source = analysis.tileBlock.get(); }
+  /// Write access to the tile block: detaches it from the copies sharing it
+  /// (DeepPtr::mut), which moves it, and rebinds unit.source and the
+  /// analysis plan's block at the private copy.
+  ProgramBlock& mutTileBlock() {
+    ProgramBlock& block = analysis.tileBlock.mut();
+    analysis.rebindBlocks(analysis);
+    rebindBlocks(*this);
+    return block;
+  }
 
   static constexpr void fields(auto& v) {
     v.tag(kTagTiledKernel, "TiledKernel");

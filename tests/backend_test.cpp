@@ -274,7 +274,7 @@ AstNode* firstCopyLoop(AstNode& n) {
       n.children[0]->kind == AstNode::Kind::Copy)
     return &n;
   for (AstPtr& c : n.children)
-    if (AstNode* loop = firstCopyLoop(*c)) return loop;
+    if (AstNode* loop = firstCopyLoop(c.mut())) return loop;
   return nullptr;
 }
 
@@ -288,9 +288,9 @@ TEST(CellBackend, NonContiguousCopiesStayPerElementTransfers) {
   CodeUnit unit = *r.unit();
   // Make one row copy strided: its iterator now also advances the leading
   // dimension on both sides, so consecutive iterations are not contiguous.
-  AstNode* loop = firstCopyLoop(*unit.root);
+  AstNode* loop = firstCopyLoop(unit.root.mut());
   ASSERT_NE(loop, nullptr);
-  AstNode& copy = *loop->children[0];
+  AstNode& copy = loop->children[0].mut();
   copy.dstIndex.front().terms.emplace_back(loop->iter, 1);
   copy.srcIndex.front().terms.emplace_back(loop->iter, 1);
   const std::string text = emitArtifact(unit, opts, nullptr, nullptr);

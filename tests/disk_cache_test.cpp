@@ -510,7 +510,7 @@ TEST(PlanCacheStats, SnapshotStaysCoherentUnderConcurrentTraffic) {
         CompileResult r = cache.getOrCompute(key, [] {
           CompileResult fresh;
           fresh.ok = true;
-          fresh.input = std::make_unique<ProgramBlock>();
+          fresh.input = DeepPtr<ProgramBlock>::make();
           return fresh;
         });
         if (!r.ok) failures.fetch_add(1);

@@ -132,7 +132,7 @@ TEST(Integration, VolumeBoundsDominateMeasuredTraffic) {
       buf.ndim = ta.tileBlock->arrays[part.arrayId].ndim();
       buf.offset = part.offset;
       buf.sizeExpr = part.sizeExpr;
-      unit.localBuffers.push_back(std::move(buf));
+      unit.localBuffers.mut().push_back(std::move(buf));
     }
     unit.root = std::move(in);
     ArrayStore store(ta.tileBlock->arrays);

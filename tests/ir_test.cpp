@@ -167,7 +167,7 @@ TEST(Interp, ForLoopWithCopies) {
   CodeUnit unit;
   unit.source = &block;
   unit.root = AstNode::block();
-  AstNode* loop = unit.root->addChild(AstNode::forLoop(
+  AstNode* loop = unit.root.mut().addChild(AstNode::forLoop(
       "i", BoundExpr::single(AffExpr::constant(0), true),
       BoundExpr::single(AffExpr::constant(7), false)));
   loop->addChild(AstNode::copy(1, {AffExpr::var("i")}, 0, {AffExpr::var("i")}));
@@ -194,14 +194,14 @@ TEST(Interp, LocalBufferRoundTrip) {
   buf.ndim = 1;
   buf.offset = {AffExpr::constant(2)};
   buf.sizeExpr = {BoundExpr::single(AffExpr::constant(4), false)};
-  unit.localBuffers.push_back(buf);
+  unit.localBuffers.mut().push_back(buf);
 
   unit.root = AstNode::block();
-  AstNode* in = unit.root->addChild(AstNode::forLoop(
+  AstNode* in = unit.root.mut().addChild(AstNode::forLoop(
       "i", BoundExpr::single(AffExpr::constant(2), true),
       BoundExpr::single(AffExpr::constant(5), false)));
   in->addChild(AstNode::copy(2, {AffExpr::var("i").plus(-2)}, 0, {AffExpr::var("i")}));
-  AstNode* out = unit.root->addChild(AstNode::forLoop(
+  AstNode* out = unit.root.mut().addChild(AstNode::forLoop(
       "i", BoundExpr::single(AffExpr::constant(2), true),
       BoundExpr::single(AffExpr::constant(5), false)));
   out->addChild(AstNode::copy(1, {AffExpr::var("i")}, 2, {AffExpr::var("i").plus(-2)}));
@@ -224,7 +224,7 @@ TEST(Interp, GuardSkipsBody) {
   CodeUnit unit;
   unit.source = &block;
   unit.root = AstNode::block();
-  AstNode* loop = unit.root->addChild(AstNode::forLoop(
+  AstNode* loop = unit.root.mut().addChild(AstNode::forLoop(
       "i", BoundExpr::single(AffExpr::constant(0), true),
       BoundExpr::single(AffExpr::constant(3), false)));
   // Guard i - 2 >= 0: only i in {2, 3} copy.
@@ -246,7 +246,7 @@ TEST(Interp, SyncCounting) {
   CodeUnit unit;
   unit.source = &block;
   unit.root = AstNode::block();
-  AstNode* loop = unit.root->addChild(AstNode::forLoop(
+  AstNode* loop = unit.root.mut().addChild(AstNode::forLoop(
       "i", BoundExpr::single(AffExpr::constant(0), true),
       BoundExpr::single(AffExpr::constant(4), false)));
   loop->addChild(AstNode::sync());
@@ -267,7 +267,7 @@ TEST(Interp, StepLoop) {
   CodeUnit unit;
   unit.source = &block;
   unit.root = AstNode::block();
-  AstNode* loop = unit.root->addChild(
+  AstNode* loop = unit.root.mut().addChild(
       AstNode::forLoop("i", BoundExpr::single(AffExpr::constant(0), true),
                        BoundExpr::single(AffExpr::constant(15), false), 4));
   loop->addChild(AstNode::copy(1, {AffExpr::var("i")}, 0, {AffExpr::var("i")}));
@@ -282,7 +282,7 @@ TEST(Emit, RendersLoopAndCopy) {
   CodeUnit unit;
   unit.source = &block;
   unit.root = AstNode::block();
-  AstNode* loop = unit.root->addChild(AstNode::forLoop(
+  AstNode* loop = unit.root.mut().addChild(AstNode::forLoop(
       "i", BoundExpr::single(AffExpr::constant(0), true),
       BoundExpr::single(AffExpr::constant(7), false)));
   loop->addChild(AstNode::copy(1, {AffExpr::var("i")}, 0, {AffExpr::var("i")}));
@@ -297,7 +297,7 @@ TEST(Emit, RendersCallWithComposedIndices) {
   unit.source = &block;
   unit.statements = block.statements;
   unit.root = AstNode::block();
-  unit.root->addChild(AstNode::call(0, {AffExpr::var("t"), AffExpr::var("i")}));
+  unit.root.mut().addChild(AstNode::call(0, {AffExpr::var("t"), AffExpr::var("i")}));
   std::string code = emitC(unit);
   EXPECT_NE(code.find("B[i] ="), std::string::npos) << code;
   EXPECT_NE(code.find("A[i - 1]"), std::string::npos) << code;

@@ -163,7 +163,7 @@ TEST(Errors, InterpreterCatchesUnboundVariable) {
   CodeUnit unit;
   unit.source = &block;
   unit.root = AstNode::block();
-  unit.root->addChild(AstNode::copy(1, {AffExpr::var("nowhere")}, 0, {AffExpr::constant(0)}));
+  unit.root.mut().addChild(AstNode::copy(1, {AffExpr::var("nowhere")}, 0, {AffExpr::constant(0)}));
   ArrayStore store(block.arrays);
   EXPECT_DEATH(executeCodeUnit(unit, {}, store), "unbound variable");
 }

@@ -30,7 +30,7 @@ namespace {
 CompileResult syntheticResult(u64 key) {
   CompileResult r;
   r.ok = true;
-  r.input = std::make_unique<ProgramBlock>();
+  r.input = DeepPtr<ProgramBlock>::make();
   r.artifact = "artifact-" + std::to_string(key);
   return r;
 }
