@@ -2,7 +2,8 @@
 // polyhedral operations dominating compile time (Fourier-Motzkin
 // projection, images, set difference, scanning), dependence analysis, the
 // Section-3 block analysis, the family binder's plan-only tile search and
-// bound-result materialization, and the copy of a compile result.
+// bound-result materialization, the copy of a compile result, and the
+// counting walk over a compiled unit (work counts and bank conflicts).
 #include <benchmark/benchmark.h>
 
 #include "codegen/scan.h"
@@ -11,7 +12,9 @@
 #include "driver/family_plan.h"
 #include "driver/plan_cache.h"
 #include "driver/runtime_binder.h"
+#include "ir/interp.h"
 #include "kernels/blocks.h"
+#include "kernels/me_pipeline.h"
 #include "tilesearch/tile_evaluator.h"
 #include "poly/enumerate.h"
 #include "smem/data_manage.h"
@@ -244,6 +247,61 @@ void BM_ResultCopy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ResultCopy);
+
+/// ME at its default sizes, compiled as `emmapc --kernel=me` compiles it.
+CompileResult compileDefaultMe(bool packBuffers, IntVec& params) {
+  Compiler c(buildKernelByName("me", {}, params));
+  c.parameters(params).memoryLimitBytes(16 * 1024).innerProcs(32).backend("cuda");
+  c.opts().packBuffers = packBuffers;
+  return c.compile();
+}
+
+void BM_CountCodeUnit(benchmark::State& state) {
+  // countCodeUnit (ir/interp.h) over a compiled ME unit: the work counts
+  // the figures and `emmapc --emit=stats` price. Arg 0: ME at its default
+  // sizes; arg 1: fig6's (8,8,16,16) sub-tile at 16M points, a size where
+  // counting runs one iteration per sub-tile.
+  IntVec params;
+  CompileResult r;
+  if (state.range(0) == 0) {
+    r = compileDefaultMe(true, params);
+  } else {
+    MeConfig c;
+    c.nj = 1024;
+    c.ni = (16 << 20) / c.nj;
+    c.subTile = {8, 8, 16, 16};
+    r = buildMePipeline(c);
+    params = c.params();
+  }
+  if (!r.ok || !r.kernel.has_value()) {
+    state.SkipWithError("ME did not compile");
+    return;
+  }
+  const IntVec ext = r.kernel->unitParams(params);
+  for (auto _ : state) {
+    MemTrace t = countCodeUnit(r.kernel->unit, ext);
+    benchmark::DoNotOptimize(t);
+  }
+}
+BENCHMARK(BM_CountCodeUnit)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_CountBankConflicts(benchmark::State& state) {
+  // countBankConflicts (ir/interp.h) over ME at its default sizes, at the
+  // layout's 16 banks of 4-byte words: what `emmapc --emit=stats` pays for
+  // its conflict estimate. Arg 0: unpacked buffers; arg 1: packed.
+  IntVec params;
+  const CompileResult r = compileDefaultMe(state.range(0) == 1, params);
+  if (!r.ok || !r.kernel.has_value()) {
+    state.SkipWithError("ME did not compile");
+    return;
+  }
+  const IntVec ext = r.kernel->unitParams(params);
+  for (auto _ : state) {
+    BankConflictStats s = countBankConflicts(r.kernel->unit, ext, BankDescriptor{}, 4);
+    benchmark::DoNotOptimize(s);
+  }
+}
+BENCHMARK(BM_CountBankConflicts)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace emm

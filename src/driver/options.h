@@ -83,8 +83,8 @@ struct CompileOptions {
   /// with the bank count (unit- and tile-strided warp accesses then hit
   /// distinct banks). Padding never changes semantics, only allocation.
   bool packBuffers = true;
-  /// Bank descriptor of the target scratchpad (gpusim::Machine mirrors
-  /// these). banks <= 1 disables conflict padding; packing still assigns
+  /// Bank descriptor of the target scratchpad (BankDescriptor in
+  /// ir/ast.h). banks <= 1 disables conflict padding; packing still assigns
   /// offsets.
   i64 smemBanks = 16;
   i64 smemBankWidthBytes = 4;

@@ -41,13 +41,6 @@ struct Machine {
   int simdPerSM = 8;
   int warpSize = 32;
   i64 smemBytesPerSM = 16 * 1024;
-  /// Scratchpad banking (paper Section 5's conflict discussion): successive
-  /// `smemBankWidthBytes` words map to successive banks, and lanes of a
-  /// half-warp hitting the same bank serialize. The G80 has 16 banks of
-  /// 4-byte words; banks = 1 models an unbanked store (Cell local store),
-  /// for which conflict padding is pure waste.
-  int smemBanks = 16;
-  int smemBankWidthBytes = 4;
   int maxBlocksPerSM = 8;
   double clockGHz = 1.35;  ///< shader clock
 
@@ -98,7 +91,6 @@ struct Machine {
     m.simdPerSM = 4;
     m.warpSize = 1;
     m.smemBytesPerSM = 256 * 1024;
-    m.smemBanks = 1;  // local store: no banking, padding buys nothing
     m.maxBlocksPerSM = 1;
     m.clockGHz = 3.2;
     m.globalLatencyCycles = 1000;        // DMA round trip

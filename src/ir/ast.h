@@ -154,6 +154,20 @@ struct AstNode {
 
 constexpr AstNode::Kind enumMax(AstNode::Kind) { return AstNode::Kind::Comment; }
 
+/// Scratchpad banking of the target machine: successive `widthBytes` words
+/// map to successive banks. banks <= 1 models an unbanked store, which never
+/// conflicts and gets no padding (src/smem/buffer_layout.h).
+struct BankDescriptor {
+  i64 banks = 16;
+  i64 widthBytes = 4;
+
+  static constexpr void fields(auto& v) {
+    v.tag(kTagNone, "BankDescriptor");
+    v("banks", &BankDescriptor::banks);
+    v("widthBytes", &BankDescriptor::widthBytes);
+  }
+};
+
 /// A local (scratchpad) buffer: per-dimension lower/upper bounds as affine
 /// expressions over block parameters. `sizeBounds` are the expressions valid
 /// for allocation (they must not mention block-local parameters such as tile

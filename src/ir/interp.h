@@ -10,8 +10,10 @@
 // local-buffer accesses, arithmetic and synchronizations, which the machine
 // simulator converts to time. countCodeUnit derives the same trace from the
 // unit's bounds and guards alone, without arrays, so the figures price the
-// code the compiler emitted at the paper's problem sizes. This keeps "what
-// the code does" and "what it costs" in one place.
+// code the compiler emitted at the paper's problem sizes. countBankConflicts
+// is a lane count of that walk: it runs the threads of a half-warp in
+// lockstep and charges the scratchpad bank cycles their accesses serialize
+// into. This keeps "what the code does" and "what it costs" in one place.
 #pragma once
 
 #include <string>
@@ -47,6 +49,35 @@ MemTrace executeCodeUnit(const CodeUnit& unit, const IntVec& paramValues, ArrayS
 /// not depend on its iterator is counted once and multiplied by its trip
 /// count, so a paper-scale unit counts in milliseconds.
 MemTrace countCodeUnit(const CodeUnit& unit, const IntVec& paramValues);
+
+/// What countBankConflicts counted.
+struct BankConflictStats {
+  i64 warpAccesses = 0;        ///< half-warp-wide local access instructions issued
+  i64 bankCycles = 0;          ///< cycles after serialization; >= warpAccesses
+  i64 conflictedAccesses = 0;  ///< warp accesses that took more than one cycle
+
+  /// Cycles lost to serialization: 0 for a conflict-free layout.
+  i64 excessCycles() const { return bankCycles - warpAccesses; }
+  /// Fraction of scratchpad access cycles that are serialization overhead.
+  double serializedFraction() const {
+    return bankCycles > 0 ? static_cast<double>(excessCycles()) / static_cast<double>(bankCycles)
+                          : 0.0;
+  }
+};
+
+/// The scratchpad bank cycles of `unit` at a parameter binding, counted as
+/// countCodeUnit counts, in lockstep over a half-warp of lanes. The
+/// outermost ThreadParallel loop is the lane dimension, as in emit_cuda: a
+/// warp is 16 consecutive iterations of it (the G80 half-warp that accesses
+/// the scratchpad together), and every local access
+/// inside it costs the most distinct addresses any one bank serves (lanes on
+/// one address broadcast). Buffers sit back to back at bank-row-aligned
+/// offsets, as the packing planner places them, addressed through their
+/// padded extents (LocalBuffer::pad), so counting before and after
+/// applyBufferLayout measures what the padding bought. Accesses outside
+/// thread-parallel loops are scalar and cost nothing here.
+BankConflictStats countBankConflicts(const CodeUnit& unit, const IntVec& paramValues,
+                                     const BankDescriptor& bank, i64 elementBytes);
 
 /// Peak scratchpad residency in elements: the sum of all local buffer sizes
 /// at the given parameter binding (the framework allocates all buffers for

@@ -34,19 +34,6 @@
 
 namespace emm {
 
-/// Scratchpad banking of the target machine (gpusim::Machine mirrors this).
-/// banks <= 1 models an unbanked store: no padding is ever added.
-struct BankDescriptor {
-  i64 banks = 16;
-  i64 widthBytes = 4;
-
-  static constexpr void fields(auto& v) {
-    v.tag(kTagNone, "BankDescriptor");
-    v("banks", &BankDescriptor::banks);
-    v("widthBytes", &BankDescriptor::widthBytes);
-  }
-};
-
 /// Placement of one local buffer inside the packed arena. All expressions
 /// are over the owning CodeUnit's source parameters (by index into
 /// source->paramNames), with tile origins never mentioned — the layout is

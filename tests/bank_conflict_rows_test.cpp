@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "driver/compiler.h"
-#include "gpusim/bank_conflicts.h"
+#include "ir/interp.h"
 #include "kernels/blocks.h"
 #include "testgen/diff_runner.h"
 #include "testgen/generator.h"
@@ -46,10 +46,7 @@ struct Model {
 const std::vector<Model> kModels = {{1, 4}, {16, 4}, {32, 4}, {16, 8}};
 
 BankConflictStats conflicts(const CodeUnit& unit, const IntVec& params, const Model& m) {
-  BankConflictOptions bc;
-  bc.banks = static_cast<int>(m.banks);
-  bc.elementBytes = m.elementBytes;
-  return countBankConflicts(unit, params, bc);
+  return countBankConflicts(unit, params, BankDescriptor{m.banks, 4}, m.elementBytes);
 }
 
 bool hasThreadLoop(const AstNode& n) {

@@ -1,6 +1,6 @@
 // Tests for the bank-conflict-aware buffer packing planner
-// (smem/buffer_layout.h), the static conflict counter
-// (gpusim/bank_conflicts.h) that grades its layouts, and the Cell
+// (smem/buffer_layout.h), the bank-conflict count (countBankConflicts in
+// ir/interp.h) that grades its layouts, and the Cell
 // double-buffer emitter that consumes the halved budget. The planner
 // invariants — disjoint bank-aligned placements, symbolic footprints that
 // match concrete enumeration at randomized sizes and tiles, unpadded
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "driver/compiler.h"
-#include "gpusim/bank_conflicts.h"
 #include "ir/interp.h"
 #include "kernels/blocks.h"
 #include "smem/buffer_layout.h"
@@ -147,9 +146,9 @@ TEST(BankConflicts, PaddingEliminatesWarpSerializationOnMe) {
   ASSERT_TRUE(flat.ok && packed.ok);
 
   const IntVec ext = sampleParams(*flat.unit(), {c.ni, c.nj, c.w});
-  BankConflictOptions bc;  // G80: 16 banks, 16-lane half-warps
-  const BankConflictStats before = countBankConflicts(*flat.unit(), ext, bc);
-  const BankConflictStats after = countBankConflicts(*packed.unit(), ext, bc);
+  const BankDescriptor g80;  // 16 banks of 4-byte words
+  const BankConflictStats before = countBankConflicts(*flat.unit(), ext, g80, 4);
+  const BankConflictStats after = countBankConflicts(*packed.unit(), ext, g80, 4);
   EXPECT_GT(before.excessCycles(), 0) << "unpadded ME no longer conflicts; test is vacuous";
   EXPECT_EQ(after.excessCycles(), 0);
   EXPECT_EQ(after.conflictedAccesses, 0);
@@ -169,10 +168,9 @@ TEST(BankConflicts, UnbankedStoreNeverConflicts) {
   const MeCase c = kMeCases[0];
   CompileResult flat = compileMe(c, /*packed=*/false);
   ASSERT_TRUE(flat.ok);
-  BankConflictOptions bc;
-  bc.banks = 1;  // Cell-style unbanked local store
-  const BankConflictStats s =
-      countBankConflicts(*flat.unit(), sampleParams(*flat.unit(), {c.ni, c.nj, c.w}), bc);
+  const BankDescriptor unbanked{1, 4};  // Cell-style local store
+  const BankConflictStats s = countBankConflicts(
+      *flat.unit(), sampleParams(*flat.unit(), {c.ni, c.nj, c.w}), unbanked, 4);
   EXPECT_EQ(s.excessCycles(), 0);
   EXPECT_EQ(s.conflictedAccesses, 0);
 }

@@ -38,7 +38,6 @@
 #include "driver/compiler.h"
 #include "driver/disk_cache.h"
 #include "driver/plan_cache.h"
-#include "gpusim/bank_conflicts.h"
 #include "ir/interp.h"
 #include "smem/buffer_layout.h"
 #include "kernels/blocks.h"
@@ -229,11 +228,7 @@ void printStats(const CompileResult& r, const IntVec& params) {
       rawBytes = addChecked(rawBytes, elems);
     }
     rawBytes = mulChecked(rawBytes, lo.elementBytes);
-    BankConflictOptions bc;
-    bc.banks = static_cast<int>(lo.bank.banks);
-    bc.bankWidthBytes = lo.bank.widthBytes;
-    bc.elementBytes = lo.elementBytes;
-    const BankConflictStats cs = countBankConflicts(*r.unit(), ext, bc);
+    const BankConflictStats cs = countBankConflicts(*r.unit(), ext, lo.bank, lo.elementBytes);
     std::printf("buffer layout       : %s%s%s\n",
                 lo.padded ? "packed (conflict-padded rows)" : "unpadded",
                 lo.note.empty() ? "" : " -- ", lo.note.c_str());
