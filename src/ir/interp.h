@@ -69,13 +69,14 @@ struct BankConflictStats {
 /// countCodeUnit counts, in lockstep over a half-warp of lanes. The
 /// outermost ThreadParallel loop is the lane dimension, as in emit_cuda: a
 /// warp is 16 consecutive iterations of it (the G80 half-warp that accesses
-/// the scratchpad together), and every local access
-/// inside it costs the most distinct addresses any one bank serves (lanes on
-/// one address broadcast). Buffers sit back to back at bank-row-aligned
-/// offsets, as the packing planner places them, addressed through their
-/// padded extents (LocalBuffer::pad), so counting before and after
-/// applyBufferLayout measures what the padding bought. Accesses outside
-/// thread-parallel loops are scalar and cost nothing here.
+/// the scratchpad together), and every local access inside it costs the
+/// most distinct addresses any one bank serves (lanes on one address
+/// broadcast). Buffers sit back to back at bank-row-aligned offsets, as the
+/// packing planner places them, addressed through their padded extents
+/// (LocalBuffer::pad), so counting before and after applyBufferLayout
+/// measures what the padding bought. An active lane's index outside its
+/// buffer's logical extents throws, as under executeCodeUnit. Accesses
+/// outside thread-parallel loops are scalar and cost nothing here.
 BankConflictStats countBankConflicts(const CodeUnit& unit, const IntVec& paramValues,
                                      const BankDescriptor& bank, i64 elementBytes);
 
